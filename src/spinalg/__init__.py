@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .clifford_core import (  # noqa: F401
     CliffordElement,
     ExteriorVector,
-    QuadraticSpace,
     VectorInV,
     act_on_exterior,
     mul,

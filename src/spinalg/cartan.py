@@ -29,19 +29,6 @@ def _parity_sign(n: int, parity: str) -> int:
     return (-1) ** (n - 1) if parity == "even" else (-1) ** n
 
 
-@dataclass(frozen=True)
-class CartanContext:
-    """Sign bookkeeping for the essentially-commuting diagrams at level n."""
-
-    n: int
-    sign_even: int
-    sign_odd: int
-
-    @staticmethod
-    def for_level(n: int) -> "CartanContext":
-        return CartanContext(n, _parity_sign(n, "even"), _parity_sign(n, "odd"))
-
-
 def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
     """Quadratic map: degree-n component of (x a*) acting on 1, where a is
     the wedge part of x.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
@@ -325,12 +312,17 @@ def _pairing_matrix(n: int) -> list[list[Fraction]]:
     return m
 
 
+def _next_seed(seed: int | str) -> int | None:
+    """Resample hint: the next integer seed (a string seed has none)."""
+    return seed + 1 if isinstance(seed, int) else None
+
+
 def lower_factorization(
     q: int,
     n: int,
     n0: int,
     g: sr.GroupElement,
-    seed: int = 0,
+    seed: int | str = 0,
     exterior_audit: bool = False,
 ) -> LowerFactorization:
     """Factor the contracted action of g through levels n and n0.
@@ -384,7 +376,7 @@ def lower_factorization(
     if len(w1) != n - n0:
         raise GenericityError(
             f"dim(E'' ∩ (V_n+F)) = {len(w1)} != n - n0 = {n - n0}",
-            suggested_seed=seed + 1,
+            suggested_seed=_next_seed(seed),
         )
     # (E'')^perp ∩ F must be zero
     f_rows = []
@@ -397,7 +389,7 @@ def lower_factorization(
         meet = linalg.intersect_row_spaces(perp, f_rows)
         if meet:
             raise GenericityError(
-                "(E'')^perp meets the auxiliary F block", suggested_seed=seed + 1
+                "(E'')^perp meets the auxiliary F block", suggested_seed=_next_seed(seed)
             )
     # Etilde: project W1 to V_n along the auxiliary F block
     etilde_rows = []
@@ -407,7 +399,7 @@ def lower_factorization(
     etilde_rows = linalg.row_space(etilde_rows) if etilde_rows else []
     if len(etilde_rows) != n - n0:
         raise GenericityError(
-            "projected trace lost dimension", suggested_seed=seed + 1
+            "projected trace lost dimension", suggested_seed=_next_seed(seed)
         )
     # restrict to level-n coordinates
     etilde_n = [row[:n] + row[q : q + n] for row in etilde_rows]
@@ -437,7 +429,7 @@ def lower_factorization(
     ut = linalg.solve_matrix(linalg.transpose(b_mat), linalg.transpose(a_mat))
     if ut is None:
         raise GenericityError(
-            "operator identity is inconsistent for this g", suggested_seed=seed + 1
+            "operator identity is inconsistent for this g", suggested_seed=_next_seed(seed)
         )
     u = linalg.transpose(ut)
     if linalg.matmul(u, b_mat) != a_mat:
@@ -596,7 +588,7 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
 
 
 def sample_lower_factorization(
-    q: int, n: int, n0: int, seed: int, length: int = 8, max_tries: int = 20,
+    q: int, n: int, n0: int, seed: int | str, length: int = 8, max_tries: int = 20,
     exterior_audit: bool = False,
 ) -> tuple[LowerFactorization, sr.GroupElement, list[str]]:
     """Draw seeded elements until the genericity conditions hold.
@@ -612,5 +604,5 @@ def sample_lower_factorization(
         except GenericityError as exc:
             failures.append(str(exc))
     raise GenericityError(
-        f"no generic element found in {max_tries} tries", suggested_seed=seed + 1
+        f"no generic element found in {max_tries} tries", suggested_seed=_next_seed(seed)
     )

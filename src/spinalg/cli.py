@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from . import __version__
 from .suites import CheckResult, run_checks, suite_names
+from .transfer_maps import DENSE_LEVEL_BOUND
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_CONFIG = 2
-
-DENSE_LEVEL_BOUND = 6
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from monomials to Fractions; zero coefficients are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -55,10 +54,6 @@ def symbol_pairing(a: Symbol, b: Symbol) -> Fraction:
     return Fraction(1) if a == -b else Fraction(0)
 
 
-def _sort_key(sym: Symbol) -> tuple[int, int]:
-    return (0, sym) if sym > 0 else (1, -sym)
-
-
 def _mask_indices(mask: int) -> list[int]:
     out = []
     i = 1
@@ -70,8 +65,82 @@ def _mask_indices(mask: int) -> list[int]:
     return out
 
 
-def _popcount_below(mask: int, bit: int) -> int:
-    return bin(mask & ((1 << bit) - 1)).count("1")
+# -- the letter kernel -------------------------------------------------------
+#
+# Every operator in the package is a sum of words of letters acting on
+# bitmasks.  A letter is a tuple of moves; a move wedges a bit into a mask
+# (the bit must be clear) or contracts it out (the bit must be set), with
+# sign (-1)^(number of set bits below it) and a scalar factor.  This is
+# Chevalley's construction of spinors.  A move is stored as
+# (bit value, required state of that bit, factor).
+
+
+def _wedge(bit: int, factor=1) -> tuple:
+    return (1 << bit, 0, factor)
+
+
+def _contract(bit: int, factor=1) -> tuple:
+    return (1 << bit, 1 << bit, factor)
+
+
+def _accumulate(acc: dict, key, value: Fraction) -> None:
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+    else:
+        value += old
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
+
+
+def _apply_words(words, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Sum over (coef, letters) in words of coef * (letters applied right to
+    left to the sparse map terms: mask -> coefficient)."""
+    out: dict[int, Fraction] = {}
+    for coef, letters in words:
+        cur = terms
+        for letter in reversed(letters):
+            nxt: dict[int, Fraction] = {}
+            for m, c in cur.items():
+                for b, need, factor in letter:
+                    if m & b != need:
+                        continue
+                    v = c if factor == 1 else factor * c
+                    _accumulate(nxt, m ^ b, -v if (m & (b - 1)).bit_count() & 1 else v)
+            cur = nxt
+            if not cur:
+                break
+        for m, c in cur.items():
+            _accumulate(out, m, c if coef == 1 else coef * c)
+    return out
+
+
+def _bit(sym: Symbol, n: int) -> int:
+    """Position of a symbol in a 2n-bit mask: e_i is bit i-1, f_i bit n+i-1."""
+    return sym - 1 if sym > 0 else n - sym - 1
+
+
+def _clifford_letter(sym: Symbol, n: int) -> tuple:
+    """Left multiplication by a basis vector on e_S f_T, packed as S | T << n.
+
+    e_i wedges into S.  f_j wedges into T past all of S, and contracts e_j
+    out of S with the factor 2(f_j|e_j) = 2: normal ordering in closed form.
+    """
+    if sym > 0:
+        return (_wedge(_bit(sym, n)),)
+    return (_wedge(_bit(sym, n)), _contract(_bit(-sym, n), 2))
+
+
+def _exterior_letter(sym: Symbol, n: int) -> tuple:
+    """Module action iota(v) + o(v) of a basis vector on the exterior algebra."""
+    return (_wedge(_bit(sym, n)), _contract(_bit(-sym, n)))
+
+
+def _vector_letter(coords) -> tuple:
+    """Wedge by the vector with these coordinates over the 2n mask bits."""
+    return tuple(_wedge(bit, c) for bit, c in enumerate(coords) if c)
 
 
 def monomial_word(mono: Monomial) -> list[Symbol]:
@@ -98,6 +167,8 @@ class CliffordElement:
         self.terms: dict[Monomial, Fraction] = {}
         if terms:
             for mono, c in terms.items():
+                if not (0 <= mono[0] < 1 << n and 0 <= mono[1] < 1 << n):
+                    raise IndexRangeError(f"monomial masks {mono} out of range at level {n}")
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
                     self.terms[mono] = c
@@ -142,11 +213,7 @@ class CliffordElement:
         self._check_level(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            nv = out.get(mono, Fraction(0)) + c
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, c)
         return CliffordElement(self.n, out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
@@ -192,81 +259,44 @@ class CliffordElement:
     __repr__ = __str__
 
 
-def normal_form(word: Iterable, n: int) -> CliffordElement:
-    """Normal-ordered expansion of a word of basis-vector symbols.
+def _packed(a: CliffordElement) -> dict[int, Fraction]:
+    return {em | fm << a.n: c for (em, fm), c in a.terms.items()}
 
-    Applies vw = 2(v|w) - wv until every word is strictly ordered (e-block
-    ascending, then f-block ascending); repeated symbols die since every
-    basis vector is isotropic.
-    """
-    syms = tuple(parse_symbol(s) for s in word)
+
+def _unpacked(n: int, terms: dict[int, Fraction]) -> CliffordElement:
+    low = (1 << n) - 1
+    return CliffordElement(n, {(m & low, m >> n): c for m, c in terms.items()})
+
+
+def _clifford_words(a: CliffordElement, letter) -> list:
+    """a as a sum of (coefficient, letters) words over its monomials."""
+    return [
+        (c, [letter(s, a.n) for s in monomial_word(mono)])
+        for mono, c in a.terms.items()
+    ]
+
+
+def normal_form(word: Iterable, n: int) -> CliffordElement:
+    """Normal-ordered expansion of a word of basis-vector symbols: the unit
+    multiplied on the left by each symbol, last symbol first."""
+    syms = [parse_symbol(s) for s in word]
     for s in syms:
         _check_index(s, n)
-    acc: dict[Monomial, Fraction] = {}
-    stack: list[tuple[tuple[Symbol, ...], Fraction]] = [(syms, Fraction(1))]
-    while stack:
-        w, coef = stack.pop()
-        pos = None
-        for i in range(len(w) - 1):
-            if _sort_key(w[i]) >= _sort_key(w[i + 1]):
-                pos = i
-                break
-        if pos is None:
-            emask = fmask = 0
-            for s in w:
-                if s > 0:
-                    emask |= 1 << (s - 1)
-                else:
-                    fmask |= 1 << (-s - 1)
-            key = (emask, fmask)
-            nv = acc.get(key, Fraction(0)) + coef
-            if nv:
-                acc[key] = nv
-            else:
-                acc.pop(key, None)
-            continue
-        a, b = w[pos], w[pos + 1]
-        if a == b:
-            continue  # v*v = q(v) = 0 on isotropic basis vectors
-        stack.append((w[:pos] + (b, a) + w[pos + 2 :], -coef))
-        p = symbol_pairing(a, b)
-        if p:
-            stack.append((w[:pos] + w[pos + 2 :], 2 * p * coef))
-    return CliffordElement(n, acc)
+    letters = [_clifford_letter(s, n) for s in syms]
+    return _unpacked(n, _apply_words([(1, letters)], {0: Fraction(1)}))
 
 
 def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Clifford product, bilinear over normal-ordered monomial words."""
+    """Clifford product: b multiplied on the left by the letters of each
+    monomial of a."""
     a._check_level(b)
-    out = CliffordElement.zero(a.n)
-    for m1, c1 in a.terms.items():
-        w1 = monomial_word(m1)
-        for m2, c2 in b.terms.items():
-            piece = normal_form(w1 + monomial_word(m2), a.n)
-            out = out + piece.scale(c1 * c2)
-    return out
+    return _unpacked(a.n, _apply_words(_clifford_words(a, _clifford_letter), _packed(b)))
 
 
 def star(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism reversing each monomial word."""
-    out = CliffordElement.zero(a.n)
-    for mono, c in a.terms.items():
-        out = out + normal_form(list(reversed(monomial_word(mono))), a.n).scale(c)
-    return out
-
-
-@dataclass(frozen=True)
-class QuadraticSpace:
-    """The level-n split space; mostly a carrier for n with the fixed form."""
-
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    def symbols(self) -> list[Symbol]:
-        return [i for i in range(1, self.n + 1)] + [-i for i in range(1, self.n + 1)]
+    words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
+    return _unpacked(a.n, _apply_words(words, {0: Fraction(1)}))
 
 
 class VectorInV:
@@ -390,6 +420,8 @@ class ExteriorVector:
         self.terms: dict[int, Fraction] = {}
         if terms:
             for m, c in terms.items():
+                if not 0 <= m < 1 << (2 * n):
+                    raise IndexRangeError(f"wedge mask {m} out of range at level {n}")
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
                     self.terms[m] = c
@@ -404,7 +436,10 @@ class ExteriorVector:
 
     def _bit(self, sym: Symbol) -> int:
         _check_index(sym, self.n)
-        return sym - 1 if sym > 0 else self.n + (-sym) - 1
+        return _bit(sym, self.n)
+
+    def _apply(self, letter: tuple) -> "ExteriorVector":
+        return ExteriorVector(self.n, _apply_words([(1, [letter])], self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -421,11 +456,7 @@ class ExteriorVector:
             raise LevelMismatchError("levels differ")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+            _accumulate(out, m, c)
         return ExteriorVector(self.n, out)
 
     def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
@@ -449,56 +480,18 @@ class ExteriorVector:
         )
 
     def outer_symbol(self, sym: Symbol) -> "ExteriorVector":
-        bit = self._bit(sym)
-        out: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            if m >> bit & 1:
-                continue
-            sign = -1 if _popcount_below(m, bit) % 2 else 1
-            key = m | (1 << bit)
-            nv = out.get(key, Fraction(0)) + sign * c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return ExteriorVector(self.n, out)
+        return self._apply((_wedge(self._bit(sym)),))
 
     def inner_symbol(self, sym: Symbol) -> "ExteriorVector":
         """Contraction iota(v) for a basis symbol v: pairs with its partner."""
-        partner = -sym
-        bit = self._bit(partner)
-        out: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            if not (m >> bit & 1):
-                continue
-            sign = -1 if _popcount_below(m, bit) % 2 else 1
-            key = m & ~(1 << bit)
-            nv = out.get(key, Fraction(0)) + sign * c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return ExteriorVector(self.n, out)
+        return self._apply((_contract(self._bit(-sym)),))
 
     def outer_vector(self, v: VectorInV) -> "ExteriorVector":
-        out = ExteriorVector.zero(self.n)
-        for i, c in enumerate(v.e):
-            if c:
-                out = out + self.outer_symbol(i + 1).scale(c)
-        for j, c in enumerate(v.f):
-            if c:
-                out = out + self.outer_symbol(-(j + 1)).scale(c)
-        return out
+        return _wedge_front(self, v.coords())
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
-        out = ExteriorVector.zero(self.n)
-        for i, c in enumerate(v.e):
-            if c:
-                out = out + self.inner_symbol(i + 1).scale(c)
-        for j, c in enumerate(v.f):
-            if c:
-                out = out + self.inner_symbol(-(j + 1)).scale(c)
-        return out
+        partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
+        return self._apply(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c))
 
     def change_basis(self, new_rows: list[VectorInV]) -> "ExteriorVector":
         """Coordinates of self over the wedge basis of the given 2n vectors."""
@@ -509,17 +502,11 @@ class ExteriorVector:
         if len(a) != 2 * n:
             raise IndexRangeError("need 2n basis vectors")
         c = linalg.inverse(a)  # old symbol s = sum_j c[s][j] * new_j
-        out = ExteriorVector.zero(n)
-        for m, coef in self.terms.items():
-            piece = ExteriorVector.unit(n).scale(coef)
-            # wedge right-to-left so the mask's letter order is preserved
-            for bit in reversed(range(2 * n)):
-                if m >> bit & 1:
-                    piece = _wedge_front(piece, c[bit])
-                    if piece.is_zero():
-                        break
-            out = out + piece
-        return out
+        words = [
+            (coef, [_vector_letter(c[bit]) for bit in range(2 * n) if m >> bit & 1])
+            for m, coef in self.terms.items()
+        ]
+        return ExteriorVector(n, _apply_words(words, {0: Fraction(1)}))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -541,55 +528,20 @@ class ExteriorVector:
 
 def _wedge_front(ext: ExteriorVector, coords: list[Fraction]) -> ExteriorVector:
     """Wedge a coordinate vector (over ext's symbol space) on the left."""
-    out = ExteriorVector.zero(ext.n)
-    for bit, c in enumerate(coords):
-        if not c:
-            continue
-        for m, v in ext.terms.items():
-            if m >> bit & 1:
-                continue
-            sign = -1 if _popcount_below(m, bit) % 2 else 1
-            key = m | (1 << bit)
-            nv = out.terms.get(key, Fraction(0)) + sign * c * v
-            if nv:
-                out.terms[key] = nv
-            else:
-                out.terms.pop(key, None)
-    return out
+    return ext._apply(_vector_letter(coords))
 
 
 def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
     """v_1 wedge ... wedge v_k as an ExteriorVector."""
-    out = ExteriorVector.unit(n)
-    for v in reversed(vectors):
-        out = _wedge_front(out, v.coords())
-        if out.is_zero():
-            break
-    return out
-
-
-def act_symbol(sym: Symbol, omega: ExteriorVector) -> ExteriorVector:
-    """Module action of a basis vector: iota(v) + o(v) on the full algebra."""
-    return omega.inner_symbol(sym) + omega.outer_symbol(sym)
+    letters = [_vector_letter(v.coords()) for v in vectors]
+    return ExteriorVector(n, _apply_words([(1, letters)], {0: Fraction(1)}))
 
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
     """The Clifford module action on the exterior algebra of the whole space."""
     if a.n != omega.n:
         raise LevelMismatchError("levels differ")
-    out = ExteriorVector.zero(a.n)
-    for mono, c in a.terms.items():
-        cur = omega
-        for sym in reversed(monomial_word(mono)):
-            cur = act_symbol(sym, cur)
-            if cur.is_zero():
-                break
-        out = out + cur.scale(c)
-    return out
-
-
-def act_vector(v: VectorInV, omega: ExteriorVector) -> ExteriorVector:
-    return act_on_exterior(v.as_clifford(), omega)
+    return ExteriorVector(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
 
 
 def so_to_clifford(x) -> CliffordElement:
@@ -599,18 +551,11 @@ def so_to_clifford(x) -> CliffordElement:
     each basis two-form u^v maps to (uv - vu)/4.
     """
     n = x.n
-    out = CliffordElement.zero(n)
-    quarter = Fraction(1, 4)
-
-    def add(u: Symbol, v: Symbol, c: Fraction) -> None:
-        nonlocal out
-        piece = normal_form([u, v], n) - normal_form([v, u], n)
-        out = out + piece.scale(quarter * c)
-
-    for (i, j), c in x.ee.items():
-        add(i, j, c)
-    for (i, j), c in x.ff.items():
-        add(-i, -j, c)
-    for (i, j), c in x.ef.items():
-        add(i, -j, c)
-    return out
+    pairs = [(i, j, c) for (i, j), c in x.ee.items()]
+    pairs += [(-i, -j, c) for (i, j), c in x.ff.items()]
+    pairs += [(i, -j, c) for (i, j), c in x.ef.items()]
+    words = []
+    for u, v, c in pairs:
+        lu, lv = _clifford_letter(u, n), _clifford_letter(v, n)
+        words += [(Fraction(c, 4), [lu, lv]), (Fraction(-c, 4), [lv, lu])]
+    return _unpacked(n, _apply_words(words, {0: Fraction(1)}))

@@ -85,7 +85,7 @@ class Polynomial:
                         raise LevelMismatchError("variable level kind mismatch")
                     if not is_limit and v.level != level:
                         raise LevelMismatchError("variable level mismatch")
-                self.terms[tuple(sorted(mono))] = c
+                cc._accumulate(self.terms, tuple(sorted(mono)), c)
 
     # -- constructors ------------------------------------------------------
 
@@ -118,11 +118,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+            cc._accumulate(out, m, c)
         return self._like(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -148,11 +144,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = tuple(sorted(m1 + m2))
-                nv = out.get(key, Fraction(0)) + c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+                cc._accumulate(out, key, c1 * c2)
         return self._like(out)
 
     def is_zero(self) -> bool:
@@ -186,22 +178,7 @@ class Polynomial:
             rest = list(mono)
             rest.remove(v)
             key = tuple(rest)
-            nv = out.get(key, Fraction(0)) + k * c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return self._like(out)
-
-    def coefficient_of(self, v: SpinVariable) -> "Polynomial":
-        """Coefficient polynomial of v in terms linear in v."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            if mono.count(v) != 1:
-                continue
-            rest = list(mono)
-            rest.remove(v)
-            out[tuple(rest)] = out.get(tuple(rest), Fraction(0)) + c
+            cc._accumulate(out, key, k * c)
         return self._like(out)
 
     def __str__(self) -> str:
@@ -441,55 +418,7 @@ def i4_quadric() -> Polynomial:
 # -- linear maps and pullback --------------------------------------------------
 
 
-class SpinLinearMap:
-    """Column map between spin spaces (source basis mask -> target vector)."""
-
-    __slots__ = ("source_n", "target_n", "cols")
-
-    def __init__(self, source_n: int, target_n: int, cols: dict[int, sr.SpinVector]):
-        self.source_n = source_n
-        self.target_n = target_n
-        self.cols = {m: v for m, v in cols.items() if not v.is_zero()}
-
-    @staticmethod
-    def identity(n: int) -> "SpinLinearMap":
-        return SpinLinearMap(n, n, {m: sr.SpinVector.basis(n, m) for m in range(1 << n)})
-
-    @staticmethod
-    def of_group_element(g: sr.GroupElement) -> "SpinLinearMap":
-        return SpinLinearMap(
-            g.n, g.n, {m: g.apply(sr.SpinVector.basis(g.n, m)) for m in range(1 << g.n)}
-        )
-
-    @staticmethod
-    def of_contraction(n: int, target: int) -> "SpinLinearMap":
-        cols = {}
-        for m in range(1 << n):
-            cols[m] = tm.pi_tower(sr.SpinVector.basis(n, m), target)
-        return SpinLinearMap(n, target, cols)
-
-    def apply(self, x: sr.SpinVector) -> sr.SpinVector:
-        if x.n != self.source_n:
-            raise LevelMismatchError("levels differ")
-        out = sr.SpinVector.zero(self.target_n)
-        for m, c in x.terms.items():
-            col = self.cols.get(m)
-            if col is not None:
-                out = out + col.scale(c)
-        return out
-
-    def compose(self, inner: "SpinLinearMap") -> "SpinLinearMap":
-        """self o inner."""
-        if inner.target_n != self.source_n:
-            raise LevelMismatchError("composition levels differ")
-        return SpinLinearMap(
-            inner.source_n,
-            self.target_n,
-            {m: self.apply(v) for m, v in inner.cols.items()},
-        )
-
-
-def pullback(p: Polynomial, lm: SpinLinearMap) -> Polynomial:
+def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
     """(pullback p)(x) = p(L x); degree is preserved."""
     if p.is_limit:
         raise LevelMismatchError("pullback works on finite-level polynomials")
@@ -522,7 +451,7 @@ def pullback(p: Polynomial, lm: SpinLinearMap) -> Polynomial:
 @dataclass(frozen=True)
 class FamilyMember:
     g: sr.GroupElement
-    level_map: SpinLinearMap
+    level_map: sr.LinearOperator
     quadric: Polynomial
 
 
@@ -548,13 +477,13 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
         raise IndexRangeError("pullback families need level >= 4")
     base = i4_quadric()
     members = []
-    pi_map = SpinLinearMap.of_contraction(n, 4)
+    pi_map = sr.LinearOperator.of_contraction(n, 4)
     for i in range(count):
         if i == 0:
             g = sr.GroupElement.identity(n)
         else:
             g = sr.random_group_element(n, f"family:{seed}:{i}", length)
-        lm = pi_map.compose(SpinLinearMap.of_group_element(g))
+        lm = pi_map.compose(sr.LinearOperator.of_group_element(g))
         quad = pullback(base, lm)
         if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
             raise StructureError("pulled-back form is not homogeneous quadratic")
@@ -1022,37 +951,27 @@ def ideal_membership(target: Polynomial, generators: list[Polynomial]) -> list[P
 def gamma_windowed(finite_terms: dict[int, Fraction], limit_terms: dict[int, Fraction], window: int) -> Fraction:
     """Coefficient-of-everything pairing between a finite wedge (subset
     masks over the window) and a limit vector (complement masks)."""
+    full = (1 << window) - 1
     total = Fraction(0)
     for s_mask, a in finite_terms.items():
         b = limit_terms.get(s_mask)
         if not b:
             continue
-        # sign: inversions between S and the window part of its complement
-        inv = 0
-        comp = ((1 << window) - 1) & ~s_mask
-        for s in range(window):
-            if s_mask >> s & 1:
-                inv += bin(comp & ((1 << s) - 1)).count("1")
-        total += (-1 if inv % 2 else 1) * a * b
+        # the sign of e_S wedge e_(complement) against the full window wedge
+        letters = [(cc._wedge(s),) for s in range(window) if s_mask >> s & 1]
+        sign = cc._apply_words([(1, letters)], {full & ~s_mask: Fraction(1)})[full]
+        total += sign * a * b
     return total
 
 
 def standard_gl_exp(a: int, b: int, t: Fraction, terms: dict[int, Fraction], window: int) -> dict[int, Fraction]:
-    """exp(t E_ab) in the standard wedge action on subset masks (a != b)."""
+    """exp(t E_ab) = I + t E_ab in the standard wedge action on subset masks
+    (a != b, so E_ab squares to zero)."""
     if a == b:
         raise IndexRangeError("need a != b")
-    x = sr.SoElement.basis_ef(window, a, b)
     v = sr.SpinVector(window, terms)
-    out = v
-    term = v
-    k = 1
-    while True:
-        term = sr.rho_standard(x, term).scale(Fraction(t, k))
-        if term.is_zero():
-            break
-        out = out + term
-        k += 1
-    return dict(out.terms)
+    moved = sr.rho_standard(sr.SoElement.basis_ef(window, a, b), v).scale(t)
+    return dict((v + moved).terms)
 
 
 def limit_standard_gl_exp(a: int, b: int, t: Fraction, limit_terms: dict[int, Fraction], window: int) -> dict[int, Fraction]:

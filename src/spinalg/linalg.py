@@ -80,10 +80,6 @@ def row_space(a: Matrix) -> Matrix:
     return [row for row in r[: len(pivots)]]
 
 
-def row_space_equal(a: Matrix, b: Matrix) -> bool:
-    return row_space(a) == row_space(b)
-
-
 def nullspace(a: Matrix) -> Matrix:
     """Canonical kernel basis: one vector per free column, free coordinate 1."""
     rows = len(a)

@@ -26,10 +26,6 @@ from .errors import (
 )
 
 
-def _below(mask: int, bit: int) -> int:
-    return bin(mask & ((1 << bit) - 1)).count("1")
-
-
 class SpinVector:
     """Sparse exact vector in the level-n spin space."""
 
@@ -97,11 +93,7 @@ class SpinVector:
             raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+            cc._accumulate(out, m, c)
         return SpinVector(self.n, out)
 
     def __sub__(self, other: "SpinVector") -> "SpinVector":
@@ -152,82 +144,45 @@ class SpinVector:
     __repr__ = __str__
 
 
-# -- raw letter operators on subset masks -----------------------------------
+# -- letters on subset masks ------------------------------------------------
 
 
-def _o(i: int, mask: int) -> tuple[int, int] | None:
-    """Wedge with e_i: (new mask, sign) or None."""
-    bit = i - 1
-    if mask >> bit & 1:
-        return None
-    return mask | (1 << bit), (-1 if _below(mask, bit) % 2 else 1)
+def _o(i: int) -> tuple:
+    """Letter: wedge with e_i."""
+    return (cc._wedge(i - 1),)
 
 
-def _iota(j: int, mask: int) -> tuple[int, int] | None:
-    """Contract with f_j: (new mask, sign) or None."""
-    bit = j - 1
-    if not (mask >> bit & 1):
-        return None
-    return mask & ~(1 << bit), (-1 if _below(mask, bit) % 2 else 1)
+def _iota(j: int) -> tuple:
+    """Letter: contract with f_j."""
+    return (cc._contract(j - 1),)
 
 
-def _apply_letterwise(
-    fn: Callable[[int], tuple[int, Fraction] | None], x: SpinVector
-) -> SpinVector:
-    out: dict[int, Fraction] = {}
-    for m, c in x.terms.items():
-        r = fn(m)
-        if r is None:
-            continue
-        m2, s = r
-        nv = out.get(m2, Fraction(0)) + s * c
-        if nv:
-            out[m2] = nv
-        else:
-            out.pop(m2, None)
-    return SpinVector(x.n, out)
+def _act(words, x: SpinVector) -> SpinVector:
+    return SpinVector(x.n, cc._apply_words(words, x.terms))
 
 
 def outer(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Wedge by a vector of E; rejects vectors with an F-component."""
     if any(c != 0 for c in v.f):
         raise IndexRangeError("outer product expects a vector with zero f-part")
-    if v.n != omega.n:
-        raise LevelMismatchError("levels differ")
-    out = SpinVector.zero(omega.n)
-    for i, c in enumerate(v.e):
-        if c:
-            out = out + _apply_letterwise(lambda m, i=i: _o(i + 1, m), omega).scale(c)
-    return out
+    return vector_action(v, omega)
 
 
 def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Plain contraction iota by a vector of F (callers supply the factor 2)."""
     if any(c != 0 for c in v.e):
         raise IndexRangeError("inner product expects a vector with zero e-part")
-    if v.n != omega.n:
-        raise LevelMismatchError("levels differ")
-    out = SpinVector.zero(omega.n)
-    for j, c in enumerate(v.f):
-        if c:
-            out = out + _apply_letterwise(lambda m, j=j: _iota(j + 1, m), omega).scale(c)
-    return out
+    return vector_action(v, omega).scale(Fraction(1, 2))
 
 
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
     if v.n != omega.n:
         raise LevelMismatchError("levels differ")
-    out = SpinVector.zero(omega.n)
-    for i, c in enumerate(v.e):
-        if c:
-            out = out + _apply_letterwise(lambda m, i=i: _o(i + 1, m), omega).scale(c)
-    for j, c in enumerate(v.f):
-        if c:
-            out = out + _apply_letterwise(
-                lambda m, j=j: _iota(j + 1, m), omega
-            ).scale(2 * c)
-    return out
+    letter = tuple(cc._wedge(i, c) for i, c in enumerate(v.e) if c) + tuple(
+        cc._contract(j, 2 * c) for j, c in enumerate(v.f) if c
+    )
+    return _act([(1, [letter])], omega)
 
 
 # -- two-forms ---------------------------------------------------------------
@@ -286,11 +241,7 @@ class SoElement:
         def merge(a, b):
             out = dict(a)
             for k, c in b.items():
-                nv = out.get(k, Fraction(0)) + c
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
+                cc._accumulate(out, k, c)
             return out
 
         return SoElement(
@@ -380,98 +331,34 @@ class SoElement:
     __repr__ = __str__
 
 
-def _act_ee(i: int, j: int, mask: int) -> tuple[int, Fraction] | None:
-    r1 = _o(j, mask)
-    if r1 is None:
-        return None
-    m1, s1 = r1
-    r2 = _o(i, m1)
-    if r2 is None:
-        return None
-    m2, s2 = r2
-    return m2, Fraction(s1 * s2, 2)
-
-
-def _act_ff(i: int, j: int, mask: int) -> tuple[int, Fraction] | None:
-    r1 = _iota(j, mask)
-    if r1 is None:
-        return None
-    m1, s1 = r1
-    r2 = _iota(i, m1)
-    if r2 is None:
-        return None
-    m2, s2 = r2
-    return m2, Fraction(2 * s1 * s2)
-
-
-def _act_ef(i: int, j: int, mask: int) -> tuple[int, Fraction] | None:
-    out: dict[int, Fraction] = {}
-    r1 = _iota(j, mask)
-    if r1 is not None:
-        m1, s1 = r1
-        r2 = _o(i, m1)
-        if r2 is not None:
-            m2, s2 = r2
-            out[m2] = out.get(m2, Fraction(0)) + Fraction(s1 * s2, 2)
-    r1 = _o(i, mask)
-    if r1 is not None:
-        m1, s1 = r1
-        r2 = _iota(j, m1)
-        if r2 is not None:
-            m2, s2 = r2
-            out[m2] = out.get(m2, Fraction(0)) - Fraction(s1 * s2, 2)
-    out = {m: c for m, c in out.items() if c}
-    if len(out) > 1:
-        raise StructureError("e^f action produced more than one monomial")
-    if not out:
-        return None
-    ((m, c),) = out.items()
-    return m, c
+def _so_words(x: SoElement) -> list:
+    """rho(x) as a sum of letter words (see the module docstring)."""
+    words = [(c / 2, [_o(i), _o(j)]) for (i, j), c in x.ee.items()]
+    words += [(2 * c, [_iota(i), _iota(j)]) for (i, j), c in x.ff.items()]
+    for (i, j), c in x.ef.items():
+        words += [(c / 2, [_o(i), _iota(j)]), (-c / 2, [_iota(j), _o(i)])]
+    return words
 
 
 def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
     """Spin action of a two-form on the wedge model."""
     if x.n != omega.n:
         raise LevelMismatchError("levels differ")
-    out = SpinVector.zero(omega.n)
-    for (i, j), c in x.ee.items():
-        out = out + _apply_letterwise(lambda m, i=i, j=j: _act_ee(i, j, m), omega).scale(c)
-    for (i, j), c in x.ff.items():
-        out = out + _apply_letterwise(lambda m, i=i, j=j: _act_ff(i, j, m), omega).scale(c)
-    for (i, j), c in x.ef.items():
-        out = out + _apply_letterwise(lambda m, i=i, j=j: _act_ef(i, j, m), omega).scale(c)
-    return out
+    return _act(_so_words(x), omega)
 
 
 def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
-    """Derivation action of gl(E) on the wedge algebra (e_j replaced by e_i).
+    """Derivation action of gl(E) on the wedge algebra (e_j replaced by e_i):
+    e_i^f_j acts as o(e_i) iota(f_j).
 
-    Implemented independently of rho_so so the twist identity is a real
-    cross-check.  Rejects two-forms with ee or ff blocks.
+    Written apart from rho_so so the twist identity is a real cross-check.
+    Rejects two-forms with ee or ff blocks.
     """
     if a.ee or a.ff:
         raise InvalidRootVectorError("standard action is defined on gl(E) only")
     if a.n != omega.n:
         raise LevelMismatchError("levels differ")
-
-    def move(i: int, j: int, mask: int) -> tuple[int, Fraction] | None:
-        bitj = j - 1
-        if not (mask >> bitj & 1):
-            return None
-        if i == j:
-            return mask, Fraction(1)
-        m1 = mask & ~(1 << bitj)
-        s1 = -1 if _below(mask, bitj) % 2 else 1
-        biti = i - 1
-        if m1 >> biti & 1:
-            return None
-        s2 = -1 if _below(m1, biti) % 2 else 1
-        return m1 | (1 << biti), Fraction(s1 * s2)
-
-    out = SpinVector.zero(omega.n)
-    for (i, j), c in a.ef.items():
-        out = out + _apply_letterwise(lambda m, i=i, j=j: move(i, j, m), omega).scale(c)
-    return out
+    return _act([(c, [_o(i), _iota(j)]) for (i, j), c in a.ef.items()], omega)
 
 
 # -- the left ideal picture --------------------------------------------------
@@ -496,22 +383,12 @@ def from_left_ideal(x: cc.CliffordElement) -> SpinVector:
 
 
 def clifford_action_on_spin(a: cc.CliffordElement, x: SpinVector) -> SpinVector:
-    """Left action of the Clifford algebra on the ideal model: e_i acts as
-    the wedge, f_j as twice the contraction, letters applied right to left."""
+    """Left action of the Clifford algebra on the ideal model, as left
+    multiplication of x f: e_i acts as the wedge, f_j as twice the
+    contraction."""
     if a.n != x.n:
         raise LevelMismatchError("levels differ")
-    out = SpinVector.zero(x.n)
-    for mono, c in a.terms.items():
-        cur = x
-        for sym in reversed(cc.monomial_word(mono)):
-            if sym > 0:
-                cur = _apply_letterwise(lambda m, i=sym: _o(i, m), cur)
-            else:
-                cur = _apply_letterwise(lambda m, j=-sym: _iota(j, m), cur).scale(2)
-            if cur.is_zero():
-                break
-        out = out + cur.scale(c)
-    return out
+    return from_left_ideal(cc.mul(a, to_left_ideal(x)))
 
 
 def so_from_clifford(z: cc.CliffordElement) -> SoElement:
@@ -553,12 +430,14 @@ def so_bracket(x: SoElement, y: SoElement) -> SoElement:
 
 
 class LinearOperator:
-    """Column-sparse linear map on the level-n spin space."""
+    """Column-sparse linear map from the level-source_n spin space to the
+    level-target_n one (source basis mask -> image vector)."""
 
-    __slots__ = ("n", "cols")
+    __slots__ = ("source_n", "target_n", "cols")
 
-    def __init__(self, n: int, cols: dict[int, SpinVector] | None = None):
-        self.n = n
+    def __init__(self, source_n: int, target_n: int, cols: dict[int, SpinVector] | None = None):
+        self.source_n = source_n
+        self.target_n = target_n
         self.cols: dict[int, SpinVector] = {}
         if cols:
             for m, v in cols.items():
@@ -567,21 +446,29 @@ class LinearOperator:
 
     @staticmethod
     def from_function(n: int, fn: Callable[[SpinVector], SpinVector]) -> "LinearOperator":
-        cols = {}
-        for m in range(1 << n):
-            cols[m] = fn(SpinVector.basis(n, m))
-        return LinearOperator(n, cols)
+        return LinearOperator(n, n, {m: fn(SpinVector.basis(n, m)) for m in range(1 << n)})
 
     @staticmethod
     def identity(n: int) -> "LinearOperator":
-        return LinearOperator(
-            n, {m: SpinVector.basis(n, m) for m in range(1 << n)}
-        )
+        return LinearOperator(n, n, {m: SpinVector.basis(n, m) for m in range(1 << n)})
+
+    @staticmethod
+    def of_group_element(g: "GroupElement") -> "LinearOperator":
+        """g's columns, applied word by word; caches nothing on g."""
+        return LinearOperator.from_function(g.n, g.apply)
+
+    @staticmethod
+    def of_contraction(n: int, target: int) -> "LinearOperator":
+        """The contraction tower from level n down to level target."""
+        from .transfer_maps import pi_tower
+
+        cols = {m: pi_tower(SpinVector.basis(n, m), target) for m in range(1 << n)}
+        return LinearOperator(n, target, cols)
 
     def apply(self, x: SpinVector) -> SpinVector:
-        if x.n != self.n:
+        if x.n != self.source_n:
             raise LevelMismatchError("levels differ")
-        out = SpinVector.zero(self.n)
+        out = SpinVector.zero(self.target_n)
         for m, c in x.terms.items():
             col = self.cols.get(m)
             if col is not None:
@@ -589,26 +476,31 @@ class LinearOperator:
         return out
 
     def compose(self, inner_op: "LinearOperator") -> "LinearOperator":
+        """self o inner_op."""
+        if inner_op.target_n != self.source_n:
+            raise LevelMismatchError("composition levels differ")
         return LinearOperator(
-            self.n, {m: self.apply(v) for m, v in inner_op.cols.items()}
+            inner_op.source_n,
+            self.target_n,
+            {m: self.apply(v) for m, v in inner_op.cols.items()},
         )
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        zero = SpinVector.zero(self.target_n)
         keys = set(self.cols) | set(other.cols)
         return LinearOperator(
-            self.n,
-            {
-                m: self.cols.get(m, SpinVector.zero(self.n))
-                + other.cols.get(m, SpinVector.zero(self.n))
-                for m in keys
-            },
+            self.source_n,
+            self.target_n,
+            {m: self.cols.get(m, zero) + other.cols.get(m, zero) for m in keys},
         )
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinearOperator":
-        return LinearOperator(self.n, {m: v.scale(c) for m, v in self.cols.items()})
+        return LinearOperator(
+            self.source_n, self.target_n, {m: v.scale(c) for m, v in self.cols.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -616,25 +508,21 @@ class LinearOperator:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearOperator)
-            and self.n == other.n
+            and (self.source_n, self.target_n) == (other.source_n, other.target_n)
             and self.cols == other.cols
         )
 
     def determinant(self) -> Fraction:
         from . import linalg
 
-        size = 1 << self.n
+        if self.source_n != self.target_n:
+            raise LevelMismatchError("determinant needs a map from a level to itself")
+        size = 1 << self.source_n
         m = linalg.zeros(size, size)
-        for col in range(size):
-            v = self.cols.get(col)
-            if v is not None:
-                for row, c in v.terms.items():
-                    m[row][col] = c
+        for col, v in self.cols.items():
+            for row, c in v.terms.items():
+                m[row][col] = c
         return linalg.det(m)
-
-
-def rho_operator(x: SoElement) -> LinearOperator:
-    return LinearOperator.from_function(x.n, lambda v: rho_so(x, v))
 
 
 # -- group elements ----------------------------------------------------------
@@ -663,18 +551,8 @@ def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
 
 
 def _exp_root_apply(n: int, kind: str, i: int, j: int, t: Fraction, x: SpinVector) -> SpinVector:
-    rv = root_so_element(n, kind, i, j)
-    out = x
-    term = x
-    k = 1
-    while True:
-        term = rho_so(rv, term).scale(Fraction(t, k))
-        if term.is_zero():
-            return out
-        out = out + term
-        k += 1
-        if k > 2 * n + 2:
-            raise StructureError("root vector action failed to nilpotate")
+    """exp(t X) x = x + t rho(X) x: every permitted root X has rho(X)^2 = 0."""
+    return x + rho_so(root_so_element(n, kind, i, j), x).scale(t)
 
 
 class GroupElement:
@@ -712,8 +590,7 @@ class GroupElement:
 
     def operator(self) -> LinearOperator:
         if self._op is None:
-            op = LinearOperator.from_function(self.n, lambda v: self.apply(v))
-            self._op = op
+            self._op = LinearOperator.of_group_element(self)
         return self._op
 
     def inverse(self) -> "GroupElement":

@@ -5,7 +5,6 @@ invariant bilinear pairing beta with its Gram matrices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,37 +58,6 @@ def tau_tower(x: sr.SpinVector, target: int) -> sr.SpinVector:
     while out.n < target:
         out = tau_last(out)
     return out
-
-
-@dataclass(frozen=True)
-class LevelMap:
-    """Metadata + callable for one level-changing map."""
-
-    source_level: int
-    target_level: int
-    kind: str  # contraction | multiplication | dualContraction
-    parity_behavior: str  # preserves | flips
-
-    def apply(self, x: sr.SpinVector) -> sr.SpinVector:
-        if x.n != self.source_level:
-            raise LevelMismatchError("input level does not match the map")
-        if self.kind == "contraction":
-            return pi_last(x)
-        if self.kind == "multiplication":
-            return tau_last(x)
-        return psi_last(x)
-
-
-def contraction_map(n: int) -> LevelMap:
-    return LevelMap(n, n - 1, "contraction", "preserves")
-
-
-def multiplication_map(n: int) -> LevelMap:
-    return LevelMap(n - 1, n, "multiplication", "preserves")
-
-
-def dual_contraction_map(n: int) -> LevelMap:
-    return LevelMap(n - 1, n, "dualContraction", "flips")
 
 
 # -- contraction at a general isotropic vector -------------------------------

@@ -49,6 +49,11 @@ def random_word(n, rng, length):
 # -- independent oracles -----------------------------------------------------
 
 
+def _sort_key(sym):
+    """Normal order of basis symbols: e_1 < ... < e_n < f_1 < ... < f_n."""
+    return (0, sym) if sym > 0 else (1, -sym)
+
+
 def oracle_normal_form(word, n, rng=None):
     """Rewrite oracle independent of the production scan order: reduces the
     rightmost disorder (or a random one when an rng is given)."""
@@ -59,7 +64,7 @@ def oracle_normal_form(word, n, rng=None):
         positions = [
             i
             for i in range(len(w) - 1)
-            if cc._sort_key(w[i]) >= cc._sort_key(w[i + 1])
+            if _sort_key(w[i]) >= _sort_key(w[i + 1])
         ]
         if not positions:
             emask = fmask = 0

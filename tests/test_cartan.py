@@ -206,6 +206,18 @@ class TestLowerFactorization:
             ca.lower_factorization(q, n, n0, w, seed=3)
         assert err.value.suggested_seed == 4
 
+    def test_genericity_failure_with_string_seed(self):
+        # the suites pass tagged string seeds such as "0:0"; those must raise
+        # GenericityError (so sampling resamples), not a TypeError
+        q, n, n0 = 6, 5, 4
+        sub = gc.check_isotropic(
+            [cc.VectorInV.basis(q, 4), cc.VectorInV.basis(q, 5)], q
+        )
+        w = gc.element_moving_to_coordinate_top(sub)
+        with pytest.raises(GenericityError) as err:
+            ca.lower_factorization(q, n, n0, w, seed="0:0")
+        assert err.value.suggested_seed is None
+
     def test_bottom_level_bound(self):
         with pytest.raises(Exception):
             ca.lower_factorization(4, 4, 3, sr.GroupElement.identity(4))

@@ -1,4 +1,4 @@
-"""Clifford algebra kernel: rewriting, products, the anti-automorphism,
+"""Clifford algebra kernel: normal forms, products, the anti-automorphism,
 the two-form embedding, and the module action on the exterior algebra."""
 
 from fractions import Fraction
@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import spin_rep as sr
 from spinalg.errors import IndexRangeError, LevelMismatchError
 
 from conftest import (
@@ -39,7 +40,7 @@ class TestNormalForm:
 
     def test_confluence_against_rewrite_oracle(self):
         rng = make_rng("confluence")
-        for n in (2, 3):
+        for n in range(2, 7):
             for _ in range(60):
                 w = random_word(n, rng, rng.randint(1, 8))
                 expect = oracle_normal_form(w, n)
@@ -72,6 +73,19 @@ class TestMul:
     def test_level_mismatch(self):
         with pytest.raises(LevelMismatchError):
             cc.mul(cc.CliffordElement.unit(2), cc.CliffordElement.unit(3))
+
+    def test_against_rewrite_oracle(self):
+        rng = make_rng("mul-oracle")
+        for n in range(1, 6):
+            for _ in range(12):
+                a = random_clifford(n, rng, nterms=3)
+                b = random_clifford(n, rng, nterms=3)
+                expect = cc.CliffordElement.zero(n)
+                for m1, c1 in a.terms.items():
+                    for m2, c2 in b.terms.items():
+                        word = cc.monomial_word(m1) + cc.monomial_word(m2)
+                        expect = expect + oracle_normal_form(word, n).scale(c1 * c2)
+                assert cc.mul(a, b) == expect
 
 
 class TestStar:
@@ -185,6 +199,26 @@ class TestModuleAction:
                         entries.setdefault(r, {})[col] = val
                     col += 1
             assert linalg.sparse_rank(list(entries.values())) == 4**n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cc.CliffordElement(2, {(8, 0): 1}),
+        lambda: cc.CliffordElement(2, {(0, 4): 1}),
+        lambda: cc.CliffordElement(2, {(-1, 0): 1}),
+        lambda: cc.ExteriorVector(2, {1 << 7: 1}),
+        lambda: cc.ExteriorVector(2, {1 << 4: 1}),
+        lambda: cc.ExteriorVector(2, {-1: 1}),
+        lambda: sr.SpinVector(2, {1 << 2: 1}),
+        lambda: sr.SpinVector(2, {-1: 1}),
+    ],
+    ids=["clifford-e", "clifford-f", "clifford-neg", "exterior-high", "exterior-edge",
+         "exterior-neg", "spin-edge", "spin-neg"],
+)
+def test_out_of_level_mask_rejected(build):
+    with pytest.raises(IndexRangeError):
+        build()
 
 
 class TestSerialization:

@@ -204,6 +204,15 @@ class TestGroupElements:
         out = g.apply(sr.SpinVector.omega0(2))
         assert out == sr.SpinVector(2, {0b11: Fraction(1), 0: -2 * t})
 
+    def test_roots_square_to_zero(self):
+        # exp(t X) = I + t rho(X) rests on this for every permitted root
+        for n in range(2, 7):
+            for kind, i, j in sr.all_root_vectors(n):
+                x = sr.root_so_element(n, kind, i, j)
+                for m in range(1 << n):
+                    v = sr.SpinVector.basis(n, m)
+                    assert sr.rho_so(x, sr.rho_so(x, v)).is_zero(), (kind, i, j, m)
+
     def test_diagonal_root_rejected(self):
         with pytest.raises(InvalidRootVectorError):
             sr.exp_nilpotent(2, "ef", 1, 1, 1)

@@ -58,13 +58,6 @@ class TestTowerMaps:
             up = tm.tau_tower(x, 6)
             assert tm.pi_tower(up, n) == x
 
-    def test_level_map_metadata(self):
-        m = tm.contraction_map(4)
-        assert (m.source_level, m.target_level, m.parity_behavior) == (4, 3, "preserves")
-        assert tm.dual_contraction_map(4).parity_behavior == "flips"
-        x = sr.SpinVector.basis(4, 0)
-        assert m.apply(x) == tm.pi_last(x)
-
 
 class TestGeneralContraction:
     def test_top_coordinate_agrees_with_fast_path(self, rng):
