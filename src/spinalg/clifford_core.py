@@ -486,9 +486,6 @@ class ExteriorVector:
         """Contraction iota(v) for a basis symbol v: pairs with its partner."""
         return self._apply((_contract(self._bit(-sym)),))
 
-    def outer_vector(self, v: VectorInV) -> "ExteriorVector":
-        return _wedge_front(self, v.coords())
-
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
         partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
         return self._apply(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c))

@@ -9,6 +9,7 @@ from fractions import Fraction
 from . import clifford_core as cc
 from . import linalg
 from . import spin_rep as sr
+from .spin_rep import _apply_step
 from .errors import (
     IndexRangeError,
     NotIsotropicError,
@@ -375,20 +376,6 @@ def random_maximal_isotropic(n: int, seed, length: int = 6) -> IsotropicSubspace
 
 
 # -- moving isotropic data to coordinate position via root exponentials ------
-
-
-def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], n: int) -> None:
-    """In-place action of exp(t X) on a coordinate vector (a-block, b-block)."""
-    a = coords  # a[0..n-1] e-coords, a[n..2n-1] f-coords
-    if kind == "ee":
-        a[i - 1] += t * a[n + j - 1]
-        a[j - 1] -= t * a[n + i - 1]
-    elif kind == "ff":
-        a[n + i - 1] += t * a[j - 1]
-        a[n + j - 1] -= t * a[i - 1]
-    else:  # ef
-        a[i - 1] += t * a[j - 1]
-        a[n + j - 1] -= t * a[n + i - 1]
 
 
 def _vector_to_top_steps(coords: list[Fraction], level: int, n: int) -> list:

@@ -37,12 +37,24 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    """a b, summing only the products of nonzero factors."""
+    cols = len(b[0]) if b else 0
+    b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * cols
+        for x, nonzero in zip(row, b_nonzero):
+            if x:
+                for k, y in nonzero:
+                    acc[k] += x * y
+        out.append(acc)
+    return out
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    """a v, summing only the products of nonzero factors."""
+    nonzero = [(k, y) for k, y in enumerate(v) if y]
+    return [sum((row[k] * y for k, y in nonzero if row[k]), Fraction(0)) for row in a]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

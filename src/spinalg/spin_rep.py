@@ -12,6 +12,7 @@ Two-form action on this model:
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -468,12 +469,13 @@ class LinearOperator:
     def apply(self, x: SpinVector) -> SpinVector:
         if x.n != self.source_n:
             raise LevelMismatchError("levels differ")
-        out = SpinVector.zero(self.target_n)
+        out: dict[int, Fraction] = {}
         for m, c in x.terms.items():
             col = self.cols.get(m)
             if col is not None:
-                out = out + col.scale(c)
-        return out
+                for r, v in col.terms.items():
+                    cc._accumulate(out, r, c * v)
+        return SpinVector(self.target_n, out)
 
     def compose(self, inner_op: "LinearOperator") -> "LinearOperator":
         """self o inner_op."""
@@ -550,9 +552,46 @@ def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
     return SoElement.basis_ef(n, i, j)
 
 
-def _exp_root_apply(n: int, kind: str, i: int, j: int, t: Fraction, x: SpinVector) -> SpinVector:
-    """exp(t X) x = x + t rho(X) x: every permitted root X has rho(X)^2 = 0."""
-    return x + rho_so(root_so_element(n, kind, i, j), x).scale(t)
+@functools.lru_cache(maxsize=None)
+def _root_table(n: int, kind: str, i: int, j: int) -> dict[int, tuple[int, Fraction]]:
+    """rho(X) of a root X, compiled once: basis mask -> (image mask, coefficient).
+
+    Every permitted root sends each basis vector to a multiple of at most one
+    basis vector; the build checks this."""
+    words = _so_words(root_so_element(n, kind, i, j))
+    table = {}
+    for m in range(1 << n):
+        image = cc._apply_words(words, {m: Fraction(1)})
+        if len(image) > 1:
+            raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
+        if image:
+            (table[m],) = image.items()
+    return table
+
+
+def _exp_root_terms(table: dict, t: Fraction, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+    """exp(t X) = I + t rho(X) on a sparse mask -> coefficient map, given the
+    table of X: every permitted root X has rho(X)^2 = 0."""
+    out = dict(terms)
+    for m, c in terms.items():
+        hit = table.get(m)
+        if hit is not None:
+            cc._accumulate(out, hit[0], t * hit[1] * c)
+    return out
+
+
+def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], n: int) -> None:
+    """In-place action of exp(t X) on a coordinate vector of V (e-block, f-block)."""
+    a = coords  # a[0..n-1] e-coords, a[n..2n-1] f-coords
+    if kind == "ee":
+        a[i - 1] += t * a[n + j - 1]
+        a[j - 1] -= t * a[n + i - 1]
+    elif kind == "ff":
+        a[n + i - 1] += t * a[j - 1]
+        a[n + j - 1] -= t * a[i - 1]
+    else:  # ef
+        a[i - 1] += t * a[j - 1]
+        a[n + j - 1] -= t * a[n + i - 1]
 
 
 class GroupElement:
@@ -583,10 +622,11 @@ class GroupElement:
             raise LevelMismatchError("levels differ")
         if self._op is not None:
             return self._op.apply(x)
-        out = x
+        out = x.terms
         for kind, i, j, t in reversed(self.word):
-            out = _exp_root_apply(self.n, kind, i, j, t, out)
-        return out
+            if t:
+                out = _exp_root_terms(_root_table(self.n, kind, i, j), t, out)
+        return SpinVector(self.n, out)
 
     def operator(self) -> LinearOperator:
         if self._op is None:
@@ -611,25 +651,20 @@ class GroupElement:
         )
 
     def so_matrix(self):
-        """Image in the special orthogonal group (product of I + t M_X)."""
-        from . import linalg
-
+        """Image in the special orthogonal group: column c is the basis vector
+        c of V moved by the word's steps, last step first."""
         if self._so is not None:
             return self._so
-        n = self.n
-        m = linalg.identity(2 * n)
-        for kind, i, j, t in self.word:
-            rv = root_so_element(n, kind, i, j).matrix()
-            step = [
-                [
-                    (Fraction(1) if r == c else Fraction(0)) + t * rv[r][c]
-                    for c in range(2 * n)
-                ]
-                for r in range(2 * n)
-            ]
-            m = linalg.matmul(m, step)
-        self._so = m
-        return m
+        size = 2 * self.n
+        cols = []
+        for c in range(size):
+            col = [Fraction(0)] * size
+            col[c] = Fraction(1)
+            for kind, i, j, t in reversed(self.word):
+                _apply_step(kind, i, j, t, col, self.n)
+            cols.append(col)
+        self._so = [list(row) for row in zip(*cols)]
+        return self._so
 
     def serialize(self) -> list:
         return [[k, i, j, str(t)] for (k, i, j, t) in self.word]

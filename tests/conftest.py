@@ -108,6 +108,37 @@ def pfaffian(a):
     return total
 
 
+def dense_matmul(a, b):
+    """Schoolbook product over every entry pair, zero factors included."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][c] for k in range(inner)), Fraction(0)) for c in range(cols)]
+        for row in a
+    ]
+
+
+def oracle_so_matrix(g):
+    """The orthogonal image of a group word as the dense product of the
+    matrices I + t M_X, first factor on the left."""
+    size = 2 * g.n
+    m = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    for kind, i, j, t in g.word:
+        rv = sr.root_so_element(g.n, kind, i, j).matrix()
+        step = [[Fraction(int(r == c)) + t * rv[r][c] for c in range(size)] for r in range(size)]
+        m = dense_matmul(m, step)
+    return m
+
+
+def split_form(n):
+    """Gram matrix of the split form on V: (e_i|f_i) = 1."""
+    j = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        j[i][n + i] = Fraction(1)
+        j[n + i][i] = Fraction(1)
+    return j
+
+
 @pytest.fixture
 def rng(request):
     return make_rng(request.node.name)

@@ -14,7 +14,7 @@ from spinalg.errors import (
     NotInLeftIdealError,
 )
 
-from conftest import make_rng, random_spin, random_vector
+from conftest import make_rng, oracle_so_matrix, random_spin, random_vector, split_form
 
 
 class TestLetterOperators:
@@ -204,14 +204,21 @@ class TestGroupElements:
         out = g.apply(sr.SpinVector.omega0(2))
         assert out == sr.SpinVector(2, {0b11: Fraction(1), 0: -2 * t})
 
-    def test_roots_square_to_zero(self):
-        # exp(t X) = I + t rho(X) rests on this for every permitted root
-        for n in range(2, 7):
+    def test_roots_square_to_zero(self, rng):
+        # exp(t X) = I + t rho(X) rests on this for every permitted root; the
+        # compiled exponential of GroupElement.apply must agree with rho_so,
+        # on basis vectors and on one dense vector per root
+        params = [Fraction(-2), Fraction(-1), Fraction(1, 3), Fraction(2)]
+        for n in range(1, 7):
             for kind, i, j in sr.all_root_vectors(n):
                 x = sr.root_so_element(n, kind, i, j)
-                for m in range(1 << n):
-                    v = sr.SpinVector.basis(n, m)
-                    assert sr.rho_so(x, sr.rho_so(x, v)).is_zero(), (kind, i, j, m)
+                vectors = [sr.SpinVector.basis(n, m) for m in range(1 << n)]
+                for v in vectors + [random_spin(n, rng)]:
+                    xv = sr.rho_so(x, v)
+                    assert sr.rho_so(x, xv).is_zero(), (kind, i, j, v)
+                    for t in params:
+                        compiled = sr.exp_nilpotent(n, kind, i, j, t).apply(v)
+                        assert compiled == v + xv.scale(t), (kind, i, j, v, t)
 
     def test_diagonal_root_rejected(self):
         with pytest.raises(InvalidRootVectorError):
@@ -250,12 +257,18 @@ class TestGroupElements:
         n = 3
         g = sr.random_group_element(n, 5, 6)
         m = g.so_matrix()
-        jm = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            jm[i][n + i] = Fraction(1)
-            jm[n + i][i] = Fraction(1)
+        jm = split_form(n)
         assert linalg.matmul(linalg.matmul(linalg.transpose(m), jm), m) == jm
         assert linalg.det(m) == 1
+
+    def test_so_matrix_matches_dense_product(self):
+        for n in range(2, 7):
+            for seed in range(8):
+                g = sr.random_group_element(n, f"so:{seed}", 2 + seed)
+                assert g.so_matrix() == oracle_so_matrix(g), (n, seed)
+        g = sr.GroupElement(3, [("ef", 1, 2, Fraction(1, 3)), ("ee", 2, 3, 0)])
+        assert g.so_matrix() == oracle_so_matrix(g)
+        assert sr.GroupElement.identity(2).so_matrix() == linalg.identity(4)
 
 
 class TestTwist:
