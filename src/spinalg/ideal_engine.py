@@ -69,12 +69,13 @@ class Polynomial:
     """Sparse polynomial over spin variables, all at one finite level or all
     at the limit level."""
 
-    __slots__ = ("is_limit", "level", "terms")
+    __slots__ = ("is_limit", "level", "terms", "_parities")
 
     def __init__(self, is_limit: bool, level: int, terms: dict[Monomial, Fraction] | None = None):
         self.is_limit = is_limit
         self.level = level
         self.terms: dict[Monomial, Fraction] = {}
+        self._parities: frozenset[int] | None = None
         if terms:
             for mono, c in terms.items():
                 c = c if isinstance(c, Fraction) else Fraction(c)
@@ -169,6 +170,13 @@ class Polynomial:
             out.update(m)
         return out
 
+    def _variable_parities(self) -> frozenset[int]:
+        """The parities |S| mod 2 of the variables x_S that occur, found on
+        the first call: a polynomial's terms do not change after it is built."""
+        if self._parities is None:
+            self._parities = frozenset(v.mask.bit_count() % 2 for v in self.variables())
+        return self._parities
+
     def partial(self, v: SpinVariable) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
@@ -241,9 +249,8 @@ def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
         raise LevelMismatchError("evaluate limit polynomials through to_finite")
     if p.level != x.n:
         raise LevelMismatchError(f"levels differ: {p.level} vs {x.n}")
-    var_pars = {bin(v.mask).count("1") % 2 for v in p.variables()}
-    x_pars = {bin(m).count("1") % 2 for m in x.terms}
-    if len(var_pars | x_pars) > 1:
+    x_pars = {m.bit_count() % 2 for m in x.terms}
+    if len(p._variable_parities() | x_pars) > 1:
         raise LevelMismatchError("parity mismatch between polynomial and point")
     total = Fraction(0)
     for mono, c in p.terms.items():

@@ -3,22 +3,26 @@
 Matrices are lists of row lists of Fractions.  Everything is exact: no
 tolerances anywhere.  Row spaces are canonicalized through reduced row
 echelon form so subspaces compare by equality of their rref rows.
+
+Every elimination runs through one fraction-free sparse core, `_eliminate`.
+Each row is scaled by the lcm of its denominators to a primitive integer row
+``{col: int}``, and Gauss–Jordan runs on those rows with integer row
+operations that take out the row gcd after each step (the fraction-free
+method of Bareiss, Math. Comp. 22, 1968).  Nothing is divided until the
+canonical rref is written, one ``Fraction(v, pivot)`` per entry.  rank,
+row_space, nullspace, solve, solve_matrix, inverse, det, sparse_rank and
+intersect_row_spaces are all built on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def mat(rows) -> Matrix:
-    return [[frac(x) for x in row] for row in rows]
+IntRow = dict[int, int]
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -57,39 +61,131 @@ def matvec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[k] * y for k, y in nonzero if row[k]), Fraction(0)) for row in a]
 
 
+# -- the fraction-free elimination core ----------------------------------------
+
+
+def _integer_row(items) -> tuple[IntRow, int, int]:
+    """The primitive integer row of the (col, value) pairs `items`, with the
+    lcm `den` of their denominators and the gcd `content` of the scaled
+    numerators: integer row = (den / content) * values."""
+    nonzero = [(k, x) for k, x in items if x]
+    if not nonzero:
+        return {}, 1, 1
+    den = reduce(lcm, (x.denominator for _, x in nonzero))
+    row = {k: x.numerator * (den // x.denominator) for k, x in nonzero}
+    content = reduce(gcd, row.values())
+    if content != 1:
+        row = {k: v // content for k, v in row.items()}
+    return row, den, content
+
+
+def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list[tuple[int, int]]:
+    """Gauss–Jordan on primitive integer rows, in place; no division leaves
+    the integers.
+
+    Column by column, the shortest row that is not yet a pivot row and has an
+    entry in column c becomes the pivot row r_p, with pivot pv = r_p[c].  Every
+    other row r_i with an entry there becomes (pv r_i - r_i[c] r_p) / g, with
+    the common factor of pv and r_i[c] taken out first and g the gcd of the
+    result, so every row stays primitive.  Returns (column, row index) of each
+    pivot in column order; afterwards each pivot row is zero in every other
+    pivot column.  When `scales` is given, each step also multiplies
+    scales[i] by the factor a / g it multiplied row i by, so the determinant
+    of the rows over the product of the scales stays the same.
+    """
+    waiting = {i for i, row in enumerate(rows) if row}
+    pivots: list[tuple[int, int]] = []
+    for c in sorted(set().union(*rows)):
+        candidates = [i for i in waiting if c in rows[i]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: len(rows[i]))
+        waiting.discard(p)
+        pivots.append((c, p))
+        pivot_row = rows[p]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            ric = row.get(c)
+            if ric is None or i == p:
+                continue
+            g = gcd(pv, ric)
+            a, b = pv // g, ric // g
+            new = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+            for k, v in pivot_row.items():
+                x = new.get(k, 0) - b * v
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            content = reduce(gcd, new.values()) if new else 1
+            if content != 1:
+                new = {k: v // content for k, v in new.items()}
+            rows[i] = new
+            if scales is not None:
+                scales[i] *= Fraction(a, content)
+    return pivots
+
+
+def _echelon(a: Matrix) -> tuple[list[IntRow], list[tuple[int, int]]]:
+    rows = [_integer_row(enumerate(row))[0] for row in a]
+    return rows, _eliminate(rows)
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(a[0]) if a else 0
+    rows, pivots = _echelon(a)
+    zero = Fraction(0)
+    out = []
+    for c, i in pivots:
+        pv = rows[i][c]
+        dense = [zero] * cols
+        for k, v in rows[i].items():
+            dense[k] = Fraction(v, pv)
+        out.append(dense)
+    out.extend([zero] * cols for _ in range(len(a) - len(pivots)))
+    return out, [c for c, _ in pivots]
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(_echelon(a)[1])
+
+
+def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of a sparsely represented matrix (list of {col: value} rows)."""
+    return len(_eliminate([_integer_row(row.items())[0] for row in rows]))
+
+
+def det(a: Matrix) -> Fraction:
+    """Determinant of a square matrix, by the same elimination: the product
+    of the pivots, signed by the pivot permutation, over the row scales."""
+    rows, scales = [], []
+    for row in a:
+        ints, den, content = _integer_row(enumerate(row))
+        rows.append(ints)
+        scales.append(Fraction(den, content))
+    pivots = _eliminate(rows, scales)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    d = Fraction(1)
+    for c, i in pivots:
+        d *= rows[i][c]
+    # the sign of the permutation column -> pivot row, by sorting it with swaps
+    order = [i for _, i in pivots]
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], order[i]
+            d = -d
+    for s in scales:
+        d /= s
+    return d
 
 
 def row_space(a: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows) of the row space."""
     r, pivots = rref(a)
-    return [row for row in r[: len(pivots)]]
+    return r[: len(pivots)]
 
 
 def nullspace(a: Matrix) -> Matrix:
@@ -110,60 +206,33 @@ def nullspace(a: Matrix) -> Matrix:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a x = b (free variables set to 0), or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [frac(b[i])] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
+def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
+    """One exact solution X of a X = b (free variables set to 0), or None if
+    some column is inconsistent; [a | b] is reduced once."""
+    cols = len(a[0]) if a else 0
+    cols_b = len(b[0]) if b else 0
+    r, pivots = rref([list(row_a) + list(row_b) for row_a, row_b in zip(a, b)])
+    if pivots and pivots[-1] >= cols:
         return None
-    x = [Fraction(0)] * cols
+    x = [[Fraction(0)] * cols_b for _ in range(cols)]
     for i, p in enumerate(pivots):
-        x[p] = r[i][cols]
+        x[p] = r[i][cols:]
     return x
 
 
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b column by column; returns X or None if inconsistent."""
-    cols_b = len(b[0]) if b else 0
-    xt: Matrix = []
-    bt = transpose(b)
-    for col in bt:
-        x = solve(a, col)
-        if x is None:
-            return None
-        xt.append(x)
-    return transpose(xt) if xt else [[] for _ in range(len(a[0]))]
+def solve(a: Matrix, b: Vector) -> Vector | None:
+    """One exact solution of a x = b (free variables set to 0), or None."""
+    x = solve_matrix(a, [[y] for y in b])
+    return None if x is None else [row[0] for row in x]
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
+    eye = identity(n)
+    r, pivots = rref([a[i][:] + eye[i] for i in range(n)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in r[:n]]
-
-
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
@@ -183,33 +252,3 @@ def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
         v = [sum((c[i] * ra[i][j] for i in range(na)), Fraction(0)) for j in range(len(ra[0]))]
         vecs.append(v)
     return row_space(vecs) if vecs else []
-
-
-def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparsely represented matrix (list of {col: value} rows).
-
-    Pivots on the shortest remaining row to limit fill-in; exact throughout.
-    """
-    work = [dict(r) for r in rows if r]
-    rk = 0
-    while work:
-        work.sort(key=len)
-        row = work.pop(0)
-        rk += 1
-        c = min(row)
-        pv = row[c]
-        rest = []
-        for other in work:
-            val = other.get(c)
-            if val is not None:
-                f = val / pv
-                for cc, x in row.items():
-                    nv = other.get(cc, Fraction(0)) - f * x
-                    if nv:
-                        other[cc] = nv
-                    else:
-                        other.pop(cc, None)
-            if other:
-                rest.append(other)
-        work = rest
-    return rk

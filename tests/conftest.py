@@ -118,6 +118,54 @@ def dense_matmul(a, b):
     ]
 
 
+def oracle_rref(a):
+    """Dense Gauss-Jordan over Fractions: (rref rows, pivot columns).  The
+    original reference routine; entries are made Fractions first, so plain
+    integers give the same result."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def oracle_det(a):
+    """Determinant by dense Gaussian elimination over Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            d = -d
+        d *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
 def oracle_so_matrix(g):
     """The orthogonal image of a group word as the dense product of the
     matrices I + t M_X, first factor on the left."""

@@ -48,6 +48,22 @@ class TestPolynomials:
         with pytest.raises(LevelMismatchError):
             ie.eval_poly(coord, sr.SpinVector.basis(2, [1]))
 
+    def test_parity_mismatch_raises_after_a_matching_point(self):
+        # the polynomial's variable parity is found once; a later point of the
+        # other parity must still be refused
+        p = ie.Polynomial.variable(var_f(3, 1, 2)) * ie.Polynomial.variable(var_f(3))
+        assert ie.eval_poly(p, sr.SpinVector(3, {0b011: 2, 0: 3})) == 6
+        for _ in range(2):
+            with pytest.raises(LevelMismatchError):
+                ie.eval_poly(p, sr.SpinVector(3, {0b001: 1}))
+            with pytest.raises(LevelMismatchError):
+                ie.eval_poly(p, sr.SpinVector(3, {0b011: 1, 0b100: 1}))
+        assert ie.eval_poly(p, sr.SpinVector(3, {0b011: 1})) == 0
+        mixed = ie.Polynomial.variable(var_f(3, 1)) + ie.Polynomial.variable(var_f(3))
+        for point in (sr.SpinVector(3, {0: 1}), sr.SpinVector(3, {0b001: 1}), sr.SpinVector(3, {})):
+            with pytest.raises(LevelMismatchError):
+                ie.eval_poly(mixed, point)
+
     def test_keys_sorting_to_one_monomial_add_up(self):
         a, b = var_f(2, 1), var_f(2, 2)
         p = ie.Polynomial(False, 2, {(a, b): 1, (b, a): 1})

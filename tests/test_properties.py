@@ -1,6 +1,9 @@
-"""Property tests of group words at levels n <= 5: the inverse word undoes
+"""Property tests at levels n <= 5.  Group words: the inverse word undoes
 the spin action and the orthogonal image, the image preserves the split form,
-and the operator built from a word's columns agrees with the word.
+and the operator built from a word's columns agrees with the word.  Kernel
+identities: the Clifford product is associative, star is an
+antihomomorphism, and pi_last undoes tau_last.  Exact elimination: rref
+agrees with the dense Fraction oracle and the nullspace is the kernel.
 Derandomized, so every run draws the same cases."""
 
 from fractions import Fraction
@@ -11,10 +14,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from spinalg import clifford_core as cc  # noqa: E402
 from spinalg import linalg  # noqa: E402
 from spinalg import spin_rep as sr  # noqa: E402
+from spinalg import transfer_maps as tm  # noqa: E402
 
-from conftest import make_rng, random_spin, split_form  # noqa: E402
+from conftest import make_rng, oracle_rref, random_spin, split_form  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -76,3 +81,58 @@ def test_so_matrix_preserves_split_form(g):
 def test_operator_columns_match_word(g, seed):
     x = random_spin(g.n, make_rng(f"prop:{seed}"))
     assert sr.LinearOperator.of_group_element(g).apply(x) == g.apply(x)
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+)
+levels = st.integers(min_value=2, max_value=5)
+
+
+def clifford_elements(n):
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return st.dictionaries(st.tuples(masks, masks), small_fractions, max_size=4).map(
+        lambda terms: cc.CliffordElement(n, terms)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(levels.flatmap(lambda n: st.tuples(*[clifford_elements(n)] * 3)))
+def test_clifford_product_is_associative(xyz):
+    x, y, z = xyz
+    assert cc.mul(cc.mul(x, y), z) == cc.mul(x, cc.mul(y, z))
+
+
+@PROPERTY_SETTINGS
+@given(levels.flatmap(lambda n: st.tuples(*[clifford_elements(n)] * 2)))
+def test_star_is_an_antihomomorphism(xy):
+    x, y = xy
+    assert cc.star(cc.mul(x, y)) == cc.mul(cc.star(y), cc.star(x))
+
+
+@PROPERTY_SETTINGS
+@given(
+    levels.flatmap(
+        lambda n: st.dictionaries(
+            st.integers(min_value=0, max_value=(1 << n) - 1), small_fractions
+        ).map(lambda terms: sr.SpinVector(n, terms))
+    )
+)
+def test_pi_last_undoes_tau_last(x):
+    assert tm.pi_last(tm.tau_last(x)) == x
+
+
+@st.composite
+def rational_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@PROPERTY_SETTINGS
+@given(rational_matrices())
+def test_rref_matches_oracle_and_nullspace_is_kernel(a):
+    assert linalg.rref(a) == oracle_rref(a)
+    for v in linalg.nullspace(a):
+        assert linalg.matvec(a, v) == [0] * len(a)
