@@ -39,29 +39,17 @@ def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
     return full.degree_component(n)
 
 
-def _include_exterior(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
-    """Reinterpret level-m exterior coordinates inside level target >= m."""
-    m = omega.n
-    if target < m:
-        raise IndexRangeError("cannot include into a lower level")
-    out: dict[int, Fraction] = {}
-    emask_bits = (1 << m) - 1
-    for mask, c in omega.terms.items():
-        e_part = mask & emask_bits
-        f_part = mask >> m
-        out[e_part | (f_part << target)] = c
-    return cc.ExteriorVector(target, out)
-
-
-def _restrict_exterior(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
-    """Drop to a lower level; errors if any discarded symbol is present."""
+def _remask_exterior(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
+    """The same e and f symbols at level target: the mask e | f << m of level
+    m becomes e | f << target.  StructureError when a symbol above target is
+    present."""
     m = omega.n
     out: dict[int, Fraction] = {}
     for mask, c in omega.terms.items():
         e_part = mask & ((1 << m) - 1)
         f_part = mask >> m
         if e_part >> target or f_part >> target:
-            raise StructureError("element does not lie in the lower-level block")
+            raise StructureError(f"symbols above level {target} present")
         out[e_part | (f_part << target)] = c
     return cc.ExteriorVector(target, out)
 
@@ -79,46 +67,19 @@ def contract_ce(
     """
     n = omega.n
     cc.require_isotropic(e)
-    std_e = cc.VectorInV.basis(n, n)
-    std_h = cc.VectorInV.basis(n, -n)
     contracted = omega.inner_vector(e)
-    if e == std_e and (h is None or h == std_h):
-        top_e = 1 << (n - 1)
-        top_f = 1 << (2 * n - 1)
-        out: dict[int, Fraction] = {}
-        for mask, c in contracted.terms.items():
-            if mask & top_e:
-                continue  # killed modulo e
-            if mask & top_f:
-                raise StructureError("contraction image leaked the partner symbol")
-            out[mask] = c
-        reduced = cc.ExteriorVector(n, out)
-        return _drop_top_symbols(reduced)
-    basis = gc.hyperbolic_basis_through(e, h)
-    primed = contracted.change_basis(basis.rows())
+    if e != cc.VectorInV.basis(n, n) or (h is not None and h != cc.VectorInV.basis(n, -n)):
+        contracted = contracted.change_basis(gc.hyperbolic_basis_through(e, h).rows())
     top_e = 1 << (n - 1)
     top_f = 1 << (2 * n - 1)
-    out = {}
-    for mask, c in primed.terms.items():
+    out: dict[int, Fraction] = {}
+    for mask, c in contracted.terms.items():
         if mask & top_e:
-            continue
+            continue  # killed modulo e
         if mask & top_f:
             raise StructureError("contraction image leaked the partner symbol")
         out[mask] = c
-    return _drop_top_symbols(cc.ExteriorVector(n, out))
-
-
-def _drop_top_symbols(omega: cc.ExteriorVector) -> cc.ExteriorVector:
-    """Remask a level-n element not involving e_n, f_n down to level n-1."""
-    n = omega.n
-    out: dict[int, Fraction] = {}
-    for mask, c in omega.terms.items():
-        e_part = mask & ((1 << n) - 1)
-        f_part = mask >> n
-        if e_part >> (n - 1) or f_part >> (n - 1):
-            raise StructureError("top symbols present")
-        out[e_part | (f_part << (n - 1))] = c
-    return cc.ExteriorVector(n - 1, out)
+    return _remask_exterior(cc.ExteriorVector(n, out), n - 1)
 
 
 def mult_mh(
@@ -139,8 +100,7 @@ def mult_mh(
     if e is None:
         if h != cc.VectorInV.basis(n, -n):
             raise SpinalgError("non-coordinate partner needs its isotropic e")
-        included = _include_exterior(omega, n)
-        return _front_outer(included, h)
+        return cc._wedge_front(_remask_exterior(omega, n), h.coords())
     if cc.pairing(e, h) != 1:
         raise NotIsotropicError("(e|h) must equal 1")
     basis = gc.hyperbolic_basis_through(e, h)
@@ -155,11 +115,6 @@ def mult_mh(
                     letters.append(basis.new_f[bit - (n - 1)])
         out = out + cc.wedge_of_vectors(n, [h] + letters).scale(c)
     return out
-
-
-def _front_outer(omega: cc.ExteriorVector, v: cc.VectorInV) -> cc.ExteriorVector:
-    """v wedge omega (wedge on the left)."""
-    return cc._wedge_front(omega, v.coords())
 
 
 def diagram_pi_residual(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -436,7 +391,7 @@ def lower_factorization(
         raise StructureError("solved factor does not reproduce the identity")
 
     # the proof's bottom factor as an orthogonal matrix
-    m_second = _second_factor_matrix(q, n, n0, mg, mg_inv, g_prime, w1, etilde_n)
+    m_second = _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, vnf_constraints + pair_rows)
     jn0 = _pairing_matrix(n0)
     if linalg.matmul(linalg.matmul(linalg.transpose(m_second), jn0), m_second) != jn0:
         raise StructureError("bottom factor does not preserve the form")
@@ -468,21 +423,9 @@ def lower_factorization(
     )
 
 
-def _second_factor_matrix(q, n, n0, mg, mg_inv, g_prime, w1, etilde_n):
-    """Assemble the bottom isometry column by column through the quotients."""
-    # D = (V_n ⊕ F) ∩ (E'')^perp inside level q
-    epp_rows = []
-    for i in range(n0, q):
-        col = [mg_inv[r][i] for r in range(2 * q)]
-        epp_rows.append(col)
-    constraints = []
-    for i in range(n, q):
-        row = [Fraction(0)] * (2 * q)
-        row[i] = Fraction(1)
-        constraints.append(row)
-    for r in epp_rows:
-        w = cc.VectorInV.from_coords(q, r)
-        constraints.append(list(w.f) + list(w.e))
+def _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
+    """Assemble the bottom isometry column by column through the quotients;
+    D, the nullspace of `constraints`, is (V_n ⊕ F) ∩ (E'')^perp."""
     d_rows = linalg.nullspace(constraints) if constraints else linalg.identity(2 * q)
     mgp_inv = g_prime.inverse().so_matrix()
     cols = []

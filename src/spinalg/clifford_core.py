@@ -434,10 +434,6 @@ class ExteriorVector:
     def zero(n: int) -> "ExteriorVector":
         return ExteriorVector(n)
 
-    def _bit(self, sym: Symbol) -> int:
-        _check_index(sym, self.n)
-        return _bit(sym, self.n)
-
     def _apply(self, letter: tuple) -> "ExteriorVector":
         return ExteriorVector(self.n, _apply_words([(1, [letter])], self.terms))
 
@@ -480,11 +476,8 @@ class ExteriorVector:
         )
 
     def outer_symbol(self, sym: Symbol) -> "ExteriorVector":
-        return self._apply((_wedge(self._bit(sym)),))
-
-    def inner_symbol(self, sym: Symbol) -> "ExteriorVector":
-        """Contraction iota(v) for a basis symbol v: pairs with its partner."""
-        return self._apply((_contract(self._bit(-sym)),))
+        _check_index(sym, self.n)
+        return self._apply((_wedge(_bit(sym, self.n)),))
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
         partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i

@@ -8,7 +8,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -25,18 +26,31 @@ from .errors import (
 )
 
 
+def _check_masks(is_limit: bool, level: int, low: int, high: int) -> None:
+    """IndexRangeError unless the smallest mask `low` and the largest mask
+    `high` name coordinates: no mask is negative, and at a finite level
+    every mask is below 2^level."""
+    if low < 0 or (not is_limit and high >> level):
+        where = "the limit level" if is_limit else f"level {level}"
+        raise IndexRangeError(f"variable mask out of range at {where}")
+
+
 @dataclass(frozen=True, order=True)
 class SpinVariable:
-    """A coordinate on a spin space.
+    """A view of one coordinate on a spin space.
 
     Finite level: `mask` is the subset S of {1..level}.  Limit level
-    (level None): `mask` is the finite complement of the cofinite index
-    set, and popcount(mask) is the filtration degree.
+    (level -1): `mask` is the finite complement of the cofinite index
+    set, and popcount(mask) is the filtration degree.  Polynomials store
+    only the masks; this view names and prints one variable.
     """
 
     is_limit: bool
     level: int
     mask: int
+
+    def __post_init__(self):
+        _check_masks(self.is_limit, self.level, self.mask, self.mask)
 
     @staticmethod
     def finite(level: int, mask: int) -> "SpinVariable":
@@ -50,7 +64,7 @@ class SpinVariable:
     def filtration(self) -> int:
         if not self.is_limit:
             raise SpinalgError("filtration degree is a limit-level notion")
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def indices(self) -> list[int]:
         return [i + 1 for i in range(self.mask.bit_length()) if self.mask >> i & 1]
@@ -62,12 +76,14 @@ class SpinVariable:
     __repr__ = __str__
 
 
-Monomial = tuple[SpinVariable, ...]
+# the masks of a monomial's variables, one per factor; sorted in Polynomial.terms
+Monomial = tuple[int, ...]
 
 
 class Polynomial:
     """Sparse polynomial over spin variables, all at one finite level or all
-    at the limit level."""
+    at the limit level; a monomial is the sorted tuple of its variables'
+    masks (subset masks, or complement masks at the limit level)."""
 
     __slots__ = ("is_limit", "level", "terms", "_parities")
 
@@ -81,18 +97,12 @@ class Polynomial:
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if not c:
                     continue
-                for v in mono:
-                    if v.is_limit != is_limit:
-                        raise LevelMismatchError("variable level kind mismatch")
-                    if not is_limit and v.level != level:
-                        raise LevelMismatchError("variable level mismatch")
-                cc._accumulate(self.terms, tuple(sorted(mono)), c)
+                mono = tuple(sorted(mono))
+                if mono:
+                    _check_masks(is_limit, level, mono[0], mono[-1])
+                cc._accumulate(self.terms, mono, c)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero_finite(level: int) -> "Polynomial":
-        return Polynomial(False, level)
 
     @staticmethod
     def zero_limit() -> "Polynomial":
@@ -100,7 +110,7 @@ class Polynomial:
 
     @staticmethod
     def variable(v: SpinVariable) -> "Polynomial":
-        return Polynomial(v.is_limit, v.level, {(v,): Fraction(1)})
+        return Polynomial(v.is_limit, v.level, {(v.mask,): Fraction(1)})
 
     @staticmethod
     def constant_finite(level: int, c) -> "Polynomial":
@@ -144,8 +154,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                cc._accumulate(out, key, c1 * c2)
+                cc._accumulate(out, m1 + m2, c1 * c2)
         return self._like(out)
 
     def is_zero(self) -> bool:
@@ -164,29 +173,31 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({len(m) for m in self.terms}) <= 1
 
+    def _masks(self) -> set[int]:
+        return set().union(*self.terms)
+
+    def _view(self, mask: int) -> SpinVariable:
+        return SpinVariable(self.is_limit, self.level, mask)
+
     def variables(self) -> set[SpinVariable]:
-        out: set[SpinVariable] = set()
-        for m in self.terms:
-            out.update(m)
-        return out
+        return {self._view(m) for m in self._masks()}
 
     def _variable_parities(self) -> frozenset[int]:
         """The parities |S| mod 2 of the variables x_S that occur, found on
         the first call: a polynomial's terms do not change after it is built."""
         if self._parities is None:
-            self._parities = frozenset(v.mask.bit_count() % 2 for v in self.variables())
+            self._parities = frozenset(m.bit_count() % 2 for m in self._masks())
         return self._parities
 
     def partial(self, v: SpinVariable) -> "Polynomial":
+        if (v.is_limit, v.level) != (self.is_limit, self.level):
+            raise LevelMismatchError("variable and polynomial levels differ")
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            k = mono.count(v)
-            if not k:
-                continue
-            rest = list(mono)
-            rest.remove(v)
-            key = tuple(rest)
-            cc._accumulate(out, key, k * c)
+            k = mono.count(v.mask)
+            if k:
+                i = mono.index(v.mask)
+                cc._accumulate(out, mono[:i] + mono[i + 1 :], k * c)
         return self._like(out)
 
     def __str__(self) -> str:
@@ -194,21 +205,11 @@ class Polynomial:
             return "0"
         parts = []
         for mono in sorted(self.terms):
-            if mono:
-                factors = []
-                i = 0
-                while i < len(mono):
-                    j = i
-                    while j < len(mono) and mono[j] == mono[i]:
-                        j += 1
-                    factors.append(
-                        str(mono[i]) if j - i == 1 else f"{mono[i]}^{j - i}"
-                    )
-                    i = j
-                body = "*".join(factors)
-            else:
-                body = "1"
-            parts.append(f"{self.terms[mono]}*{body}")
+            factors = []
+            for m in dict.fromkeys(mono):
+                k = mono.count(m)
+                factors.append(str(self._view(m)) + (f"^{k}" if k > 1 else ""))
+            parts.append(f"{self.terms[mono]}*{'*'.join(factors) or '1'}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -223,24 +224,25 @@ class Polynomial:
         contraction tower, so the correspondence is mask-for-mask."""
         if self.is_limit:
             return self
-        out = {}
-        for mono, c in self.terms.items():
-            out[tuple(sorted(SpinVariable.limit(v.mask) for v in mono))] = c
-        return Polynomial(True, -1, out)
+        return Polynomial(True, -1, self.terms)
 
     def to_finite(self, level: int) -> "Polynomial":
-        full = (1 << level) - 1
+        """Truncate to a finite level; IndexRangeError when a variable's
+        complement does not fit in {1..level}."""
         if not self.is_limit:
             if self.level == level:
                 return self
             raise LevelMismatchError("already at a different finite level")
-        out = {}
-        for mono, c in self.terms.items():
-            for v in mono:
-                if v.mask & ~full:
-                    raise IndexRangeError("truncation too small for a variable")
-            out[tuple(sorted(SpinVariable.finite(level, v.mask) for v in mono))] = c
-        return Polynomial(False, level, out)
+        return Polynomial(False, level, self.terms)
+
+
+def _monomial_value(mono: Monomial, coords: dict[int, Fraction], c: Fraction) -> Fraction:
+    """c times the coordinates coords[m] of the monomial's variables."""
+    for m in mono:
+        c *= coords.get(m, 0)
+        if not c:
+            break
+    return c
 
 
 def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
@@ -254,30 +256,21 @@ def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
         raise LevelMismatchError("parity mismatch between polynomial and point")
     total = Fraction(0)
     for mono, c in p.terms.items():
-        val = c
-        for v in mono:
-            val *= x.coefficient(v.mask)
-            if not val:
-                break
-        total += val
+        total += _monomial_value(mono, x.terms, c)
     return total
 
 
-def component_variables(n: int, component: str = "even") -> list[SpinVariable]:
-    """Coordinates of the chosen half-spin component at level n.
+def component_variables(n: int, component: str = "even") -> list[int]:
+    """Masks of the coordinates of the chosen half-spin component at level n.
 
     'even' means even subset size |S|: the contraction tower preserves
     subset masks, so this labeling is stable across levels."""
     want = 0 if component == "even" else 1
-    return [
-        SpinVariable.finite(n, m)
-        for m in range(1 << n)
-        if bin(m).count("1") % 2 == want
-    ]
+    return [m for m in range(1 << n) if m.bit_count() % 2 == want]
 
 
-def monomials_of_degree(variables: list[SpinVariable], d: int) -> list[Monomial]:
-    return [tuple(sorted(c)) for c in combinations_with_replacement(sorted(variables), d)]
+def monomials_of_degree(masks: list[int], d: int) -> list[Monomial]:
+    return list(combinations_with_replacement(sorted(masks), d))
 
 
 def vanishing_forms(points: list[sr.SpinVector], degree: int, component: str = "even") -> list[Polynomial]:
@@ -290,23 +283,13 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int, component: str = "
     n = points[0].n
     if any(x.n != n for x in points):
         raise LevelMismatchError("points live at different levels")
-    variables = component_variables(n, component)
-    monos = monomials_of_degree(variables, degree)
+    monos = monomials_of_degree(component_variables(n, component), degree)
     if len(points) < len(monos):
         raise TooFewPointsError(
             f"need at least {len(monos)} points for {len(monos)} monomials, got {len(points)}"
         )
-    matrix = []
-    for x in points:
-        row = []
-        for mono in monos:
-            val = Fraction(1)
-            for v in mono:
-                val *= x.coefficient(v.mask)
-                if not val:
-                    break
-            row.append(val)
-        matrix.append(row)
+    one = Fraction(1)
+    matrix = [[_monomial_value(mono, x.terms, one) for mono in monos] for x in points]
     kernel = linalg.nullspace(matrix)
     forms = []
     for coeffs in kernel:
@@ -366,33 +349,19 @@ def _primitive_normal(p: Polynomial) -> Polynomial:
     """Scale to integer coefficients with content 1 and positive leading term."""
     if p.is_zero():
         return p
-    from math import gcd
-
-    dens = 1
-    for c in p.terms.values():
-        dens = dens * c.denominator // gcd(dens, c.denominator)
-    nums = [int(c * dens) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    lead = p.terms[min(p.terms)]
-    sign = -1 if lead < 0 else 1
-    return p.scale(Fraction(sign * dens, g))
+    _row, den, content = linalg._integer_row(p.terms.items())
+    sign = -1 if p.terms[min(p.terms)] < 0 else 1
+    return p.scale(Fraction(sign * den, content))
 
 
 def beta_norm_quadric(n: int, component: str = "even") -> Polynomial:
     """The quadratic form x -> beta(x, x) restricted to one component."""
     gram = tm.beta_gram(n)
-    variables = component_variables(n, component)
+    masks = component_variables(n, component)
     terms: dict[Monomial, Fraction] = {}
-    for a, va in enumerate(variables):
-        for vb in variables[a:]:
-            g = gram[va.mask][vb.mask]
-            g2 = gram[vb.mask][va.mask]
-            coeff = g + g2 if va != vb else g
-            if coeff:
-                key = tuple(sorted((va, vb)))
-                terms[key] = terms.get(key, Fraction(0)) + coeff
+    for a, ma in enumerate(masks):
+        for mb in masks[a:]:
+            terms[ma, mb] = gram[ma][mb] + gram[mb][ma] if ma != mb else gram[ma][ma]
     return Polynomial(False, n, terms)
 
 
@@ -433,26 +402,19 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
         raise LevelMismatchError("polynomial level must match the map target")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
-    # linear form (in source variables) of each target variable
-    rows: dict[int, dict[SpinVariable, Fraction]] = {}
+    # linear form of each target variable: target mask -> {source mask: coef}
+    rows: dict[int, dict[int, Fraction]] = {}
     for src_mask, col in lm.cols.items():
-        sv = SpinVariable.finite(lm.source_n, src_mask)
         for tgt_mask, c in col.terms.items():
-            rows.setdefault(tgt_mask, {})[sv] = c
-    out = Polynomial.zero_finite(lm.source_n)
+            rows.setdefault(tgt_mask, {})[src_mask] = c
+    out: dict[Monomial, Fraction] = {}
     for mono, c in p.terms.items():
-        piece = Polynomial.constant_finite(lm.source_n, c)
-        for v in mono:
-            form = Polynomial(
-                False,
-                lm.source_n,
-                {(w,): val for w, val in rows.get(v.mask, {}).items()},
-            )
-            piece = piece * form
-            if piece.is_zero():
-                break
-        out = out + piece
-    return out
+        for picks in product(*(rows.get(m, {}).items() for m in mono)):
+            val = c
+            for _, a in picks:
+                val *= a
+            cc._accumulate(out, tuple(m for m, _ in picks), val)
+    return Polynomial(False, lm.source_n, out)
 
 
 @dataclass(frozen=True)
@@ -527,11 +489,9 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
 def off_cone_sample(n: int, seed, component: str = "even", bound: int = 3) -> sr.SpinVector:
     """Rejection-sample a non-pure vector with small integer coordinates."""
     rng = random.Random(f"offcone:{n}:{seed}")
-    variables = component_variables(n, component)
+    masks = component_variables(n, component)
     while True:
-        terms = {
-            v.mask: Fraction(rng.randint(-bound, bound)) for v in variables
-        }
+        terms = {m: Fraction(rng.randint(-bound, bound)) for m in masks}
         x = sr.SpinVector(n, terms)
         if x.is_zero():
             continue
@@ -542,36 +502,34 @@ def off_cone_sample(n: int, seed, component: str = "even", bound: int = 3) -> sr
 # -- derivations on limit-level polynomials -----------------------------------
 
 
-def _limit_variable_action(x: sr.SoElement, v: SpinVariable, window: int) -> tuple[Fraction, SpinVariable] | None:
-    """Action of a two-form on one limit variable, computed by the finite
-    oracle at the window level; returns (scalar, new variable) or None."""
+def _limit_variable_action(x: sr.SoElement, cmask: int, window: int) -> tuple[Fraction, int] | None:
+    """Action of a two-form on the limit variable with complement cmask,
+    computed by the finite oracle at the window level; returns (scalar, new
+    complement mask) or None."""
     full = (1 << window) - 1
-    if v.mask & ~full:
+    if cmask & ~full:
         raise IndexRangeError("truncation too small for the variable")
-    s_mask = full & ~v.mask
-    img = sr.rho_so(x, sr.SpinVector.basis(window, s_mask))
+    img = sr.rho_so(x, sr.SpinVector.basis(window, full & ~cmask))
     if img.is_zero():
         return None
     if len(img.terms) != 1:
         raise StructureError("two-form action is not monomial on a variable")
     ((m2, c),) = img.terms.items()
-    return c, SpinVariable.limit(full & ~m2)
+    return c, full & ~m2
 
 
 def _derive(x: sr.SoElement, p: Polynomial, window: int) -> Polynomial:
     """Leibniz extension of the variable action to limit polynomials."""
     if not p.is_limit:
         raise LevelMismatchError("derivations act on limit-level polynomials")
-    out = Polynomial.zero_limit()
+    actions = {m: _limit_variable_action(x, m, window) for m in p._masks()}
+    out: dict[Monomial, Fraction] = {}
     for mono, c in p.terms.items():
-        for pos in range(len(mono)):
-            acted = _limit_variable_action(x, mono[pos], window)
-            if acted is None:
-                continue
-            scalar, new_var = acted
-            new_mono = tuple(sorted(mono[:pos] + (new_var,) + mono[pos + 1 :]))
-            out = out + Polynomial(True, -1, {new_mono: c * scalar})
-    return out
+        for pos, m in enumerate(mono):
+            if actions[m] is not None:
+                scalar, new = actions[m]
+                cc._accumulate(out, mono[:pos] + (new,) + mono[pos + 1 :], c * scalar)
+    return Polynomial(True, -1, out)
 
 
 def derivation_ff(i: int, j: int, p: Polynomial, window: int) -> Polynomial:
@@ -634,22 +592,20 @@ def degree_lowering_trace(p: Polynomial, window: int) -> LoweringTrace:
     if not p.is_homogeneous():
         raise SpinalgError("lowering expects a homogeneous polynomial")
     full = (1 << window) - 1
-    variables = p.variables()
-    for v in variables:
-        if v.mask & ~full:
-            raise IndexRangeError("truncation too small for the polynomial")
-    k = max(v.filtration for v in variables)
+    masks = p._masks()
+    if any(m & ~full for m in masks):
+        raise IndexRangeError("truncation too small for the polynomial")
+    k = max(m.bit_count() for m in masks)
     if window % 2 or window < k + 2:
         raise IndexRangeError("window must be even and at least k + 2")
-    main = min((v for v in variables if v.filtration == k), key=lambda v: v.mask)
-    q = p.partial(main)
+    main = min(m for m in masks if m.bit_count() == k)
+    q = p.partial(SpinVariable.limit(main))
     ell = (window - k) // 2
     steps: list[LoweringStep] = []
     cur = p
-    cur_var = main
+    cmask = main
     scalar = Fraction(1)
     for _ in range(ell):
-        cmask = cur_var.mask
         pair = []
         i = 1
         while len(pair) < 2:
@@ -658,38 +614,33 @@ def degree_lowering_trace(p: Polynomial, window: int) -> LoweringTrace:
             i += 1
         i1, i2 = pair
         acted = _limit_variable_action(
-            sr.SoElement.basis_ff(window, i1, i2), cur_var, window
+            sr.SoElement.basis_ff(window, i1, i2), cmask, window
         )
         if acted is None:
             raise StructureError("main variable died under its own pair")
-        step_scalar, new_var = acted
+        step_scalar, cmask = acted
         cur = derivation_ff(i1, i2, cur, window)
         scalar *= step_scalar
-        cur_var = new_var
         steps.append(LoweringStep((i1, i2), step_scalar, cur))
-    top = SpinVariable.limit(full)
-    if ell > 0 and cur_var != top:
+    if ell > 0 and cmask != full:
         raise StructureError("main chain did not reach the full-window variable")
-    if ell == 0:
-        top = cur_var
-    remainder = cur - (Polynomial.variable(top) * q).scale(scalar)
-    for v in remainder.variables():
-        if v.filtration >= window and ell > 0:
-            raise StructureError(
-                "remainder keeps a variable of maximal complement size"
-            )
+    remainder = cur - Polynomial(True, -1, {(cmask,): scalar}) * q
+    if ell > 0 and any(m.bit_count() >= window for m in remainder._masks()):
+        raise StructureError(
+            "remainder keeps a variable of maximal complement size"
+        )
     if q.degree() != p.degree() - 1 and not q.is_zero():
         raise StructureError("derivative degree is off")
     return LoweringTrace(
         start=p,
         window=window,
-        main_var=main,
+        main_var=SpinVariable.limit(main),
         k=k,
         ell=ell,
         steps=tuple(steps),
         q=q,
         scalar=scalar,
-        top_var=top,
+        top_var=SpinVariable.limit(cmask),
         remainder=remainder,
     )
 
@@ -716,7 +667,7 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
     two moves it onto the target with gl elements.  When a gl move also
     hits q, the current element is combined with its own q-multiple so the
     main term keeps the shape e_J q^d exactly (d grows by one)."""
-    m = bin(target_cmask).count("1")
+    m = target_cmask.bit_count()
     n_tr = trace.window
     if m < n_tr:
         raise IndexRangeError("target complement must be at least the trace window")
@@ -729,7 +680,7 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
     generators: list[Polynomial] = [trace.start]
     generators += [s.result for s in trace.steps]
     cur = trace.final()
-    cur_var = trace.top_var
+    cmask = trace.top_var.mask
     scalar = trace.scalar
     power = 1
     q = trace.q
@@ -738,11 +689,11 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
     while t < m:
         i1, i2 = t, t + 1
         acted = _limit_variable_action(
-            sr.SoElement.basis_ff(window, i1, i2), cur_var, window
+            sr.SoElement.basis_ff(window, i1, i2), cmask, window
         )
         if acted is None:
             raise StructureError("main variable died while extending")
-        step_scalar, cur_var = acted
+        step_scalar, cmask = acted
         cur = derivation_ff(i1, i2, cur, window)
         generators.append(cur)
         scalar *= step_scalar
@@ -759,11 +710,11 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
         moves.append((t_slot, c_t))
     for i, j in moves:
         acted = _limit_variable_action(
-            sr.SoElement.basis_ef(window, i, j), cur_var, window
+            sr.SoElement.basis_ef(window, i, j), cmask, window
         )
         if acted is None:
             raise StructureError("main variable died under a gl move")
-        move_scalar, new_var = acted
+        move_scalar, new_cmask = acted
         dq = derivation_ef(i, j, q, window)
         dcur = derivation_ef(i, j, cur, window)
         generators.append(dcur)
@@ -776,16 +727,14 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
             scalar *= move_scalar
             power += 1
             generators.append(cur)
-        cur_var = new_var
-    if cur_var != SpinVariable.limit(target_cmask):
+        cmask = new_cmask
+    if cmask != target_cmask:
         raise StructureError("moves did not reach the target variable")
-    main_part = (Polynomial.variable(cur_var) * q_power(q, power)).scale(scalar)
-    remainder = cur - main_part
-    for v in remainder.variables():
-        if v.filtration >= m:
-            raise StructureError("solving element keeps a high variable")
+    remainder = cur - Polynomial(True, -1, {(cmask,): scalar}) * q_power(q, power)
+    if any(v.bit_count() >= m for v in remainder._masks()):
+        raise StructureError("solving element keeps a high variable")
     return SolvingElement(
-        target=cur_var,
+        target=SpinVariable.limit(cmask),
         element=cur,
         q=q,
         power=power,
@@ -817,13 +766,6 @@ class LocalizedExpression:
     s: Polynomial
     generators: tuple[Polynomial, ...]
     certificate: tuple[Polynomial, ...]
-
-
-def _binomial(a: int, b: int) -> int:
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
 
 
 def assemble_localized(trace: LoweringTrace, target_cmask: int, window: int) -> LocalizedExpression:
@@ -860,19 +802,16 @@ def assemble_localized(trace: LoweringTrace, target_cmask: int, window: int) -> 
         target[idx] = mult if cur is None else cur + mult
 
     while True:
-        high = sorted(
-            (v for v in s.variables() if v.filtration >= n_tr),
-            key=lambda v: (v.filtration, v.mask),
-            reverse=True,
+        v = max(
+            (m for m in s._masks() if m.bit_count() >= n_tr),
+            key=lambda m: (m.bit_count(), m),
+            default=None,
         )
-        if not high:
+        if v is None:
             break
-        v = high[0]
-        inner = assemble_localized(trace, v.mask, window)
+        inner = assemble_localized(trace, v, window)
         inner_map = [gen_index(g) for g in inner.generators]
-        r_v = (
-            Polynomial.variable(v) * q_power(trace.q, inner.power) - inner.s
-        )
+        r_v = Polynomial(True, -1, {(v,): 1}) * q_power(trace.q, inner.power) - inner.s
         a_max = max(m.count(v) for m in s.terms)
         clear = q_power(trace.q, a_max * inner.power)
         new_rep: dict[int, Polynomial] = {}
@@ -887,17 +826,15 @@ def assemble_localized(trace: LoweringTrace, target_cmask: int, window: int) -> 
             new_s = new_s + base * q_power(inner.s, a)
             # cross terms: base * ((s_v + R_v)^a - s_v^a), all multiples of R_v
             for b in range(1, a + 1):
-                coeff = base.scale(_binomial(a, b)) * q_power(inner.s, a - b) * q_power(r_v, b - 1)
+                coeff = base.scale(comb(a, b)) * q_power(inner.s, a - b) * q_power(r_v, b - 1)
                 for j, m_inner in zip(inner_map, inner.certificate):
                     rep_add(new_rep, j, coeff * m_inner)
         s = new_s
         d += a_max * inner.power
         rep = new_rep
-    for v in s.variables():
-        if v.filtration > n_tr - 2:
-            raise StructureError("numerator keeps a high-filtration variable")
-    target_var = SpinVariable.limit(target_cmask)
-    lhs = Polynomial.variable(target_var) * q_power(trace.q, d) - s
+    if any(m.bit_count() > n_tr - 2 for m in s._masks()):
+        raise StructureError("numerator keeps a high-filtration variable")
+    lhs = Polynomial(True, -1, {(target_cmask,): 1}) * q_power(trace.q, d) - s
     expanded = Polynomial.zero_limit()
     for idx, mult in rep.items():
         expanded = expanded + mult * gens[idx]
@@ -907,7 +844,7 @@ def assemble_localized(trace: LoweringTrace, target_cmask: int, window: int) -> 
         rep.get(i, Polynomial.zero_limit()) for i in range(len(gens))
     )
     return LocalizedExpression(
-        target=target_var,
+        target=SpinVariable.limit(target_cmask),
         power=d,
         s=s,
         generators=tuple(gens),
@@ -925,7 +862,7 @@ def ideal_membership(target: Polynomial, generators: list[Polynomial]) -> list[P
     if target.is_zero():
         return [Polynomial.zero_limit() for _ in generators]
     deg_t = target.degree()
-    universe = sorted(target.variables() | set().union(*[g.variables() for g in generators]))
+    universe = sorted(target._masks().union(*[g._masks() for g in generators]))
     columns = []
     owners = []
     for gi, g in enumerate(generators):

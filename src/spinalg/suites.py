@@ -686,6 +686,17 @@ def suite_names() -> list[str]:
     return sorted(_SUITES) + ["all"]
 
 
+def _crash_witness(exc: Exception) -> str:
+    """exception: <type> in <innermost spinalg module.function>: <message>."""
+    tb = exc.__traceback__  # starts at run_checks, so some frame matches
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("spinalg."):
+            site = f"{module}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return f"exception: {type(exc).__name__} in {site}: {exc}"
+
+
 def run_checks(suite: str, n_min: int, n_max: int, seed, samples: int, fail_fast: bool) -> list[CheckResult]:
     names = sorted(_SUITES) if suite == "all" else [suite]
     results: list[CheckResult] = []
@@ -695,7 +706,7 @@ def run_checks(suite: str, n_min: int, n_max: int, seed, samples: int, fail_fast
                 try:
                     status, witness = fn(n, seed, samples)
                 except Exception as exc:  # a crash is a failure with a witness
-                    status, witness = "fail", f"exception: {exc}"
+                    status, witness = "fail", _crash_witness(exc)
                 results.append(
                     CheckResult(suite_name, n, check_name, anchor, status, witness)
                 )

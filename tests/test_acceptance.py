@@ -289,9 +289,7 @@ def test_criterion_11_quadric_discovery():
 
 def test_criterion_12_lowering_machinery():
     rng = make_rng("acc12")
-    vars_pool = [
-        ie.SpinVariable.limit(m) for m in range(1 << 6) if bin(m).count("1") % 2 == 0
-    ]
+    vars_pool = [m for m in range(1 << 6) if bin(m).count("1") % 2 == 0]
     done = 0
     while done < 19:
         deg = rng.choice([2, 3])

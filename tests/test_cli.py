@@ -6,7 +6,7 @@ import pytest
 
 from spinalg import cartan
 from spinalg import cli
-from spinalg.suites import KNOWN_ANCHORS
+from spinalg.suites import KNOWN_ANCHORS, run_checks
 
 
 def small_config(**extra):
@@ -100,6 +100,27 @@ class TestExitCodes:
         failing = [c for c in doc["checks"] if c["status"] == "fail"]
         assert failing
         assert all(c["witness"] for c in failing)
+
+    def test_crash_witness_keeps_type_and_site(self, monkeypatch):
+        def broken_sign(n, parity):
+            raise ZeroDivisionError("sign table lost")
+
+        # the diagram checks crash inside cartan; the patched function lives
+        # outside spinalg, so the innermost spinalg frame is its caller
+        monkeypatch.setattr(cartan, "_parity_sign", broken_sign)
+        results = run_checks("cartan", 2, 2, 5, 4, False)
+        crashed = [(r.name, r.status, r.witness) for r in results if r.status != "pass"]
+        assert crashed == [
+            (
+                name,
+                "fail",
+                f"exception: ZeroDivisionError in spinalg.cartan.{fn}: sign table lost",
+            )
+            for name, fn in (
+                ("contraction-diagram", "diagram_pi_residual"),
+                ("multiplication-diagram", "diagram_tau_residual"),
+            )
+        ]
 
     def test_fail_fast_stops_early(self, tmp_path, monkeypatch):
         original = cartan._parity_sign

@@ -1,6 +1,7 @@
 """Polynomials on spin coordinates: discovery, pullback certification,
 derivations, and the degree-lowering machinery."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -65,10 +66,36 @@ class TestPolynomials:
                 ie.eval_poly(mixed, point)
 
     def test_keys_sorting_to_one_monomial_add_up(self):
-        a, b = var_f(2, 1), var_f(2, 2)
+        a, b = var_f(2, 1).mask, var_f(2, 2).mask
         p = ie.Polynomial(False, 2, {(a, b): 1, (b, a): 1})
         assert str(p) == "2*x[1]*x[2]"
         assert ie.Polynomial(False, 2, {(a, b): 1, (b, a): -1}).is_zero()
+
+    def test_finite_mask_outside_level_rejected(self):
+        # index 8 does not exist at level 2
+        with pytest.raises(IndexRangeError):
+            ie.Polynomial.variable(ie.SpinVariable.finite(2, 0b1 | 1 << 7))
+        with pytest.raises(IndexRangeError):
+            ie.Polynomial(False, 2, {(0b1, 1 << 7): 1})
+        with pytest.raises(IndexRangeError):
+            ie.Polynomial(False, 2, {(-1,): 1})
+        assert str(ie.Polynomial(False, 2, {(0b11, 0): 1})) == "1*x[]*x[1,2]"
+
+    def test_negative_limit_mask_rejected(self):
+        with pytest.raises(IndexRangeError):
+            ie.SpinVariable.limit(-1)
+        with pytest.raises(IndexRangeError):
+            ie.Polynomial(True, -1, {(0b11, -1): 1})
+        assert str(ie.Polynomial(True, -1, {(1 << 40,): 1})) == "1*x[~41]"
+
+    def test_partial_by_variable_of_other_level_rejected(self):
+        p = ie.Polynomial.variable(var_f(2, 1, 2)) * ie.Polynomial.variable(var_f(2))
+        for v in (var_f(3, 1, 2), var_l(1, 2), var_l()):
+            with pytest.raises(LevelMismatchError):
+                p.partial(v)
+        with pytest.raises(LevelMismatchError):
+            p.to_limit().partial(var_f(2, 1, 2))
+        assert p.partial(var_f(2)) == ie.Polynomial.variable(var_f(2, 1, 2))
 
     def test_ring_operations(self, rng):
         x = ie.Polynomial.variable(var_f(2, 1, 2))
@@ -80,10 +107,10 @@ class TestPolynomials:
 
     def test_serialization(self):
         p = ie.Polynomial(
-            False, 2, {(var_f(2), var_f(2, 1, 2)): Fraction(1, 2)}
+            False, 2, {(var_f(2).mask, var_f(2, 1, 2).mask): Fraction(1, 2)}
         )
         assert str(p) == "1/2*x[]*x[1,2]"
-        q = ie.Polynomial(True, -1, {(var_l(1, 2), var_l(1, 2)): Fraction(-1)})
+        q = ie.Polynomial(True, -1, {(var_l(1, 2).mask, var_l(1, 2).mask): Fraction(-1)})
         assert str(q) == "-1*x[~1,2]^2"
 
     def test_limit_conversion_is_mask_stable(self):
@@ -91,6 +118,8 @@ class TestPolynomials:
         lim = p.to_limit()
         assert lim == ie.Polynomial.variable(var_l(1, 2))
         assert lim.to_finite(6) == ie.Polynomial.variable(var_f(6, 1, 2))
+        with pytest.raises(IndexRangeError):  # the truncation must hold index 6
+            ie.Polynomial.variable(var_l(1, 6)).to_finite(5)
 
 
 class TestVanishingForms:
@@ -232,7 +261,7 @@ class TestDerivations:
         out = ie.derivation_ff(1, 2, p, 4)
         assert len(out.terms) == 1
         ((mono, c),) = out.terms.items()
-        assert mono == (var_l(1, 2, 3, 4),)
+        assert mono == (var_l(1, 2, 3, 4).mask,)
         assert abs(c) == 2
 
     def test_zero_when_index_in_complement(self):
@@ -259,7 +288,7 @@ class TestDerivations:
         p = ie.Polynomial.variable(var_l(1, 2))
         moved = ie.derivation_ef(1, 3, p, 4)
         ((mono, c),) = moved.terms.items()
-        assert mono == (var_l(2, 3),)
+        assert mono == (var_l(2, 3).mask,)
         assert abs(c) == 1
         diag = ie.derivation_ef(4, 4, p, 4)  # index 4 in the variable's set
         assert diag == p.scale(Fraction(1, 2))
@@ -297,9 +326,7 @@ class TestLowering:
         assert tr.main_var == var_l(1, 2)
 
     def test_random_decompositions(self, rng):
-        vars_pool = [
-            ie.SpinVariable.limit(m) for m in range(1 << 4) if bin(m).count("1") % 2 == 0
-        ]
+        vars_pool = [m for m in range(1 << 4) if bin(m).count("1") % 2 == 0]
         done = 0
         for _ in range(30):
             terms = {}
@@ -361,9 +388,7 @@ class TestSolving:
         assert recon == lhs
 
     def test_pollution_handled_by_power_growth(self, rng):
-        vars_pool = [
-            ie.SpinVariable.limit(m) for m in range(1 << 4) if bin(m).count("1") % 2 == 0
-        ]
+        vars_pool = [m for m in range(1 << 4) if bin(m).count("1") % 2 == 0]
         found = False
         for trial in range(200):
             terms = {}
@@ -423,3 +448,43 @@ class TestOffConeSampler:
         assert x == y
         assert gc.is_pure(x).kind == "not_pure"
         assert x.parity() == "even"
+
+
+class TestGoldenOutputs:
+    """Printed forms recorded from the tuple-of-SpinVariable monomial format;
+    the int-mask format must reproduce them exactly."""
+
+    def test_level_four_quadric(self):
+        assert str(ie.i4_quadric()) == (
+            "1*x[]*x[1,2,3,4] + -1*x[1,2]*x[3,4] + 1*x[1,3]*x[2,4] + -1*x[2,3]*x[1,4]"
+        )
+
+    def test_lowering_trace_and_localized_certificate(self):
+        tr = ie.degree_lowering_trace(ie.i4_quadric().to_limit(), 6)
+        assert str(tr.q) == "1*x[~]"
+        assert str(tr.remainder) == (
+            "2*x[~1,2]*x[~3,4,5,6] + -2*x[~1,3]*x[~2,4,5,6] + 2*x[~2,3]*x[~1,4,5,6]"
+            " + 2*x[~1,4]*x[~2,3,5,6] + -2*x[~2,4]*x[~1,3,5,6]"
+            " + 2*x[~3,4]*x[~1,2,5,6] + -2*x[~1,2,3,4]*x[~5,6]"
+        )
+        loc = ie.assemble_localized(tr, 0xFF, 8)
+
+        def digest(p):
+            return hashlib.sha256(str(p).encode()).hexdigest()
+
+        assert loc.power == 9
+        assert digest(loc.s) == "15d4a852fbaec5afffc6a288b4efd06b4f4f8ab1c81a554b07d350f54ece3208"
+        assert [digest(c) for c in loc.certificate] == [
+            "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+            "3083f662448a8f6d98ae6fa55ea5b572a6a6b9b054640d6560f5ca32e7719eb5",
+            "88bbc8973248ab47dcd62413655d70dd8780f0951c7b0d6a0695020731150f80",
+            "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+            "e95996d47d20898837b00aa028bf928bba738cd9a111711ad9bb8650a3c9b721",
+            "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+            "cdb2c4622fafe619bbd9c1b1aefdf750ba06a1909e9514a3397a4227aa43b8f6",
+            "f6104cb63acd083925aee7597c5ebc7e3a78645fd77f45940a3203566fffb137",
+            "3cdbdebd96aa78d00bc469c0394a1ea0c72ba4c2f4bfe21c6c71a15a41e261a9",
+            "c1224128234f21213b52485c543081311be4d6ce093f8159e8d9fa9b3fdcf287",
+            "7b329f4e7174c5b9a8c3843e27c6a56e40d1d547bb772589febf8abb394dde3f",
+            "28db3105e40f592d6dc6fc009ce75ac9e6defd1cb2110d683f6d0d31d932f334",
+        ]

@@ -2,7 +2,8 @@
 the spin action and the orthogonal image, the image preserves the split form,
 and the operator built from a word's columns agrees with the word.  Kernel
 identities: the Clifford product is associative, star is an
-antihomomorphism, and pi_last undoes tau_last.  Exact elimination: rref
+antihomomorphism, and pi_last undoes tau_last.  The pairing beta has the
+Gram symmetry pattern on parity-pure vectors.  Exact elimination: rref
 agrees with the dense Fraction oracle and the nullspace is the kernel.
 Derandomized, so every run draws the same cases."""
 
@@ -120,6 +121,25 @@ def test_star_is_an_antihomomorphism(xy):
 )
 def test_pi_last_undoes_tau_last(x):
     assert tm.pi_last(tm.tau_last(x)) == x
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["even", "odd"]),
+    st.sampled_from(["even", "odd"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_beta_gram_symmetry_pattern(n, parity_x, parity_y, seed):
+    # beta(y, x) = eps beta(x, y) with eps = +1 iff n = 0, 1 mod 4; beta pairs
+    # equal parities at even n and opposite parities at odd n
+    rng = make_rng(f"gram:{seed}")
+    x = random_spin(n, rng, parity_x)
+    y = random_spin(n, rng, parity_y)
+    eps = 1 if n % 4 in (0, 1) else -1
+    assert tm.beta(y, x) == eps * tm.beta(x, y)
+    if (parity_x == parity_y) == (n % 2 == 1):
+        assert tm.beta(x, y) == 0
 
 
 @st.composite
