@@ -240,14 +240,6 @@ class CliffordElement:
         if self.n != other.n:
             raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
 
-    def parity_split(self) -> tuple["CliffordElement", "CliffordElement"]:
-        """(even, odd) word-length split."""
-        ev, od = {}, {}
-        for (em, fm), c in self.terms.items():
-            k = bin(em).count("1") + bin(fm).count("1")
-            (ev if k % 2 == 0 else od)[(em, fm)] = c
-        return CliffordElement(self.n, ev), CliffordElement(self.n, od)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

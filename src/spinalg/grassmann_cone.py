@@ -61,32 +61,48 @@ class IsotropicSubspace:
 def _as_coord_rows(rows, n: int) -> list[list[Fraction]]:
     out = []
     for r in rows:
-        if isinstance(r, cc.VectorInV):
-            out.append(r.coords())
-        else:
-            out.append([Fraction(x) for x in r])
-            if len(out[-1]) != 2 * n:
-                raise IndexRangeError("row length must be 2n")
+        out.append(r.coords() if isinstance(r, cc.VectorInV) else [Fraction(x) for x in r])
+        if len(out[-1]) != 2 * n:
+            raise IndexRangeError("row length must be 2n")
     return out
+
+
+def _row_pairing(a: linalg.IntRow, b: linalg.IntRow, n: int) -> int:
+    """(a|b) for sparse coordinate rows over (e-block, f-block)."""
+    total = 0
+    for k, x in a.items():
+        y = b.get(k + n if k < n else k - n)
+        if y:
+            total += x * y
+    return total
+
+
+def _isotropic_subspace(rows: list[linalg.IntRow], scales: list, n: int) -> IsotropicSubspace:
+    """The span of the vectors rows[i] / scales[i], given as integer rows,
+    after the audit: zero Gram matrix and full rank.  Eliminates the rows in
+    place."""
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            g = _row_pairing(a, rows[j], n)
+            if g:
+                raise NotIsotropicError(
+                    f"Gram entry (row {i + 1}, row {j + 1}) = "
+                    f"{Fraction(g) / (scales[i] * scales[j])} != 0"
+                )
+    pivots = linalg._eliminate(rows)
+    if len(pivots) != len(rows):
+        raise SpinalgError(f"rows are rank deficient: rank {len(pivots)} < {len(rows)}")
+    return IsotropicSubspace(n, tuple(map(tuple, linalg._pivot_rows(rows, pivots, 2 * n))))
 
 
 def check_isotropic(rows, n: int) -> IsotropicSubspace:
     """Validate candidate rows: zero Gram matrix and full rank."""
-    coord_rows = _as_coord_rows(rows, n)
-    vecs = [cc.VectorInV.from_coords(n, r) for r in coord_rows]
-    for i, v in enumerate(vecs):
-        for j in range(i, len(vecs)):
-            g = cc.pairing(v, vecs[j])
-            if g != 0:
-                raise NotIsotropicError(
-                    f"Gram entry (row {i + 1}, row {j + 1}) = {g} != 0"
-                )
-    reduced = linalg.row_space(coord_rows)
-    if len(reduced) != len(coord_rows):
-        raise SpinalgError(
-            f"rows are rank deficient: rank {len(reduced)} < {len(coord_rows)}"
-        )
-    return IsotropicSubspace(n, tuple(tuple(r) for r in reduced))
+    ints, scales = [], []
+    for r in _as_coord_rows(rows, n):
+        row, den, content = linalg._integer_row(enumerate(r))
+        ints.append(row)
+        scales.append(Fraction(den, content))
+    return _isotropic_subspace(ints, scales, n)
 
 
 def standard_e_subspace(n: int) -> IsotropicSubspace:
@@ -311,17 +327,31 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
 
 
 def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
-    """The exact nullspace of v -> v.x in V; always isotropic of dim <= n."""
+    """The exact nullspace of v -> v.x in V; always isotropic of dim <= n.
+
+    Works on the primitive integer multiple of x, which has the same
+    annihilator.  Column e_i of the action matrix wedges bit i-1 into each
+    mask of x, column f_j contracts bit j-1 out with the factor 2 (as in
+    vector_action), each with the sign of the set bits below it.  The
+    kernel then passes the same audit as check_isotropic."""
     if x.is_zero():
         raise SpinalgError("annihilator of the zero vector is all of V")
     n = x.n
-    cols = []
-    for sym in [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]:
-        cols.append(sr.vector_action(cc.VectorInV.basis(n, sym), x))
-    masks = sorted(set().union(*[set(c.terms) for c in cols]) or {0})
-    m = [[col.coefficient(mask) for col in cols] for mask in masks]
-    kernel = linalg.nullspace(m)
-    sub = check_isotropic(kernel, n) if kernel else IsotropicSubspace(n, ())
+    # one row per image mask; a (row, column) entry has exactly one source mask
+    action: dict[int, linalg.IntRow] = {}
+    for m, c in linalg._integer_row(x.terms.items())[0].items():
+        for i in range(n):
+            b = 1 << i
+            v = -c if (m & (b - 1)).bit_count() & 1 else c
+            if m & b:
+                action.setdefault(m ^ b, {})[n + i] = 2 * v
+            else:
+                action.setdefault(m | b, {})[i] = v
+    rows = list(action.values())
+    kernel = linalg._kernel(rows, linalg._eliminate(rows), 2 * n)
+    if not kernel:
+        return IsotropicSubspace(n, ())
+    sub = _isotropic_subspace([v for v, _ in kernel], [l for _, l in kernel], n)
     if sub.dim > n:
         raise StructureError("annihilator dimension exceeds n")
     return sub

@@ -7,9 +7,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
+from operator import itemgetter, mul
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -394,6 +395,17 @@ def i4_quadric() -> Polynomial:
 # -- linear maps and pullback --------------------------------------------------
 
 
+def _integer_rows(lm: sr.LinearOperator) -> tuple[dict[int, dict[int, int]], int]:
+    """The linear form of each target variable on integers, target mask ->
+    {source mask: coef}, over the map's common denominator den."""
+    den = reduce(lcm, (c.denominator for col in lm.cols.values() for c in col.terms.values()), 1)
+    rows: dict[int, dict[int, int]] = {}
+    for src_mask, col in lm.cols.items():
+        for tgt_mask, c in col.terms.items():
+            rows.setdefault(tgt_mask, {})[src_mask] = c.numerator * (den // c.denominator)
+    return rows, den
+
+
 def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
     """(pullback p)(x) = p(L x); degree is preserved."""
     if p.is_limit:
@@ -402,26 +414,34 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
         raise LevelMismatchError("polynomial level must match the map target")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
-    # linear form of each target variable: target mask -> {source mask: coef}
-    rows: dict[int, dict[int, Fraction]] = {}
-    for src_mask, col in lm.cols.items():
-        for tgt_mask, c in col.terms.items():
-            rows.setdefault(tgt_mask, {})[src_mask] = c
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
+    # on integers: p = P content / den_p, and L = rows / den
+    coefs, den_p, content = linalg._integer_row(p.terms.items())
+    rows, den = _integer_rows(lm)
+    out: dict[Monomial, int] = {}
+    for mono, c in coefs.items():
         for picks in product(*(rows.get(m, {}).items() for m in mono)):
             val = c
             for _, a in picks:
                 val *= a
             cc._accumulate(out, tuple(m for m, _ in picks), val)
-    return Polynomial(False, lm.source_n, out)
+    return Polynomial(
+        False,
+        lm.source_n,
+        {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in out.items()},
+    )
 
 
 @dataclass(frozen=True)
 class FamilyMember:
+    """One pulled-back quadric and its compiled map x -> pi_4(g x) on the
+    even coordinates: rows[a][b] / den is the coefficient of the b-th even
+    level-n coordinate in the a-th even level-4 coordinate (masks in
+    increasing order, as component_variables lists them)."""
+
     g: sr.GroupElement
-    level_map: sr.LinearOperator
     quadric: Polynomial
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -441,22 +461,31 @@ class PullbackFamily:
 
 def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> PullbackFamily:
     """count pullbacks of the level-4 quadric along contraction-after-group
-    maps with seeded random group elements; deterministic in the seed."""
+    maps with seeded random group elements; deterministic in the seed.
+
+    Each map is built on the even basis columns only: the quadric reads only
+    even level-4 coordinates, and the spin group and the contraction keep
+    parity, so the odd columns never reach it."""
     if n < 4:
         raise IndexRangeError("pullback families need level >= 4")
     base = i4_quadric()
+    sources = component_variables(n, "even")
+    targets = component_variables(4, "even")
     members = []
-    pi_map = sr.LinearOperator.of_contraction(n, 4)
     for i in range(count):
         if i == 0:
             g = sr.GroupElement.identity(n)
         else:
             g = sr.random_group_element(n, f"family:{seed}:{i}", length)
-        lm = pi_map.compose(sr.LinearOperator.of_group_element(g))
+        lm = sr.LinearOperator(
+            n, 4, {s: tm.pi_tower(g.apply(sr.SpinVector.basis(n, s)), 4) for s in sources}
+        )
         quad = pullback(base, lm)
         if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
             raise StructureError("pulled-back form is not homogeneous quadratic")
-        members.append(FamilyMember(g, lm, quad))
+        rows, den = _integer_rows(lm)
+        dense = tuple(tuple(rows.get(t, {}).get(s, 0) for s in sources) for t in targets)
+        members.append(FamilyMember(g, quad, dense, den))
     return PullbackFamily(n, str(seed), tuple(members))
 
 
@@ -471,18 +500,49 @@ class MembershipVerdict:
 def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVerdict:
     """x passes iff every pulled-back form vanishes at x.
 
-    Evaluation goes through the factored map (value of the level-4 quadric
-    at the mapped point), which equals evaluating the stored pullback."""
+    Each member's form is evaluated as the level-4 quadric at the mapped
+    point, on integers: x is scaled to its primitive integer multiple X =
+    (den_x / content) x, mapped by the member's integer rows, and the
+    integral quadric is evaluated there.  A nonzero value val gives the
+    witness val content^2 / (den den_x)^2, which equals the stored
+    pullback's value at x.  Only even points can be certified:
+    LevelMismatchError for a point with an odd coordinate."""
     if not family.members:
         raise SpinalgError("empty family cannot certify")
     if x.n != family.n:
         raise LevelMismatchError("levels differ")
-    base = i4_quadric()
+    if any(m.bit_count() & 1 for m in x.terms):
+        raise LevelMismatchError("the family's forms read even coordinates; the point has odd ones")
+    if x.is_zero():
+        return MembershipVerdict(True, None, None, None)
+    ints, den_x, content = linalg._integer_row(x.terms.items())
+    # the positions of X's nonzero entries among the even masks, and X there
+    positions, values = [], []
+    for k, s in enumerate(component_variables(x.n, "even")):
+        if s in ints:
+            positions.append(k)
+            values.append(ints[s])
+    if len(positions) == 1:  # a basis vector, a common orbit point
+        (p,), (v,) = positions, values
+
+        def image(rows):
+            return [row[p] * v for row in rows]
+
+    else:
+        pick = itemgetter(*positions)
+
+        def image(rows):
+            return [sum(map(mul, pick(row), values)) for row in rows]
+
+    # the primitive level-4 quadric has integer coefficients
+    at = {t: k for k, t in enumerate(component_variables(4, "even"))}
+    quad = [(at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items()]
     for idx, member in enumerate(family.members):
-        y = member.level_map.apply(x)
-        val = eval_poly(base, y) if not y.is_zero() else Fraction(0)
-        if val != 0:
-            return MembershipVerdict(False, idx, tuple(member.g.serialize()), val)
+        y = image(member.rows)
+        val = sum(c * y[a] * y[b] for a, b, c in quad)
+        if val:
+            witness = Fraction(val * content * content, (member.den * den_x) ** 2)
+            return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
     return MembershipVerdict(True, None, None, None)
 
 

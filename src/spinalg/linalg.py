@@ -131,10 +131,9 @@ def _echelon(a: Matrix) -> tuple[list[IntRow], list[tuple[int, int]]]:
     return rows, _eliminate(rows)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    cols = len(a[0]) if a else 0
-    rows, pivots = _echelon(a)
+def _pivot_rows(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) -> Matrix:
+    """The nonzero rref rows of eliminated rows: each pivot row over its
+    pivot, one Fraction per entry, in pivot column order."""
     zero = Fraction(0)
     out = []
     for c, i in pivots:
@@ -143,7 +142,33 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         for k, v in rows[i].items():
             dense[k] = Fraction(v, pv)
         out.append(dense)
-    out.extend([zero] * cols for _ in range(len(a) - len(pivots)))
+    return out
+
+
+def _kernel(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) -> list[tuple[IntRow, int]]:
+    """Integer kernel basis of eliminated rows: for each free column f in
+    order, (v, l) with v / l the kernel vector whose f coordinate is 1 and
+    whose free coordinates are otherwise 0 (so v[f] = l > 0)."""
+    pivot_cols = {c for c, _ in pivots}
+    out = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        hits = [(c, rows[i][free], rows[i][c]) for c, i in pivots if free in rows[i]]
+        l = reduce(lcm, (pv for _, _, pv in hits), 1)
+        v = {free: l}
+        for c, a, pv in hits:
+            v[c] = -a * (l // pv)
+        out.append((v, l))
+    return out
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    cols = len(a[0]) if a else 0
+    rows, pivots = _echelon(a)
+    out = _pivot_rows(rows, pivots, cols)
+    out.extend([Fraction(0)] * cols for _ in range(len(a) - len(pivots)))
     return out, [c for c, _ in pivots]
 
 
@@ -184,25 +209,20 @@ def det(a: Matrix) -> Fraction:
 
 def row_space(a: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows) of the row space."""
-    r, pivots = rref(a)
-    return r[: len(pivots)]
+    rows, pivots = _echelon(a)
+    return _pivot_rows(rows, pivots, len(a[0]) if a else 0)
 
 
 def nullspace(a: Matrix) -> Matrix:
     """Canonical kernel basis: one vector per free column, free coordinate 1."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
+    cols = len(a[0]) if a else 0
+    rows, pivots = _echelon(a)
     basis: Matrix = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][free]
-        basis.append(v)
+    for v, l in _kernel(rows, pivots, cols):
+        dense = [Fraction(0)] * cols
+        for k, x in v.items():
+            dense[k] = Fraction(x, l)
+        basis.append(dense)
     return basis
 
 

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import grassmann_cone as gc
+from spinalg import ideal_engine as ie
 from spinalg import spin_rep as sr
+from spinalg.errors import NotIsotropicError, SpinalgError, StructureError
 
 
 def make_rng(tag: str) -> random.Random:
@@ -30,6 +33,28 @@ def random_spin(n, rng, parity=None, bound=3):
             continue
         terms[m] = Fraction(rng.randint(-bound, bound))
     return sr.SpinVector(n, terms)
+
+
+def cone_query_points(n, tag):
+    """Seeded even points at level n of the kinds a cone query sees: orbit
+    points (words of 1..6 letters, two of them scaled by -3/4), a sum of two
+    orbit points, dense integer points, dense points with non-unit
+    denominators, a dense point on the masks that the contraction to level
+    4 kills (n > 4), and off_cone_sample points."""
+    rng = make_rng(f"{tag}:{n}")
+    points = [gc.sample_cone_point(n, f"{tag}:orbit:{t}", length=1 + t) for t in range(6)]
+    points += [p.scale(Fraction(-3, 4)) for p in points[2:4]]
+    points.append(points[0] + points[5])
+    points += [random_spin(n, rng, "even", bound=9) for _ in range(3)]
+    masks = ie.component_variables(n, "even")
+    points += [
+        sr.SpinVector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in masks})
+        for _ in range(3)
+    ]
+    if n > 4:
+        points.append(sr.SpinVector(n, {m: Fraction(rng.randint(1, 9)) for m in masks if m >> 4}))
+    points += [ie.off_cone_sample(n, f"{tag}:{t}") for t in range(2)]
+    return points
 
 
 def random_clifford(n, rng, nterms=4, bound=2):
@@ -185,6 +210,64 @@ def split_form(n):
         j[i][n + i] = Fraction(1)
         j[n + i][i] = Fraction(1)
     return j
+
+
+def oracle_annihilator(x):
+    """The annihilator as first written: the 2n columns vector_action(b, x)
+    for the basis vectors b of V, a dense Fraction matrix over the masks they
+    reach, its kernel (one vector per free column, free coordinate 1), the
+    Gram audit through VectorInV pairings, and the kernel's rref rows; every
+    reduction by oracle_rref."""
+    if x.is_zero():
+        raise SpinalgError("annihilator of the zero vector is all of V")
+    n = x.n
+    syms = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
+    cols = [sr.vector_action(cc.VectorInV.basis(n, s), x) for s in syms]
+    masks = sorted(set().union(*[set(c.terms) for c in cols]) or {0})
+    r, pivots = oracle_rref([[col.coefficient(m) for col in cols] for m in masks])
+    kernel = []
+    for free in range(2 * n):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * (2 * n)
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][free]
+        kernel.append(v)
+    if not kernel:
+        return gc.IsotropicSubspace(n, ())
+    vecs = [cc.VectorInV.from_coords(n, v) for v in kernel]
+    for i, v in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            g = cc.pairing(v, vecs[j])
+            if g != 0:
+                raise NotIsotropicError(f"Gram entry (row {i + 1}, row {j + 1}) = {g} != 0")
+    reduced, kernel_pivots = oracle_rref(kernel)
+    if len(kernel_pivots) != len(kernel):
+        raise SpinalgError("rows are rank deficient")
+    if len(kernel) > n:
+        raise StructureError("annihilator dimension exceeds n")
+    return gc.IsotropicSubspace(n, tuple(tuple(row) for row in reduced[: len(kernel)]))
+
+
+def oracle_level_maps(family):
+    """Each member's full Fraction map: the contraction to level 4 after the
+    operator of the member's group word, on all 2^n basis columns."""
+    pi_map = sr.LinearOperator.of_contraction(family.n, 4)
+    return [pi_map.compose(sr.LinearOperator.of_group_element(m.g)) for m in family.members]
+
+
+def oracle_certify(x, family, level_maps):
+    """certify_membership as first written: the level-4 quadric evaluated
+    by eval_poly at each member's Fraction image of x, first nonzero value
+    the witness."""
+    base = ie.i4_quadric()
+    for idx, (member, lm) in enumerate(zip(family.members, level_maps)):
+        y = lm.apply(x)
+        val = ie.eval_poly(base, y) if not y.is_zero() else Fraction(0)
+        if val != 0:
+            return ie.MembershipVerdict(False, idx, tuple(member.g.serialize()), val)
+    return ie.MembershipVerdict(True, None, None, None)
 
 
 @pytest.fixture

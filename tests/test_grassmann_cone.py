@@ -11,7 +11,7 @@ from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import NotIsotropicError, SpinalgError
 
-from conftest import make_rng, pfaffian, random_spin
+from conftest import cone_query_points, make_rng, oracle_annihilator, pfaffian, random_spin
 
 
 class TestCheckIsotropic:
@@ -121,6 +121,26 @@ class TestAnnihilator:
     def test_zero_rejected(self):
         with pytest.raises(SpinalgError):
             gc.annihilator(sr.SpinVector.zero(3))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_oracle(self, n):
+        rng = make_rng(f"ann-oracle:{n}")
+        points = cone_query_points(n, "ann-oracle")
+        points += [gc.sample_cone_point(n, f"ann-odd:{t}", "odd", 1 + 2 * t) for t in range(3)]
+        points += [random_spin(n, rng, "odd", bound=9), random_spin(n, rng, bound=2)]
+        dims = set()
+        for x in points:
+            sub = gc.annihilator(x)
+            assert sub == oracle_annihilator(x)
+            assert all(type(c) is Fraction for row in sub.rows for c in row)
+            dims.add(sub.dim)
+        assert n in dims and len(dims) > 1, "both pure and non-pure points"
+
+    def test_kernel_goes_through_the_isotropy_audit(self, monkeypatch):
+        x = gc.sample_cone_point(4, "audit")
+        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
+            gc.annihilator(x)
 
 
 class TestPurity:

@@ -18,7 +18,13 @@ from spinalg.errors import (
     TooFewPointsError,
 )
 
-from conftest import make_rng, random_spin
+from conftest import (
+    cone_query_points,
+    make_rng,
+    oracle_certify,
+    oracle_level_maps,
+    random_spin,
+)
 
 
 def var_f(n, *idx):
@@ -252,6 +258,49 @@ class TestCertification:
         fam = ie.PullbackFamily(5, "x", ())
         with pytest.raises(SpinalgError):
             ie.certify_membership(sr.SpinVector.omega1(5), fam)
+
+    @pytest.mark.parametrize("n,count", [(4, 6), (5, 12), (6, 10)])
+    def test_matches_oracle(self, n, count):
+        fam = ie.orbit_pullback_family(n, f"cert-oracle:{n}", count)
+        maps = oracle_level_maps(fam)
+        verdicts = set()
+        for x in cone_query_points(n, "cert-oracle"):
+            # each member leads once, so every compiled map gives a witness
+            for k in range(count):
+                rotated = ie.PullbackFamily(n, fam.seed, fam.members[k:] + fam.members[:k])
+                got = ie.certify_membership(x, rotated)
+                assert got == oracle_certify(x, rotated, maps[k:] + maps[:k])
+                verdicts.add((got.passes, got.witness_index))
+        assert (True, None) in verdicts and (False, 0) in verdicts
+        if n > 4:  # at level 4 every member is a multiple of the one quadric
+            assert any(passes is False and idx > 0 for passes, idx in verdicts)
+
+    def test_odd_coordinate_rejected_up_front(self):
+        fam = ie.orbit_pullback_family(5, "odd", 4)
+        # member 0's contraction kills mask 16, so evaluating through the
+        # maps would see the even point {0, 15} and report a witness
+        assert not oracle_certify(
+            sr.SpinVector(5, {0: 1, 15: 1, 16: 1}), fam, oracle_level_maps(fam)
+        ).passes
+        for terms in ({0: 1, 16: 1}, {0: 1, 15: 1, 16: 1}, {31: 1}):
+            with pytest.raises(LevelMismatchError):
+                ie.certify_membership(sr.SpinVector(5, terms), fam)
+
+    def test_zero_point_passes(self):
+        fam = ie.orbit_pullback_family(5, "zero", 4)
+        assert ie.certify_membership(sr.SpinVector.zero(5), fam).passes
+
+    def test_compiled_rows_are_the_even_level_map(self):
+        fam = ie.orbit_pullback_family(5, "rows", 4)
+        sources = ie.component_variables(5, "even")
+        targets = ie.component_variables(4, "even")
+        for member, lm in zip(fam.members, oracle_level_maps(fam)):
+            assert len(member.rows) == len(targets)
+            for t, row in zip(targets, member.rows):
+                assert len(row) == len(sources)
+                for s, a in zip(sources, row):
+                    column = lm.apply(sr.SpinVector.basis(5, s))
+                    assert Fraction(a, member.den) == column.coefficient(t)
 
 
 class TestDerivations:

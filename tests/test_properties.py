@@ -5,9 +5,12 @@ identities: the Clifford product is associative, star is an
 antihomomorphism, and pi_last undoes tau_last.  The pairing beta has the
 Gram symmetry pattern on parity-pure vectors.  Exact elimination: rref
 agrees with the dense Fraction oracle and the nullspace is the kernel.
-Derandomized, so every run draws the same cases."""
+Cone membership: the witness of certify_membership is the stored pulled-back
+quadric's value at the point.  Derandomized, so every run draws the same
+cases."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +19,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spinalg import clifford_core as cc  # noqa: E402
+from spinalg import grassmann_cone as gc  # noqa: E402
+from spinalg import ideal_engine as ie  # noqa: E402
 from spinalg import linalg  # noqa: E402
 from spinalg import spin_rep as sr  # noqa: E402
 from spinalg import transfer_maps as tm  # noqa: E402
@@ -156,3 +161,39 @@ def test_rref_matches_oracle_and_nullspace_is_kernel(a):
     assert linalg.rref(a) == oracle_rref(a)
     for v in linalg.nullspace(a):
         assert linalg.matvec(a, v) == [0] * len(a)
+
+
+@lru_cache(maxsize=None)
+def pullback_family(n):
+    return ie.orbit_pullback_family(n, "prop", 8)
+
+
+@st.composite
+def cone_queries(draw):
+    """An even point at a level n = 4..6 (sparse with small fractional
+    coordinates, or an orbit point times a small fraction) and a rotation k
+    of that level's family."""
+    n = draw(st.integers(min_value=4, max_value=6))
+    if draw(st.booleans()):
+        masks = st.sampled_from(ie.component_variables(n, "even"))
+        x = sr.SpinVector(n, draw(st.dictionaries(masks, small_fractions, min_size=1, max_size=6)))
+    else:
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        length = draw(st.integers(min_value=1, max_value=8))
+        x = gc.sample_cone_point(n, seed, length=length).scale(draw(small_fractions))
+    return x, draw(st.integers(min_value=0, max_value=7))
+
+
+@PROPERTY_SETTINGS
+@given(cone_queries())
+def test_witness_value_is_the_stored_quadric_at_x(query):
+    x, k = query
+    members = pullback_family(x.n).members
+    family = ie.PullbackFamily(x.n, "prop", members[k:] + members[:k])
+    verdict = ie.certify_membership(x, family)
+    values = [ie.eval_poly(m.quadric, x) for m in family.members]
+    if verdict.passes:
+        assert not any(values)
+    else:
+        assert verdict.witness_value == values[verdict.witness_index] != 0
+        assert not any(values[: verdict.witness_index])
