@@ -10,7 +10,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
-from operator import itemgetter, mul
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -414,9 +413,15 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
         raise LevelMismatchError("polynomial level must match the map target")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
-    # on integers: p = P content / den_p, and L = rows / den
+    return _pullback_rows(p, *_integer_rows(lm), lm.source_n)
+
+
+def _pullback_rows(
+    p: Polynomial, rows: dict[int, dict[int, int]], den: int, source_n: int
+) -> Polynomial:
+    """pullback of p along the map given by _integer_rows: L = rows / den."""
+    # on integers: p = P content / den_p
     coefs, den_p, content = linalg._integer_row(p.terms.items())
-    rows, den = _integer_rows(lm)
     out: dict[Monomial, int] = {}
     for mono, c in coefs.items():
         for picks in product(*(rows.get(m, {}).items() for m in mono)):
@@ -426,7 +431,7 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
             cc._accumulate(out, tuple(m for m, _ in picks), val)
     return Polynomial(
         False,
-        lm.source_n,
+        source_n,
         {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in out.items()},
     )
 
@@ -480,10 +485,10 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
         lm = sr.LinearOperator(
             n, 4, {s: tm.pi_tower(g.apply(sr.SpinVector.basis(n, s)), 4) for s in sources}
         )
-        quad = pullback(base, lm)
+        rows, den = _integer_rows(lm)
+        quad = _pullback_rows(base, rows, den, n)
         if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
             raise StructureError("pulled-back form is not homogeneous quadratic")
-        rows, den = _integer_rows(lm)
         dense = tuple(tuple(rows.get(t, {}).get(s, 0) for s in sources) for t in targets)
         members.append(FamilyMember(g, quad, dense, den))
     return PullbackFamily(n, str(seed), tuple(members))
@@ -516,29 +521,13 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     if x.is_zero():
         return MembershipVerdict(True, None, None, None)
     ints, den_x, content = linalg._integer_row(x.terms.items())
-    # the positions of X's nonzero entries among the even masks, and X there
-    positions, values = [], []
-    for k, s in enumerate(component_variables(x.n, "even")):
-        if s in ints:
-            positions.append(k)
-            values.append(ints[s])
-    if len(positions) == 1:  # a basis vector, a common orbit point
-        (p,), (v,) = positions, values
-
-        def image(rows):
-            return [row[p] * v for row in rows]
-
-    else:
-        pick = itemgetter(*positions)
-
-        def image(rows):
-            return [sum(map(mul, pick(row), values)) for row in rows]
-
+    # X's nonzero entries, keyed by their positions among the even masks
+    support = [(k, ints[s]) for k, s in enumerate(component_variables(x.n, "even")) if s in ints]
     # the primitive level-4 quadric has integer coefficients
     at = {t: k for k, t in enumerate(component_variables(4, "even"))}
     quad = [(at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items()]
     for idx, member in enumerate(family.members):
-        y = image(member.rows)
+        y = [sum(row[k] * v for k, v in support) for row in member.rows]
         val = sum(c * y[a] * y[b] for a, b, c in quad)
         if val:
             witness = Fraction(val * content * content, (member.den * den_x) ** 2)
