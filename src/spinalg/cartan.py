@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import lcm
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -29,14 +31,51 @@ def _parity_sign(n: int, parity: str) -> int:
     return (-1) ** (n - 1) if parity == "even" else (-1) ** n
 
 
+def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
+    """B_n(S, T): the degree-n part of e_S f acting, in the module of the
+    whole exterior algebra, on star(e_T) 1 = (-1)^(k(k-1)/2) e_T, k = |T|."""
+    k = t.bit_count()
+    word = [cc._exterior_letter(sym, n) for sym in cc.monomial_word((s, (1 << n) - 1))]
+    image = cc._apply_words([(1, word)], {t: -1 if k * (k - 1) // 2 & 1 else 1})
+    return {m: c for m, c in image.items() if m.bit_count() == n}
+
+
+@lru_cache(maxsize=None)
+def _nu2_pair(n: int, s: int, t: int) -> tuple:
+    """P_n(S, T) for S <= T as (mask, int) pairs: B_n(S, T) + B_n(T, S) off
+    the diagonal, B_n(S, S) on it.  Filled on first use, one pair at a time."""
+    pair = _half_pair(n, s, t)
+    if s != t:
+        for m, c in _half_pair(n, t, s).items():
+            cc._accumulate(pair, m, c)
+    return tuple(pair.items())
+
+
 def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
-    """Quadratic map: degree-n component of (x a*) acting on 1, where a is
-    the wedge part of x.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
+    """Quadratic map to the middle exterior power: the degree-n component of
+    (x a*) acting on 1, with a the wedge part of x, read off a bilinear table:
+
+        nu2(x) = sum_(S <= T) x_S x_T P_n(S, T)   (see _nu2_pair).
+
+    Its image of the pure spinors is cut out by Cartan's quadrics (Chevalley,
+    The Algebraic Theory of Spinors, 1954, Ch. III).  B_n(S, T) is zero when
+    |S ^ T| is odd (the degree-n part of an element of parity |S| + |T| + n),
+    so those pairs are skipped.  The sum runs on integers over the common
+    denominator of x.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
     n = x.n
-    a = cc.CliffordElement(n, {(m, 0): c for m, c in x.terms.items()})
-    seed = cc.act_on_exterior(cc.star(a), cc.ExteriorVector.unit(n))
-    full = cc.act_on_exterior(sr.to_left_ideal(x), seed)
-    return full.degree_component(n)
+    items = sorted(x.terms.items())
+    den = reduce(lcm, (c.denominator for _, c in items), 1)
+    ints = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+    acc: dict[int, int] = {}
+    for i, (s, a) in enumerate(ints):
+        for t, b in ints[i:]:
+            if (s ^ t).bit_count() & 1:
+                continue
+            ab = a * b
+            for m, c in _nu2_pair(n, s, t):
+                acc[m] = acc.get(m, 0) + ab * c
+    den *= den
+    return cc.ExteriorVector(n, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def _remask_exterior(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:

@@ -291,6 +291,9 @@ def star(a: CliffordElement) -> CliffordElement:
     return _unpacked(a.n, _apply_words(words, {0: Fraction(1)}))
 
 
+_ZERO = Fraction(0)
+
+
 class VectorInV:
     """A vector of the level-n space, split into E- and F-coordinates."""
 
@@ -298,10 +301,10 @@ class VectorInV:
 
     def __init__(self, n: int, e: Iterable = (), f: Iterable = ()):
         self.n = n
-        ee = [Fraction(x) for x in e]
-        ff = [Fraction(x) for x in f]
-        ee += [Fraction(0)] * (n - len(ee))
-        ff += [Fraction(0)] * (n - len(ff))
+        ee = [x if isinstance(x, Fraction) else Fraction(x) for x in e]
+        ff = [x if isinstance(x, Fraction) else Fraction(x) for x in f]
+        ee += [_ZERO] * (n - len(ee))
+        ff += [_ZERO] * (n - len(ff))
         if len(ee) != n or len(ff) != n:
             raise IndexRangeError("coordinate sequence longer than level")
         self.e = tuple(ee)
@@ -383,9 +386,11 @@ def pairing(v: VectorInV, w: VectorInV) -> Fraction:
     """The bilinear form (v|w) of the split quadratic space."""
     if v.n != w.n:
         raise LevelMismatchError("vector levels differ")
-    return sum(
-        (a * b for a, b in zip(v.e, w.f)), Fraction(0)
-    ) + sum((a * b for a, b in zip(v.f, w.e)), Fraction(0))
+    total = _ZERO
+    for a, b in zip(v.e + v.f, w.f + w.e):
+        if a and b:
+            total += a * b
+    return total
 
 
 def quadratic_value(v: VectorInV) -> Fraction:

@@ -171,39 +171,50 @@ def beta_direct(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
     return prod.coefficient((0, (1 << n) - 1))
 
 
+def _complement_sign(s: int) -> int:
+    """sign(n, S) = (-1)^(k(k-1)/2 + inv(S)) with k = |S| and inv(S) the
+    number of pairs i in S, j not in S, j < i.  The i-th smallest element of
+    S (bit position p_i, from 0) has p_i - (i - 1) such j below it, so the
+    exponent is the sum of the bit positions of S and the sign does not
+    depend on n."""
+    return -1 if sum(p for p in range(s.bit_length()) if s >> p & 1) & 1 else 1
+
+
 @lru_cache(maxsize=8)
 def _gram_rows(n: int) -> tuple:
-    """Row I of the Gram matrix: the pairing of e_I f against every e_J f.
+    """Row S of the Gram matrix, the pairing of e_S f against every e_T f:
+    2^n sign(n, S) at T = S ^ (2^n - 1), zero elsewhere (Chevalley, The
+    Algebraic Theory of Spinors, 1954, Ch. III; see beta).
 
-    Each row is computed by genuinely multiplying in the Clifford algebra:
-    star(e_I f) acts on the ideal model and the empty-wedge coefficient of
-    the image of e_J f is the pairing value.
-    """
+    It stays an lru_cache: perfbench/tracer.py reads its cache_info()."""
+    full = (1 << n) - 1
+    zero = Fraction(0)
     rows = []
-    for i_mask in range(1 << n):
-        x = sr.SpinVector.basis(n, i_mask)
-        w = cc.star(sr.to_left_ideal(x))
-        row = []
-        for j_mask in range(1 << n):
-            img = sr.clifford_action_on_spin(w, sr.SpinVector.basis(n, j_mask))
-            row.append(img.coefficient(0))
+    for s in range(1 << n):
+        row = [zero] * (1 << n)
+        row[s ^ full] = Fraction(_complement_sign(s) << n)
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def beta(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
-    """Bilinear extension of the monomial pairing (cached Gram rows)."""
+    """The invariant pairing as a signed complement pairing:
+
+        beta(x, y) = 2^n * sum_S sign(n, S) * x_S * y_(S ^ full),
+
+    full = 2^n - 1: e_S f pairs only with the spinor of the complementary
+    subset (Chevalley, The Algebraic Theory of Spinors, 1954, Ch. III).  It
+    equals beta_direct, the f-coefficient of x* y, at every level."""
     if x.n != y.n:
         raise LevelMismatchError("levels differ")
-    if x.n > DENSE_LEVEL_BOUND:
-        return beta_direct(x, y)
-    rows = _gram_rows(x.n)
+    full = (1 << x.n) - 1
+    ys = y.terms
     total = Fraction(0)
-    for i_mask, a in x.terms.items():
-        row = rows[i_mask]
-        for j_mask, b in y.terms.items():
-            total += a * b * row[j_mask]
-    return total
+    for s, a in x.terms.items():
+        b = ys.get(s ^ full)
+        if b is not None:
+            total += _complement_sign(s) * a * b
+    return total * (1 << x.n)
 
 
 def beta_gram(n: int) -> list[list[Fraction]]:

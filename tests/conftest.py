@@ -270,6 +270,32 @@ def oracle_certify(x, family, level_maps):
     return ie.MembershipVerdict(True, None, None, None)
 
 
+def oracle_gram_rows(n):
+    """The Gram rows as first written: star(e_S f) acts on every e_T f
+    through the spin action (4^n Clifford actions), and the empty-wedge
+    coefficient of the image is the pairing value."""
+    rows = []
+    for s_mask in range(1 << n):
+        w = cc.star(sr.to_left_ideal(sr.SpinVector.basis(n, s_mask)))
+        row = []
+        for t_mask in range(1 << n):
+            img = sr.clifford_action_on_spin(w, sr.SpinVector.basis(n, t_mask))
+            row.append(img.coefficient(0))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def oracle_nu2(x):
+    """nu2 as first written: star(a) and then x f act on the exterior unit
+    (two act_on_exterior calls), a the wedge part of x; the degree-n
+    component of the image."""
+    n = x.n
+    a = cc.CliffordElement(n, {(m, 0): c for m, c in x.terms.items()})
+    seed = cc.act_on_exterior(cc.star(a), cc.ExteriorVector.unit(n))
+    full = cc.act_on_exterior(sr.to_left_ideal(x), seed)
+    return full.degree_component(n)
+
+
 @pytest.fixture
 def rng(request):
     return make_rng(request.node.name)

@@ -13,7 +13,7 @@ from spinalg import spin_rep as sr
 from spinalg import transfer_maps as tm
 from spinalg.errors import GenericityError, SpinalgError
 
-from conftest import make_rng, random_spin, random_vector
+from conftest import make_rng, oracle_nu2, random_spin, random_vector
 
 
 class TestNu2:
@@ -40,6 +40,29 @@ class TestNu2:
             h = gc.random_maximal_isotropic(4, f"nu:{t}")
             k = gc.adapted_basis(h).k
             assert ca.nu2(gc.omega_of(h)) == gc.pluecker(h).scale(Fraction(2) ** (4 - k))
+
+    def test_matches_clifford_oracle(self):
+        # dense fractional (at level 7 on half the masks, mixed parity, to
+        # keep the oracle's time down), parity-pure, single-term, zero and
+        # pure points
+        for n in range(1, 8):
+            rng = make_rng(f"nu2-oracle:{n}")
+            masks = range(1 << n) if n < 7 else rng.sample(range(1 << n), 1 << (n - 1))
+            points = [
+                sr.SpinVector(
+                    n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in masks}
+                ),
+                random_spin(n, rng, "even"),
+                random_spin(n, rng, "odd"),
+                sr.SpinVector(n, {rng.randrange(1 << n): Fraction(-3, 7)}),
+                sr.SpinVector.zero(n),
+                gc.omega_of(gc.coordinate_subspace(n, rng.randrange(1 << n))),
+            ]
+            if n > 1:
+                h = gc.random_maximal_isotropic(n, f"nu2-oracle:{n}")
+                points.append(gc.omega_of(h))
+            for x in points:
+                assert ca.nu2(x) == oracle_nu2(x)
 
     def test_cone_image_is_decomposable(self):
         for n in (3, 4):

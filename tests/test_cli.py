@@ -1,5 +1,6 @@
 """The batch verification harness: determinism, exit codes, witnesses."""
 
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,23 @@ class TestExitCodes:
         assert doc["summary"]["fail"] == 1
         # stopped before finishing the six-check suite
         assert len(doc["checks"]) < 6
+
+
+# sha256 of `spinalg --suite S --n-min 1 --n-max 5 --seed 7 --samples 1`,
+# recorded when beta and nu2 were still computed through Clifford products
+GOLDEN_REPORTS = {
+    "clifford": "30b422335e25c0b5dd27048956d8f2bd6a4dca57946a59f7b6c8f396bd180575",
+    "spinrep": "ef6de749bc7feef162d9372443d1d258ce6d3f75b37809477f2899d320a0822f",
+    "transfer": "809017cd1fc85397fd892940d1006f46f397e802da12aa9c8f0630b7fe2de0f1",
+    "cartan": "2d480d3797240861fc3b4c6d63ae63a6d692c82d82b657e2150637ead8e1130a",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden_digest(suite):
+    config = cli.SuiteConfig(suite, 1, 5, 7, 1, None, False)
+    doc = cli.run_suite(config).to_document()
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPORTS[suite]
 
 
 class TestSkipping:

@@ -242,6 +242,15 @@ class TestVectors:
         assert cc.pairing(e1, f2) == 0
         assert cc.quadratic_value(e1 + f1) == 2
 
+    def test_coordinates_are_fractions(self):
+        kept = Fraction(-5, 3)
+        v = cc.VectorInV(4, [1, "2/3", kept], ["-7", 0])
+        assert all(type(c) is Fraction for c in v.coords())
+        assert v.coords() == [1, Fraction(2, 3), kept, 0, -7, 0, 0, 0]
+        assert v.e[2] is kept
+        assert type(cc.pairing(v, v)) is Fraction
+        assert type(cc.pairing(v, cc.VectorInV(4))) is Fraction
+
     def test_wedge_of_vectors_alternates(self, rng):
         n = 3
         v = random_vector(n, rng)

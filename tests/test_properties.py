@@ -3,8 +3,9 @@ the spin action and the orthogonal image, the image preserves the split form,
 and the operator built from a word's columns agrees with the word.  Kernel
 identities: the Clifford product is associative, star is an
 antihomomorphism, and pi_last undoes tau_last.  The pairing beta has the
-Gram symmetry pattern on parity-pure vectors.  Exact elimination: rref
-agrees with the dense Fraction oracle and the nullspace is the kernel.
+Gram symmetry pattern on parity-pure vectors, and the vector pairing equals
+its summed formula.  Exact elimination: rref agrees with the dense Fraction
+oracle and the nullspace is the kernel.
 Cone membership: the witness of certify_membership is the stored pulled-back
 quadric's value at the point.  Derandomized, so every run draws the same
 cases."""
@@ -145,6 +146,26 @@ def test_beta_gram_symmetry_pattern(n, parity_x, parity_y, seed):
     assert tm.beta(y, x) == eps * tm.beta(x, y)
     if (parity_x == parity_y) == (n % 2 == 1):
         assert tm.beta(x, y) == 0
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    coords = st.lists(
+        st.one_of(st.just(Fraction(0)), small_fractions), min_size=2 * n, max_size=2 * n
+    )
+    return cc.VectorInV.from_coords(n, draw(coords)), cc.VectorInV.from_coords(n, draw(coords))
+
+
+@PROPERTY_SETTINGS
+@given(vector_pairs())
+def test_pairing_matches_summed_form(pair):
+    v, w = pair
+    summed = sum((a * b for a, b in zip(v.e, w.f)), Fraction(0)) + sum(
+        (a * b for a, b in zip(v.f, w.e)), Fraction(0)
+    )
+    assert cc.pairing(v, w) == summed
+    assert cc.pairing(v, w) == cc.pairing(w, v)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from spinalg.errors import (
     ResourceBoundError,
 )
 
-from conftest import make_rng, random_spin
+from conftest import make_rng, oracle_gram_rows, random_spin
 
 
 class TestTowerMaps:
@@ -193,6 +193,28 @@ class TestBeta:
     def test_gram_bound(self):
         with pytest.raises(ResourceBoundError):
             tm.beta_gram(7)
+
+    def test_gram_rows_match_clifford_oracle(self):
+        for n in range(1, 7):
+            assert tm._gram_rows(n) == oracle_gram_rows(n)
+
+    def test_closed_form_past_dense_bound(self, rng):
+        # sparse points; y carries the complements of most of x's masks, so
+        # the pairing is not zero by support alone
+        for n in (7, 8):
+            full = (1 << n) - 1
+            for _ in range(4):
+                masks = rng.sample(range(1 << n), 6)
+                x = sr.SpinVector(
+                    n, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in masks}
+                )
+                y = sr.SpinVector(
+                    n,
+                    {m ^ full: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in masks[:4]},
+                )
+                y = y + sr.SpinVector.basis(n, rng.randrange(1 << n))
+                assert tm.beta(x, y) == tm.beta_direct(x, y)
+                assert tm.beta(y, x) == tm.beta_direct(y, x)
 
 
 class TestDualityResidual:
