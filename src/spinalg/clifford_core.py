@@ -292,6 +292,7 @@ def star(a: CliffordElement) -> CliffordElement:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class VectorInV:
@@ -314,12 +315,12 @@ class VectorInV:
     def basis(n: int, sym) -> "VectorInV":
         s = parse_symbol(sym)
         _check_index(s, n)
-        e = [0] * n
-        f = [0] * n
+        e = [_ZERO] * n
+        f = [_ZERO] * n
         if s > 0:
-            e[s - 1] = 1
+            e[s - 1] = _ONE
         else:
-            f[-s - 1] = 1
+            f[-s - 1] = _ONE
         return VectorInV(n, e, f)
 
     @staticmethod
@@ -340,16 +341,27 @@ class VectorInV:
             raise LevelMismatchError("vector levels differ")
         return VectorInV(
             self.n,
-            [a + b for a, b in zip(self.e, other.e)],
-            [a + b for a, b in zip(self.f, other.f)],
+            [a + b if a and b else a or b for a, b in zip(self.e, other.e)],
+            [a + b if a and b else a or b for a, b in zip(self.f, other.f)],
         )
 
     def __sub__(self, other: "VectorInV") -> "VectorInV":
-        return self + other.scale(-1)
+        if self.n != other.n:
+            raise LevelMismatchError("vector levels differ")
+        return VectorInV(
+            self.n,
+            [a - b if b else a for a, b in zip(self.e, other.e)],
+            [a - b if b else a for a, b in zip(self.f, other.f)],
+        )
 
     def scale(self, c) -> "VectorInV":
-        c = Fraction(c)
-        return VectorInV(self.n, [c * x for x in self.e], [c * x for x in self.f])
+        """c times the vector; zero coordinates stay the shared zero."""
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        return VectorInV(
+            self.n,
+            [c * x if x else _ZERO for x in self.e],
+            [c * x if x else _ZERO for x in self.f],
+        )
 
     def __rmul__(self, c):
         return self.scale(c)

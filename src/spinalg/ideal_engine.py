@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from . import clifford_core as cc
@@ -419,20 +419,27 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
 def _pullback_rows(
     p: Polynomial, rows: dict[int, dict[int, int]], den: int, source_n: int
 ) -> Polynomial:
-    """pullback of p along the map given by _integer_rows: L = rows / den."""
+    """pullback of p along L = rows / den, rows as _integer_rows gives them
+    (target mask -> {source mask: coef}, no zero entries)."""
     # on integers: p = P content / den_p
     coefs, den_p, content = linalg._integer_row(p.terms.items())
     out: dict[Monomial, int] = {}
     for mono, c in coefs.items():
-        for picks in product(*(rows.get(m, {}).items() for m in mono)):
-            val = c
-            for _, a in picks:
-                val *= a
-            cc._accumulate(out, tuple(m for m, _ in picks), val)
+        # the products of one entry from each row of mono, keyed by the picks
+        picks: dict[tuple, int] = {(): c}
+        for m in mono:
+            row = rows.get(m, {}).items()
+            picks = {key + (s,): v * a for key, v in picks.items() for s, a in row}
+        for key, v in picks.items():
+            cc._accumulate(out, key, v)
+    # merge reordered picks on integers, in the order Polynomial would
+    merged: dict[Monomial, int] = {}
+    for key, v in out.items():
+        cc._accumulate(merged, tuple(sorted(key)), v)
     return Polynomial(
         False,
         source_n,
-        {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in out.items()},
+        {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in merged.items()},
     )
 
 
@@ -468,9 +475,10 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
     """count pullbacks of the level-4 quadric along contraction-after-group
     maps with seeded random group elements; deterministic in the seed.
 
-    Each map is built on the even basis columns only: the quadric reads only
-    even level-4 coordinates, and the spin group and the contraction keep
-    parity, so the odd columns never reach it."""
+    Each map x -> pi_4(g x) is built from its rows, the unit covectors of
+    the even level-4 masks moved through g's steps on integers: the quadric
+    reads only even level-4 coordinates, and the spin group and the
+    contraction keep parity, so the rows are supported on even masks."""
     if n < 4:
         raise IndexRangeError("pullback families need level >= 4")
     base = i4_quadric()
@@ -482,14 +490,12 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
             g = sr.GroupElement.identity(n)
         else:
             g = sr.random_group_element(n, f"family:{seed}:{i}", length)
-        lm = sr.LinearOperator(
-            n, 4, {s: tm.pi_tower(g.apply(sr.SpinVector.basis(n, s)), 4) for s in sources}
-        )
-        rows, den = _integer_rows(lm)
-        quad = _pullback_rows(base, rows, den, n)
+        rows, den = sr._word_rows(g, targets)
+        sparse = {t: dict(sorted(r.items())) for t, r in zip(targets, rows)}
+        quad = _pullback_rows(base, sparse, den, n)
         if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
             raise StructureError("pulled-back form is not homogeneous quadratic")
-        dense = tuple(tuple(rows.get(t, {}).get(s, 0) for s in sources) for t in targets)
+        dense = tuple(tuple(r.get(s, 0) for s in sources) for r in rows)
         members.append(FamilyMember(g, quad, dense, den))
     return PullbackFamily(n, str(seed), tuple(members))
 

@@ -13,6 +13,7 @@ Two-form action on this model:
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -553,11 +554,14 @@ def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _root_table(n: int, kind: str, i: int, j: int) -> dict[int, tuple[int, Fraction]]:
-    """rho(X) of a root X, compiled once: basis mask -> (image mask, coefficient).
+def _root_table(n: int, kind: str, i: int, j: int) -> dict[int, tuple[int, int]]:
+    """rho(X) of a root X, compiled once: basis mask -> (image mask, 2c), with
+    c the coefficient of the image.
 
-    Every permitted root sends each basis vector to a multiple of at most one
-    basis vector; the build checks this."""
+    Every permitted root sends each basis vector to a multiple c of at most
+    one basis vector, with c in {+-1/2, +-1, +-2}, and no two basis vectors to
+    the same one; the build checks all three.  So the table can be read
+    backwards (image -> source), as the transposed step does."""
     words = _so_words(root_so_element(n, kind, i, j))
     table = {}
     for m in range(1 << n):
@@ -565,19 +569,52 @@ def _root_table(n: int, kind: str, i: int, j: int) -> dict[int, tuple[int, Fract
         if len(image) > 1:
             raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
         if image:
-            (table[m],) = image.items()
+            ((img, c),) = image.items()
+            if (2 * c).denominator != 1 or abs(2 * c) not in (1, 2, 4):
+                raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {c}")
+            table[m] = (img, int(2 * c))
+    if len({img for img, _ in table.values()}) != len(table):
+        raise StructureError(f"root {kind}({i},{j}) sends two masks to one")
     return table
 
 
-def _exp_root_terms(table: dict, t: Fraction, terms: dict[int, Fraction]) -> dict[int, Fraction]:
-    """exp(t X) = I + t rho(X) on a sparse mask -> coefficient map, given the
-    table of X: every permitted root X has rho(X)^2 = 0."""
-    out = dict(terms)
-    for m, c in terms.items():
-        hit = table.get(m)
-        if hit is not None:
-            cc._accumulate(out, hit[0], t * hit[1] * c)
+def _root_step(table: dict, t: Fraction, v: dict[int, int], transpose: bool) -> dict[int, int]:
+    """exp(t X) = I + t rho(X) on integers, given the table of X: every
+    permitted root X has rho(X)^2 = 0.  With t = p/q the step returns
+    2q v + p (2c) v[src] at each image, so the caller multiplies its
+    denominator by 2q.  transpose=True moves a covector instead (the table
+    read from image to source)."""
+    p, s = t.numerator, 2 * t.denominator
+    out = {m: s * c for m, c in v.items()}
+    if transpose:
+        hits = [(src, p * c2 * v[img]) for src, (img, c2) in table.items() if img in v]
+    else:
+        hits = [(hit[0], p * hit[1] * c) for src, c in v.items() if (hit := table.get(src))]
+    for m, c in hits:
+        c += out.get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
     return out
+
+
+def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, int]], int]:
+    """The rows of g for the target masks on integers: rows[k][s] / den is the
+    coefficient of targets[k] in g e_s, zeros left out, with den the common
+    denominator of all the rows (the gcd of den and every entry is 1).  Each
+    unit covector moves through the transposed steps, first letter first."""
+    rows = [{t: 1} for t in targets]
+    den = 1
+    for kind, i, j, t in g.word:
+        if t:
+            table = _root_table(g.n, kind, i, j)
+            rows = [_root_step(table, t, row, True) for row in rows]
+            den *= 2 * t.denominator
+    common = functools.reduce(math.gcd, (c for row in rows for c in row.values()), den)
+    if common != 1:
+        rows = [{s: c // common for s, c in row.items()} for row in rows]
+    return rows, den // common
 
 
 def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], n: int) -> None:
@@ -622,11 +659,13 @@ class GroupElement:
             raise LevelMismatchError("levels differ")
         if self._op is not None:
             return self._op.apply(x)
-        out = x.terms
+        den = math.lcm(*(c.denominator for c in x.terms.values()))
+        out = {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}
         for kind, i, j, t in reversed(self.word):
             if t:
-                out = _exp_root_terms(_root_table(self.n, kind, i, j), t, out)
-        return SpinVector(self.n, out)
+                out = _root_step(_root_table(self.n, kind, i, j), t, out, False)
+                den *= 2 * t.denominator
+        return SpinVector(self.n, {m: Fraction(c, den) for m, c in out.items()})
 
     def operator(self) -> LinearOperator:
         if self._op is None:
@@ -706,8 +745,10 @@ def random_group_element(n: int, seed, length: int = 6) -> GroupElement:
     """Seed-deterministic word of `length` generator exponentials."""
     if length < 1:
         raise IndexRangeError("word length must be >= 1")
-    rng = random.Random(f"spingroup:{n}:{seed}:{length}")
     roots = all_root_vectors(n)
+    if not roots:
+        raise IndexRangeError("no root vectors below level 2")
+    rng = random.Random(f"spingroup:{n}:{seed}:{length}")
     word = []
     for _ in range(length):
         kind, i, j = rng.choice(roots)

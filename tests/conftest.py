@@ -250,11 +250,24 @@ def oracle_annihilator(x):
     return gc.IsotropicSubspace(n, tuple(tuple(row) for row in reduced[: len(kernel)]))
 
 
+def oracle_group_apply(g, x):
+    """GroupElement.apply step by step on Fractions, without the root
+    tables: each letter (t, X), last first, sends x to x + t rho_so(X, x)."""
+    for kind, i, j, t in reversed(g.word):
+        x = x + sr.rho_so(sr.root_so_element(g.n, kind, i, j), x).scale(t)
+    return x
+
+
 def oracle_level_maps(family):
     """Each member's full Fraction map: the contraction to level 4 after the
-    operator of the member's group word, on all 2^n basis columns."""
-    pi_map = sr.LinearOperator.of_contraction(family.n, 4)
-    return [pi_map.compose(sr.LinearOperator.of_group_element(m.g)) for m in family.members]
+    member's group word (by oracle_group_apply), on all 2^n basis columns."""
+    n = family.n
+    pi_map = sr.LinearOperator.of_contraction(n, 4)
+    words = [
+        sr.LinearOperator.from_function(n, lambda x, g=m.g: oracle_group_apply(g, x))
+        for m in family.members
+    ]
+    return [pi_map.compose(w) for w in words]
 
 
 def oracle_certify(x, family, level_maps):

@@ -251,6 +251,36 @@ class TestVectors:
         assert type(cc.pairing(v, v)) is Fraction
         assert type(cc.pairing(v, cc.VectorInV(4))) is Fraction
 
+    def test_arithmetic_matches_coordinates(self, rng):
+        # sparse vectors, so the zero-skipping paths of scale, + and - are hit
+        n = 5
+        for _ in range(20):
+            v, w = (
+                cc.VectorInV.from_coords(
+                    n,
+                    [
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3 else 0
+                        for _ in range(2 * n)
+                    ],
+                )
+                for _ in range(2)
+            )
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            cases = [
+                (v.scale(c), [c * a for a in v.coords()]),
+                (v + w, [a + b for a, b in zip(v.coords(), w.coords())]),
+                (v - w, [a - b for a, b in zip(v.coords(), w.coords())]),
+                (w - w, [0] * (2 * n)),
+                (v.scale(2), [2 * a for a in v.coords()]),
+            ]
+            for got, want in cases:
+                assert got.coords() == want
+                assert all(type(x) is Fraction for x in got.coords())
+        for s in (1, 2, -1, -2):
+            b = cc.VectorInV.basis(n, s)
+            assert all(type(x) is Fraction for x in b.coords())
+            assert b.coords() == [int(k == (s - 1 if s > 0 else n - s - 1)) for k in range(2 * n)]
+
     def test_wedge_of_vectors_alternates(self, rng):
         n = 3
         v = random_vector(n, rng)

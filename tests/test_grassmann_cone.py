@@ -9,7 +9,7 @@ from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import linalg
 from spinalg import spin_rep as sr
-from spinalg.errors import NotIsotropicError, SpinalgError
+from spinalg.errors import IndexRangeError, NotIsotropicError, SpinalgError
 
 from conftest import cone_query_points, make_rng, oracle_annihilator, pfaffian, random_spin
 
@@ -199,6 +199,12 @@ class TestPluecker:
 
 
 class TestSampling:
+    def test_no_samples_at_level_one(self):
+        # level 1 has no root vectors, so no group word to move the base point
+        for sample in (gc.sample_cone_point, gc.random_maximal_isotropic):
+            with pytest.raises(IndexRangeError, match="no root vectors below level 2"):
+                sample(1, "s")
+
     def test_determinism(self):
         a = gc.sample_cone_point(4, 3)
         b = gc.sample_cone_point(4, 3)

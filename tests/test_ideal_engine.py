@@ -3,6 +3,8 @@ derivations, and the degree-lowering machinery."""
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -301,6 +303,14 @@ class TestCertification:
                 for s, a in zip(sources, row):
                     column = lm.apply(sr.SpinVector.basis(5, s))
                     assert Fraction(a, member.den) == column.coefficient(t)
+
+    @pytest.mark.parametrize("n,count", [(4, 6), (5, 12), (6, 10)])
+    def test_member_denominator_is_canonical(self, n, count):
+        # rows / den in lowest terms: den is the lcm of the map's denominators
+        fam = ie.orbit_pullback_family(n, f"den:{n}", count)
+        for member in fam.members:
+            assert member.den > 0
+            assert reduce(gcd, (a for row in member.rows for a in row), member.den) == 1
 
 
 class TestDerivations:

@@ -12,9 +12,17 @@ from spinalg.errors import (
     IndexRangeError,
     InvalidRootVectorError,
     NotInLeftIdealError,
+    StructureError,
 )
 
-from conftest import make_rng, oracle_so_matrix, random_spin, random_vector, split_form
+from conftest import (
+    make_rng,
+    oracle_group_apply,
+    oracle_so_matrix,
+    random_spin,
+    random_vector,
+    split_form,
+)
 
 
 class TestLetterOperators:
@@ -219,6 +227,54 @@ class TestGroupElements:
                     for t in params:
                         compiled = sr.exp_nilpotent(n, kind, i, j, t).apply(v)
                         assert compiled == v + xv.scale(t), (kind, i, j, v, t)
+
+    def test_apply_matches_oracle(self, rng):
+        # the integer word run against x + t rho_so(X, x) on Fractions
+        params = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2)]
+        for n in range(2, 7):
+            roots = sr.all_root_vectors(n)
+            dense = [
+                sr.SpinVector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(1 << n)})
+                for _ in range(2)
+            ]
+            points = [sr.SpinVector.zero(n), sr.SpinVector.omega0(n), sr.SpinVector.omega1(n)] + dense
+            words = [()] + [
+                [(*rng.choice(roots), rng.choice(params)) for _ in range(length)]
+                for length in (1, 3, 6, 10)
+            ]
+            for word in words:
+                g = sr.GroupElement(n, word)
+                for x in points:
+                    assert g.apply(x) == oracle_group_apply(g, x), (n, word, x)
+
+    def test_root_tables_are_integer_partial_permutations(self):
+        for n in range(1, 7):
+            for kind, i, j in sr.all_root_vectors(n):
+                table = sr._root_table(n, kind, i, j)
+                assert table, (kind, i, j)
+                assert len({img for img, _ in table.values()}) == len(table)
+                for m, (img, c2) in table.items():
+                    assert type(c2) is int and abs(c2) in (1, 2, 4)
+                    image = sr.rho_so(sr.root_so_element(n, kind, i, j), sr.SpinVector.basis(n, m))
+                    assert image == sr.SpinVector(n, {img: Fraction(c2, 2)})
+
+    def test_root_table_build_rejects_other_shapes(self, monkeypatch):
+        build = sr._root_table.__wrapped__  # uncached, so no bad table is kept
+        monkeypatch.setattr(sr, "_so_words", lambda x: [(Fraction(3, 4), [sr._o(1), sr._o(2)])])
+        with pytest.raises(StructureError, match="scales mask"):
+            build(2, "ee", 1, 2)
+        # iota(f_1) (1 - o(e_2) iota(f_2)) + iota(f_2) (1 - o(e_1) iota(f_1))
+        # sends both {1} and {2} to the empty wedge, and {1, 2} to 0
+        words = [(Fraction(1), [sr._iota(1)]), (Fraction(1), [sr._iota(2)])]
+        words += [(Fraction(-1), [sr._iota(a), sr._o(b), sr._iota(b)]) for a, b in ((1, 2), (2, 1))]
+        assert [cc._apply_words(words, {m: Fraction(1)}) for m in range(4)] == [{}, {0: 1}, {0: 1}, {}]
+        monkeypatch.setattr(sr, "_so_words", lambda x: words)
+        with pytest.raises(StructureError, match="two masks to one"):
+            build(2, "ee", 1, 2)
+
+    def test_no_roots_at_level_one(self):
+        with pytest.raises(IndexRangeError, match="no root vectors below level 2"):
+            sr.random_group_element(1, 3)
 
     def test_diagonal_root_rejected(self):
         with pytest.raises(InvalidRootVectorError):
