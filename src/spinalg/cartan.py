@@ -136,24 +136,15 @@ def mult_mh(
     cc.require_isotropic(h, "multiplication vector")
     if h.n != n:
         raise IndexRangeError("partner must live at the target level")
-    if e is None:
-        if h != cc.VectorInV.basis(n, -n):
-            raise SpinalgError("non-coordinate partner needs its isotropic e")
-        return cc._wedge_front(_remask_exterior(omega, n), h.coords())
-    if cc.pairing(e, h) != 1:
-        raise NotIsotropicError("(e|h) must equal 1")
-    basis = gc.hyperbolic_basis_through(e, h)
-    out = cc.ExteriorVector.zero(n)
-    for mask, c in omega.terms.items():
-        letters = []
-        for bit in range(2 * (n - 1)):
-            if mask >> bit & 1:
-                if bit < n - 1:
-                    letters.append(basis.new_e[bit])
-                else:
-                    letters.append(basis.new_f[bit - (n - 1)])
-        out = out + cc.wedge_of_vectors(n, [h] + letters).scale(c)
-    return out
+    lifted = _remask_exterior(omega, n)
+    if e is not None:
+        if cc.pairing(e, h) != 1:
+            raise NotIsotropicError("(e|h) must equal 1")
+        rows = gc.hyperbolic_basis_through(e, h).rows()
+        lifted = cc.induced_map(lifted, [row.coords() for row in rows])
+    elif h != cc.VectorInV.basis(n, -n):
+        raise SpinalgError("non-coordinate partner needs its isotropic e")
+    return cc._wedge_front(lifted, h.coords())
 
 
 def diagram_pi_residual(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -242,20 +233,6 @@ def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdic
 
 
 # -- exterior-side helpers for the factorization audit ------------------------
-
-
-def apply_so_to_exterior(omega: cc.ExteriorVector, m: list[list[Fraction]]) -> cc.ExteriorVector:
-    """Induced action of an orthogonal matrix on the exterior algebra."""
-    n = omega.n
-    out = cc.ExteriorVector.zero(n)
-    for mask, c in omega.terms.items():
-        vectors = []
-        for bit in range(2 * n):
-            if mask >> bit & 1:
-                col = [m[r][bit] for r in range(2 * n)]
-                vectors.append(cc.VectorInV.from_coords(n, col))
-        out = out + cc.wedge_of_vectors(n, vectors).scale(c)
-    return out
 
 
 def contract_top_e_block(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
@@ -549,9 +526,9 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
         samples.append(cc.wedge_of_vectors(n, vecs))
     for omega in samples:
         lifted = mult_top_f_block(omega, q)
-        lhs = contract_top_e_block(apply_so_to_exterior(lifted, mg), n0)
-        mid = contract_top_e_block(apply_so_to_exterior(omega, mgp), n0)
-        rhs = apply_so_to_exterior(mid, [list(r) for r in m_second])
+        lhs = contract_top_e_block(cc.induced_map(lifted, linalg.transpose(mg)), n0)
+        mid = contract_top_e_block(cc.induced_map(omega, linalg.transpose(mgp)), n0)
+        rhs = cc.induced_map(mid, linalg.transpose(m_second))
         if lhs.is_zero() and rhs.is_zero():
             continue
         if lhs.is_zero() or rhs.is_zero():

@@ -489,6 +489,8 @@ class ExteriorVector:
         return self._apply((_wedge(_bit(sym, self.n)),))
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
+        if v.n != self.n:
+            raise LevelMismatchError("levels differ")
         partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
         return self._apply(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c))
 
@@ -496,16 +498,10 @@ class ExteriorVector:
         """Coordinates of self over the wedge basis of the given 2n vectors."""
         from . import linalg
 
-        n = self.n
-        a = [row.coords() for row in new_rows]
-        if len(a) != 2 * n:
-            raise IndexRangeError("need 2n basis vectors")
-        c = linalg.inverse(a)  # old symbol s = sum_j c[s][j] * new_j
-        words = [
-            (coef, [_vector_letter(c[bit]) for bit in range(2 * n) if m >> bit & 1])
-            for m, coef in self.terms.items()
-        ]
-        return ExteriorVector(n, _apply_words(words, {0: Fraction(1)}))
+        if any(row.n != self.n for row in new_rows):
+            raise LevelMismatchError("basis vector levels differ")
+        # old symbol s = sum_j c[s][j] * new_j, with c the inverse of the rows
+        return induced_map(self, linalg.inverse([row.coords() for row in new_rows]))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -532,8 +528,24 @@ def _wedge_front(ext: ExteriorVector, coords: list[Fraction]) -> ExteriorVector:
 
 def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
     """v_1 wedge ... wedge v_k as an ExteriorVector."""
+    if any(v.n != n for v in vectors):
+        raise LevelMismatchError("vector levels differ")
     letters = [_vector_letter(v.coords()) for v in vectors]
     return ExteriorVector(n, _apply_words([(1, letters)], {0: Fraction(1)}))
+
+
+def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
+    """The map of the exterior algebra induced by a linear map of V, given by
+    cols[b], the coordinates of the image of symbol bit b: each monomial goes
+    to the wedge of the images of its symbols, in one pass of the kernel."""
+    n = omega.n
+    if len(cols) != 2 * n:
+        raise IndexRangeError("need 2n basis vectors")
+    letters = [_vector_letter(col) for col in cols]
+    words = [
+        (c, [letters[b] for b in range(2 * n) if m >> b & 1]) for m, c in omega.terms.items()
+    ]
+    return ExteriorVector(n, _apply_words(words, {0: _ONE}))
 
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:

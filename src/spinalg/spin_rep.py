@@ -638,7 +638,7 @@ class GroupElement:
     entry acts first.  Equality is operator equality.
     """
 
-    __slots__ = ("n", "word", "_op", "_so")
+    __slots__ = ("n", "word", "_so")
 
     def __init__(self, n: int, word: Iterable[tuple[str, int, int, Fraction]] = ()):
         self.n = n
@@ -647,7 +647,6 @@ class GroupElement:
             _validate_root(kind, i, j, n)
             w.append((kind, i, j, Fraction(t)))
         self.word: tuple = tuple(w)
-        self._op: LinearOperator | None = None
         self._so = None
 
     @staticmethod
@@ -657,8 +656,6 @@ class GroupElement:
     def apply(self, x: SpinVector) -> SpinVector:
         if x.n != self.n:
             raise LevelMismatchError("levels differ")
-        if self._op is not None:
-            return self._op.apply(x)
         den = math.lcm(*(c.denominator for c in x.terms.values()))
         out = {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}
         for kind, i, j, t in reversed(self.word):
@@ -668,9 +665,7 @@ class GroupElement:
         return SpinVector(self.n, {m: Fraction(c, den) for m, c in out.items()})
 
     def operator(self) -> LinearOperator:
-        if self._op is None:
-            self._op = LinearOperator.of_group_element(self)
-        return self._op
+        return LinearOperator.of_group_element(self)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(

@@ -309,6 +309,36 @@ def oracle_nu2(x):
     return full.degree_component(n)
 
 
+def oracle_induced_map(omega, images, front=()):
+    """The induced map on the exterior algebra as first written: for each
+    monomial, wedge_of_vectors of the front vectors and the images of its
+    set bits, scaled and added to the whole sum, one term at a time."""
+    n = images[0].n
+    out = cc.ExteriorVector.zero(n)
+    for mask, c in omega.terms.items():
+        vectors = [images[b] for b in range(2 * omega.n) if mask >> b & 1]
+        out = out + cc.wedge_of_vectors(n, list(front) + vectors).scale(c)
+    return out
+
+
+def random_exterior(n, rng, nterms=4, den=1):
+    """A few seeded monomials over the 2n symbol bits, coefficients in
+    [-2, 2] over den."""
+    return cc.ExteriorVector(
+        n,
+        {rng.randrange(1 << (2 * n)): Fraction(rng.randint(-2, 2), den) for _ in range(nterms)},
+    )
+
+
+def random_isotropic(n, rng):
+    """A seeded isotropic vector with e_1-coordinate 1 (so that
+    hyperbolic_basis_through accepts it) and fractional f-coordinates."""
+    e = [Fraction(1)] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]
+    f = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+    f[0] = -sum((a * b for a, b in zip(e[1:], f[1:])), Fraction(0))
+    return cc.VectorInV(n, e, f)
+
+
 @pytest.fixture
 def rng(request):
     return make_rng(request.node.name)

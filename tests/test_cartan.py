@@ -11,9 +11,17 @@ from spinalg import grassmann_cone as gc
 from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg import transfer_maps as tm
-from spinalg.errors import GenericityError, SpinalgError
+from spinalg.errors import GenericityError, LevelMismatchError, SpinalgError
 
-from conftest import make_rng, oracle_nu2, random_spin, random_vector
+from conftest import (
+    make_rng,
+    oracle_induced_map,
+    oracle_nu2,
+    random_exterior,
+    random_isotropic,
+    random_spin,
+    random_vector,
+)
 
 
 class TestNu2:
@@ -133,6 +141,25 @@ class TestContraction:
             ca.contract_ce(
                 cc.ExteriorVector.unit(2), cc.VectorInV(2, [1], [1]), None
             )
+
+    def test_rejects_vector_of_other_level(self):
+        # rejected when contracting, before a change of basis can misreport it
+        with pytest.raises(LevelMismatchError):
+            ca.contract_ce(cc.ExteriorVector(3, {0b000111: 1}), cc.VectorInV.basis(2, 2))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_general_partner_against_per_monomial_oracle(self, n):
+        rng = make_rng(f"mult-mh:{n}")
+        e = random_isotropic(n, rng)
+        h = gc.hyperbolic_basis_through(e).new_f[-1]
+        basis = gc.hyperbolic_basis_through(e, h)
+        # bit b of level n-1 is e'_(b+1) below n-1, f'_(b-n+2) from there on
+        images = list(basis.new_e[:-1]) + list(basis.new_f[:-1])
+        for den in (1, 2):
+            omega = random_exterior(n - 1, rng, nterms=6, den=den)
+            got = ca.mult_mh(omega, h, e)
+            assert got == oracle_induced_map(omega, images, front=[h])
+            assert ca.contract_ce(got, e, h) == omega
 
 
 class TestDiagrams:

@@ -150,13 +150,15 @@ class TestExitCodes:
 
 # sha256 of `spinalg --suite S --n-min 1 --n-max 5 --seed 7 --samples 1`,
 # recorded when beta and nu2 were still computed through Clifford products
-# (cone and theorem61: when group words still ran on Fractions)
+# (cone and theorem61: when group words still ran on Fractions; lowering:
+# when the exterior audit still rebuilt its sum once per monomial)
 GOLDEN_REPORTS = {
     "clifford": "30b422335e25c0b5dd27048956d8f2bd6a4dca57946a59f7b6c8f396bd180575",
     "spinrep": "ef6de749bc7feef162d9372443d1d258ce6d3f75b37809477f2899d320a0822f",
     "transfer": "809017cd1fc85397fd892940d1006f46f397e802da12aa9c8f0630b7fe2de0f1",
     "cartan": "2d480d3797240861fc3b4c6d63ae63a6d692c82d82b657e2150637ead8e1130a",
     "cone": "e6fe0d09caa54e40b8d98fdf81959ab577248a7755d92eedb71a4459f5f6d73c",
+    "lowering": "498fbb9f9d101c105ee48d7ae22684ad524013a4e6c20e4efcbceb46e8de24d0",
     "theorem61": "3cba025bd1d3cee9a23ef70c2c55c7d039a1da08efa75f27316e30e22280f254",
 }
 

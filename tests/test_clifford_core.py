@@ -6,13 +6,18 @@ from fractions import Fraction
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import grassmann_cone as gc
+from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import IndexRangeError, LevelMismatchError
 
 from conftest import (
     make_rng,
+    oracle_induced_map,
     oracle_normal_form,
     random_clifford,
+    random_exterior,
+    random_isotropic,
     random_vector,
     random_word,
 )
@@ -295,3 +300,63 @@ class TestVectors:
         )
         std = [cc.VectorInV.basis(n, s) for s in (1, 2, -1, -2)]
         assert omega.change_basis(std) == omega
+
+    def test_wedge_of_vectors_rejects_other_level(self):
+        # unchecked, the level-2 f_1 is read as the level-3 e_3
+        with pytest.raises(LevelMismatchError):
+            cc.wedge_of_vectors(3, [cc.VectorInV.basis(2, -1)])
+
+    def test_inner_vector_rejects_other_level(self):
+        # iota(e_1) f_1 = 1, but a level-2 e_1 contracted the level-3 e_3
+        with pytest.raises(LevelMismatchError):
+            cc.ExteriorVector(3, {0b001000: 1}).inner_vector(cc.VectorInV.basis(2, 1))
+
+
+class TestInducedMap:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_against_per_monomial_oracle(self, n, den):
+        rng = make_rng(f"induced:{n}:{den}")
+        for _ in range(3):
+            cols = [
+                [Fraction(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(2 * n)]
+                for _ in range(2 * n)
+            ]
+            omega = random_exterior(n, rng, den=den)
+            images = [cc.VectorInV.from_coords(n, col) for col in cols]
+            assert cc.induced_map(omega, cols) == oracle_induced_map(omega, images)
+
+    def test_identity_and_composition(self, rng):
+        n = 3
+        omega = random_exterior(n, rng, nterms=6)
+        eye = linalg.identity(2 * n)
+        assert cc.induced_map(omega, eye) == omega
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(2 * n)]
+        b = [[Fraction(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(2 * n)]
+        # cols are the columns of the matrix, stored as rows of its transpose
+        ab = linalg.transpose(linalg.matmul(linalg.transpose(a), linalg.transpose(b)))
+        assert cc.induced_map(cc.induced_map(omega, b), a) == cc.induced_map(omega, ab)
+
+    def test_change_basis_rejects_rows_of_other_level(self):
+        # unchecked, four level-1 rows pass the 2n count at level 2 and give -e1^e2
+        omega = cc.ExteriorVector(2, {0b0011: 1})
+        rows = [cc.VectorInV(1, [a], [b]) for a, b in ((1, 0), (0, 1), (1, 1), (2, 1))]
+        with pytest.raises(LevelMismatchError):
+            omega.change_basis(rows)
+
+    def test_needs_2n_columns(self):
+        omega = cc.ExteriorVector.unit(2)
+        with pytest.raises(IndexRangeError, match="need 2n basis vectors"):
+            cc.induced_map(omega, linalg.identity(3))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_change_basis_hyperbolic(self, n):
+        rng = make_rng(f"change-basis:{n}")
+        rows = gc.hyperbolic_basis_through(random_isotropic(n, rng)).rows()
+        for _ in range(3):
+            omega = random_exterior(n, rng)
+            moved = omega.change_basis(rows)
+            inverse = linalg.inverse([row.coords() for row in rows])
+            images = [cc.VectorInV.from_coords(n, col) for col in inverse]
+            assert moved == oracle_induced_map(omega, images)
+            assert oracle_induced_map(moved, rows) == omega
