@@ -5,11 +5,13 @@ derivation-based degree-lowering machinery on limit-level polynomials."""
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations_with_replacement, repeat
 from math import comb, lcm
+from operator import add, mul
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -456,11 +458,39 @@ class FamilyMember:
     den: int
 
 
+# a member's rows, one per even level-4 mask; certify_membership maps a
+# point by _BLOCK members at once, slot _ROWS j + a holding row a of member j
+_ROWS = 8
+_BLOCK = 8
+_SLOTS = _BLOCK * _ROWS
+
+
 @dataclass(frozen=True)
 class PullbackFamily:
+    """The pullbacks of the level-4 quadric along the members' maps
+    x -> pi_4(g x) at level n.
+
+    Every member is a level-n member: LevelMismatchError at construction
+    for a group element of another level, or rows that are not _ROWS rows over
+    the 2^(n-1) even level-n masks.
+
+    certify_membership reads the members through packed tables, built from
+    the members on first use and kept per slot width w outside the fields,
+    so equality and hash see only n, seed and members.  For each block of
+    _BLOCK members and each even source position k, the table holds the one
+    int sum_s rows_s[k] 2^(w s) over the block's slots s (Kronecker
+    substitution): one multiply-add per nonzero coordinate of a point maps
+    it by the whole block."""
+
     n: int
     seed: str
     members: tuple[FamilyMember, ...]
+
+    def __post_init__(self):
+        sources = (1 << self.n) >> 1
+        for m in self.members:
+            if m.g.n != self.n or len(m.rows) != _ROWS or any(len(r) != sources for r in m.rows):
+                raise LevelMismatchError(f"family member is not a level-{self.n} member")
 
     def serialize(self) -> dict:
         """Replayable description: the seed plus every group word."""
@@ -469,6 +499,31 @@ class PullbackFamily:
             "seed": self.seed,
             "words": [m.g.serialize() for m in self.members],
         }
+
+    @cached_property
+    def _row_bound(self) -> int:
+        """The largest L1 norm of a member's row."""
+        return max((sum(map(abs, row)) for m in self.members for row in m.rows), default=0)
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple[int, list[list[int]]]]:
+        """Slot width -> (bias, one packed int per even source position for
+        each block), filled by _packed."""
+        return {}
+
+    def _packed(self, width: int) -> tuple[int, list[list[int]]]:
+        """The packed tables at slot width `width`, and the bias that puts
+        2^(width-1) in every slot."""
+        if width not in self._tables:
+            blocks = []
+            for b in range(0, len(self.members), _BLOCK):
+                slots = [row for m in self.members[b : b + _BLOCK] for row in m.rows]
+                blocks.append(
+                    [sum(c << width * s for s, c in enumerate(col) if c) for col in zip(*slots)]
+                )
+            bias = sum(1 << width * s for s in range(_SLOTS)) << width - 1
+            self._tables[width] = bias, blocks
+        return self._tables[width]
 
 
 def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> PullbackFamily:
@@ -508,6 +563,27 @@ class MembershipVerdict:
     witness_value: Fraction | None
 
 
+@lru_cache(maxsize=1)
+def _i4_slot_terms() -> tuple[tuple[int, int, int], ...]:
+    """The primitive level-4 quadric as (a, b, c) terms c y_a y_b, a and b
+    positions among the even level-4 masks; its coefficients are integers."""
+    at = {t: k for k, t in enumerate(component_variables(4, "even"))}
+    return tuple((at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items())
+
+
+def _slot_values(packed: int, width: int) -> memoryview | list[int]:
+    """The _SLOTS width-bit two's complement slots of packed, lowest first;
+    the bytes are in native order, as cast("q") reads them."""
+    raw = packed.to_bytes(_SLOTS * width // 8, sys.byteorder)
+    if width == 64:
+        return memoryview(raw).cast("q")
+    step = width // 8
+    return [
+        int.from_bytes(raw[i : i + step], sys.byteorder, signed=True)
+        for i in range(0, len(raw), step)
+    ]
+
+
 def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVerdict:
     """x passes iff every pulled-back form vanishes at x.
 
@@ -516,8 +592,17 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     (den_x / content) x, mapped by the member's integer rows, and the
     integral quadric is evaluated there.  A nonzero value val gives the
     witness val content^2 / (den den_x)^2, which equals the stored
-    pullback's value at x.  Only even points can be certified:
-    LevelMismatchError for a point with an odd coordinate."""
+    pullback's value at x; the first member with a nonzero value is the
+    witness, so an off-cone point usually stops in the first block.
+
+    The members are mapped a block at a time through the family's packed
+    tables: Y = bias + sum_k X_k P_k holds 2^(w-1) + y_s in slot s, where
+    y_s is row s of the block applied to X.  The slot width w, the smallest
+    multiple of 64 with max|X| * (largest row L1 norm) < 2^(w-1), keeps
+    every slot in [0, 2^w), so no slot carries into or borrows from the
+    next, and Y ^ bias is the y_s in w-bit two's complement.  Only even
+    points can be certified: LevelMismatchError for a point with an odd
+    coordinate."""
     if not family.members:
         raise SpinalgError("empty family cannot certify")
     if x.n != family.n:
@@ -527,17 +612,25 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     if x.is_zero():
         return MembershipVerdict(True, None, None, None)
     ints, den_x, content = linalg._integer_row(x.terms.items())
-    # X's nonzero entries, keyed by their positions among the even masks
-    support = [(k, ints[s]) for k, s in enumerate(component_variables(x.n, "even")) if s in ints]
-    # the primitive level-4 quadric has integer coefficients
-    at = {t: k for k, t in enumerate(component_variables(4, "even"))}
-    quad = [(at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items()]
-    for idx, member in enumerate(family.members):
-        y = [sum(row[k] * v for k, v in support) for row in member.rows]
-        val = sum(c * y[a] * y[b] for a, b, c in quad)
-        if val:
-            witness = Fraction(val * content * content, (member.den * den_x) ** 2)
-            return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
+    # one mask of each pair {2k, 2k + 1} is even, so the even mask s is the
+    # (s >> 1)-th in increasing order
+    positions = [s >> 1 for s in ints]
+    values = list(ints.values())
+    width = 64 * ((max(map(abs, values)) * family._row_bound).bit_length() // 64 + 1)
+    bias, blocks = family._packed(width)
+    quad = _i4_slot_terms()
+    for i, block in enumerate(blocks):
+        ys = _slot_values(sum(map(mul, map(block.__getitem__, positions), values), bias) ^ bias, width)
+        # the quadric's value for each member of the block, over strided slots
+        vals = repeat(0, _BLOCK)
+        for a, b, c in quad:
+            vals = map(add, vals, map(mul, map(mul, ys[a::_ROWS], ys[b::_ROWS]), repeat(c)))
+        for j, val in enumerate(vals):
+            if val:
+                idx = i * _BLOCK + j
+                member = family.members[idx]
+                witness = Fraction(val * content * content, (member.den * den_x) ** 2)
+                return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
     return MembershipVerdict(True, None, None, None)
 
 

@@ -40,9 +40,21 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _check_square(a: Matrix) -> None:
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, summing only the products of nonzero factors."""
+    """a b, summing only the products of nonzero factors.
+
+    ValueError unless every row of a has one entry per row of b, when b has
+    columns; a product without columns is the empty row for each row of a,
+    as a matrix without columns (written [] or [[], ...]) need not show its
+    row count."""
     cols = len(b[0]) if b else 0
+    if cols and any(len(row) != len(b) for row in a):
+        raise ValueError("inner dimensions differ")
     b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
@@ -183,7 +195,9 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
 
 def det(a: Matrix) -> Fraction:
     """Determinant of a square matrix, by the same elimination: the product
-    of the pivots, signed by the pivot permutation, over the row scales."""
+    of the pivots, signed by the pivot permutation, over the row scales;
+    ValueError for a matrix that is not square."""
+    _check_square(a)
     rows, scales = [], []
     for row in a:
         ints, den, content = _integer_row(enumerate(row))
@@ -247,6 +261,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def inverse(a: Matrix) -> Matrix:
+    """The inverse of a square matrix; ValueError if a is not square or is
+    singular."""
+    _check_square(a)
     n = len(a)
     eye = identity(n)
     r, pivots = rref([a[i][:] + eye[i] for i in range(n)])

@@ -3,8 +3,8 @@ derivations, and the degree-lowering machinery."""
 
 import hashlib
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from functools import lru_cache, reduce
+from math import gcd, lcm
 
 import pytest
 
@@ -311,6 +311,101 @@ class TestCertification:
         for member in fam.members:
             assert member.den > 0
             assert reduce(gcd, (a for row in member.rows for a in row), member.den) == 1
+
+
+@lru_cache(maxsize=None)
+def family_with_maps(n):
+    """A 17-member family at level n (two full blocks and one member) and
+    the oracle's Fraction map of each member."""
+    fam = ie.orbit_pullback_family(n, f"packed:{n}", 17)
+    return fam, oracle_level_maps(fam)
+
+
+def primitive_max(x):
+    """The largest entry of the primitive integer multiple of x."""
+    den = reduce(lcm, (c.denominator for c in x.terms.values()))
+    ints = [c.numerator * (den // c.denominator) for c in x.terms.values()]
+    return max(map(abs, ints)) // reduce(gcd, ints)
+
+
+def wide_points(n, tag):
+    """Even points whose primitive integer entries exceed 2^70: an orbit
+    point under a word with parameters near 2^71, the same point plus a
+    unit coordinate, and a dense point with entries up to 2^75."""
+    rng = make_rng(f"{tag}:{n}")
+    word = sr.random_group_element(n, tag, 6).word
+    g = sr.GroupElement(n, [(k, i, j, Fraction(2**71 + 2 * s + 1, 3)) for s, (k, i, j, _t) in enumerate(word)])
+    on_cone = g.apply(sr.SpinVector.omega0(n) if n % 2 == 0 else sr.SpinVector.omega1(n))
+    dense = sr.SpinVector(
+        n, {m: Fraction(rng.randint(-(2**75), 2**75), rng.randint(1, 99)) for m in ie.component_variables(n)}
+    )
+    return [on_cone, on_cone + sr.SpinVector.basis(n, 0), dense]
+
+
+class TestPackedCertification:
+    """certify_membership maps 8 members at a time through packed integer
+    tables; every verdict must equal oracle_certify's, witness included."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_partial_blocks_match_oracle(self, n):
+        fam, maps = family_with_maps(n)
+        points = cone_query_points(n, "packed") + wide_points(n, "packed")
+        for size in (1, 7, 9, 17):
+            sub = ie.PullbackFamily(n, fam.seed, fam.members[:size])
+            for x in points:
+                assert ie.certify_membership(x, sub) == oracle_certify(x, sub, maps[:size])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_witness_in_a_later_block(self, n):
+        # the plain contraction (member 0) kills every mask above level 4;
+        # nine copies of it lead, so the first witness sits in block 1 or later
+        fam, maps = family_with_maps(n)
+        lead = ie.PullbackFamily(n, fam.seed, fam.members[:1] * 9 + fam.members[1:])
+        lead_maps = maps[:1] * 9 + maps[1:]
+        rng = make_rng(f"later-block:{n}")
+        masks = [m for m in ie.component_variables(n) if m >> 4]
+        for _ in range(3):
+            x = sr.SpinVector(n, {m: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for m in masks})
+            got = ie.certify_membership(x, lead)
+            assert got == oracle_certify(x, lead, lead_maps)
+            assert not got.passes and got.witness_index >= 9
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_slots_wider_than_64_bits(self, n):
+        fam, maps = family_with_maps(n)
+        verdicts = []
+        for x in wide_points(n, "wide"):
+            assert primitive_max(x) > 2**70
+            got = ie.certify_membership(x, fam)
+            assert got == oracle_certify(x, fam, maps)
+            verdicts.append(got.passes)
+        assert verdicts[0] and not verdicts[2]
+
+    def test_tables_leave_equality_and_hash_alone(self):
+        fam, _maps = family_with_maps(5)
+        twin = ie.PullbackFamily(5, fam.seed, fam.members)
+        assert fam == twin and repr(fam) == repr(twin)
+        with pytest.raises(TypeError):  # a GroupElement is not hashable
+            hash(fam)
+        for x in [sr.SpinVector.omega1(5)] + wide_points(5, "eq"):
+            ie.certify_membership(x, fam)  # fills the tables of two slot widths
+        assert fam == twin and twin == fam and repr(fam) == repr(twin)
+        assert fam != ie.PullbackFamily(5, fam.seed, fam.members[1:])
+        with pytest.raises(TypeError):
+            hash(fam)
+
+    def test_members_of_another_level_rejected(self):
+        # a level-5 member in a level-6 family used to raise IndexError on
+        # a level-6 orbit point, and pass SpinVector(6, {0: 1})
+        fam5, _maps = family_with_maps(5)
+        with pytest.raises(LevelMismatchError):
+            ie.PullbackFamily(6, "mixed", fam5.members)
+        # a level-6 group element with level-5 rows
+        m = fam5.members[0]
+        wrong_rows = ie.FamilyMember(sr.GroupElement.identity(6), m.quadric, m.rows, m.den)
+        with pytest.raises(LevelMismatchError):
+            ie.PullbackFamily(6, "rows", (wrong_rows,))
+        assert ie.PullbackFamily(5, fam5.seed, fam5.members) == fam5
 
 
 class TestDerivations:

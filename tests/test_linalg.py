@@ -61,6 +61,14 @@ def test_matmul_empty_shapes():
     assert linalg.matmul([[], []], []) == [[], []]
 
 
+def test_matmul_rejects_mismatched_inner_dimensions():
+    # a 1 x 2 times a 1 x 2 used to give [[1, 2]], the first column only
+    with pytest.raises(ValueError):
+        linalg.matmul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        linalg.matmul([[1], [2, 3]], [[1], [2]])
+
+
 def test_matvec_matches_dense_product():
     rng = make_rng("matvec")
     for _ in range(40):
@@ -238,3 +246,20 @@ def test_det_signs_and_scales():
     assert type(linalg.det([[2, 1], [1, 1]])) is Fraction
     with pytest.raises(ValueError):
         linalg.inverse([[1, 2], [2, 4]])
+
+
+NON_SQUARE = ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("a", NON_SQUARE)
+def test_det_rejects_non_square(a):
+    # det([[1, 2, 3], [4, 5, 6]]) used to give -3
+    with pytest.raises(ValueError):
+        linalg.det(a)
+
+
+@pytest.mark.parametrize("a", NON_SQUARE)
+def test_inverse_rejects_non_square(a):
+    # inverse([[1, 0], [0, 1], [1, 1]]) used to give a 3 x 2 matrix
+    with pytest.raises(ValueError):
+        linalg.inverse(a)
