@@ -206,16 +206,6 @@ class InjectivityVerdict:
     reason: str
 
 
-def _proportional(a: dict, b: dict) -> bool:
-    if not a or not b:
-        return not a and not b
-    if set(a) != set(b):
-        return False
-    k = next(iter(a))
-    ratio = a[k] / b[k]
-    return all(a[m] == ratio * b[m] for m in a)
-
-
 def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdict:
     """Checks the morphism property (nonzero image) and projective
     injectivity (proportional images force proportional inputs)."""
@@ -225,7 +215,7 @@ def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdic
     iy = nu2(y)
     if ix.is_zero() or iy.is_zero():
         return InjectivityVerdict(False, "image vanished on a nonzero vector")
-    if _proportional(ix.terms, iy.terms) and not _proportional(x.terms, y.terms):
+    if cc._proportional(ix.terms, iy.terms) and not cc._proportional(x.terms, y.terms):
         return InjectivityVerdict(
             False, "non-proportional vectors with proportional images"
         )
@@ -533,7 +523,7 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
             continue
         if lhs.is_zero() or rhs.is_zero():
             raise StructureError("exterior audit: one side vanished")
-        if not _proportional(lhs.terms, rhs.terms):
+        if not cc._proportional(lhs.terms, rhs.terms):
             raise StructureError("exterior audit: sides are not proportional")
         k = next(iter(lhs.terms))
         r = lhs.terms[k] / rhs.terms[k]
@@ -547,21 +537,21 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
 
 
 def sample_lower_factorization(
-    q: int, n: int, n0: int, seed: int | str, length: int = 8, max_tries: int = 20,
-    exterior_audit: bool = False,
+    q: int, n: int, n0: int, seed: int | str, exterior_audit: bool = False,
 ) -> tuple[LowerFactorization, sr.GroupElement, list[str]]:
-    """Draw seeded elements until the genericity conditions hold.
+    """Draw seeded words of length 8 until the genericity conditions hold,
+    at most 20 of them.
 
     Returns the factorization, the element used, and the recorded failures.
     """
     failures: list[str] = []
-    for t in range(max_tries):
-        g = sr.random_group_element(q, f"lower:{seed}:{t}", length)
+    for t in range(20):
+        g = sr.random_group_element(q, f"lower:{seed}:{t}", 8)
         try:
             res = lower_factorization(q, n, n0, g, seed=seed, exterior_audit=exterior_audit)
             return res, g, failures
         except GenericityError as exc:
             failures.append(str(exc))
     raise GenericityError(
-        f"no generic element found in {max_tries} tries", suggested_seed=_next_seed(seed)
+        "no generic element found in 20 tries", suggested_seed=_next_seed(seed)
     )

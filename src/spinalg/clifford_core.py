@@ -95,6 +95,18 @@ def _accumulate(acc: dict, key, value: Fraction) -> None:
             del acc[key]
 
 
+def _proportional(a: dict, b: dict) -> bool:
+    """Whether the sparse coefficient maps a and b are rational multiples of
+    each other; two empty maps count as proportional, one empty map not."""
+    if not a or not b:
+        return not a and not b
+    if set(a) != set(b):
+        return False
+    k = next(iter(a))
+    ratio = a[k] / b[k]
+    return all(a[m] == ratio * b[m] for m in a)
+
+
 def _apply_words(words, terms: dict[int, Fraction]) -> dict[int, Fraction]:
     """Sum over (coef, letters) in words of coef * (letters applied right to
     left to the sparse map terms: mask -> coefficient)."""
@@ -157,31 +169,115 @@ def monomial_str(mono: Monomial) -> str:
     )
 
 
-class CliffordElement:
-    """Sparse rational linear combination of normal-ordered monomials."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class SparseElement:
+    """A sparse exact element at level n: a map from keys to nonzero Fractions.
+
+    The element types share one contract: a key outside the level raises
+    IndexRangeError, an operand of another level raises LevelMismatchError,
+    and two elements are equal when they have the same type, level and
+    terms.  A subclass sets _width, so that its keys are the masks below
+    2^(_width * n), and names a key in _key_str; CliffordElement, keyed by
+    mask pairs, checks its keys in a constructor of its own instead."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict | None = None):
         self.n = n
-        self.terms: dict[Monomial, Fraction] = {}
+        self.terms = out = {}
         if terms:
-            for mono, c in terms.items():
-                if not (0 <= mono[0] < 1 << n and 0 <= mono[1] < 1 << n):
-                    raise IndexRangeError(f"monomial masks {mono} out of range at level {n}")
+            bound = 1 << (self._width * n)
+            for m, c in terms.items():
+                if not 0 <= m < bound:
+                    raise IndexRangeError(f"{type(self).__name__} key {m} out of range at level {n}")
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
-                    self.terms[mono] = c
+                    out[m] = c
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key) -> Fraction:
+        return self.terms.get(key, _ZERO)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, tuple(sorted(self.terms.items()))))
+
+    def _check_level(self, other) -> None:
+        """LevelMismatchError unless other (anything with a level n) is at self's level."""
+        if self.n != other.n:
+            raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_level(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return type(self)(self.n, out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return type(self)(self.n, {key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not c:
+            return type(self)(self.n)
+        return type(self)(self.n, {key: c * v for key, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms):
+            parts.append(f"{self.terms[key]}*{self._key_str(key)}")
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+class CliffordElement(SparseElement):
+    """Sparse rational linear combination of normal-ordered monomials, keyed
+    by their (emask, fmask) pairs."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
+        self.n = n
+        self.terms = out = {}
+        if terms:
+            bound = 1 << n
+            for mono, c in terms.items():
+                if not (0 <= mono[0] < bound and 0 <= mono[1] < bound):
+                    raise IndexRangeError(f"CliffordElement key {mono} out of range at level {n}")
+                c = c if isinstance(c, Fraction) else Fraction(c)
+                if c:
+                    out[mono] = c
 
     @staticmethod
     def unit(n: int) -> "CliffordElement":
         return CliffordElement(n, {(0, 0): Fraction(1)})
-
-    @staticmethod
-    def zero(n: int) -> "CliffordElement":
-        return CliffordElement(n)
 
     @staticmethod
     def from_symbol(n: int, sym) -> "CliffordElement":
@@ -191,64 +287,12 @@ class CliffordElement:
             return CliffordElement(n, {(1 << (s - 1), 0): Fraction(1)})
         return CliffordElement(n, {(0, 1 << (-s - 1)): Fraction(1)})
 
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        self._check_level(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            _accumulate(out, mono, c)
-        return CliffordElement(self.n, out)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "CliffordElement":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return CliffordElement.zero(self.n)
-        return CliffordElement(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             return mul(self, other)
         return self.scale(other)
 
-    def _check_level(self, other: "CliffordElement") -> None:
-        if self.n != other.n:
-            raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            parts.append(f"{self.terms[mono]}*{monomial_str(mono)}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    _key_str = staticmethod(monomial_str)
 
 
 def _packed(a: CliffordElement) -> dict[int, Fraction]:
@@ -289,10 +333,6 @@ def star(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism reversing each monomial word."""
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
     return _unpacked(a.n, _apply_words(words, {0: Fraction(1)}))
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class VectorInV:
@@ -415,66 +455,22 @@ def require_isotropic(v: VectorInV, what: str = "vector") -> None:
         raise NotIsotropicError(f"{what} has q = {q} != 0")
 
 
-class ExteriorVector:
+class ExteriorVector(SparseElement):
     """Sparse element of the exterior algebra on the 2n symbols of level n.
 
     Mask bit i-1 encodes e_i, bit n+i-1 encodes f_i; wedge letters are
     ordered e_1 < ... < e_n < f_1 < ... < f_n by bit index.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[int, Fraction] | None = None):
-        self.n = n
-        self.terms: dict[int, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if not 0 <= m < 1 << (2 * n):
-                    raise IndexRangeError(f"wedge mask {m} out of range at level {n}")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    self.terms[m] = c
+    __slots__ = ()
+    _width = 2
 
     @staticmethod
     def unit(n: int) -> "ExteriorVector":
         return ExteriorVector(n, {0: Fraction(1)})
 
-    @staticmethod
-    def zero(n: int) -> "ExteriorVector":
-        return ExteriorVector(n)
-
     def _apply(self, letter: tuple) -> "ExteriorVector":
         return ExteriorVector(self.n, _apply_words([(1, [letter])], self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExteriorVector)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
-        if self.n != other.n:
-            raise LevelMismatchError("levels differ")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return ExteriorVector(self.n, out)
-
-    def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ExteriorVector":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return ExteriorVector.zero(self.n)
-        return ExteriorVector(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def degrees(self) -> set[int]:
         return {bin(m).count("1") for m in self.terms}
@@ -489,8 +485,7 @@ class ExteriorVector:
         return self._apply((_wedge(_bit(sym, self.n)),))
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
-        if v.n != self.n:
-            raise LevelMismatchError("levels differ")
+        self._check_level(v)
         partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
         return self._apply(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c))
 
@@ -498,27 +493,18 @@ class ExteriorVector:
         """Coordinates of self over the wedge basis of the given 2n vectors."""
         from . import linalg
 
-        if any(row.n != self.n for row in new_rows):
-            raise LevelMismatchError("basis vector levels differ")
+        for row in new_rows:
+            self._check_level(row)
         # old symbol s = sum_j c[s][j] * new_j, with c the inverse of the rows
         return induced_map(self, linalg.inverse([row.coords() for row in new_rows]))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            names = []
-            for bit in range(2 * self.n):
-                if m >> bit & 1:
-                    names.append(
-                        f"e{bit+1}" if bit < self.n else f"f{bit-self.n+1}"
-                    )
-            mono = "^".join(names) if names else "1"
-            parts.append(f"{self.terms[m]}*{mono}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def _key_str(self, m: int) -> str:
+        names = [
+            f"e{bit+1}" if bit < self.n else f"f{bit-self.n+1}"
+            for bit in range(2 * self.n)
+            if m >> bit & 1
+        ]
+        return "^".join(names) if names else "1"
 
 
 def _wedge_front(ext: ExteriorVector, coords: list[Fraction]) -> ExteriorVector:
@@ -550,8 +536,7 @@ def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
     """The Clifford module action on the exterior algebra of the whole space."""
-    if a.n != omega.n:
-        raise LevelMismatchError("levels differ")
+    omega._check_level(a)
     return ExteriorVector(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
 
 

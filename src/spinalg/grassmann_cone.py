@@ -12,6 +12,7 @@ from . import spin_rep as sr
 from .spin_rep import _apply_step
 from .errors import (
     IndexRangeError,
+    LevelMismatchError,
     NotIsotropicError,
     SpinalgError,
     StructureError,
@@ -39,6 +40,8 @@ class IsotropicSubspace:
         return [cc.VectorInV.from_coords(self.n, r) for r in self.rows]
 
     def contains(self, v: cc.VectorInV) -> bool:
+        if v.n != self.n:
+            raise LevelMismatchError(f"levels differ: {self.n} vs {v.n}")
         stacked = [list(r) for r in self.rows]
         return linalg.rank(stacked + [v.coords()]) == len(self.rows)
 

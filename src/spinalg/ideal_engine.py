@@ -262,20 +262,19 @@ def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
     return total
 
 
-def component_variables(n: int, component: str = "even") -> list[int]:
-    """Masks of the coordinates of the chosen half-spin component at level n.
+def component_variables(n: int) -> list[int]:
+    """Masks of the coordinates of the even half-spin component at level n.
 
-    'even' means even subset size |S|: the contraction tower preserves
+    Even means even subset size |S|: the contraction tower preserves
     subset masks, so this labeling is stable across levels."""
-    want = 0 if component == "even" else 1
-    return [m for m in range(1 << n) if m.bit_count() % 2 == want]
+    return [m for m in range(1 << n) if m.bit_count() % 2 == 0]
 
 
 def monomials_of_degree(masks: list[int], d: int) -> list[Monomial]:
     return list(combinations_with_replacement(sorted(masks), d))
 
 
-def vanishing_forms(points: list[sr.SpinVector], degree: int, component: str = "even") -> list[Polynomial]:
+def vanishing_forms(points: list[sr.SpinVector], degree: int) -> list[Polynomial]:
     """Canonical basis of the degree-d forms vanishing on all given points.
 
     Exact nullspace of the evaluation matrix; raises if there are fewer
@@ -285,7 +284,7 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int, component: str = "
     n = points[0].n
     if any(x.n != n for x in points):
         raise LevelMismatchError("points live at different levels")
-    monos = monomials_of_degree(component_variables(n, component), degree)
+    monos = monomials_of_degree(component_variables(n), degree)
     if len(points) < len(monos):
         raise TooFewPointsError(
             f"need at least {len(monos)} points for {len(monos)} monomials, got {len(points)}"
@@ -300,34 +299,23 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int, component: str = "
     return forms
 
 
-def cone_points(n: int, seed, count: int, component: str = "even") -> list[sr.SpinVector]:
-    return [
-        gc.sample_cone_point(n, f"{seed}:{i}", component=component, length=10)
-        for i in range(count)
-    ]
+def cone_points(n: int, seed, count: int) -> list[sr.SpinVector]:
+    return [gc.sample_cone_point(n, f"{seed}:{i}", length=10) for i in range(count)]
 
 
-def stable_vanishing_forms(
-    n: int,
-    degree: int,
-    seed,
-    component: str = "even",
-    factor: int = 3,
-    max_rounds: int = 3,
-) -> tuple[list[Polynomial], dict]:
+def stable_vanishing_forms(n: int, degree: int, seed) -> tuple[list[Polynomial], dict]:
     """Discovery with the two-seed stationarity stopping rule.
 
-    Samples factor * (monomial count) cone points under two independent
-    seed streams; accepts when both runs agree and each basis vanishes on
-    the other run's points.  The provenance records seeds and counts."""
-    variables = component_variables(n, component)
-    base = len(monomials_of_degree(variables, degree))
-    count = factor * base
-    for round_no in range(max_rounds):
-        pts_a = cone_points(n, f"vf:{seed}:a{round_no}", count, component)
-        pts_b = cone_points(n, f"vf:{seed}:b{round_no}", count, component)
-        forms_a = vanishing_forms(pts_a, degree, component)
-        forms_b = vanishing_forms(pts_b, degree, component)
+    Samples 3 * (monomial count) cone points under two independent seed
+    streams; accepts when both runs agree and each basis vanishes on the
+    other run's points, else doubles the count, for at most 3 rounds.  The
+    provenance records seeds and counts."""
+    count = 3 * len(monomials_of_degree(component_variables(n), degree))
+    for round_no in range(3):
+        pts_a = cone_points(n, f"vf:{seed}:a{round_no}", count)
+        pts_b = cone_points(n, f"vf:{seed}:b{round_no}", count)
+        forms_a = vanishing_forms(pts_a, degree)
+        forms_b = vanishing_forms(pts_b, degree)
         cross_ok = all(
             eval_poly(f, x) == 0 for f in forms_a for x in pts_b
         ) and all(eval_poly(f, x) == 0 for f in forms_b for x in pts_a)
@@ -356,25 +344,15 @@ def _primitive_normal(p: Polynomial) -> Polynomial:
     return p.scale(Fraction(sign * den, content))
 
 
-def beta_norm_quadric(n: int, component: str = "even") -> Polynomial:
-    """The quadratic form x -> beta(x, x) restricted to one component."""
+def beta_norm_quadric(n: int) -> Polynomial:
+    """The quadratic form x -> beta(x, x) restricted to the even component."""
     gram = tm.beta_gram(n)
-    masks = component_variables(n, component)
+    masks = component_variables(n)
     terms: dict[Monomial, Fraction] = {}
     for a, ma in enumerate(masks):
         for mb in masks[a:]:
             terms[ma, mb] = gram[ma][mb] + gram[mb][ma] if ma != mb else gram[ma][ma]
     return Polynomial(False, n, terms)
-
-
-def _proportional_polys(p: Polynomial, q: Polynomial) -> bool:
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    if set(p.terms) != set(q.terms):
-        return False
-    k = next(iter(p.terms))
-    r = p.terms[k] / q.terms[k]
-    return all(p.terms[m] == r * q.terms[m] for m in p.terms)
 
 
 @lru_cache(maxsize=1)
@@ -388,7 +366,7 @@ def i4_quadric() -> Polynomial:
             f"level-4 degree-2 slice has dimension {len(forms)}, expected 1"
         )
     quad = _primitive_normal(forms[0])
-    if not _proportional_polys(quad, beta_norm_quadric(4)):
+    if not cc._proportional(quad.terms, beta_norm_quadric(4).terms):
         raise DiscoveryError("discovered quadric is not the pairing norm")
     return quad
 
@@ -537,8 +515,8 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
     if n < 4:
         raise IndexRangeError("pullback families need level >= 4")
     base = i4_quadric()
-    sources = component_variables(n, "even")
-    targets = component_variables(4, "even")
+    sources = component_variables(n)
+    targets = component_variables(4)
     members = []
     for i in range(count):
         if i == 0:
@@ -567,7 +545,7 @@ class MembershipVerdict:
 def _i4_slot_terms() -> tuple[tuple[int, int, int], ...]:
     """The primitive level-4 quadric as (a, b, c) terms c y_a y_b, a and b
     positions among the even level-4 masks; its coefficients are integers."""
-    at = {t: k for k, t in enumerate(component_variables(4, "even"))}
+    at = {t: k for k, t in enumerate(component_variables(4))}
     return tuple((at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items())
 
 
@@ -634,12 +612,12 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     return MembershipVerdict(True, None, None, None)
 
 
-def off_cone_sample(n: int, seed, component: str = "even", bound: int = 3) -> sr.SpinVector:
-    """Rejection-sample a non-pure vector with small integer coordinates."""
+def off_cone_sample(n: int, seed) -> sr.SpinVector:
+    """Rejection-sample a non-pure even vector with coordinates in -3..3."""
     rng = random.Random(f"offcone:{n}:{seed}")
-    masks = component_variables(n, component)
+    masks = component_variables(n)
     while True:
-        terms = {m: Fraction(rng.randint(-bound, bound)) for m in masks}
+        terms = {m: Fraction(rng.randint(-3, 3)) for m in masks}
         x = sr.SpinVector(n, terms)
         if x.is_zero():
             continue

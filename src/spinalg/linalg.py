@@ -1,7 +1,8 @@
 """Exact linear algebra over rationals.
 
-Matrices are lists of row lists of Fractions.  Everything is exact: no
-tolerances anywhere.  Row spaces are canonicalized through reduced row
+Matrices are lists of row lists of Fractions, all of one length: every
+routine raises ValueError for rows of different lengths.  Everything is
+exact: no tolerances anywhere.  Row spaces are canonicalized through reduced row
 echelon form so subspaces compare by equality of their rref rows.
 
 Every elimination runs through one fraction-free sparse core, `_eliminate`.
@@ -36,23 +37,33 @@ def identity(n: int) -> Matrix:
     return m
 
 
+def _cols(a: Matrix) -> int:
+    """The column count of a matrix; ValueError if its rows differ in length."""
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("rows differ in length")
+    return cols
+
+
 def transpose(a: Matrix) -> Matrix:
+    """The transpose; ValueError if the rows of a differ in length."""
+    _cols(a)
     return [list(col) for col in zip(*a)] if a else []
 
 
 def _check_square(a: Matrix) -> None:
-    if any(len(row) != len(a) for row in a):
+    if _cols(a) != len(a):
         raise ValueError("matrix is not square")
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """a b, summing only the products of nonzero factors.
 
-    ValueError unless every row of a has one entry per row of b, when b has
-    columns; a product without columns is the empty row for each row of a,
+    ValueError unless the rows of b have one length and, when b has
+    columns, every row of a has one entry per row of b; a product without columns is the empty row for each row of a,
     as a matrix without columns (written [] or [[], ...]) need not show its
     row count."""
-    cols = len(b[0]) if b else 0
+    cols = _cols(b)
     if cols and any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
     b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
@@ -68,7 +79,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    """a v, summing only the products of nonzero factors."""
+    """a v, summing only the products of nonzero factors; ValueError unless
+    every row of a has one entry per entry of v."""
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("matrix and vector dimensions differ")
     nonzero = [(k, y) for k, y in enumerate(v) if y]
     return [sum((row[k] * y for k, y in nonzero if row[k]), Fraction(0)) for row in a]
 
@@ -138,9 +152,12 @@ def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list
     return pivots
 
 
-def _echelon(a: Matrix) -> tuple[list[IntRow], list[tuple[int, int]]]:
+def _echelon(a: Matrix) -> tuple[list[IntRow], list[tuple[int, int]], int]:
+    """The eliminated integer rows of a, their pivots and a's column count;
+    ValueError for rows of different lengths."""
+    cols = _cols(a)
     rows = [_integer_row(enumerate(row))[0] for row in a]
-    return rows, _eliminate(rows)
+    return rows, _eliminate(rows), cols
 
 
 def _pivot_rows(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) -> Matrix:
@@ -177,8 +194,7 @@ def _kernel(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) -> lis
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    cols = len(a[0]) if a else 0
-    rows, pivots = _echelon(a)
+    rows, pivots, cols = _echelon(a)
     out = _pivot_rows(rows, pivots, cols)
     out.extend([Fraction(0)] * cols for _ in range(len(a) - len(pivots)))
     return out, [c for c, _ in pivots]
@@ -223,14 +239,13 @@ def det(a: Matrix) -> Fraction:
 
 def row_space(a: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows) of the row space."""
-    rows, pivots = _echelon(a)
-    return _pivot_rows(rows, pivots, len(a[0]) if a else 0)
+    rows, pivots, cols = _echelon(a)
+    return _pivot_rows(rows, pivots, cols)
 
 
 def nullspace(a: Matrix) -> Matrix:
     """Canonical kernel basis: one vector per free column, free coordinate 1."""
-    cols = len(a[0]) if a else 0
-    rows, pivots = _echelon(a)
+    rows, pivots, cols = _echelon(a)
     basis: Matrix = []
     for v, l in _kernel(rows, pivots, cols):
         dense = [Fraction(0)] * cols
@@ -242,9 +257,11 @@ def nullspace(a: Matrix) -> Matrix:
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a X = b (free variables set to 0), or None if
-    some column is inconsistent; [a | b] is reduced once."""
-    cols = len(a[0]) if a else 0
-    cols_b = len(b[0]) if b else 0
+    some column is inconsistent; [a | b] is reduced once.  ValueError unless
+    a and b are rectangular with one row of b per row of a."""
+    cols, cols_b = _cols(a), _cols(b)
+    if len(a) != len(b):
+        raise ValueError(f"{len(b)} right-hand rows for {len(a)} equations")
     r, pivots = rref([list(row_a) + list(row_b) for row_a, row_b in zip(a, b)])
     if pivots and pivots[-1] >= cols:
         return None
@@ -273,9 +290,12 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of rowspace(a) ∩ rowspace(b)."""
+    """Canonical basis of rowspace(a) ∩ rowspace(b); ValueError if the rows
+    of a and b differ in length."""
     if not a or not b:
         return []
+    if _cols(a) != _cols(b):
+        raise ValueError("rows of a and b differ in length")
     ra = row_space(a)
     rb = row_space(b)
     if not ra or not rb:

@@ -28,21 +28,11 @@ from .errors import (
 )
 
 
-class SpinVector:
+class SpinVector(cc.SparseElement):
     """Sparse exact vector in the level-n spin space."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[int, Fraction] | None = None):
-        self.n = n
-        self.terms: dict[int, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if m < 0 or m >= (1 << n):
-                    raise IndexRangeError(f"subset mask {m} out of range at level {n}")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    self.terms[m] = c
+    __slots__ = ()
+    _width = 1
 
     # -- constructors ------------------------------------------------------
 
@@ -59,10 +49,6 @@ class SpinVector:
         return SpinVector(n, {mask: Fraction(1)})
 
     @staticmethod
-    def zero(n: int) -> "SpinVector":
-        return SpinVector(n)
-
-    @staticmethod
     def omega0(n: int) -> "SpinVector":
         """Highest weight vector: the full wedge e_1^...^e_n."""
         return SpinVector(n, {(1 << n) - 1: Fraction(1)})
@@ -71,47 +57,6 @@ class SpinVector:
     def omega1(n: int) -> "SpinVector":
         """The other highest weight vector: e_1^...^e_{n-1}."""
         return SpinVector(n, {(1 << (n - 1)) - 1: Fraction(1)})
-
-    # -- vector space ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mask: int) -> Fraction:
-        return self.terms.get(mask, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpinVector)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "SpinVector") -> "SpinVector":
-        if self.n != other.n:
-            raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cc._accumulate(out, m, c)
-        return SpinVector(self.n, out)
-
-    def __sub__(self, other: "SpinVector") -> "SpinVector":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SpinVector":
-        return self.scale(-1)
-
-    def scale(self, c) -> "SpinVector":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return SpinVector.zero(self.n)
-        return SpinVector(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     # -- structure ---------------------------------------------------------
 
@@ -129,21 +74,10 @@ class SpinVector:
         od = {m: c for m, c in self.terms.items() if bin(m).count("1") % 2 == 1}
         return SpinVector(self.n, ev), SpinVector(self.n, od)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            if m == 0:
-                mono = "1"
-            else:
-                mono = "e" + "".join(
-                    str(i + 1) for i in range(self.n) if m >> i & 1
-                )
-            parts.append(f"{self.terms[m]}*{mono}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def _key_str(self, m: int) -> str:
+        if m == 0:
+            return "1"
+        return "e" + "".join(str(i + 1) for i in range(self.n) if m >> i & 1)
 
 
 # -- letters on subset masks ------------------------------------------------
@@ -179,8 +113,7 @@ def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
 
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
-    if v.n != omega.n:
-        raise LevelMismatchError("levels differ")
+    omega._check_level(v)
     letter = tuple(cc._wedge(i, c) for i, c in enumerate(v.e) if c) + tuple(
         cc._contract(j, 2 * c) for j, c in enumerate(v.f) if c
     )
@@ -344,8 +277,7 @@ def _so_words(x: SoElement) -> list:
 
 def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
     """Spin action of a two-form on the wedge model."""
-    if x.n != omega.n:
-        raise LevelMismatchError("levels differ")
+    omega._check_level(x)
     return _act(_so_words(x), omega)
 
 
@@ -358,8 +290,7 @@ def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
     """
     if a.ee or a.ff:
         raise InvalidRootVectorError("standard action is defined on gl(E) only")
-    if a.n != omega.n:
-        raise LevelMismatchError("levels differ")
+    omega._check_level(a)
     return _act([(c, [_o(i), _iota(j)]) for (i, j), c in a.ef.items()], omega)
 
 
@@ -388,8 +319,7 @@ def clifford_action_on_spin(a: cc.CliffordElement, x: SpinVector) -> SpinVector:
     """Left action of the Clifford algebra on the ideal model, as left
     multiplication of x f: e_i acts as the wedge, f_j as twice the
     contraction."""
-    if a.n != x.n:
-        raise LevelMismatchError("levels differ")
+    x._check_level(a)
     return from_left_ideal(cc.mul(a, to_left_ideal(x)))
 
 
@@ -654,8 +584,7 @@ class GroupElement:
         return GroupElement(n, ())
 
     def apply(self, x: SpinVector) -> SpinVector:
-        if x.n != self.n:
-            raise LevelMismatchError("levels differ")
+        x._check_level(self)
         den = math.lcm(*(c.denominator for c in x.terms.values()))
         out = {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}
         for kind, i, j, t in reversed(self.word):

@@ -496,7 +496,7 @@ def _check_i4(n, seed, samples):
     if n != 4:
         return "skipped", "the quadric discovery runs at level 4"
     quad = ie.i4_quadric()
-    if not ie._proportional_polys(quad, ie.beta_norm_quadric(4)):
+    if not cc._proportional(quad.terms, ie.beta_norm_quadric(4).terms):
         return "fail", "discovered quadric is not pairing-norm proportional"
     return "pass", None
 
@@ -523,7 +523,7 @@ def _check_membership(n, seed, samples):
 def _check_degree2_span(n, seed, samples):
     if n != 5:
         return "skipped", "span comparison runs at level 5"
-    variables = ie.component_variables(5, "even")
+    variables = ie.component_variables(5)
     monos = ie.monomials_of_degree(variables, 2)
     idx = {m: i for i, m in enumerate(monos)}
     pts = ie.cone_points(5, f"{seed}:span", 3 * len(monos))

@@ -121,8 +121,7 @@ def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
     deterministic adapted basis and reduced modulo e.
     """
     n = x.n
-    if e.n != n:
-        raise LevelMismatchError("levels differ")
+    x._check_level(e)
     basis, solve = _primed_contraction_solver(n, tuple(e.coords()))
     ev, od = x.parity_split()
     ec = e.as_clifford()
@@ -164,8 +163,7 @@ def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
 
 def beta_direct(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
     """Pairing via one full Clifford product: the f-coefficient of x* y."""
-    if x.n != y.n:
-        raise LevelMismatchError("levels differ")
+    x._check_level(y)
     n = x.n
     prod = cc.mul(cc.star(sr.to_left_ideal(x)), sr.to_left_ideal(y))
     return prod.coefficient((0, (1 << n) - 1))
@@ -205,8 +203,7 @@ def beta(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
     full = 2^n - 1: e_S f pairs only with the spinor of the complementary
     subset (Chevalley, The Algebraic Theory of Spinors, 1954, Ch. III).  It
     equals beta_direct, the f-coefficient of x* y, at every level."""
-    if x.n != y.n:
-        raise LevelMismatchError("levels differ")
+    x._check_level(y)
     full = (1 << x.n) - 1
     ys = y.terms
     total = Fraction(0)

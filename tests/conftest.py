@@ -46,7 +46,7 @@ def cone_query_points(n, tag):
     points += [p.scale(Fraction(-3, 4)) for p in points[2:4]]
     points.append(points[0] + points[5])
     points += [random_spin(n, rng, "even", bound=9) for _ in range(3)]
-    masks = ie.component_variables(n, "even")
+    masks = ie.component_variables(n)
     points += [
         sr.SpinVector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in masks})
         for _ in range(3)

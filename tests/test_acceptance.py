@@ -228,7 +228,7 @@ def test_criterion_10_membership_certification():
         x = ie.off_cone_sample(5, f"acc10:off:{t}")
         assert not ie.certify_membership(x, fam5).passes
 
-    variables = ie.component_variables(5, "even")
+    variables = ie.component_variables(5)
     monos = ie.monomials_of_degree(variables, 2)
     idx = {m: i for i, m in enumerate(monos)}
 
@@ -267,7 +267,7 @@ def test_criterion_11_quadric_discovery():
     assert len(forms) == 1
     quad = ie.i4_quadric()
     norm = ie.beta_norm_quadric(4)
-    assert ie._proportional_polys(quad, norm)
+    assert cc._proportional(quad.terms, norm.terms)
     rng = make_rng("acc11")
     ratio = None
     seen = 0

@@ -124,9 +124,7 @@ class TestContraction:
         h = cc.VectorInV(n, [0, 0, 0], [0, 0, 1])
         assert cc.pairing(e, h) == 1
         for _ in range(5):
-            low_vecs = [random_vector(n, rng) for _ in range(n - 1)]
             # c_e(m_h(omega)) = omega needs omega expressed in the quotient model
-            basis = gc.hyperbolic_basis_through(e, h)
             omega = cc.ExteriorVector(
                 n - 1,
                 {rng.randrange(1 << (2 * (n - 1))): Fraction(rng.randint(-2, 2)) for _ in range(3)},

@@ -226,6 +226,38 @@ def test_out_of_level_mask_rejected(build):
         build()
 
 
+# each element type at level 2: a key inside the level and one just outside it
+ELEMENT_TYPES = {
+    "clifford": (cc.CliffordElement, (0b11, 0b01), (0, 0b100)),
+    "exterior": (cc.ExteriorVector, 0b1010, 1 << 4),
+    "spin": (sr.SpinVector, 0b11, 1 << 2),
+}
+
+
+@pytest.mark.parametrize("cls, key, outside", ELEMENT_TYPES.values(), ids=ELEMENT_TYPES.keys())
+def test_element_contract(cls, key, outside):
+    with pytest.raises(IndexRangeError):
+        cls(2, {outside: 1})
+    x = cls(2, {key: Fraction(3, 2)})
+    other_level = cls(3, {key: 1})
+    with pytest.raises(LevelMismatchError):
+        x + other_level
+    with pytest.raises(LevelMismatchError):
+        x - other_level
+
+    class Twin(cls):
+        __slots__ = ()
+
+    assert x != Twin(2, x.terms) and Twin(2, x.terms) != x
+    with pytest.raises(TypeError):
+        x + Twin(2, x.terms)
+    y = cls(2, {key: 3}).scale(Fraction(1, 2))
+    assert y == x and hash(y) == hash(x)
+    zero = cls.zero(2)
+    assert x - x == zero and x.scale(0) == zero and -x + x == zero
+    assert (-x).coefficient(key) == Fraction(-3, 2) and zero.coefficient(key) == 0
+
+
 class TestSerialization:
     def test_canonical_text(self):
         x = cc.CliffordElement(

@@ -9,7 +9,7 @@ from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import linalg
 from spinalg import spin_rep as sr
-from spinalg.errors import IndexRangeError, NotIsotropicError, SpinalgError
+from spinalg.errors import IndexRangeError, LevelMismatchError, NotIsotropicError, SpinalgError
 
 from conftest import cone_query_points, make_rng, oracle_annihilator, pfaffian, random_spin
 
@@ -39,6 +39,13 @@ class TestCheckIsotropic:
         b = cc.VectorInV(2, [0, 1], [-1, 0])
         sub = gc.check_isotropic([a, b], 2)
         assert sub.dim == 2
+
+    def test_contains_rejects_vector_of_other_level(self):
+        # the level-2 f_1 was read as the first four coordinates of six, e_3
+        e = gc.standard_e_subspace(3)
+        assert not e.contains(cc.VectorInV.basis(3, -1))
+        with pytest.raises(LevelMismatchError):
+            e.contains(cc.VectorInV.basis(2, -1))
 
 
 class TestAdaptedBasis:

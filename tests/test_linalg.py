@@ -263,3 +263,28 @@ def test_inverse_rejects_non_square(a):
     # inverse([[1, 0], [0, 1], [1, 1]]) used to give a 3 x 2 matrix
     with pytest.raises(ValueError):
         linalg.inverse(a)
+
+
+I2 = [[1, 0], [0, 1]]
+
+# each of these used to return an answer read off truncated or padded rows
+BAD_SHAPES = {
+    "rank-ragged": lambda: linalg.rank([[1, 0, 0], [0, 1]]),
+    "rref-ragged": lambda: linalg.rref([[1, 0, 0], [0, 1]]),
+    "transpose-ragged": lambda: linalg.transpose([[1, 2], [3]]),
+    "nullspace-ragged": lambda: linalg.nullspace([[0, 1], [1, 0, 1]]),
+    "row-space-ragged": lambda: linalg.row_space([[0, 1], [1, 0, 0]]),
+    "solve-short-rhs": lambda: linalg.solve(I2, [1]),
+    "solve-long-rhs": lambda: linalg.solve(I2, [1, 2, 3]),
+    "solve-matrix-short-rhs": lambda: linalg.solve_matrix(I2, [[1]]),
+    "solve-matrix-long-rhs": lambda: linalg.solve_matrix(I2, [[1], [2], [3]]),
+    "matmul-ragged-right": lambda: linalg.matmul([[1, 1]], [[1, 2], [3]]),
+    "matvec-short-vector": lambda: linalg.matvec([[1, 2], [3, 4]], [1]),
+    "intersect-different-widths": lambda: linalg.intersect_row_spaces([[1, 0, 0]], [[1, 0]]),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_bad_shapes_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -196,7 +196,7 @@ def cone_queries(draw):
     of that level's family."""
     n = draw(st.integers(min_value=4, max_value=6))
     if draw(st.booleans()):
-        masks = st.sampled_from(ie.component_variables(n, "even"))
+        masks = st.sampled_from(ie.component_variables(n))
         x = sr.SpinVector(n, draw(st.dictionaries(masks, small_fractions, min_size=1, max_size=6)))
     else:
         seed = draw(st.integers(min_value=0, max_value=10**6))
