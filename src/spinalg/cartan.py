@@ -18,6 +18,7 @@ from . import transfer_maps as tm
 from .errors import (
     GenericityError,
     IndexRangeError,
+    LevelMismatchError,
     NotIsotropicError,
     SpinalgError,
     StructureError,
@@ -135,7 +136,7 @@ def mult_mh(
     n = omega.n + 1
     cc.require_isotropic(h, "multiplication vector")
     if h.n != n:
-        raise IndexRangeError("partner must live at the target level")
+        raise LevelMismatchError("partner must live at the target level")
     lifted = _remask_exterior(omega, n)
     if e is not None:
         if cc.pairing(e, h) != 1:

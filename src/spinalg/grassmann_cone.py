@@ -329,18 +329,15 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
     return cc.wedge_of_vectors(h.n, rows)
 
 
-def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
-    """The exact nullspace of v -> v.x in V; always isotropic of dim <= n.
+def _action_rows(x: sr.SpinVector) -> list[linalg.IntRow]:
+    """The rows of the integer action matrix of v -> v.x, one per image mask.
 
     Works on the primitive integer multiple of x, which has the same
-    annihilator.  Column e_i of the action matrix wedges bit i-1 into each
-    mask of x, column f_j contracts bit j-1 out with the factor 2 (as in
-    vector_action), each with the sign of the set bits below it.  The
-    kernel then passes the same audit as check_isotropic."""
-    if x.is_zero():
-        raise SpinalgError("annihilator of the zero vector is all of V")
+    annihilator.  Column e_i wedges bit i-1 into each mask of x, column f_j
+    contracts bit j-1 out with the factor 2 (as in vector_action), each with
+    the sign of the set bits below it; a (row, column) entry has exactly one
+    source mask."""
     n = x.n
-    # one row per image mask; a (row, column) entry has exactly one source mask
     action: dict[int, linalg.IntRow] = {}
     for m, c in linalg._integer_row(x.terms.items())[0].items():
         for i in range(n):
@@ -350,7 +347,12 @@ def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
                 action.setdefault(m ^ b, {})[n + i] = 2 * v
             else:
                 action.setdefault(m | b, {})[i] = v
-    rows = list(action.values())
+    return list(action.values())
+
+
+def _kernel_subspace(rows: list[linalg.IntRow], n: int) -> IsotropicSubspace:
+    """The kernel of the action rows, after the same audit as
+    check_isotropic.  Eliminates the rows in place."""
     kernel = linalg._kernel(rows, linalg._eliminate(rows), 2 * n)
     if not kernel:
         return IsotropicSubspace(n, ())
@@ -358,6 +360,16 @@ def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
     if sub.dim > n:
         raise StructureError("annihilator dimension exceeds n")
     return sub
+
+
+def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
+    """The exact nullspace of v -> v.x in V; always isotropic of dim <= n.
+
+    The kernel of the integer action matrix (see _action_rows) passes the
+    same audit as check_isotropic."""
+    if x.is_zero():
+        raise SpinalgError("annihilator of the zero vector is all of V")
+    return _kernel_subspace(_action_rows(x), x.n)
 
 
 @dataclass(frozen=True)
@@ -373,11 +385,27 @@ class PurityResult:
 
 
 def is_pure(x: sr.SpinVector) -> PurityResult:
-    """Annihilator-rank membership oracle for the isotropic Grassmann cone."""
+    """Annihilator-rank membership oracle for the isotropic Grassmann cone.
+
+    The annihilator of a nonzero x is isotropic, so its dimension is at most
+    n and the rank r of the 2n-column action matrix is at least n; x is pure
+    iff r == n.  If the first n+1 action rows already reduce to n+1 pivots,
+    then r > n and x is not pure: that verdict is exact and returns without
+    a kernel.  Otherwise the full annihilator path runs on all the rows,
+    the n+1 reduced ones in place of their originals (the same row space,
+    so the same kernel): elimination, kernel, isotropy audit and dim == n,
+    so a pure verdict carries the audited subspace.  Points certified by the
+    n+1 rows skip the audit; annihilator() still audits every kernel."""
     if x.is_zero():
         return PurityResult("zero", None)
-    ann = annihilator(x)
-    if ann.dim == x.n:
+    n = x.n
+    rows = _action_rows(x)
+    head = rows[: n + 1]
+    if len(linalg._eliminate(head)) > n:
+        return PurityResult("not_pure", None)
+    rows[: n + 1] = head
+    ann = _kernel_subspace(rows, n)
+    if ann.dim == n:
         return PurityResult("pure", ann)
     return PurityResult("not_pure", None)
 

@@ -613,7 +613,12 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
 
 
 def off_cone_sample(n: int, seed) -> sr.SpinVector:
-    """Rejection-sample a non-pure even vector with coordinates in -3..3."""
+    """Rejection-sample a non-pure even vector with coordinates in -3..3.
+
+    Every nonzero even vector is pure at levels n <= 3, so the levels start
+    at 4, as for the pullback families."""
+    if n < 4:
+        raise IndexRangeError("off-cone even vectors need level >= 4")
     rng = random.Random(f"offcone:{n}:{seed}")
     masks = component_variables(n)
     while True:

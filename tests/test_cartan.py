@@ -145,6 +145,13 @@ class TestContraction:
         with pytest.raises(LevelMismatchError):
             ca.contract_ce(cc.ExteriorVector(3, {0b000111: 1}), cc.VectorInV.basis(2, 2))
 
+    def test_rejects_partner_of_other_level(self):
+        # a level-2 omega needs its partner at level 3
+        omega = cc.ExteriorVector(2, {0b0011: Fraction(1)})
+        for level in (2, 4):
+            with pytest.raises(LevelMismatchError, match="target level"):
+                ca.mult_mh(omega, cc.VectorInV.basis(level, -level))
+
     @pytest.mark.parametrize("n", range(3, 7))
     def test_general_partner_against_per_monomial_oracle(self, n):
         rng = make_rng(f"mult-mh:{n}")

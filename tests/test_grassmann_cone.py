@@ -7,6 +7,7 @@ import pytest
 
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
+from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import IndexRangeError, LevelMismatchError, NotIsotropicError, SpinalgError
@@ -149,6 +150,16 @@ class TestAnnihilator:
         with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
             gc.annihilator(x)
 
+    def test_off_cone_kernel_goes_through_the_isotropy_audit(self, monkeypatch):
+        # is_pure certifies this point from n+1 action rows without an audit;
+        # annihilator still audits its one-dimensional kernel
+        x = ie.off_cone_sample(5, "audit")
+        assert gc.annihilator(x).dim == 1
+        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        assert gc.is_pure(x).kind == "not_pure"
+        with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
+            gc.annihilator(x)
+
 
 class TestPurity:
     def test_highest_weight(self):
@@ -163,6 +174,44 @@ class TestPurity:
     def test_off_cone_vector(self):
         x = sr.SpinVector(4, {0: Fraction(1), 0b1111: Fraction(1)})
         assert gc.is_pure(x).kind == "not_pure"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_oracle(self, n):
+        rng = make_rng(f"pure-oracle:{n}")
+        if n >= 4:
+            points = cone_query_points(n, "pure-oracle")
+        else:
+            # mixed and odd points; every nonzero parity-pure point is pure here
+            points = [random_spin(n, rng, p, bound=2) for p in (None, "odd") for _ in range(4)]
+        kinds = set()
+        for x in points:
+            res = gc.is_pure(x)
+            want = oracle_annihilator(x)
+            assert res.kind == ("pure" if want.dim == n else "not_pure")
+            assert res.subspace == (want if res.kind == "pure" else None)
+            kinds.add(res.kind)
+        assert kinds == {"pure", "not_pure"}
+
+    def test_inconclusive_rows_fall_through(self, monkeypatch):
+        # a not-pure point whose first n+1 action rows have rank <= n: the
+        # verdict comes from the full annihilator path
+        full_path = []
+        kernel_subspace = gc._kernel_subspace
+
+        def spy(rows, n):
+            full_path.append(n)
+            return kernel_subspace(rows, n)
+
+        monkeypatch.setattr(gc, "_kernel_subspace", spy)
+        rng = make_rng("pure-fall-through")
+        for _ in range(40):
+            x = random_spin(5, rng, "even", bound=1)
+            full_path.clear()
+            if not x.is_zero() and gc.is_pure(x).kind == "not_pure" and full_path:
+                break
+        else:
+            pytest.fail("no not-pure point reached the full path")
+        assert oracle_annihilator(x).dim < 5
 
     def test_orbit_points_are_pure(self):
         for n in (3, 4, 5):

@@ -604,6 +604,12 @@ class TestOffConeSampler:
         assert gc.is_pure(x).kind == "not_pure"
         assert x.parity() == "even"
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_levels_below_four_rejected(self, n):
+        # every nonzero even vector is pure there, so rejection would not end
+        with pytest.raises(IndexRangeError, match="level >= 4"):
+            ie.off_cone_sample(n, 0)
+
 
 class TestGoldenOutputs:
     """Printed forms recorded from the tuple-of-SpinVariable monomial format;
