@@ -256,10 +256,7 @@ def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
     x_pars = {m.bit_count() % 2 for m in x.terms}
     if len(p._variable_parities() | x_pars) > 1:
         raise LevelMismatchError("parity mismatch between polynomial and point")
-    total = Fraction(0)
-    for mono, c in p.terms.items():
-        total += _monomial_value(mono, x.terms, c)
-    return total
+    return sum((_monomial_value(mono, x.terms, c) for mono, c in p.terms.items()), Fraction(0))
 
 
 def component_variables(n: int) -> list[int]:
@@ -271,32 +268,32 @@ def component_variables(n: int) -> list[int]:
 
 
 def monomials_of_degree(masks: list[int], d: int) -> list[Monomial]:
+    if d < 0:
+        raise IndexRangeError(f"degree {d} is negative")
     return list(combinations_with_replacement(sorted(masks), d))
 
 
 def vanishing_forms(points: list[sr.SpinVector], degree: int) -> list[Polynomial]:
     """Canonical basis of the degree-d forms vanishing on all given points.
 
-    Exact nullspace of the evaluation matrix; raises if there are fewer
-    points than monomials (the result would be meaningless)."""
+    Exact nullspace of the evaluation matrix, on integers: a form vanishes at
+    x iff it vanishes at x's primitive integer multiple, whose row is x's
+    times a constant that the elimination divides out.  Raises if there are
+    fewer points than monomials (the result would be meaningless), for a
+    point with an odd coordinate and for a negative degree."""
     if not points:
         raise TooFewPointsError("no points supplied")
     n = points[0].n
     if any(x.n != n for x in points):
         raise LevelMismatchError("points live at different levels")
+    if any(m.bit_count() & 1 for x in points for m in x.terms):
+        raise LevelMismatchError("the forms read even coordinates; a point has odd ones")
     monos = monomials_of_degree(component_variables(n), degree)
     if len(points) < len(monos):
-        raise TooFewPointsError(
-            f"need at least {len(monos)} points for {len(monos)} monomials, got {len(points)}"
-        )
-    one = Fraction(1)
-    matrix = [[_monomial_value(mono, x.terms, one) for mono in monos] for x in points]
-    kernel = linalg.nullspace(matrix)
-    forms = []
-    for coeffs in kernel:
-        terms = {monos[i]: c for i, c in enumerate(coeffs) if c}
-        forms.append(Polynomial(False, n, terms))
-    return forms
+        raise TooFewPointsError(f"need at least {len(monos)} points for {len(monos)} monomials, got {len(points)}")
+    ints = [linalg._integer_row(x.terms.items())[0] for x in points]
+    kernel = linalg.nullspace([[_monomial_value(mono, xs, 1) for mono in monos] for xs in ints])
+    return [Polynomial(False, n, dict(zip(monos, coeffs))) for coeffs in kernel]
 
 
 def cone_points(n: int, seed, count: int) -> list[sr.SpinVector]:
@@ -514,15 +511,14 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
     contraction keep parity, so the rows are supported on even masks."""
     if n < 4:
         raise IndexRangeError("pullback families need level >= 4")
+    if count < 1:
+        raise IndexRangeError(f"a pullback family needs at least one member, got count {count}")
     base = i4_quadric()
     sources = component_variables(n)
     targets = component_variables(4)
     members = []
     for i in range(count):
-        if i == 0:
-            g = sr.GroupElement.identity(n)
-        else:
-            g = sr.random_group_element(n, f"family:{seed}:{i}", length)
+        g = sr.random_group_element(n, f"family:{seed}:{i}", length) if i else sr.GroupElement.identity(n)
         rows, den = sr._word_rows(g, targets)
         sparse = {t: dict(sorted(r.items())) for t, r in zip(targets, rows)}
         quad = _pullback_rows(base, sparse, den, n)

@@ -484,48 +484,52 @@ def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _root_table(n: int, kind: str, i: int, j: int) -> dict[int, tuple[int, int]]:
-    """rho(X) of a root X, compiled once: basis mask -> (image mask, 2c), with
-    c the coefficient of the image.
+def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
+    """rho(X) of a root X, compiled once on integers: basis mask -> (image
+    mask, 2c), with c the coefficient of the image, and the inverse, image ->
+    (basis mask, 2c).  X's words are scaled to integers by the lcm L of their
+    denominators, so an image reads L c.
 
     Every permitted root sends each basis vector to a multiple c of at most
     one basis vector, with c in {+-1/2, +-1, +-2}, and no two basis vectors to
-    the same one; the build checks all three.  So the table can be read
-    backwards (image -> source), as the transposed step does."""
+    the same one; the build checks all three, the last one for the inverse."""
     words = _so_words(root_so_element(n, kind, i, j))
+    scale = math.lcm(*(c.denominator for c, _ in words))
+    words = [(c.numerator * (scale // c.denominator), letters) for c, letters in words]
     table = {}
     for m in range(1 << n):
-        image = cc._apply_words(words, {m: Fraction(1)})
+        image = cc._apply_words(words, {m: 1})
         if len(image) > 1:
             raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
         if image:
             ((img, c),) = image.items()
-            if (2 * c).denominator != 1 or abs(2 * c) not in (1, 2, 4):
-                raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {c}")
-            table[m] = (img, int(2 * c))
-    if len({img for img, _ in table.values()}) != len(table):
+            c2, rest = divmod(2 * c, scale)
+            if rest or abs(c2) not in (1, 2, 4):
+                raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {Fraction(c, scale)}")
+            table[m] = (img, c2)
+    inverse = {img: (m, c2) for m, (img, c2) in table.items()}
+    if len(inverse) != len(table):
         raise StructureError(f"root {kind}({i},{j}) sends two masks to one")
-    return table
+    return table, inverse
 
 
-def _root_step(table: dict, t: Fraction, v: dict[int, int], transpose: bool) -> dict[int, int]:
-    """exp(t X) = I + t rho(X) on integers, given the table of X: every
+def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transpose: bool) -> dict[int, int]:
+    """exp(t X) = I + t rho(X) on integers, given the tables of X: every
     permitted root X has rho(X)^2 = 0.  With t = p/q the step returns
     2q v + p (2c) v[src] at each image, so the caller multiplies its
-    denominator by 2q.  transpose=True moves a covector instead (the table
-    read from image to source)."""
+    denominator by 2q.  transpose=True moves a covector instead, through the
+    inverse table; either way the step costs v's nonzero entries."""
     p, s = t.numerator, 2 * t.denominator
+    table = tables[transpose]
     out = {m: s * c for m, c in v.items()}
-    if transpose:
-        hits = [(src, p * c2 * v[img]) for src, (img, c2) in table.items() if img in v]
-    else:
-        hits = [(hit[0], p * hit[1] * c) for src, c in v.items() if (hit := table.get(src))]
-    for m, c in hits:
-        c += out.get(m, 0)
-        if c:
-            out[m] = c
-        else:
-            del out[m]
+    for src, c in v.items():
+        if hit := table.get(src):
+            m, c2 = hit
+            c = p * c2 * c + out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
     return out
 
 
@@ -538,8 +542,8 @@ def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, in
     den = 1
     for kind, i, j, t in g.word:
         if t:
-            table = _root_table(g.n, kind, i, j)
-            rows = [_root_step(table, t, row, True) for row in rows]
+            tables = _root_table(g.n, kind, i, j)
+            rows = [_root_step(tables, t, row, True) for row in rows]
             den *= 2 * t.denominator
     common = functools.reduce(math.gcd, (c for row in rows for c in row.values()), den)
     if common != 1:

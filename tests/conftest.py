@@ -1,5 +1,7 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -256,6 +258,67 @@ def oracle_group_apply(g, x):
     for kind, i, j, t in reversed(g.word):
         x = x + sr.rho_so(sr.root_so_element(g.n, kind, i, j), x).scale(t)
     return x
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_root_table(n, kind, i, j):
+    """The root table built on Fractions, as first written: rho(X) applied
+    to each {m: 1}, read as basis mask -> (image mask, 2c)."""
+    words = sr._so_words(sr.root_so_element(n, kind, i, j))
+    table = {}
+    for m in range(1 << n):
+        image = cc._apply_words(words, {m: Fraction(1)})
+        if len(image) > 1:
+            raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
+        if image:
+            ((img, c),) = image.items()
+            if (2 * c).denominator != 1 or abs(2 * c) not in (1, 2, 4):
+                raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {c}")
+            table[m] = (img, int(2 * c))
+    return table
+
+
+def oracle_word_rows(g, targets):
+    """_word_rows as first written: each transposed step scans the whole
+    Fraction-built table for the images the covector holds."""
+    rows = [{t: 1} for t in targets]
+    den = 1
+    for kind, i, j, t in g.word:
+        if not t:
+            continue
+        table = oracle_root_table(g.n, kind, i, j)
+        p, s = t.numerator, 2 * t.denominator
+        stepped = []
+        for row in rows:
+            out = {m: s * c for m, c in row.items()}
+            for src, (img, c2) in table.items():
+                if img in row:
+                    out[src] = out.get(src, 0) + p * c2 * row[img]
+            stepped.append({m: c for m, c in out.items() if c})
+        rows = stepped
+        den *= 2 * t.denominator
+    common = functools.reduce(math.gcd, (c for row in rows for c in row.values()), den)
+    return [{m: c // common for m, c in row.items()} for row in rows], den // common
+
+
+def oracle_vanishing_forms(points, degree):
+    """vanishing_forms as first written, on the Fraction evaluation matrix
+    of the points themselves, with the kernel read off oracle_rref: one
+    vector per free column, free coordinate 1."""
+    n = points[0].n
+    monos = ie.monomials_of_degree(ie.component_variables(n), degree)
+    matrix = [[ie._monomial_value(mono, x.terms, Fraction(1)) for mono in monos] for x in points]
+    reduced, pivots = oracle_rref(matrix)
+    forms = []
+    for free in range(len(monos)):
+        if free in pivots:
+            continue
+        coeffs = [Fraction(0)] * len(monos)
+        coeffs[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            coeffs[c] = -reduced[r][free]
+        forms.append(ie.Polynomial(False, n, {monos[k]: c for k, c in enumerate(coeffs) if c}))
+    return forms
 
 
 def oracle_level_maps(family):

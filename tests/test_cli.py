@@ -170,6 +170,21 @@ def test_report_matches_golden_digest(suite):
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPORTS[suite]
 
 
+# the two suites again at n = 1..6, where they run the level-4 discovery, the
+# 120-member level-6 pullback family and the level-6 root tables
+GOLDEN_REPORTS_N6 = {
+    "lowering": "783a5dea591ba4a8b0d3360f131252cf9243db7a012c2fe141077ceb90037124",
+    "theorem61": "a53374eb27c62f8b2d5f0b6260f7279388c4beb622aac4eeffd02cc34293f084",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS_N6))
+def test_report_matches_golden_digest_at_level_six(suite):
+    config = cli.SuiteConfig(suite, 1, 6, 7, 1, None, False)
+    doc = cli.run_suite(config).to_document()
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPORTS_N6[suite]
+
+
 class TestSkipping:
     def test_out_of_domain_levels_are_skipped(self):
         report = cli.run_suite(

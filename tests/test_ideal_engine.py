@@ -26,6 +26,7 @@ from conftest import (
     make_rng,
     oracle_certify,
     oracle_level_maps,
+    oracle_vanishing_forms,
     random_spin,
 )
 
@@ -135,6 +136,41 @@ class TestVanishingForms:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             ie.vanishing_forms([sr.SpinVector.basis(4, 0)], 2)
+
+    def test_odd_coordinate_rejected(self):
+        with pytest.raises(LevelMismatchError, match="odd"):
+            ie.vanishing_forms([sr.SpinVector(3, {1: 1})] * 20, 1)
+        points = [sr.SpinVector.omega0(4)] * 40 + [sr.SpinVector(4, {0: 1, 7: Fraction(1, 2)})]
+        with pytest.raises(LevelMismatchError, match="odd"):
+            ie.vanishing_forms(points, 2)
+
+    @pytest.mark.parametrize("degree", [-1, -4])
+    def test_negative_degree_rejected(self, degree):
+        with pytest.raises(IndexRangeError, match=f"degree {degree}"):
+            ie.vanishing_forms([sr.SpinVector.omega0(4)] * 40, degree)
+        with pytest.raises(IndexRangeError, match=f"degree {degree}"):
+            ie.stable_vanishing_forms(4, degree, "negative")
+
+    @pytest.mark.parametrize(
+        "n,degree,drop", [(3, 1, True), (3, 2, True), (3, 3, True), (4, 1, True), (4, 2, True), (4, 2, False)]
+    )
+    def test_matches_fraction_oracle(self, n, degree, drop):
+        # cone points scaled by fractions, and a zero point; with drop, the
+        # points lose the coordinate of mask 3, so the kernel holds every
+        # monomial in it whatever the cone's equations
+        rng = make_rng(f"vf-oracle:{n}:{degree}:{drop}")
+        count = len(ie.monomials_of_degree(ie.component_variables(n), degree)) + 5
+        points = [sr.SpinVector.zero(n)]
+        for k in range(count):
+            x = gc.sample_cone_point(n, f"vf-oracle:{n}:{k}", length=4)
+            x = x.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12)))
+            if drop:
+                x = sr.SpinVector(n, {m: c for m, c in x.terms.items() if m != 3})
+            points.append(x)
+        forms = ie.vanishing_forms(points, degree)
+        assert forms
+        expected = oracle_vanishing_forms(points, degree)
+        assert [list(f.terms.items()) for f in forms] == [list(f.terms.items()) for f in expected]
 
     def test_generic_points_have_no_forms(self, rng):
         n = 3
@@ -256,6 +292,11 @@ class TestCertification:
         r32 = linalg.rank(rows(fam32))
         r64 = linalg.rank(rows(fam64))
         assert r32 == r64 == 10
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected_at_build(self, count):
+        with pytest.raises(IndexRangeError, match=f"count {count}"):
+            ie.orbit_pullback_family(5, "none", count)
 
     def test_empty_family_rejected(self):
         fam = ie.PullbackFamily(5, "x", ())

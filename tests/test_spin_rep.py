@@ -18,7 +18,9 @@ from spinalg.errors import (
 from conftest import (
     make_rng,
     oracle_group_apply,
+    oracle_root_table,
     oracle_so_matrix,
+    oracle_word_rows,
     random_spin,
     random_vector,
     split_form,
@@ -250,13 +252,36 @@ class TestGroupElements:
     def test_root_tables_are_integer_partial_permutations(self):
         for n in range(1, 7):
             for kind, i, j in sr.all_root_vectors(n):
-                table = sr._root_table(n, kind, i, j)
+                table, _inverse = sr._root_table(n, kind, i, j)
                 assert table, (kind, i, j)
                 assert len({img for img, _ in table.values()}) == len(table)
                 for m, (img, c2) in table.items():
                     assert type(c2) is int and abs(c2) in (1, 2, 4)
                     image = sr.rho_so(sr.root_so_element(n, kind, i, j), sr.SpinVector.basis(n, m))
                     assert image == sr.SpinVector(n, {img: Fraction(c2, 2)})
+
+    def test_root_tables_match_fraction_build(self):
+        # the integer build against the Fraction one, entries and order, and
+        # the stored inverse against the forward table read backwards
+        for n in range(2, 7):
+            for kind, i, j in sr.all_root_vectors(n):
+                table, inverse = sr._root_table(n, kind, i, j)
+                assert list(table.items()) == list(oracle_root_table(n, kind, i, j).items())
+                assert len(inverse) == len(table)
+                for img, (src, c2) in inverse.items():
+                    assert table[src] == (img, c2)
+                for src, (img, c2) in table.items():
+                    assert inverse[img] == (src, c2)
+
+    def test_word_rows_match_full_table_scan(self, rng):
+        params = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2)]
+        for n in range(4, 7):
+            roots = sr.all_root_vectors(n)
+            for length in (1, 3, 6, 10):
+                g = sr.GroupElement(n, [(*rng.choice(roots), rng.choice(params)) for _ in range(length)])
+                for targets in ([0, 3, 5, 6, 9, 10, 12, 15], list(range(1 << n))):
+                    rows, den = sr._word_rows(g, targets)
+                    assert (rows, den) == oracle_word_rows(g, targets), (n, g)
 
     def test_root_table_build_rejects_other_shapes(self, monkeypatch):
         build = sr._root_table.__wrapped__  # uncached, so no bad table is kept
