@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import lcm
 
 from . import clifford_core as cc
@@ -34,11 +35,58 @@ def _parity_sign(n: int, parity: str) -> int:
 
 def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
     """B_n(S, T): the degree-n part of e_S f acting, in the module of the
-    whole exterior algebra, on star(e_T) 1 = (-1)^(k(k-1)/2) e_T, k = |T|."""
+    whole exterior algebra, on star(e_T) 1 = (-1)^(k(k-1)/2) e_T, k = |T|,
+    in closed form.
+
+    The word e_S f acts letter by letter, f_n first, then f_(n-1), ...,
+    f_1, then e_i for i in S in descending order; each letter wedges its
+    symbol or contracts its partner.  The letters f_j and e_j touch only
+    the pair (e_j, f_j), so each index j is settled on its own:
+
+      j not in S u T   f_j wedges f_j: f_j;
+      j in S n T       e_j, by two paths (f_j contracts e_j and e_j wedges
+                       it back, or f_j wedges f_j and e_j contracts it)
+                       of equal sign: a factor 2;
+      j in D = S ^ T   e_j f_j or 1.
+
+    Every index outside D gives degree 1, so degree n takes e_j f_j at
+    exactly half of D, and
+
+      B_n(S, T) = sum over D1 in D, |D1| = |D|/2, of
+                  +-2^|S n T| e_((S n T) u D1) f_(([n] \\ (S u T)) u D1),
+
+    zero when |D| is odd.  The sign is that of one path, walked with the
+    kernel's rule: a move on bit b in mask m gives (-1)^(set bits of m
+    below b)."""
     k = t.bit_count()
-    word = [cc._exterior_letter(sym, n) for sym in cc.monomial_word((s, (1 << n) - 1))]
-    image = cc._apply_words([(1, word)], {t: -1 if k * (k - 1) // 2 & 1 else 1})
-    return {m: c for m, c in image.items() if m.bit_count() == n}
+    both = s & t
+    d = s ^ t
+    scale = (-1 if k * (k - 1) // 2 & 1 else 1) << both.bit_count()
+    half, odd = divmod(d.bit_count(), 2)
+    out: dict[int, int] = {}
+    if odd:
+        return out
+    f_moves = range(n - 1, -1, -1)
+    e_moves = [j for j in f_moves if s >> j & 1]
+    for d1 in combinations([1 << j for j in range(n) if d >> j & 1], half):
+        d1 = sum(d1)
+        # f_j contracts e_j on T outside D1 (S n T takes this path), else
+        # wedges f_j; e_j contracts f_j on S \ T outside D1, else wedges e_j
+        contract_e = t & ~d1
+        contract_f = s & ~(t | d1)
+        m, sign = t, scale
+        for j in f_moves:
+            b = 1 << j if contract_e >> j & 1 else 1 << (n + j)
+            if (m & (b - 1)).bit_count() & 1:
+                sign = -sign
+            m ^= b
+        for j in e_moves:
+            b = 1 << (n + j) if contract_f >> j & 1 else 1 << j
+            if (m & (b - 1)).bit_count() & 1:
+                sign = -sign
+            m ^= b
+        out[m] = sign
+    return out
 
 
 @lru_cache(maxsize=None)

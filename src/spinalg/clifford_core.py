@@ -15,6 +15,7 @@ from monomials to Fractions; zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import IndexRangeError, LevelMismatchError, NotIsotropicError
@@ -52,6 +53,12 @@ def _check_index(sym: Symbol, n: int) -> None:
 def symbol_pairing(a: Symbol, b: Symbol) -> Fraction:
     """(a|b) for basis symbols: 1 exactly when {a, b} = {e_i, f_i}."""
     return Fraction(1) if a == -b else Fraction(0)
+
+
+def _check_levels(a, b) -> None:
+    """LevelMismatchError unless a and b (anything with a level n) share a level."""
+    if a.n != b.n:
+        raise LevelMismatchError(f"levels differ: {a.n} vs {b.n}")
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -107,26 +114,94 @@ def _proportional(a: dict, b: dict) -> bool:
     return all(a[m] == ratio * b[m] for m in a)
 
 
-def _apply_words(words, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+def _int_letter(letter: tuple) -> tuple[tuple, int]:
+    """L times the letter, with integer factors, and L, the lcm of the
+    factors' denominators."""
+    scale = lcm(*[f.denominator for _, _, f in letter])
+    return tuple((b, need, f.numerator * (scale // f.denominator)) for b, need, f in letter), scale
+
+
+def _apply_words(words, terms: dict) -> dict:
     """Sum over (coef, letters) in words of coef * (letters applied right to
-    left to the sparse map terms: mask -> coefficient)."""
-    out: dict[int, Fraction] = {}
+    left to the sparse map terms: mask -> coefficient), zeros left out.
+
+    Runs on integers: terms are scaled over their common denominator, each
+    letter's factors over the lcm of theirs, and the words are merged over
+    the lcm of their scales, so one Fraction is made per output mask.  When
+    every coefficient and factor given is an int, the values are ints."""
+    exact = True
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            exact = False
+            den = lcm(*[c.denominator for c in terms.values()])
+            break
+    if not exact:
+        terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    out: dict[int, int] = {}
+    scale = 1  # out holds scale times the sum so far
     for coef, letters in words:
+        if not coef:
+            continue
+        q = 1
+        if type(coef) is not int:
+            exact = False
+            coef, q = coef.numerator, coef.denominator
+        for letter in letters:
+            for _, _, f in letter:
+                if type(f) is not int:
+                    break
+            else:
+                continue
+            exact = False
+            ints = []
+            for letter in letters:
+                letter, lf = _int_letter(letter)
+                ints.append(letter)
+                q *= lf
+            letters = ints
+            break
         cur = terms
         for letter in reversed(letters):
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int] = {}
             for m, c in cur.items():
                 for b, need, factor in letter:
                     if m & b != need:
                         continue
                     v = c if factor == 1 else factor * c
-                    _accumulate(nxt, m ^ b, -v if (m & (b - 1)).bit_count() & 1 else v)
+                    if (m & (b - 1)).bit_count() & 1:
+                        v = -v
+                    k = m ^ b
+                    old = nxt.get(k)
+                    if old is None:
+                        nxt[k] = v
+                    elif v := v + old:
+                        nxt[k] = v
+                    else:
+                        del nxt[k]
             cur = nxt
             if not cur:
                 break
+        if q != scale:
+            if scale % q:
+                grow = q // gcd(scale, q)
+                scale *= grow
+                for m in out:
+                    out[m] *= grow
+            coef *= scale // q
         for m, c in cur.items():
-            _accumulate(out, m, c if coef == 1 else coef * c)
-    return out
+            v = c if coef == 1 else coef * c
+            old = out.get(m)
+            if old is None:
+                out[m] = v
+            elif v := v + old:
+                out[m] = v
+            else:
+                del out[m]
+    if exact:
+        return out
+    den *= scale
+    return {m: Fraction(c, den) for m, c in out.items()}
 
 
 def _bit(sym: Symbol, n: int) -> int:
@@ -217,10 +292,8 @@ class SparseElement:
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
-    def _check_level(self, other) -> None:
-        """LevelMismatchError unless other (anything with a level n) is at self's level."""
-        if self.n != other.n:
-            raise LevelMismatchError(f"levels differ: {self.n} vs {other.n}")
+    # LevelMismatchError unless other (anything with a level n) is at self's level
+    _check_level = _check_levels
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -319,7 +392,7 @@ def normal_form(word: Iterable, n: int) -> CliffordElement:
     for s in syms:
         _check_index(s, n)
     letters = [_clifford_letter(s, n) for s in syms]
-    return _unpacked(n, _apply_words([(1, letters)], {0: Fraction(1)}))
+    return _unpacked(n, _apply_words([(1, letters)], {0: 1}))
 
 
 def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -332,7 +405,7 @@ def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
 def star(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism reversing each monomial word."""
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
-    return _unpacked(a.n, _apply_words(words, {0: Fraction(1)}))
+    return _unpacked(a.n, _apply_words(words, {0: 1}))
 
 
 class VectorInV:
@@ -377,8 +450,7 @@ class VectorInV:
         return all(x == 0 for x in self.e) and all(x == 0 for x in self.f)
 
     def __add__(self, other: "VectorInV") -> "VectorInV":
-        if self.n != other.n:
-            raise LevelMismatchError("vector levels differ")
+        _check_levels(self, other)
         return VectorInV(
             self.n,
             [a + b if a and b else a or b for a, b in zip(self.e, other.e)],
@@ -386,8 +458,7 @@ class VectorInV:
         )
 
     def __sub__(self, other: "VectorInV") -> "VectorInV":
-        if self.n != other.n:
-            raise LevelMismatchError("vector levels differ")
+        _check_levels(self, other)
         return VectorInV(
             self.n,
             [a - b if b else a for a, b in zip(self.e, other.e)],
@@ -436,8 +507,7 @@ class VectorInV:
 
 def pairing(v: VectorInV, w: VectorInV) -> Fraction:
     """The bilinear form (v|w) of the split quadratic space."""
-    if v.n != w.n:
-        raise LevelMismatchError("vector levels differ")
+    _check_levels(v, w)
     total = _ZERO
     for a, b in zip(v.e + v.f, w.f + w.e):
         if a and b:
@@ -514,10 +584,11 @@ def _wedge_front(ext: ExteriorVector, coords: list[Fraction]) -> ExteriorVector:
 
 def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
     """v_1 wedge ... wedge v_k as an ExteriorVector."""
-    if any(v.n != n for v in vectors):
-        raise LevelMismatchError("vector levels differ")
+    for v in vectors:
+        if v.n != n:
+            raise LevelMismatchError(f"levels differ: {n} vs {v.n}")
     letters = [_vector_letter(v.coords()) for v in vectors]
-    return ExteriorVector(n, _apply_words([(1, letters)], {0: Fraction(1)}))
+    return ExteriorVector(n, _apply_words([(1, letters)], {0: 1}))
 
 
 def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
@@ -531,7 +602,7 @@ def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
     words = [
         (c, [letters[b] for b in range(2 * n) if m >> b & 1]) for m, c in omega.terms.items()
     ]
-    return ExteriorVector(n, _apply_words(words, {0: _ONE}))
+    return ExteriorVector(n, _apply_words(words, {0: 1}))
 
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
@@ -554,4 +625,4 @@ def so_to_clifford(x) -> CliffordElement:
     for u, v, c in pairs:
         lu, lv = _clifford_letter(u, n), _clifford_letter(v, n)
         words += [(Fraction(c, 4), [lu, lv]), (Fraction(-c, 4), [lv, lu])]
-    return _unpacked(n, _apply_words(words, {0: Fraction(1)}))
+    return _unpacked(n, _apply_words(words, {0: 1}))

@@ -449,13 +449,14 @@ class PullbackFamily:
     for a group element of another level, or rows that are not _ROWS rows over
     the 2^(n-1) even level-n masks.
 
-    certify_membership reads the members through packed tables, built from
-    the members on first use and kept per slot width w outside the fields,
-    so equality and hash see only n, seed and members.  For each block of
-    _BLOCK members and each even source position k, the table holds the one
-    int sum_s rows_s[k] 2^(w s) over the block's slots s (Kronecker
-    substitution): one multiply-add per nonzero coordinate of a point maps
-    it by the whole block."""
+    certify_membership reads the members through packed tables, kept per
+    slot width w outside the fields, so equality and hash see only n, seed
+    and members.  For each block of _BLOCK members and each even source
+    position k, the table holds the one int sum_s rows_s[k] 2^(w s) over the
+    block's slots s (Kronecker substitution): one multiply-add per nonzero
+    coordinate of a point maps it by the whole block.  A block's table is
+    built when a query first reaches the block, so a query that stops in
+    block 0 builds no other."""
 
     n: int
     seed: str
@@ -481,24 +482,34 @@ class PullbackFamily:
         return max((sum(map(abs, row)) for m in self.members for row in m.rows), default=0)
 
     @cached_property
-    def _tables(self) -> dict[int, tuple[int, list[list[int]]]]:
-        """Slot width -> (bias, one packed int per even source position for
-        each block), filled by _packed."""
+    def _tables(self) -> dict[int, tuple[int, "_PackedBlocks"]]:
+        """Slot width -> (bias, the blocks' packed tables), filled by _packed."""
         return {}
 
-    def _packed(self, width: int) -> tuple[int, list[list[int]]]:
-        """The packed tables at slot width `width`, and the bias that puts
-        2^(width-1) in every slot."""
+    def _packed(self, width: int) -> tuple[int, "_PackedBlocks"]:
+        """The bias that puts 2^(width-1) in every slot, and the blocks'
+        packed tables at slot width `width`."""
         if width not in self._tables:
-            blocks = []
-            for b in range(0, len(self.members), _BLOCK):
-                slots = [row for m in self.members[b : b + _BLOCK] for row in m.rows]
-                blocks.append(
-                    [sum(c << width * s for s, c in enumerate(col) if c) for col in zip(*slots)]
-                )
             bias = sum(1 << width * s for s in range(_SLOTS)) << width - 1
-            self._tables[width] = bias, blocks
+            self._tables[width] = bias, _PackedBlocks(self.members, width)
         return self._tables[width]
+
+
+class _PackedBlocks(dict):
+    """Block index -> one packed int per even source position of the block's
+    members at one slot width, each block built on its first lookup."""
+
+    __slots__ = ("members", "width")
+
+    def __init__(self, members: tuple[FamilyMember, ...], width: int):
+        super().__init__()
+        self.members = members
+        self.width = width
+
+    def __missing__(self, i: int) -> list[int]:
+        slots = [row for m in self.members[i * _BLOCK : (i + 1) * _BLOCK] for row in m.rows]
+        table = self[i] = [sum(c << self.width * s for s, c in enumerate(col) if c) for col in zip(*slots)]
+        return table
 
 
 def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> PullbackFamily:
@@ -513,6 +524,8 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
         raise IndexRangeError("pullback families need level >= 4")
     if count < 1:
         raise IndexRangeError(f"a pullback family needs at least one member, got count {count}")
+    if length < 1:
+        raise IndexRangeError(f"word length must be >= 1, got {length}")
     base = i4_quadric()
     sources = component_variables(n)
     targets = component_variables(4)
@@ -580,7 +593,7 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     if not family.members:
         raise SpinalgError("empty family cannot certify")
     if x.n != family.n:
-        raise LevelMismatchError("levels differ")
+        raise LevelMismatchError(f"levels differ: {family.n} vs {x.n}")
     if any(m.bit_count() & 1 for m in x.terms):
         raise LevelMismatchError("the family's forms read even coordinates; the point has odd ones")
     if x.is_zero():
@@ -593,7 +606,8 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     width = 64 * ((max(map(abs, values)) * family._row_bound).bit_length() // 64 + 1)
     bias, blocks = family._packed(width)
     quad = _i4_slot_terms()
-    for i, block in enumerate(blocks):
+    for i in range((len(family.members) + _BLOCK - 1) // _BLOCK):
+        block = blocks[i]
         ys = _slot_values(sum(map(mul, map(block.__getitem__, positions), values), bias) ^ bias, width)
         # the quadric's value for each member of the block, over strided slots
         vals = repeat(0, _BLOCK)
@@ -1030,7 +1044,7 @@ def gamma_windowed(finite_terms: dict[int, Fraction], limit_terms: dict[int, Fra
             continue
         # the sign of e_S wedge e_(complement) against the full window wedge
         letters = [(cc._wedge(s),) for s in range(window) if s_mask >> s & 1]
-        sign = cc._apply_words([(1, letters)], {full & ~s_mask: Fraction(1)})[full]
+        sign = cc._apply_words([(1, letters)], {full & ~s_mask: 1})[full]
         total += sign * a * b
     return total
 

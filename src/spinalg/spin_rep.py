@@ -124,12 +124,16 @@ def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
 
 
 class SoElement:
-    """Sparse two-form: blocks of e_i^e_j (i<j), f_i^f_j (i<j), e_i^f_j."""
+    """Sparse two-form: blocks of e_i^e_j (i<j), f_i^f_j (i<j), e_i^f_j.
 
-    __slots__ = ("n", "ee", "ff", "ef")
+    rho_so keeps the two-form's letter words in _words once it has built
+    them, so a two-form applied to many vectors builds them once."""
+
+    __slots__ = ("n", "ee", "ff", "ef", "_words")
 
     def __init__(self, n: int, ee=None, ff=None, ef=None):
         self.n = n
+        self._words = None
         self.ee: dict[tuple[int, int], Fraction] = {}
         self.ff: dict[tuple[int, int], Fraction] = {}
         self.ef: dict[tuple[int, int], Fraction] = {}
@@ -170,8 +174,7 @@ class SoElement:
         return not (self.ee or self.ff or self.ef)
 
     def __add__(self, other: "SoElement") -> "SoElement":
-        if self.n != other.n:
-            raise LevelMismatchError("levels differ")
+        cc._check_levels(self, other)
 
         def merge(a, b):
             out = dict(a)
@@ -278,7 +281,9 @@ def _so_words(x: SoElement) -> list:
 def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
     """Spin action of a two-form on the wedge model."""
     omega._check_level(x)
-    return _act(_so_words(x), omega)
+    if x._words is None:
+        x._words = _so_words(x)
+    return _act(x._words, omega)
 
 
 def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
@@ -399,7 +404,7 @@ class LinearOperator:
 
     def apply(self, x: SpinVector) -> SpinVector:
         if x.n != self.source_n:
-            raise LevelMismatchError("levels differ")
+            raise LevelMismatchError(f"levels differ: {self.source_n} vs {x.n}")
         out: dict[int, Fraction] = {}
         for m, c in x.terms.items():
             col = self.cols.get(m)
@@ -496,17 +501,21 @@ def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
     words = _so_words(root_so_element(n, kind, i, j))
     scale = math.lcm(*(c.denominator for c, _ in words))
     words = [(c.numerator * (scale // c.denominator), letters) for c, letters in words]
+    # one kernel pass over every basis mask m, each tagged with a copy of m
+    # above bit n: no letter touches those bits and no sign counts them, so
+    # the images of two masks never meet
+    images: dict[int, list] = {}
+    for key, c in cc._apply_words(words, {m | m << n: 1 for m in range(1 << n)}).items():
+        images.setdefault(key >> n, []).append((key & ((1 << n) - 1), c))
     table = {}
-    for m in range(1 << n):
-        image = cc._apply_words(words, {m: 1})
+    for m, image in sorted(images.items()):
         if len(image) > 1:
             raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
-        if image:
-            ((img, c),) = image.items()
-            c2, rest = divmod(2 * c, scale)
-            if rest or abs(c2) not in (1, 2, 4):
-                raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {Fraction(c, scale)}")
-            table[m] = (img, c2)
+        ((img, c),) = image
+        c2, rest = divmod(2 * c, scale)
+        if rest or abs(c2) not in (1, 2, 4):
+            raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {Fraction(c, scale)}")
+        table[m] = (img, c2)
     inverse = {img: (m, c2) for m, (img, c2) in table.items()}
     if len(inverse) != len(table):
         raise StructureError(f"root {kind}({i},{j}) sends two masks to one")
@@ -606,8 +615,7 @@ class GroupElement:
         )
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.n != other.n:
-            raise LevelMismatchError("levels differ")
+        cc._check_levels(self, other)
         return GroupElement(self.n, self.word + other.word)
 
     def __eq__(self, other) -> bool:

@@ -115,18 +115,20 @@ def _random_clifford(n, rng) -> cc.CliffordElement:
 
 def _check_quarter_embedding(n, seed, samples):
     syms = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+    elements = {s: cc.CliffordElement.from_symbol(n, s) for s in syms}
+    vectors = {s: cc.VectorInV.basis(n, s) for s in syms}
     for u in syms:
+        uv = vectors[u]
         for v in syms:
             if u == v:
                 continue
+            vv = vectors[v]
             x = cc.normal_form([u, v], n) - cc.normal_form([v, u], n)
             x = x.scale(Fraction(1, 4))
             for w in syms:
-                wc = cc.CliffordElement.from_symbol(n, w)
+                wc = elements[w]
                 lhs = cc.mul(x, wc) - cc.mul(wc, x)
-                uv = cc.VectorInV.basis(n, u)
-                vv = cc.VectorInV.basis(n, v)
-                wv = cc.VectorInV.basis(n, w)
+                wv = vectors[w]
                 rhs = (
                     uv.scale(cc.pairing(vv, wv)) - vv.scale(cc.pairing(uv, wv))
                 ).as_clifford()

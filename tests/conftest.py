@@ -372,6 +372,51 @@ def oracle_nu2(x):
     return full.degree_component(n)
 
 
+def _oracle_accumulate(acc, key, value):
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+    else:
+        value += old
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
+
+
+def oracle_apply_words(words, terms):
+    """The letter kernel as first written, on the coefficients as given:
+    every move multiplies and adds them directly (Fractions stay Fractions,
+    ints stay ints), no common denominator."""
+    out = {}
+    for coef, letters in words:
+        cur = terms
+        for letter in reversed(letters):
+            nxt = {}
+            for m, c in cur.items():
+                for b, need, factor in letter:
+                    if m & b != need:
+                        continue
+                    v = c if factor == 1 else factor * c
+                    _oracle_accumulate(nxt, m ^ b, -v if (m & (b - 1)).bit_count() & 1 else v)
+            cur = nxt
+            if not cur:
+                break
+        for m, c in cur.items():
+            _oracle_accumulate(out, m, c if coef == 1 else coef * c)
+    return out
+
+
+def oracle_half_pair(n, s, t):
+    """B_n(S, T) as first written: the exterior letters of the word e_S f
+    (f_1..f_n in full) applied by oracle_apply_words to (-1)^(k(k-1)/2) e_T,
+    k = |T|, and the degree-n part kept."""
+    k = t.bit_count()
+    word = [cc._exterior_letter(sym, n) for sym in cc.monomial_word((s, (1 << n) - 1))]
+    image = oracle_apply_words([(1, word)], {t: -1 if k * (k - 1) // 2 & 1 else 1})
+    return {m: c for m, c in image.items() if m.bit_count() == n}
+
+
 def oracle_induced_map(omega, images, front=()):
     """The induced map on the exterior algebra as first written: for each
     monomial, wedge_of_vectors of the front vectors and the images of its

@@ -15,6 +15,7 @@ from spinalg.errors import GenericityError, LevelMismatchError, SpinalgError
 
 from conftest import (
     make_rng,
+    oracle_half_pair,
     oracle_induced_map,
     oracle_nu2,
     random_exterior,
@@ -71,6 +72,13 @@ class TestNu2:
                 points.append(gc.omega_of(h))
             for x in points:
                 assert ca.nu2(x) == oracle_nu2(x)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_half_pair_closed_form_matches_letter_word(self, n):
+        # every pair at every level; |S ^ T| odd gives nothing on either side
+        for s in range(1 << n):
+            for t in range(1 << n):
+                assert ca._half_pair(n, s, t) == oracle_half_pair(n, s, t), (n, s, t)
 
     def test_cone_image_is_decomposable(self):
         for n in (3, 4):

@@ -7,12 +7,14 @@ import pytest
 
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
+from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import IndexRangeError, LevelMismatchError
 
 from conftest import (
     make_rng,
+    oracle_apply_words,
     oracle_induced_map,
     oracle_normal_form,
     random_clifford,
@@ -51,6 +53,101 @@ class TestNormalForm:
                 expect = oracle_normal_form(w, n)
                 assert nf(w, n) == expect
                 assert oracle_normal_form(w, n, rng) == expect
+
+
+def random_letter(n, rng, frac):
+    """A Clifford, exterior or vector letter over the 2n mask bits; vector
+    letters get Fraction factors when frac is set, int factors otherwise."""
+    sym = rng.choice([i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return cc._clifford_letter(sym, n)
+    if kind == 1:
+        return cc._exterior_letter(sym, n)
+    if frac:
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2 * n)]
+    else:
+        coords = [rng.randint(-3, 3) for _ in range(2 * n)]
+    return cc._vector_letter(coords)
+
+
+def random_words(n, rng, frac, count=4):
+    """Seeded words of 0..4 letters with nonzero coefficients, Fractions
+    with mixed denominators when frac is set."""
+    words = []
+    for _ in range(count):
+        coef = rng.choice([-3, -1, 1, 2, 5])
+        if frac:
+            coef = Fraction(coef, rng.randint(1, 6))
+        words.append((coef, [random_letter(n, rng, frac) for _ in range(rng.randint(0, 4))]))
+    return words
+
+
+def random_terms(n, rng, frac, count=5):
+    terms = {}
+    for _ in range(count):
+        c = rng.choice([-4, -1, 1, 2, 3])
+        terms[rng.randrange(1 << (2 * n))] = Fraction(c, rng.randint(1, 9)) if frac else c
+    return terms
+
+
+class TestLetterKernel:
+    """_apply_words runs on integers over common denominators; the kernel as
+    first written (oracle_apply_words) computes on the coefficients as given."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_int_input_gives_ints(self, n):
+        rng = make_rng(f"kernel-int:{n}")
+        for _ in range(25):
+            words, terms = random_words(n, rng, False), random_terms(n, rng, False)
+            out = cc._apply_words(words, terms)
+            assert out == oracle_apply_words(words, terms)
+            assert all(type(c) is int and c for c in out.values())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fraction_input_gives_fractions(self, n):
+        rng = make_rng(f"kernel-frac:{n}")
+        for k in range(25):
+            # Fraction words on Fraction terms, and each of the two alone
+            words = random_words(n, rng, k % 3 != 1)
+            terms = random_terms(n, rng, k % 3 != 2)
+            if k % 3 == 2:
+                terms = {m: Fraction(c) for m, c in terms.items()}
+            out = cc._apply_words(words, terms)
+            assert out == oracle_apply_words(words, terms)
+            assert all(type(c) is Fraction and c for c in out.values())
+
+    def test_vector_letters_with_fraction_factors(self):
+        rng = make_rng("kernel-vector")
+        for n in range(1, 7):
+            for _ in range(10):
+                coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(2 * n)]
+                letters = [cc._vector_letter(coords), cc._exterior_letter(-1, n), cc._vector_letter(coords[::-1])]
+                words = [(Fraction(2, 3), letters), (-1, letters[1:])]
+                for terms in (random_terms(n, rng, True), random_terms(n, rng, False)):
+                    out = cc._apply_words(words, terms)
+                    assert out == oracle_apply_words(words, terms)
+                    assert all(type(c) is Fraction and c for c in out.values())
+
+    @pytest.mark.parametrize("frac", [False, True], ids=["int", "fraction"])
+    def test_cancellation_and_the_empty_word(self, frac):
+        for n in range(1, 7):
+            rng = make_rng(f"kernel-cancel:{n}:{frac}")
+            terms = random_terms(n, rng, frac)
+            letters = [random_letter(n, rng, frac) for _ in range(3)]
+            one = Fraction(1) if frac else 1
+            # a word minus itself, and a Clifford letter squared (e_i e_i = 0)
+            assert cc._apply_words([(one, letters), (-one, letters)], terms) == {}
+            square = [cc._clifford_letter(n, n)] * 2
+            assert cc._apply_words([(3 * one, square)], terms) == {}
+            # the empty word scales the terms; a second word cancels some of them
+            assert cc._apply_words([(2 * one, [])], terms) == {m: 2 * c for m, c in terms.items()}
+            words = [(one, []), (one, [cc._exterior_letter(1, n)]), (-one, [])]
+            out = cc._apply_words(words, terms)
+            assert out == oracle_apply_words(words, terms)
+            assert all(out.values())
+            assert all(type(c) is (Fraction if frac else int) for c in out.values())
+        assert cc._apply_words([], {1: 1}) == {} and cc._apply_words([(1, [])], {}) == {}
 
 
 class TestMul:
@@ -256,6 +353,28 @@ def test_element_contract(cls, key, outside):
     zero = cls.zero(2)
     assert x - x == zero and x.scale(0) == zero and -x + x == zero
     assert (-x).coefficient(key) == Fraction(-3, 2) and zero.coefficient(key) == 0
+
+
+# operations on an operand of level 4 or 5 given one of level 5 or 4: each
+# names both levels, the receiver's first
+LEVEL_ERRORS = {
+    "vector-add": lambda: cc.VectorInV(4) + cc.VectorInV(5),
+    "vector-sub": lambda: cc.VectorInV(4) - cc.VectorInV(5),
+    "pairing": lambda: cc.pairing(cc.VectorInV(4), cc.VectorInV(5)),
+    "wedge-of-vectors": lambda: cc.wedge_of_vectors(4, [cc.VectorInV(4), cc.VectorInV(5)]),
+    "so-add": lambda: sr.SoElement(4) + sr.SoElement(5),
+    "operator-apply": lambda: sr.LinearOperator.identity(4).apply(sr.SpinVector.basis(5, 0)),
+    "group-mul": lambda: sr.GroupElement.identity(4) * sr.GroupElement.identity(5),
+    "certify": lambda: ie.certify_membership(
+        sr.SpinVector.omega1(5), ie.orbit_pullback_family(4, "levels", 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", LEVEL_ERRORS.values(), ids=LEVEL_ERRORS.keys())
+def test_level_errors_name_both_levels(call):
+    with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
+        call()
 
 
 class TestSerialization:

@@ -298,6 +298,13 @@ class TestCertification:
         with pytest.raises(IndexRangeError, match=f"count {count}"):
             ie.orbit_pullback_family(5, "none", count)
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("length", [0, -2])
+    def test_word_length_below_one_rejected_for_every_count(self, count, length):
+        # count 1 draws no group word, and returned a one-member family
+        with pytest.raises(IndexRangeError, match=f"word length must be >= 1, got {length}"):
+            ie.orbit_pullback_family(5, "none", count, length=length)
+
     def test_empty_family_rejected(self):
         fam = ie.PullbackFamily(5, "x", ())
         with pytest.raises(SpinalgError):
@@ -422,6 +429,21 @@ class TestPackedCertification:
             assert got == oracle_certify(x, fam, maps)
             verdicts.append(got.passes)
         assert verdicts[0] and not verdicts[2]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_blocks_are_built_when_a_query_reaches_them(self, n):
+        fam, maps = family_with_maps(n)
+        fresh = ie.PullbackFamily(n, fam.seed, fam.members)
+        off = ie.off_cone_sample(n, "lazy")
+        got = ie.certify_membership(off, fresh)
+        assert got == oracle_certify(off, fresh, maps)
+        assert got.witness_index < 8
+        ((width, (_bias, blocks)),) = fresh._tables.items()
+        assert len(blocks) == 1  # the query stopped in block 0
+        on = gc.sample_cone_point(n, "lazy")
+        assert ie.certify_membership(on, fresh) == oracle_certify(on, fresh, maps)
+        assert len(fresh._tables[width][1]) == 3  # 17 members: two full blocks and one
+        assert ie.certify_membership(off, fresh) == got
 
     def test_tables_leave_equality_and_hash_alone(self):
         fam, _maps = family_with_maps(5)

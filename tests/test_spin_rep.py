@@ -288,6 +288,10 @@ class TestGroupElements:
         monkeypatch.setattr(sr, "_so_words", lambda x: [(Fraction(3, 4), [sr._o(1), sr._o(2)])])
         with pytest.raises(StructureError, match="scales mask"):
             build(2, "ee", 1, 2)
+        # o(e_1) + o(e_2) sends the empty wedge to two masks
+        monkeypatch.setattr(sr, "_so_words", lambda x: [(Fraction(1), [sr._o(1)]), (Fraction(1), [sr._o(2)])])
+        with pytest.raises(StructureError, match="sends mask 0 to 2 masks"):
+            build(2, "ee", 1, 2)
         # iota(f_1) (1 - o(e_2) iota(f_2)) + iota(f_2) (1 - o(e_1) iota(f_1))
         # sends both {1} and {2} to the empty wedge, and {1, 2} to 0
         words = [(Fraction(1), [sr._iota(1)]), (Fraction(1), [sr._iota(2)])]
