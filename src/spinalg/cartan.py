@@ -258,6 +258,7 @@ class InjectivityVerdict:
 def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdict:
     """Checks the morphism property (nonzero image) and projective
     injectivity (proportional images force proportional inputs)."""
+    x._check_level(y)
     if x.is_zero() or y.is_zero():
         raise SpinalgError("injectivity check needs nonzero vectors")
     ix = nu2(x)
@@ -349,7 +350,7 @@ def lower_factorization(
     if n0 < 4:
         raise IndexRangeError("bottom level below 4 is unsupported")
     if g.n != q:
-        raise SpinalgError("group element must live at the top level")
+        raise LevelMismatchError(f"levels differ: {q} vs {g.n}")
 
     mg = g.so_matrix()
     mg_inv = g.inverse().so_matrix()

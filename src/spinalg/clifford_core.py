@@ -15,6 +15,7 @@ from monomials to Fractions; zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -125,10 +126,38 @@ def _apply_words(words, terms: dict) -> dict:
     """Sum over (coef, letters) in words of coef * (letters applied right to
     left to the sparse map terms: mask -> coefficient), zeros left out.
 
-    Runs on integers: terms are scaled over their common denominator, each
-    letter's factors over the lcm of theirs, and the words are merged over
-    the lcm of their scales, so one Fraction is made per output mask.  When
-    every coefficient and factor given is an int, the values are ints."""
+    A word whose letters carry Fraction factors has each letter scaled to
+    integers (_int_letter) and its coefficient divided by the product of
+    their scales; then the words run in _int_words.  Int-only input gives
+    ints; any Fraction input gives Fractions."""
+    scaled = []
+    for coef, letters in words:
+        for letter in letters:
+            for _, _, f in letter:
+                if type(f) is not int:
+                    break
+            else:
+                continue
+            q = 1
+            ints = []
+            for letter in letters:
+                letter, lf = _int_letter(letter)
+                ints.append(letter)
+                q *= lf
+            coef, letters = Fraction(coef, q), ints
+            break
+        scaled.append((coef, letters))
+    return _int_words(scaled, terms)
+
+
+def _int_words(words, terms: dict) -> dict:
+    """_apply_words for words whose letters have int factors only, as the
+    letters of _letter_table have: no letter is scanned.
+
+    Runs on integers: terms are scaled over their common denominator, and
+    the words are merged over the lcm of their coefficients' denominators,
+    so one Fraction is made per output mask.  Int-only input gives ints; any
+    Fraction input gives Fractions."""
     exact = True
     den = 1
     for c in terms.values():
@@ -141,26 +170,12 @@ def _apply_words(words, terms: dict) -> dict:
     out: dict[int, int] = {}
     scale = 1  # out holds scale times the sum so far
     for coef, letters in words:
-        if not coef:
-            continue
         q = 1
         if type(coef) is not int:
             exact = False
             coef, q = coef.numerator, coef.denominator
-        for letter in letters:
-            for _, _, f in letter:
-                if type(f) is not int:
-                    break
-            else:
-                continue
-            exact = False
-            ints = []
-            for letter in letters:
-                letter, lf = _int_letter(letter)
-                ints.append(letter)
-                q *= lf
-            letters = ints
-            break
+        if not coef:
+            continue
         cur = terms
         for letter in reversed(letters):
             nxt: dict[int, int] = {}
@@ -201,6 +216,8 @@ def _apply_words(words, terms: dict) -> dict:
     if exact:
         return out
     den *= scale
+    if den == 1:
+        return {m: Fraction(c) for m, c in out.items()}
     return {m: Fraction(c, den) for m, c in out.items()}
 
 
@@ -223,6 +240,13 @@ def _clifford_letter(sym: Symbol, n: int) -> tuple:
 def _exterior_letter(sym: Symbol, n: int) -> tuple:
     """Module action iota(v) + o(v) of a basis vector on the exterior algebra."""
     return (_wedge(_bit(sym, n)), _contract(_bit(-sym, n)))
+
+
+@lru_cache(maxsize=None)
+def _letter_table(letter, n: int) -> tuple:
+    """letter(sym, n) for every basis symbol of level n, indexed by the
+    symbol's mask bit: built once per level, 2n letters with int factors."""
+    return tuple(letter(b + 1 if b < n else n - b - 1, n) for b in range(2 * n))
 
 
 def _vector_letter(coords) -> tuple:
@@ -256,7 +280,10 @@ class SparseElement:
     and two elements are equal when they have the same type, level and
     terms.  A subclass sets _width, so that its keys are the masks below
     2^(_width * n), and names a key in _key_str; CliffordElement, keyed by
-    mask pairs, checks its keys in a constructor of its own instead."""
+    mask pairs, checks its keys in a constructor of its own instead.
+
+    The public constructors check every key and coefficient.  Results of the
+    arithmetic and of the letter kernel are built by _trusted instead."""
 
     __slots__ = ("n", "terms")
 
@@ -271,6 +298,15 @@ class SparseElement:
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
                     out[m] = c
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict):
+        """The element on terms as given, unchecked: every key must be in range
+        at level n and every value a nonzero Fraction."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, n: int):
@@ -296,25 +332,35 @@ class SparseElement:
     _check_level = _check_levels
 
     def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other, in one pass over other's terms."""
         if type(other) is not type(self):
             return NotImplemented
         self._check_level(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return type(self)(self.n, out)
-
-    def __sub__(self, other):
-        return self + -other
+            old = out.get(key)
+            if old is None:
+                out[key] = -c if subtract else c
+            elif c := old - c if subtract else old + c:
+                out[key] = c
+            else:
+                del out[key]
+        return self._trusted(self.n, out)
 
     def __neg__(self):
-        return type(self)(self.n, {key: -c for key, c in self.terms.items()})
+        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
 
     def scale(self, c):
         c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
-            return type(self)(self.n)
-        return type(self)(self.n, {key: c * v for key, v in self.terms.items()})
+            return self._trusted(self.n, {})
+        return self._trusted(self.n, {key: c * v for key, v in self.terms.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -373,56 +419,104 @@ def _packed(a: CliffordElement) -> dict[int, Fraction]:
 
 
 def _unpacked(n: int, terms: dict[int, Fraction]) -> CliffordElement:
+    """The kernel's Fraction output on packed masks as a CliffordElement."""
     low = (1 << n) - 1
-    return CliffordElement(n, {(m & low, m >> n): c for m, c in terms.items()})
+    return CliffordElement._trusted(n, {(m & low, m >> n): c for m, c in terms.items()})
 
 
 def _clifford_words(a: CliffordElement, letter) -> list:
-    """a as a sum of (coefficient, letters) words over its monomials."""
-    return [
-        (c, [letter(s, a.n) for s in monomial_word(mono)])
-        for mono, c in a.terms.items()
-    ]
+    """a as a sum of (coefficient, letters) words over its monomials: the
+    word of e_S f_T reads letter's table in mask-bit order."""
+    n = a.n
+    table = _letter_table(letter, n)
+    words = []
+    for (em, fm), c in a.terms.items():
+        m = em | fm << n
+        letters = []
+        while m:
+            low = m & -m
+            letters.append(table[low.bit_length() - 1])
+            m ^= low
+        words.append((c, letters))
+    return words
 
 
 def normal_form(word: Iterable, n: int) -> CliffordElement:
     """Normal-ordered expansion of a word of basis-vector symbols: the unit
-    multiplied on the left by each symbol, last symbol first."""
+    multiplied on the left by each symbol, last symbol first.  The kernel
+    starts from the int 1, so its int output is made Fractions here."""
     syms = [parse_symbol(s) for s in word]
     for s in syms:
         _check_index(s, n)
-    letters = [_clifford_letter(s, n) for s in syms]
-    return _unpacked(n, _apply_words([(1, letters)], {0: 1}))
+    table = _letter_table(_clifford_letter, n)
+    low = (1 << n) - 1
+    out = _int_words([(1, [table[_bit(s, n)] for s in syms])], {0: 1})
+    return CliffordElement._trusted(n, {(m & low, m >> n): Fraction(c) for m, c in out.items()})
 
 
 def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Clifford product: b multiplied on the left by the letters of each
     monomial of a."""
     a._check_level(b)
-    return _unpacked(a.n, _apply_words(_clifford_words(a, _clifford_letter), _packed(b)))
+    return _unpacked(a.n, _int_words(_clifford_words(a, _clifford_letter), _packed(b)))
 
 
 def star(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism reversing each monomial word."""
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
-    return _unpacked(a.n, _apply_words(words, {0: 1}))
+    return _unpacked(a.n, _int_words(words, {0: 1}))
+
+
+def _coord(x) -> Fraction:
+    """x as a Fraction coordinate; a zero is the shared _ZERO."""
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x if x else _ZERO
+
+
+def _sum_coords(xs: tuple, ys: tuple, subtract: bool) -> tuple:
+    """xs + ys, or xs - ys, coordinatewise; shared zeros are skipped by
+    identity and a sum that cancels is the shared zero."""
+    out = []
+    for x, y in zip(xs, ys):
+        if y is _ZERO:
+            out.append(x)
+        elif x is _ZERO:
+            out.append(-y if subtract else y)
+        else:
+            x = x - y if subtract else x + y
+            out.append(x if x else _ZERO)
+    return tuple(out)
 
 
 class VectorInV:
-    """A vector of the level-n space, split into E- and F-coordinates."""
+    """A vector of the level-n space, split into E- and F-coordinates.
+
+    Coordinates are Fractions, and every zero coordinate is the shared
+    _ZERO: the constructor makes it so, and the arithmetic keeps it, so
+    that it can skip zeros by identity."""
 
     __slots__ = ("n", "e", "f")
 
     def __init__(self, n: int, e: Iterable = (), f: Iterable = ()):
         self.n = n
-        ee = [x if isinstance(x, Fraction) else Fraction(x) for x in e]
-        ff = [x if isinstance(x, Fraction) else Fraction(x) for x in f]
+        ee = [_coord(x) for x in e]
+        ff = [_coord(x) for x in f]
         ee += [_ZERO] * (n - len(ee))
         ff += [_ZERO] * (n - len(ff))
         if len(ee) != n or len(ff) != n:
             raise IndexRangeError("coordinate sequence longer than level")
         self.e = tuple(ee)
         self.f = tuple(ff)
+
+    @classmethod
+    def _trusted(cls, n: int, e: tuple, f: tuple) -> "VectorInV":
+        """The vector on the coordinate tuples as given, unchecked: each must
+        hold n Fractions, with the shared _ZERO for every zero."""
+        self = object.__new__(cls)
+        self.n = n
+        self.e = e
+        self.f = f
+        return self
 
     @staticmethod
     def basis(n: int, sym) -> "VectorInV":
@@ -451,27 +545,26 @@ class VectorInV:
 
     def __add__(self, other: "VectorInV") -> "VectorInV":
         _check_levels(self, other)
-        return VectorInV(
-            self.n,
-            [a + b if a and b else a or b for a, b in zip(self.e, other.e)],
-            [a + b if a and b else a or b for a, b in zip(self.f, other.f)],
+        return VectorInV._trusted(
+            self.n, _sum_coords(self.e, other.e, False), _sum_coords(self.f, other.f, False)
         )
 
     def __sub__(self, other: "VectorInV") -> "VectorInV":
         _check_levels(self, other)
-        return VectorInV(
-            self.n,
-            [a - b if b else a for a, b in zip(self.e, other.e)],
-            [a - b if b else a for a, b in zip(self.f, other.f)],
+        return VectorInV._trusted(
+            self.n, _sum_coords(self.e, other.e, True), _sum_coords(self.f, other.f, True)
         )
 
     def scale(self, c) -> "VectorInV":
         """c times the vector; zero coordinates stay the shared zero."""
         c = c if isinstance(c, Fraction) else Fraction(c)
-        return VectorInV(
+        if not c:
+            zeros = (_ZERO,) * self.n
+            return VectorInV._trusted(self.n, zeros, zeros)
+        return VectorInV._trusted(
             self.n,
-            [c * x if x else _ZERO for x in self.e],
-            [c * x if x else _ZERO for x in self.f],
+            tuple([x if x is _ZERO else c * x for x in self.e]),
+            tuple([x if x is _ZERO else c * x for x in self.f]),
         )
 
     def __rmul__(self, c):
@@ -487,15 +580,11 @@ class VectorInV:
         return hash((self.n, self.e, self.f))
 
     def as_clifford(self) -> CliffordElement:
-        terms: dict[Monomial, Fraction] = {}
-        for i, c in enumerate(self.e):
-            if c:
-                terms[(1 << i, 0)] = c
+        terms = {(1 << i, 0): c for i, c in enumerate(self.e) if c is not _ZERO}
         for j, c in enumerate(self.f):
-            if c:
-                key = (0, 1 << j)
-                terms[key] = terms.get(key, Fraction(0)) + c
-        return CliffordElement(self.n, terms)
+            if c is not _ZERO:
+                terms[(0, 1 << j)] = c
+        return CliffordElement._trusted(self.n, terms)
 
     def __str__(self) -> str:
         parts = [f"{c}*e{i+1}" for i, c in enumerate(self.e) if c]
@@ -510,7 +599,7 @@ def pairing(v: VectorInV, w: VectorInV) -> Fraction:
     _check_levels(v, w)
     total = _ZERO
     for a, b in zip(v.e + v.f, w.f + w.e):
-        if a and b:
+        if a is not _ZERO and b is not _ZERO:
             total += a * b
     return total
 
@@ -608,7 +697,7 @@ def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
     """The Clifford module action on the exterior algebra of the whole space."""
     omega._check_level(a)
-    return ExteriorVector(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
+    return ExteriorVector._trusted(a.n, _int_words(_clifford_words(a, _exterior_letter), omega.terms))
 
 
 def so_to_clifford(x) -> CliffordElement:
@@ -621,8 +710,9 @@ def so_to_clifford(x) -> CliffordElement:
     pairs = [(i, j, c) for (i, j), c in x.ee.items()]
     pairs += [(-i, -j, c) for (i, j), c in x.ff.items()]
     pairs += [(i, -j, c) for (i, j), c in x.ef.items()]
+    table = _letter_table(_clifford_letter, n)
     words = []
     for u, v, c in pairs:
-        lu, lv = _clifford_letter(u, n), _clifford_letter(v, n)
+        lu, lv = table[_bit(u, n)], table[_bit(v, n)]
         words += [(Fraction(c, 4), [lu, lv]), (Fraction(-c, 4), [lv, lu])]
-    return _unpacked(n, _apply_words(words, {0: 1}))
+    return _unpacked(n, _int_words(words, {0: 1}))

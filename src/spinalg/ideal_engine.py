@@ -28,6 +28,11 @@ from .errors import (
 )
 
 
+def _level_name(x) -> str:
+    """The level of a polynomial or variable as an error message names it."""
+    return "limit" if x.is_limit else str(x.level)
+
+
 def _check_masks(is_limit: bool, level: int, low: int, high: int) -> None:
     """IndexRangeError unless the smallest mask `low` and the largest mask
     `high` name coordinates: no mask is negative, and at a finite level
@@ -123,9 +128,11 @@ class Polynomial:
     def _like(self, terms) -> "Polynomial":
         return Polynomial(self.is_limit, self.level, terms)
 
-    def _check(self, other: "Polynomial") -> None:
+    def _check(self, other) -> None:
+        """LevelMismatchError unless other (a polynomial or a variable) is at
+        self's level, finite or the limit."""
         if (self.is_limit, self.level) != (other.is_limit, other.level):
-            raise LevelMismatchError("polynomial levels differ")
+            raise LevelMismatchError(f"levels differ: {_level_name(self)} vs {_level_name(other)}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -192,8 +199,7 @@ class Polynomial:
         return self._parities
 
     def partial(self, v: SpinVariable) -> "Polynomial":
-        if (v.is_limit, v.level) != (self.is_limit, self.level):
-            raise LevelMismatchError("variable and polynomial levels differ")
+        self._check(v)
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             k = mono.count(v.mask)
@@ -234,7 +240,7 @@ class Polynomial:
         if not self.is_limit:
             if self.level == level:
                 return self
-            raise LevelMismatchError("already at a different finite level")
+            raise LevelMismatchError(f"levels differ: {self.level} vs {level}")
         return Polynomial(False, level, self.terms)
 
 
@@ -284,8 +290,8 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int) -> list[Polynomial
     if not points:
         raise TooFewPointsError("no points supplied")
     n = points[0].n
-    if any(x.n != n for x in points):
-        raise LevelMismatchError("points live at different levels")
+    for x in points:
+        points[0]._check_level(x)
     if any(m.bit_count() & 1 for x in points for m in x.terms):
         raise LevelMismatchError("the forms read even coordinates; a point has odd ones")
     monos = monomials_of_degree(component_variables(n), degree)
@@ -387,7 +393,7 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
     if p.is_limit:
         raise LevelMismatchError("pullback works on finite-level polynomials")
     if p.level != lm.target_n:
-        raise LevelMismatchError("polynomial level must match the map target")
+        raise LevelMismatchError(f"levels differ: {p.level} vs {lm.target_n}")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
     return _pullback_rows(p, *_integer_rows(lm), lm.source_n)

@@ -94,7 +94,8 @@ def _iota(j: int) -> tuple:
 
 
 def _act(words, x: SpinVector) -> SpinVector:
-    return SpinVector(x.n, cc._apply_words(words, x.terms))
+    """The words (letters with int factors) applied to x by the kernel."""
+    return SpinVector._trusted(x.n, cc._int_words(words, x.terms))
 
 
 def outer(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
@@ -114,10 +115,11 @@ def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
     omega._check_level(v)
-    letter = tuple(cc._wedge(i, c) for i, c in enumerate(v.e) if c) + tuple(
-        cc._contract(j, 2 * c) for j, c in enumerate(v.f) if c
+    letter, scale = cc._int_letter(
+        tuple(cc._wedge(i, c) for i, c in enumerate(v.e) if c)
+        + tuple(cc._contract(j, 2 * c) for j, c in enumerate(v.f) if c)
     )
-    return _act([(1, [letter])], omega)
+    return _act([(Fraction(1, scale), [letter])], omega)
 
 
 # -- two-forms ---------------------------------------------------------------
@@ -416,7 +418,7 @@ class LinearOperator:
     def compose(self, inner_op: "LinearOperator") -> "LinearOperator":
         """self o inner_op."""
         if inner_op.target_n != self.source_n:
-            raise LevelMismatchError("composition levels differ")
+            raise LevelMismatchError(f"levels differ: {self.source_n} vs {inner_op.target_n}")
         return LinearOperator(
             inner_op.source_n,
             self.target_n,
@@ -424,6 +426,9 @@ class LinearOperator:
         )
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        for a, b in ((self.source_n, other.source_n), (self.target_n, other.target_n)):
+            if a != b:
+                raise LevelMismatchError(f"levels differ: {a} vs {b}")
         zero = SpinVector.zero(self.target_n)
         keys = set(self.cols) | set(other.cols)
         return LinearOperator(
@@ -454,7 +459,7 @@ class LinearOperator:
         from . import linalg
 
         if self.source_n != self.target_n:
-            raise LevelMismatchError("determinant needs a map from a level to itself")
+            raise LevelMismatchError(f"levels differ: {self.source_n} vs {self.target_n}")
         size = 1 << self.source_n
         m = linalg.zeros(size, size)
         for col, v in self.cols.items():
@@ -604,7 +609,7 @@ class GroupElement:
             if t:
                 out = _root_step(_root_table(self.n, kind, i, j), t, out, False)
                 den *= 2 * t.denominator
-        return SpinVector(self.n, {m: Fraction(c, den) for m, c in out.items()})
+        return SpinVector._trusted(self.n, {m: Fraction(c, den) for m, c in out.items()})
 
     def operator(self) -> LinearOperator:
         return LinearOperator.of_group_element(self)

@@ -218,6 +218,12 @@ class TestInjectivity:
         with pytest.raises(SpinalgError):
             ca.injectivity_witness(sr.SpinVector.zero(3), sr.SpinVector.omega0(3))
 
+    def test_spinors_of_two_levels_rejected(self):
+        # both images are nonzero and neither pair is proportional, so the
+        # verdict read ok=True before the level check
+        with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
+            ca.injectivity_witness(sr.SpinVector.basis(4, 0), sr.SpinVector.basis(5, 0))
+
 
 class TestLowerFactorization:
     def test_identity_everywhere(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinalg import cartan as ca
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
@@ -368,6 +369,17 @@ LEVEL_ERRORS = {
     "certify": lambda: ie.certify_membership(
         sr.SpinVector.omega1(5), ie.orbit_pullback_family(4, "levels", 1)
     ),
+    "operator-add": lambda: sr.LinearOperator.of_contraction(4, 3) + sr.LinearOperator.of_contraction(5, 3),
+    "operator-sub": lambda: sr.LinearOperator.of_contraction(4, 3) - sr.LinearOperator.of_contraction(5, 3),
+    "operator-compose": lambda: sr.LinearOperator.identity(4).compose(sr.LinearOperator.identity(5)),
+    "determinant": lambda: sr.LinearOperator(4, 5).determinant(),
+    "injectivity": lambda: ca.injectivity_witness(sr.SpinVector.basis(4, 0), sr.SpinVector.basis(5, 0)),
+    "lower-factorization": lambda: ca.lower_factorization(4, 4, 4, sr.GroupElement.identity(5)),
+    "polynomial-add": lambda: ie.Polynomial.constant_finite(4, 1) + ie.Polynomial.constant_finite(5, 1),
+    "variable-partial": lambda: ie.Polynomial.constant_finite(4, 1).partial(ie.SpinVariable.finite(5, 3)),
+    "to-finite": lambda: ie.Polynomial.constant_finite(4, 1).to_finite(5),
+    "pullback": lambda: ie.pullback(ie.Polynomial.constant_finite(4, 1), sr.LinearOperator.identity(5)),
+    "vanishing-forms": lambda: ie.vanishing_forms([sr.SpinVector.basis(4, 0), sr.SpinVector.basis(5, 0)], 1),
 }
 
 
@@ -375,6 +387,14 @@ LEVEL_ERRORS = {
 def test_level_errors_name_both_levels(call):
     with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
         call()
+
+
+def test_polynomial_level_errors_name_the_limit():
+    finite = ie.Polynomial.constant_finite(4, 1)
+    with pytest.raises(LevelMismatchError, match=r"^levels differ: limit vs 4$"):
+        ie.Polynomial.zero_limit() + finite
+    with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs limit$"):
+        finite.partial(ie.SpinVariable.limit(3))
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from spinalg import spin_rep as sr
 from spinalg.errors import (
     IndexRangeError,
     InvalidRootVectorError,
+    LevelMismatchError,
     NotInLeftIdealError,
     StructureError,
 )
@@ -354,6 +355,23 @@ class TestGroupElements:
         g = sr.GroupElement(3, [("ef", 1, 2, Fraction(1, 3)), ("ee", 2, 3, 0)])
         assert g.so_matrix() == oracle_so_matrix(g)
         assert sr.GroupElement.identity(2).so_matrix() == linalg.identity(4)
+
+
+class TestLinearOperator:
+    def test_sum_and_difference_check_the_source_level(self):
+        # same target level 3, sources 4 and 5: the sum read as a level-4
+        # operator twice of_contraction(4, 3), the difference as zero
+        a = sr.LinearOperator.of_contraction(4, 3)
+        b = sr.LinearOperator.of_contraction(5, 3)
+        for combine in (a.__add__, a.__sub__):
+            with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
+                combine(b)
+        assert (a + a).apply(sr.SpinVector.basis(4, 3)) == a.apply(sr.SpinVector.basis(4, 3)).scale(2)
+        assert (a - a).is_zero()
+
+    def test_sum_checks_the_target_level(self):
+        with pytest.raises(LevelMismatchError, match=r"^levels differ: 3 vs 2$"):
+            sr.LinearOperator.of_contraction(4, 3) + sr.LinearOperator.of_contraction(4, 2)
 
 
 class TestTwist:
