@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from .errors import IndexRangeError, LevelMismatchError, NotIsotropicError
@@ -126,38 +126,13 @@ def _apply_words(words, terms: dict) -> dict:
     """Sum over (coef, letters) in words of coef * (letters applied right to
     left to the sparse map terms: mask -> coefficient), zeros left out.
 
-    A word whose letters carry Fraction factors has each letter scaled to
-    integers (_int_letter) and its coefficient divided by the product of
-    their scales; then the words run in _int_words.  Int-only input gives
-    ints; any Fraction input gives Fractions."""
-    scaled = []
-    for coef, letters in words:
-        for letter in letters:
-            for _, _, f in letter:
-                if type(f) is not int:
-                    break
-            else:
-                continue
-            q = 1
-            ints = []
-            for letter in letters:
-                letter, lf = _int_letter(letter)
-                ints.append(letter)
-                q *= lf
-            coef, letters = Fraction(coef, q), ints
-            break
-        scaled.append((coef, letters))
-    return _int_words(scaled, terms)
-
-
-def _int_words(words, terms: dict) -> dict:
-    """_apply_words for words whose letters have int factors only, as the
-    letters of _letter_table have: no letter is scanned.
-
-    Runs on integers: terms are scaled over their common denominator, and
-    the words are merged over the lcm of their coefficients' denominators,
-    so one Fraction is made per output mask.  Int-only input gives ints; any
-    Fraction input gives Fractions."""
+    The one letter kernel.  Every letter factor is an int: a letter made with
+    Fraction factors is scaled to ints where it is built (_int_letter) and its
+    scale divided into the word's coefficient.  Coefficients and term values
+    are ints or Fractions.  Runs on integers: terms are scaled over their
+    common denominator, and the words are merged over the lcm of their
+    coefficients' denominators, so one Fraction is made per output mask.
+    Int-only input gives ints; any Fraction input gives Fractions."""
     exact = True
     den = 1
     for c in terms.values():
@@ -249,9 +224,10 @@ def _letter_table(letter, n: int) -> tuple:
     return tuple(letter(b + 1 if b < n else n - b - 1, n) for b in range(2 * n))
 
 
-def _vector_letter(coords) -> tuple:
-    """Wedge by the vector with these coordinates over the 2n mask bits."""
-    return tuple(_wedge(bit, c) for bit, c in enumerate(coords) if c)
+def _vector_letter(coords) -> tuple[tuple, int]:
+    """Wedge by the vector with these coordinates over the 2n mask bits, as
+    (L times the letter, with int factors, L): see _int_letter."""
+    return _int_letter(tuple(_wedge(bit, c) for bit, c in enumerate(coords) if c))
 
 
 def monomial_word(mono: Monomial) -> list[Symbol]:
@@ -450,7 +426,7 @@ def normal_form(word: Iterable, n: int) -> CliffordElement:
         _check_index(s, n)
     table = _letter_table(_clifford_letter, n)
     low = (1 << n) - 1
-    out = _int_words([(1, [table[_bit(s, n)] for s in syms])], {0: 1})
+    out = _apply_words([(1, [table[_bit(s, n)] for s in syms])], {0: 1})
     return CliffordElement._trusted(n, {(m & low, m >> n): Fraction(c) for m, c in out.items()})
 
 
@@ -458,13 +434,13 @@ def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Clifford product: b multiplied on the left by the letters of each
     monomial of a."""
     a._check_level(b)
-    return _unpacked(a.n, _int_words(_clifford_words(a, _clifford_letter), _packed(b)))
+    return _unpacked(a.n, _apply_words(_clifford_words(a, _clifford_letter), _packed(b)))
 
 
 def star(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism reversing each monomial word."""
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
-    return _unpacked(a.n, _int_words(words, {0: 1}))
+    return _unpacked(a.n, _apply_words(words, {0: 1}))
 
 
 def _coord(x) -> Fraction:
@@ -628,8 +604,10 @@ class ExteriorVector(SparseElement):
     def unit(n: int) -> "ExteriorVector":
         return ExteriorVector(n, {0: Fraction(1)})
 
-    def _apply(self, letter: tuple) -> "ExteriorVector":
-        return ExteriorVector(self.n, _apply_words([(1, [letter])], self.terms))
+    def _apply(self, letter: tuple, scale: int) -> "ExteriorVector":
+        """The int letter applied, divided by its scale: a Fraction coefficient,
+        so the kernel gives Fractions."""
+        return ExteriorVector._trusted(self.n, _apply_words([(Fraction(1, scale), [letter])], self.terms))
 
     def degrees(self) -> set[int]:
         return {bin(m).count("1") for m in self.terms}
@@ -641,12 +619,12 @@ class ExteriorVector(SparseElement):
 
     def outer_symbol(self, sym: Symbol) -> "ExteriorVector":
         _check_index(sym, self.n)
-        return self._apply((_wedge(_bit(sym, self.n)),))
+        return self._apply((_wedge(_bit(sym, self.n)),), 1)
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
         self._check_level(v)
         partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
-        return self._apply(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c))
+        return self._apply(*_int_letter(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c)))
 
     def change_basis(self, new_rows: list[VectorInV]) -> "ExteriorVector":
         """Coordinates of self over the wedge basis of the given 2n vectors."""
@@ -668,7 +646,7 @@ class ExteriorVector(SparseElement):
 
 def _wedge_front(ext: ExteriorVector, coords: list[Fraction]) -> ExteriorVector:
     """Wedge a coordinate vector (over ext's symbol space) on the left."""
-    return ext._apply(_vector_letter(coords))
+    return ext._apply(*_vector_letter(coords))
 
 
 def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
@@ -676,8 +654,9 @@ def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
     for v in vectors:
         if v.n != n:
             raise LevelMismatchError(f"levels differ: {n} vs {v.n}")
-    letters = [_vector_letter(v.coords()) for v in vectors]
-    return ExteriorVector(n, _apply_words([(1, letters)], {0: 1}))
+    word = [_vector_letter(v.coords()) for v in vectors]
+    q = prod(scale for _, scale in word)
+    return ExteriorVector._trusted(n, _apply_words([(Fraction(1, q), [l for l, _ in word])], {0: 1}))
 
 
 def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
@@ -688,16 +667,17 @@ def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
     if len(cols) != 2 * n:
         raise IndexRangeError("need 2n basis vectors")
     letters = [_vector_letter(col) for col in cols]
-    words = [
-        (c, [letters[b] for b in range(2 * n) if m >> b & 1]) for m, c in omega.terms.items()
-    ]
-    return ExteriorVector(n, _apply_words(words, {0: 1}))
+    words = []
+    for m, c in omega.terms.items():
+        word = [letters[b] for b in range(2 * n) if m >> b & 1]
+        words.append((c / prod(scale for _, scale in word), [l for l, _ in word]))
+    return ExteriorVector._trusted(n, _apply_words(words, {0: 1}))
 
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
     """The Clifford module action on the exterior algebra of the whole space."""
     omega._check_level(a)
-    return ExteriorVector._trusted(a.n, _int_words(_clifford_words(a, _exterior_letter), omega.terms))
+    return ExteriorVector._trusted(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
 
 
 def so_to_clifford(x) -> CliffordElement:
@@ -715,4 +695,4 @@ def so_to_clifford(x) -> CliffordElement:
     for u, v, c in pairs:
         lu, lv = table[_bit(u, n)], table[_bit(v, n)]
         words += [(Fraction(c, 4), [lu, lv]), (Fraction(-c, 4), [lv, lu])]
-    return _unpacked(n, _int_words(words, {0: 1}))
+    return _unpacked(n, _apply_words(words, {0: 1}))

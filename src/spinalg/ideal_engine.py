@@ -1048,9 +1048,12 @@ def gamma_windowed(finite_terms: dict[int, Fraction], limit_terms: dict[int, Fra
         b = limit_terms.get(s_mask)
         if not b:
             continue
-        # the sign of e_S wedge e_(complement) against the full window wedge
-        letters = [(cc._wedge(s),) for s in range(window) if s_mask >> s & 1]
-        sign = cc._apply_words([(1, letters)], {full & ~s_mask: 1})[full]
+        # the sign of e_S wedge e_(complement) against the full window wedge,
+        # S the mask's bits in the window: (-1)^inv(S) for the pairs i in S,
+        # j not in S, j < i, which is sign(S) (-1)^(k(k-1)/2), k = |S|
+        s = s_mask & full
+        k = s.bit_count()
+        sign = tm._complement_sign(s) * (-1) ** (k * (k - 1) // 2)
         total += sign * a * b
     return total
 

@@ -95,7 +95,7 @@ def _iota(j: int) -> tuple:
 
 def _act(words, x: SpinVector) -> SpinVector:
     """The words (letters with int factors) applied to x by the kernel."""
-    return SpinVector._trusted(x.n, cc._int_words(words, x.terms))
+    return SpinVector._trusted(x.n, cc._apply_words(words, x.terms))
 
 
 def outer(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
@@ -168,6 +168,8 @@ class SoElement:
         """h_i = e_i^f_i - e_{i+1}^f_{i+1} for i < n; h_n = e_{n-1}^f_{n-1} + e_n^f_n."""
         if not 1 <= i <= n:
             raise IndexRangeError(f"h_{i} undefined at level {n}")
+        if n < 2:
+            raise IndexRangeError(f"h_{i} needs level >= 2, got level {n}")
         if i < n:
             return SoElement(n, ef={(i, i): 1, (i + 1, i + 1): -1})
         return SoElement(n, ef={(n - 1, n - 1): 1, (n, n): 1})

@@ -267,7 +267,7 @@ def oracle_root_table(n, kind, i, j):
     words = sr._so_words(sr.root_so_element(n, kind, i, j))
     table = {}
     for m in range(1 << n):
-        image = cc._apply_words(words, {m: Fraction(1)})
+        image = oracle_apply_words(words, {m: Fraction(1)})
         if len(image) > 1:
             raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
         if image:
@@ -417,16 +417,46 @@ def oracle_half_pair(n, s, t):
     return {m: c for m, c in image.items() if m.bit_count() == n}
 
 
+def oracle_letter(coords, contract=False):
+    """The letter that wedges (or contracts) each coordinate's bit, with the
+    coordinates as given for factors, Fractions included: src scales such
+    letters to ints where it builds them."""
+    return tuple((1 << b, (1 << b) * contract, c) for b, c in enumerate(coords) if c)
+
+
+def oracle_wedge(vectors):
+    """v_1 ^ ... ^ v_k as terms: one oracle_letter per vector, applied by
+    oracle_apply_words to the empty wedge."""
+    letters = [oracle_letter(v.coords()) for v in vectors]
+    return oracle_apply_words([(1, letters)], {0: Fraction(1)})
+
+
 def oracle_induced_map(omega, images, front=()):
     """The induced map on the exterior algebra as first written: for each
-    monomial, wedge_of_vectors of the front vectors and the images of its
-    set bits, scaled and added to the whole sum, one term at a time."""
+    monomial, the wedge of the front vectors and the images of its set bits
+    (oracle_wedge), scaled and added to the whole sum, one term at a time."""
     n = images[0].n
-    out = cc.ExteriorVector.zero(n)
+    out = {}
     for mask, c in omega.terms.items():
         vectors = [images[b] for b in range(2 * omega.n) if mask >> b & 1]
-        out = out + cc.wedge_of_vectors(n, list(front) + vectors).scale(c)
-    return out
+        for m, v in oracle_wedge(list(front) + vectors).items():
+            _oracle_accumulate(out, m, c * v)
+    return cc.ExteriorVector(n, out)
+
+
+def oracle_gamma_windowed(finite_terms, limit_terms, window):
+    """gamma_windowed as first written: the sign of e_S ^ e_(complement) is
+    read off a walk of oracle_apply_words that wedges the window bits of S,
+    one letter each, into e_(complement)."""
+    full = (1 << window) - 1
+    total = Fraction(0)
+    for s_mask, a in finite_terms.items():
+        b = limit_terms.get(s_mask)
+        if not b:
+            continue
+        letters = [((1 << p, 0, 1),) for p in range(window) if s_mask >> p & 1]
+        total += oracle_apply_words([(1, letters)], {full & ~s_mask: 1})[full] * a * b
+    return total
 
 
 def random_exterior(n, rng, nterms=4, den=1):

@@ -17,6 +17,7 @@ from conftest import (
     make_rng,
     oracle_apply_words,
     oracle_induced_map,
+    oracle_letter,
     oracle_normal_form,
     random_clifford,
     random_exterior,
@@ -69,7 +70,7 @@ def random_letter(n, rng, frac):
         coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2 * n)]
     else:
         coords = [rng.randint(-3, 3) for _ in range(2 * n)]
-    return cc._vector_letter(coords)
+    return oracle_letter(coords)
 
 
 def random_words(n, rng, frac, count=4):
@@ -94,7 +95,9 @@ def random_terms(n, rng, frac, count=5):
 
 class TestLetterKernel:
     """_apply_words runs on integers over common denominators; the kernel as
-    first written (oracle_apply_words) computes on the coefficients as given."""
+    first written (oracle_apply_words) computes on the coefficients as given.
+    src passes only letters with int factors, but the kernel also computes
+    letters with Fraction factors exactly (oracle_letter)."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_int_input_gives_ints(self, n):
@@ -123,7 +126,7 @@ class TestLetterKernel:
         for n in range(1, 7):
             for _ in range(10):
                 coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(2 * n)]
-                letters = [cc._vector_letter(coords), cc._exterior_letter(-1, n), cc._vector_letter(coords[::-1])]
+                letters = [oracle_letter(coords), cc._exterior_letter(-1, n), oracle_letter(coords[::-1])]
                 words = [(Fraction(2, 3), letters), (-1, letters[1:])]
                 for terms in (random_terms(n, rng, True), random_terms(n, rng, False)):
                     out = cc._apply_words(words, terms)

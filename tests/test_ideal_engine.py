@@ -25,6 +25,7 @@ from conftest import (
     cone_query_points,
     make_rng,
     oracle_certify,
+    oracle_gamma_windowed,
     oracle_level_maps,
     oracle_vanishing_forms,
     random_spin,
@@ -657,6 +658,29 @@ class TestGamma:
                 n,
             )
             assert before == after
+
+    @pytest.mark.parametrize("window", range(1, 7))
+    def test_closed_form_sign_matches_the_wedge_walk(self, window):
+        # every subset S alone, against a limit vector on the same mask
+        for s_mask in range(1 << window):
+            for a, b in ((Fraction(1), Fraction(1)), (Fraction(-2, 3), Fraction(5, 7))):
+                got = ie.gamma_windowed({s_mask: a}, {s_mask: b}, window)
+                assert got == oracle_gamma_windowed({s_mask: a}, {s_mask: b}, window)
+                assert got in (a * b, -a * b)
+        # maps with shared and unshared masks, some with bits above the window
+        rng = make_rng(f"gamma-walk:{window}")
+        for k in range(30):
+            top = 1 << (window + (k % 3 == 2))
+
+            def coef():
+                return Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+
+            fin = {rng.randrange(top): coef() for _ in range(rng.randint(0, 6))}
+            lim = {rng.randrange(top): coef() for _ in range(rng.randint(0, 6))}
+            lim.update((m, coef()) for m in list(fin)[k % 2 :: 2])
+            got = ie.gamma_windowed(fin, lim, window)
+            assert got == oracle_gamma_windowed(fin, lim, window)
+            assert type(got) is Fraction
 
 
 class TestOffConeSampler:

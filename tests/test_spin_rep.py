@@ -83,6 +83,15 @@ class TestTwoFormAction:
             for i in range(1, n - 1):
                 assert sr.rho_so(sr.SoElement.chevalley_h(n, i), w1).is_zero()
 
+    def test_chevalley_h_names_the_level_below_two(self):
+        # h_n = e_(n-1)^f_(n-1) + e_n^f_n needs n >= 2: the error names the
+        # level, not a pair of indices the caller never gave
+        with pytest.raises(IndexRangeError, match="h_1 needs level >= 2, got level 1"):
+            sr.SoElement.chevalley_h(1, 1)
+        for i in (0, 2):
+            with pytest.raises(IndexRangeError, match=f"h_{i} undefined at level 1"):
+                sr.SoElement.chevalley_h(1, i)
+
     def test_ff_lowering_scalar(self):
         # the model action of f_1^f_2 on the top wedge at level 2 is -2
         out = sr.rho_so(sr.SoElement.basis_ff(2, 1, 2), sr.SpinVector.basis(2, [1, 2]))

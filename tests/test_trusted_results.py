@@ -7,21 +7,34 @@ computed coefficient by coefficient and passed through the public
 constructor, which checks every key and coefficient: equal, with equal hashes,
 every coefficient a nonzero Fraction, and (for vectors) every zero coordinate
 the shared zero.  The kernel's results are also compared with
-oracle_apply_words, the kernel as first written."""
+oracle_apply_words, the kernel as first written.
 
+Every letter that reaches the kernel has int factors: a letter made with
+Fraction factors is scaled to ints where it is built.  The last test checks
+every source of letters and every call of the kernel in the package."""
+
+import ast
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 
+from spinalg import cartan as ca
 from spinalg import clifford_core as cc
+from spinalg import grassmann_cone as gc
 from spinalg import spin_rep as sr
 
 from conftest import (
     make_rng,
     oracle_apply_words,
     oracle_group_apply,
+    oracle_induced_map,
+    oracle_letter,
+    oracle_wedge,
     random_clifford,
     random_exterior,
+    random_isotropic,
     random_spin,
     random_word,
 )
@@ -167,3 +180,157 @@ def test_vector_arithmetic(n):
             assert_vector(v.scale(c), [c * a for a in v.coords()])
         keys = [(1 << i, 0) for i in range(n)] + [(0, 1 << j) for j in range(n)]
         assert_same(v.as_clifford(), cc.CliffordElement(n, dict(zip(keys, v.coords()))))
+
+
+def coordinate_lists(n, rng):
+    """Coordinate lists over the 2n symbol bits: ints, Fractions with mixed
+    denominators, one basis vector, and zero."""
+    ints = [rng.randint(-2, 2) for _ in range(2 * n)]
+    fracs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)) for _ in range(2 * n)]
+    unit = [0] * (2 * n)
+    unit[rng.randrange(2 * n)] = 1
+    return [ints, fracs, unit, [0] * (2 * n)]
+
+
+def exterior_operands(n, rng):
+    """ExteriorVectors at level n with int and Fraction coefficients, the
+    unit and zero."""
+    return [
+        random_exterior(n, rng, nterms=6),
+        random_exterior(n, rng, nterms=6, den=rng.randint(2, 5)),
+        cc.ExteriorVector.unit(n),
+        cc.ExteriorVector.zero(n),
+    ]
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_exterior_letters_match_the_oracle_kernel(n):
+    rng = make_rng(f"trusted-exterior:{n}")
+    for omega in exterior_operands(n, rng):
+        for bit in range(2 * n):
+            sym = bit + 1 if bit < n else n - bit - 1
+            expect = oracle_apply_words([(1, [((1 << bit, 0, 1),)])], omega.terms)
+            assert_same(omega.outer_symbol(sym), cc.ExteriorVector(n, expect))
+        for coords in coordinate_lists(n, rng):
+            v = cc.VectorInV.from_coords(n, coords)
+            expect = oracle_apply_words([(1, [oracle_letter(v.f + v.e, contract=True)])], omega.terms)
+            assert_same(omega.inner_vector(v), cc.ExteriorVector(n, expect))
+            expect = oracle_apply_words([(1, [oracle_letter(coords)])], omega.terms)
+            assert_same(cc._wedge_front(omega, coords), cc.ExteriorVector(n, expect))
+    # a symbol already present, and a contraction that finds no partner
+    e1 = cc.ExteriorVector(n, {1: Fraction(3, 2)})
+    assert_same(e1.outer_symbol(1), cc.ExteriorVector.zero(n))
+    assert_same(e1.inner_vector(cc.VectorInV.basis(n, 1)), cc.ExteriorVector.zero(n))
+    assert_same(cc.ExteriorVector.unit(n).inner_vector(cc.VectorInV.basis(n, -n)), cc.ExteriorVector.zero(n))
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_wedges_and_induced_maps_match_the_oracle(n):
+    rng = make_rng(f"trusted-wedge:{n}")
+    vectors = [cc.VectorInV.from_coords(n, c) for c in coordinate_lists(n, rng)]
+    assert_same(cc.wedge_of_vectors(n, []), cc.ExteriorVector.unit(n))
+    for k in range(1, n + 2):
+        vecs = [rng.choice(vectors[:3]) for _ in range(k)]
+        assert_same(cc.wedge_of_vectors(n, vecs), cc.ExteriorVector(n, oracle_wedge(vecs)))
+        vecs[rng.randrange(k)] = vectors[3]
+        assert_same(cc.wedge_of_vectors(n, vecs), cc.ExteriorVector.zero(n))
+    for den in (1, 3):
+        # int columns, Fraction columns, and columns with a zero one among them
+        ints = [[rng.randint(-1, 1) for _ in range(2 * n)] for _ in range(2 * n)]
+        fracs = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(2 * n)] for _ in range(2 * n)]
+        holey = [list(col) for col in fracs]
+        holey[rng.randrange(2 * n)] = [0] * (2 * n)
+        for cols in (ints, fracs, holey):
+            images = [cc.VectorInV.from_coords(n, col) for col in cols]
+            for omega in exterior_operands(n, rng)[:: 2 if n > 4 else 1]:
+                if den > 1:
+                    omega = omega.scale(Fraction(1, den))
+                assert_same(cc.induced_map(omega, cols), oracle_induced_map(omega, images))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mult_mh_matches_the_oracle(n):
+    """mult_mh of a level n-1 form wedges its partner on the left through
+    _wedge_front: the coordinate partner f_n, and a partner with Fraction
+    coordinates through a hyperbolic basis."""
+    rng = make_rng(f"trusted-mult-mh:{n}")
+    coordinate = [cc.VectorInV.basis(n, i) for i in range(1, n)]
+    coordinate += [cc.VectorInV.basis(n, -j) for j in range(1, n)]
+    e = random_isotropic(n, rng)
+    h = gc.hyperbolic_basis_through(e).new_f[-1]
+    basis = gc.hyperbolic_basis_through(e, h)
+    general = list(basis.new_e[:-1]) + list(basis.new_f[:-1])
+    for omega in exterior_operands(n - 1, rng):
+        f_n = cc.VectorInV.basis(n, -n)
+        assert_same(ca.mult_mh(omega, f_n), oracle_induced_map(omega, coordinate, front=[f_n]))
+        assert_same(ca.mult_mh(omega, h, e), oracle_induced_map(omega, general, front=[h]))
+
+
+def int_factors(letters) -> bool:
+    return all(type(f) is int for letter in letters for _, _, f in letter)
+
+
+def kernel_call_sites() -> set:
+    """The names of the functions in the package that call _apply_words."""
+    sites = set()
+    for path in pathlib.Path(cc.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        if name == "_apply_words":
+                            sites.add(fn.name)
+    return sites
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_every_letter_has_int_factors(n, monkeypatch):
+    rng = make_rng(f"int-letters:{n}")
+    for letter in (cc._clifford_letter, cc._exterior_letter):
+        assert int_factors(cc._letter_table(letter, n))
+    assert int_factors([sr._o(i) for i in range(1, n + 1)] + [sr._iota(j) for j in range(1, n + 1)])
+    forms = [sr.SoElement(n, ef={(1, n): Fraction(2, 3), (n, n): Fraction(-1, 5)})]
+    if n > 1:
+        forms.append(sr.SoElement(n, ee={(1, n): Fraction(3, 2)}, ff={(1, 2): Fraction(-7, 4)}))
+    for x in forms:
+        assert all(int_factors(letters) for _, letters in sr._so_words(x))
+    coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(2 * n)]
+    letter, scale = cc._vector_letter(coords)
+    assert int_factors([letter]) and type(scale) is int
+    assert letter == tuple((b, need, scale * f) for b, need, f in oracle_letter(coords))
+
+    # every call of the kernel, from every call site, gets int letters
+    kernel, callers = cc._apply_words, set()
+
+    def recording(words, terms):
+        words = list(words)
+        assert all(int_factors(letters) for _, letters in words)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return kernel(words, terms)
+
+    monkeypatch.setattr(cc, "_apply_words", recording)
+    a, b = random_clifford(n, rng), random_clifford(n, rng)
+    cc.mul(a, b)
+    cc.star(a)
+    cc.normal_form(random_word(n, rng, 4), n)
+    omega = random_exterior(n, rng, den=3)
+    v = cc.VectorInV.from_coords(n, coords)
+    cc.act_on_exterior(a, omega)
+    omega.outer_symbol(-n)
+    omega.inner_vector(v)
+    cc.wedge_of_vectors(n, [v, v.scale(Fraction(1, 7))])
+    cc._wedge_front(omega, coords)
+    cc.induced_map(omega, [[Fraction(i - j, 3) for j in range(2 * n)] for i in range(2 * n)])
+    x = random_spin(n, rng)
+    for form in forms:
+        cc.so_to_clifford(form)
+        sr.rho_so(form, x)
+    sr.rho_standard(sr.SoElement.basis_ef(n, 1, n), x)
+    sr.vector_action(v, x)
+    sites = kernel_call_sites()
+    if n > 1:
+        sr._root_table.__wrapped__(n, "ef", 1, n)
+    else:
+        sites.discard("_root_table")  # no root vectors at level 1
+    assert callers == sites
