@@ -355,46 +355,26 @@ def lower_factorization(
     mg = g.so_matrix()
     mg_inv = g.inverse().so_matrix()
     # E'' = g^{-1} (span of top e-block); rows of E'' in level-q coords
-    epp_rows = []
-    for i in range(n0, q):
-        col = [mg_inv[r][i] for r in range(2 * q)]
-        epp_rows.append(col)
-    # V_n + F has zero e-coords above n
-    vnf_constraints = []
-    for i in range(n, q):
-        row = [Fraction(0)] * (2 * q)
-        row[i] = Fraction(1)
-        vnf_constraints.append(row)
-    pair_rows = [
-        list(w.f) + list(w.e)
-        for w in (cc.VectorInV.from_coords(q, r) for r in epp_rows)
-    ]
+    epp_rows = [[mg_inv[r][i] for r in range(2 * q)] for i in range(n0, q)]
+    # V_n + F has zero e-coords above n; the auxiliary F block is f_(n+1)..f_q
+    eye = linalg.identity(2 * q)
+    vnf_constraints = eye[n:q]
+    f_rows = eye[q + n :]
+    pair_rows = [r[q:] + r[:q] for r in epp_rows]  # v -> (v|r) for each row r
     # W1 = E'' ∩ (V_n ⊕ F): combinations of E''-rows with zero top e-coords
     w1 = []
     if epp_rows:
         if q > n:
-            constraint_matrix = [[row[i] for i in range(n, q)] for row in epp_rows]
-            kernel = linalg.nullspace(linalg.transpose(constraint_matrix))
+            kernel = linalg.nullspace([[row[i] for row in epp_rows] for i in range(n, q)])
         else:
             kernel = linalg.identity(len(epp_rows))
-        for comb in kernel:
-            vec = [
-                sum((comb[a] * epp_rows[a][k] for a in range(len(epp_rows))), Fraction(0))
-                for k in range(2 * q)
-            ]
-            w1.append(vec)
-        w1 = linalg.row_space(w1) if w1 else []
+        w1 = linalg.row_space(linalg.matmul(kernel, epp_rows)) if kernel else []
     if len(w1) != n - n0:
         raise GenericityError(
             f"dim(E'' ∩ (V_n+F)) = {len(w1)} != n - n0 = {n - n0}",
             suggested_seed=_next_seed(seed),
         )
     # (E'')^perp ∩ F must be zero
-    f_rows = []
-    for j in range(n, q):
-        row = [Fraction(0)] * (2 * q)
-        row[q + j] = Fraction(1)
-        f_rows.append(row)
     if f_rows and pair_rows:
         perp = linalg.nullspace(pair_rows)
         meet = linalg.intersect_row_spaces(perp, f_rows)
@@ -403,10 +383,8 @@ def lower_factorization(
                 "(E'')^perp meets the auxiliary F block", suggested_seed=_next_seed(seed)
             )
     # Etilde: project W1 to V_n along the auxiliary F block
-    etilde_rows = []
-    for row in w1:
-        proj = row[:n] + [Fraction(0)] * (q - n) + row[q : q + n] + [Fraction(0)] * (q - n)
-        etilde_rows.append(proj)
+    pad = [Fraction(0)] * (q - n)
+    etilde_rows = [row[:n] + pad + row[q : q + n] + pad for row in w1]
     etilde_rows = linalg.row_space(etilde_rows) if etilde_rows else []
     if len(etilde_rows) != n - n0:
         raise GenericityError(
@@ -481,70 +459,88 @@ def lower_factorization(
 
 def _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
     """Assemble the bottom isometry column by column through the quotients;
-    D, the nullspace of `constraints`, is (V_n ⊕ F) ∩ (E'')^perp."""
+    D, the nullspace of `constraints`, is (V_n ⊕ F) ∩ (E'')^perp.  Column b
+    solves proj(d) - g'^-1 e_b in span(Etilde): unknowns lambda (over D), mu
+    (over Etilde); only the right-hand side changes with b, so one reduction
+    serves every column."""
     d_rows = linalg.nullspace(constraints) if constraints else linalg.identity(2 * q)
     mgp_inv = g_prime.inverse().so_matrix()
+    nd = len(d_rows)
+    rows = []
+    for k in range(2 * n):
+        qk = k if k < n else q + (k - n)  # level-q coordinate of the projection;
+        # the projection drops the e- and f-coords in (n, q], so those of d are free
+        rows.append([row[qk] for row in d_rows] + [-row[k] for row in etilde_n])
+    sources = [bit if bit < n0 else n + (bit - n0) for bit in range(2 * n0)]
+    sol = linalg.solve_matrix(rows, [[mgp_inv[k][c] for c in sources] for k in range(2 * n)])
+    if sol is None:
+        raise StructureError("quotient transport has no solution")
     cols = []
-    for bit in range(2 * n0):
-        w_n = [Fraction(0)] * (2 * n)
-        w_n[bit if bit < n0 else n + (bit - n0)] = Fraction(1)
-        x = linalg.matvec(mgp_inv, w_n)
-        # solve proj(d) - x in span(Etilde): unknowns lambda (over D), mu (over Etilde)
-        nd = len(d_rows)
-        ne = len(etilde_n)
-        rows = []
-        rhs = []
-        for k in range(2 * n):
-            qk = k if k < n else q + (k - n)  # level-q coordinate of the projection
-            row = [d_rows[a][qk] for a in range(nd)]
-            row += [-etilde_n[b][k] for b in range(ne)]
-            rows.append(row)
-            rhs.append(x[k])
-        # the projection drops e- and f-coords in (n, q]; those of d are free:
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            raise StructureError("quotient transport has no solution")
-        d = [
-            sum((sol[a] * d_rows[a][k] for a in range(nd)), Fraction(0))
-            for k in range(2 * q)
-        ]
-        y = linalg.matvec(mg, d)
-        for i in range(n0, q):
-            if y[q + i] != 0:
-                raise StructureError("transported vector left the top-block perp")
+    # the transported vectors mg d, one row per column
+    for y in linalg.matmul(linalg.matmul(linalg.transpose(sol[:nd]), d_rows), linalg.transpose(mg)):
+        if any(y[q + i] != 0 for i in range(n0, q)):
+            raise StructureError("transported vector left the top-block perp")
         cols.append([y[i] for i in range(n0)] + [y[q + i] for i in range(n0)])
     return linalg.transpose(cols)
 
 
+def _two_rho_basis(n0: int, masks: list[int]) -> list[tuple[int, int, list]]:
+    """The so(2 n0) basis of the intertwining audit as (p, p2, moves): the
+    two-form e^e' of the basis vectors e, e' of V at coordinates p and p2,
+    and 2 rho(e^e') on the masks as (column, row, int factor) triples.  The
+    roots read their spin_rep root tables; the Cartan element e_i^f_i acts
+    on e_S by +1/2 when i is in S and by -1/2 otherwise."""
+    idx = {m: k for k, m in enumerate(masks)}
+    upper = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
+    pairs = [p for i, j in upper for p in ((i, j, "ee"), (n0 + i, n0 + j, "ff"))]
+    pairs += [(i, n0 + j, "ef") for i in range(n0) for j in range(n0)]
+    out = []
+    for p, p2, kind in pairs:
+        i, j = p % n0, p2 % n0
+        if p + n0 == p2:
+            table = {m: (m, 1 if m >> i & 1 else -1) for m in masks}
+        else:
+            table = sr._root_table(n0, kind, i + 1, j + 1)[0]
+        moves = [(col, idx[hit[0]], hit[1]) for col, m in enumerate(masks) if (hit := table.get(m))]
+        out.append((p, p2, moves))
+    return out
+
+
 def _verify_intertwining(n0, u, m_second, masks_n0):
-    """u must intertwine the spin action with conjugation by the bottom factor."""
-    m_inv = linalg.inverse(m_second)
-    idx = {m: i for i, m in enumerate(masks_n0)}
+    """u must intertwine the spin action with conjugation by the bottom
+    factor M: u rho(x) = rho(M x M^-1) u for each x of the so(2 n0) basis.
 
-    def even_block(x: sr.SoElement):
-        cols = []
-        for mask in masks_n0:
-            v = sr.rho_so(x, sr.SpinVector.basis(n0, mask))
-            col = [Fraction(0)] * len(masks_n0)
-            for m, c in v.terms.items():
-                col[idx[m]] = c
-            cols.append(col)
-        return linalg.transpose(cols)
+    Runs on integers, with M = A / a, M^-1 = B / b, s = a b and u = U / c.
+    The basis element x = e^e' (see _two_rho_basis, coordinates p and p2)
+    sends w to (e'|w) e - (e|w) e', so s M x M^-1 = A[:, p] B[p2*, :] -
+    A[:, p2] B[p*, :], with r* the partner coordinate of r.  Its coefficient
+    on the basis element at (p, p2) is its (p, p2*) entry, as
+    SoElement.from_matrix reads it, and it must pass from_matrix's check:
+    skew for the split form.  The audit compares U (2 rho(x)) s with
+    (2 s rho(M x M^-1)) U."""
+    a, den_a = linalg._int_matrix(m_second)
+    b, den_b = linalg._int_matrix(linalg.inverse(m_second))
+    uu = linalg._int_matrix(u)[0]
+    s = den_a * den_b
+    size = 2 * n0
+    star = [r + n0 if r < n0 else r - n0 for r in range(size)]
+    basis = _two_rho_basis(n0, masks_n0)
 
-    basis = []
-    for i in range(1, n0 + 1):
-        for j in range(i + 1, n0 + 1):
-            basis.append(sr.SoElement.basis_ee(n0, i, j))
-            basis.append(sr.SoElement.basis_ff(n0, i, j))
-    for i in range(1, n0 + 1):
-        for j in range(1, n0 + 1):
-            basis.append(sr.SoElement.basis_ef(n0, i, j))
-    for x in basis:
-        ad = linalg.matmul(linalg.matmul(m_second, x.matrix()), m_inv)
-        y = sr.SoElement.from_matrix(n0, ad)
-        lhs = linalg.matmul(u, even_block(x))
-        rhs = linalg.matmul(even_block(y), u)
-        if lhs != rhs:
+    def dense(terms):
+        """sum of coef * 2 rho(basis element) over (coef, moves) as an int matrix"""
+        out = [[0] * len(masks_n0) for _ in masks_n0]
+        for coef, moves in terms:
+            if coef:
+                for col, row, c2 in moves:
+                    out[row][col] += coef * c2
+        return out
+
+    for p, p2, moves in basis:
+        ad = [[r[p] * y - r[p2] * z for y, z in zip(b[star[p2]], b[star[p]])] for r in a]
+        if any(ad[r][c] != -ad[star[c]][star[r]] for r in range(size) for c in range(size)):
+            raise StructureError("matrix is not skew with respect to the split form")
+        rho_y = dense((ad[i][star[j]], moves2) for i, j, moves2 in basis)
+        if linalg._product(uu, dense([(s, moves)]), 0) != linalg._product(rho_y, uu, 0):
             raise StructureError("bottom factor fails the conjugation audit")
 
 

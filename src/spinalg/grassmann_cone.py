@@ -194,65 +194,55 @@ def _complete_e_rows(
 def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
     """Deterministic adapted hyperbolic basis for a maximal isotropic H.
 
-    Pivoting is lowest-index-first throughout and the f'-block is scaled to
-    determinant one against the standard f-basis, which pins the scalar of
-    every derived object (omega_of, pluecker).
+    H∩F is read off H's rref rows (h.rows, when H comes from check_isotropic
+    or annihilator): those with their pivot in the f-block are the rref
+    basis of H∩F, and the others complement it in H.  The f'-block extends
+    H∩F by the standard f_j, lowest index first, that are not in H∩F +
+    span(f_1..f_(j-1)): the f_j at which no vector of H∩F ends, read off one
+    elimination from the last column.  The f'-block is scaled to determinant
+    one against the standard f-basis, which pins the scalar of every derived
+    object (omega_of, pluecker).  Hand-built rows that are not H's rref fail
+    the last adaptation invariant, or the split when they are dependent.
     """
     n = h.n
     if h.dim != n:
         raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
-    f_rows = [cc.VectorInV.basis(n, -j).coords() for j in range(1, n + 1)]
-    hf = linalg.intersect_row_spaces([list(r) for r in h.rows], f_rows)
+    rows = [list(r) for r in h.rows]
+    canonical = linalg.row_space(rows)
+    if len(canonical) != n:
+        raise StructureError("failed to split H over H∩F")
+    hf = [r for r in canonical if not any(r[:n])]
+    w_rows = [r for r in canonical if any(r[:n])]
     k = len(hf)
-    fprime_coords = [list(r) for r in hf]
-    # extend by standard f_j, lowest index first
-    for j in range(1, n + 1):
-        if len(fprime_coords) == n:
-            break
-        cand = cc.VectorInV.basis(n, -j).coords()
-        if linalg.rank(fprime_coords + [cand]) > len(fprime_coords):
-            fprime_coords.append(cand)
+    reversed_f = [linalg._integer_row(enumerate(reversed(r[n:])))[0] for r in hf]
+    ends = {n - 1 - c for c, _ in linalg._eliminate(reversed_f)}
+    fprime_coords = hf + [cc.VectorInV.basis(n, -j - 1).coords() for j in range(n) if j not in ends]
     # normalize the f'-block to determinant 1 over the standard f-basis
-    g = [row[n:] for row in fprime_coords]
-    d = linalg.det(g)
+    d = linalg.det([row[n:] for row in fprime_coords])
     if d == 0:
         raise StructureError("f'-rows do not span F")
     fprime_coords[-1] = [x / d for x in fprime_coords[-1]]
     fprime = [cc.VectorInV.from_coords(n, r) for r in fprime_coords]
 
-    # complement of H∩F inside H, greedily from canonical rows
-    w_rows: list[list[Fraction]] = []
-    base = [list(r) for r in hf]
-    for r in h.rows:
-        if linalg.rank(base + w_rows + [list(r)]) > k + len(w_rows):
-            w_rows.append(list(r))
-    if len(w_rows) != n - k:
-        raise StructureError("failed to split H over H∩F")
-    w_vecs = [cc.VectorInV.from_coords(n, r) for r in w_rows]
-    # fix the pairing against f'_{k+1}..f'_n
+    # fix the pairing of the complement against f'_{k+1}..f'_n
+    e_top = []
     if n > k:
-        p = [
-            [cc.pairing(w, fprime[k + b]) for b in range(n - k)] for w in w_vecs
-        ]
-        pinv = linalg.inverse(p)
-        e_top = []
-        for a in range(n - k):
-            coords = [
-                sum((pinv[a][b] * w_vecs[b].coords()[c] for b in range(n - k)), Fraction(0))
-                for c in range(2 * n)
-            ]
-            e_top.append(cc.VectorInV.from_coords(n, coords))
-    else:
-        e_top = []
+        w_vecs = [cc.VectorInV.from_coords(n, r) for r in w_rows]
+        pinv, den_p = linalg._int_matrix(
+            linalg.inverse([[cc.pairing(w, f) for f in fprime[k:]] for w in w_vecs])
+        )
+        w_ints, den_w = linalg._int_matrix(w_rows)
+        for row in linalg._product(pinv, w_ints, 0):
+            e_top.append(cc.VectorInV.from_coords(n, [Fraction(x, den_p * den_w) for x in row]))
     known = {k + 1 + a: e_top[a] for a in range(n - k)}
     new_e = _complete_e_rows(n, fprime, known)
     basis = AdaptedBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime), k=k)
     basis.verify()
     # adaptation invariants
-    if linalg.row_space([v.coords() for v in fprime[:k]]) != [list(r) for r in hf]:
+    if linalg.row_space([v.coords() for v in fprime[:k]]) != hf:
         raise StructureError("f'_1..f'_k do not span H∩F")
     span_h = [v.coords() for v in new_e[k:]] + [v.coords() for v in fprime[:k]]
-    if linalg.row_space(span_h) != [list(r) for r in h.rows]:
+    if linalg.row_space(span_h) != rows:
         raise StructureError("adapted rows do not span H")
     return basis
 

@@ -66,16 +66,28 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = _cols(b)
     if cols and any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
+    return _product(a, b, Fraction(0))
+
+
+def _product(a, b, zero):
+    """a b with every sum started at zero (0 keeps int matrices on ints),
+    summing only the products of nonzero factors; shapes are not checked."""
     b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [Fraction(0)] * cols
+        acc = [zero] * (len(b[0]) if b else 0)
         for x, nonzero in zip(row, b_nonzero):
             if x:
                 for k, y in nonzero:
                     acc[k] += x * y
         out.append(acc)
     return out
+
+
+def _int_matrix(a: Matrix) -> tuple[list[list[int]], int]:
+    """(a scaled to integers by the lcm of its denominators, that lcm)."""
+    den = reduce(lcm, (x.denominator for row in a for x in row), 1)
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -262,12 +274,12 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     cols, cols_b = _cols(a), _cols(b)
     if len(a) != len(b):
         raise ValueError(f"{len(b)} right-hand rows for {len(a)} equations")
-    r, pivots = rref([list(row_a) + list(row_b) for row_a, row_b in zip(a, b)])
-    if pivots and pivots[-1] >= cols:
+    rows, pivots, _ = _echelon([list(row_a) + list(row_b) for row_a, row_b in zip(a, b)])
+    if pivots and pivots[-1][0] >= cols:
         return None
     x = [[Fraction(0)] * cols_b for _ in range(cols)]
-    for i, p in enumerate(pivots):
-        x[p] = r[i][cols:]
+    for c, i in pivots:
+        x[c] = [Fraction(rows[i].get(cols + j, 0), rows[i][c]) for j in range(cols_b)]
     return x
 
 

@@ -10,6 +10,7 @@ import pytest
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
+from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import NotIsotropicError, SpinalgError, StructureError
 
@@ -148,7 +149,15 @@ def dense_matmul(a, b):
 def oracle_rref(a):
     """Dense Gauss-Jordan over Fractions: (rref rows, pivot columns).  The
     original reference routine; entries are made Fractions first, so plain
-    integers give the same result."""
+    integers give the same result.  Each input is reduced once per test run
+    (the elimination tests share their large cases); every call gets its own
+    copy of the answer."""
+    m, pivots = _oracle_rref(tuple(map(tuple, a)))
+    return [list(row) for row in m], list(pivots)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rref(a):
     m = [[Fraction(x) for x in row] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -457,6 +466,139 @@ def oracle_gamma_windowed(finite_terms, limit_terms, window):
         letters = [((1 << p, 0, 1),) for p in range(window) if s_mask >> p & 1]
         total += oracle_apply_words([(1, letters)], {full & ~s_mask: 1})[full] * a * b
     return total
+
+
+def oracle_verify_intertwining(n0, u, m_second, masks_n0):
+    """cartan._verify_intertwining as first written, on Fractions: for each
+    so(2 n0) basis element x, the dense conjugation M x M^-1 read back by
+    SoElement.from_matrix, and u rho(x) == rho(M x M^-1) u compared on the
+    even blocks, built column by column by rho_so."""
+    m_inv = linalg.inverse(m_second)
+    idx = {m: i for i, m in enumerate(masks_n0)}
+
+    def even_block(x):
+        cols = []
+        for mask in masks_n0:
+            v = sr.rho_so(x, sr.SpinVector.basis(n0, mask))
+            col = [Fraction(0)] * len(masks_n0)
+            for m, c in v.terms.items():
+                col[idx[m]] = c
+            cols.append(col)
+        return linalg.transpose(cols)
+
+    basis = []
+    for i in range(1, n0 + 1):
+        for j in range(i + 1, n0 + 1):
+            basis.append(sr.SoElement.basis_ee(n0, i, j))
+            basis.append(sr.SoElement.basis_ff(n0, i, j))
+    for i in range(1, n0 + 1):
+        for j in range(1, n0 + 1):
+            basis.append(sr.SoElement.basis_ef(n0, i, j))
+    for x in basis:
+        ad = linalg.matmul(linalg.matmul(m_second, x.matrix()), m_inv)
+        y = sr.SoElement.from_matrix(n0, ad)
+        if linalg.matmul(u, even_block(x)) != linalg.matmul(even_block(y), u):
+            raise StructureError("bottom factor fails the conjugation audit")
+
+
+def oracle_second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
+    """cartan._second_factor_matrix as first written: one linalg.solve per
+    column, the right-hand side g'^-1 applied to the basis vector."""
+    d_rows = linalg.nullspace(constraints) if constraints else linalg.identity(2 * q)
+    mgp_inv = g_prime.inverse().so_matrix()
+    cols = []
+    for bit in range(2 * n0):
+        w_n = [Fraction(0)] * (2 * n)
+        w_n[bit if bit < n0 else n + (bit - n0)] = Fraction(1)
+        x = linalg.matvec(mgp_inv, w_n)
+        rows = []
+        for k in range(2 * n):
+            qk = k if k < n else q + (k - n)
+            rows.append([r[qk] for r in d_rows] + [-r[k] for r in etilde_n])
+        sol = linalg.solve(rows, x)
+        if sol is None:
+            raise StructureError("quotient transport has no solution")
+        d = [sum((sol[a] * r[k] for a, r in enumerate(d_rows)), Fraction(0)) for k in range(2 * q)]
+        y = linalg.matvec(mg, d)
+        if any(y[q + i] != 0 for i in range(n0, q)):
+            raise StructureError("transported vector left the top-block perp")
+        cols.append([y[i] for i in range(n0)] + [y[q + i] for i in range(n0)])
+    return linalg.transpose(cols)
+
+
+def _oracle_functional(w):
+    return list(w.f) + list(w.e)
+
+
+def _oracle_complete_e_rows(n, fprime, known):
+    """The missing e'_i of a hyperbolic basis, one linalg.solve each: the
+    canonical solution of the pairing constraints, then an f'_i multiple
+    fixes isotropy."""
+    built = dict(known)
+    for i in range(1, n + 1):
+        if i in built:
+            continue
+        rows = [_oracle_functional(f) for f in fprime]
+        rhs = [Fraction(int(i == j)) for j in range(1, n + 1)]
+        for ev in built.values():
+            rows.append(_oracle_functional(ev))
+            rhs.append(Fraction(0))
+        sol = linalg.solve(rows, rhs)
+        if sol is None:
+            raise StructureError("hyperbolic completion has no solution")
+        v = cc.VectorInV.from_coords(n, sol)
+        built[i] = v - fprime[i - 1].scale(cc.quadratic_value(v) / 2)
+    return [built[i] for i in range(1, n + 1)]
+
+
+def oracle_adapted_basis(h):
+    """grassmann_cone.adapted_basis as first written, on Fractions: H∩F by
+    linalg.intersect_row_spaces, f'-rows and the complement of H∩F in H
+    chosen greedily by linalg.rank, the pairing fixed by linalg.inverse,
+    then verify() and both adaptation invariants."""
+    n = h.n
+    if h.dim != n:
+        raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
+    f_rows = [cc.VectorInV.basis(n, -j).coords() for j in range(1, n + 1)]
+    hf = linalg.intersect_row_spaces([list(r) for r in h.rows], f_rows)
+    k = len(hf)
+    fprime_coords = [list(r) for r in hf]
+    for j in range(1, n + 1):
+        if len(fprime_coords) == n:
+            break
+        cand = cc.VectorInV.basis(n, -j).coords()
+        if linalg.rank(fprime_coords + [cand]) > len(fprime_coords):
+            fprime_coords.append(cand)
+    d = linalg.det([row[n:] for row in fprime_coords])
+    if d == 0:
+        raise StructureError("f'-rows do not span F")
+    fprime_coords[-1] = [x / d for x in fprime_coords[-1]]
+    fprime = [cc.VectorInV.from_coords(n, r) for r in fprime_coords]
+    w_rows = []
+    for r in h.rows:
+        if linalg.rank([list(x) for x in hf] + w_rows + [list(r)]) > k + len(w_rows):
+            w_rows.append(list(r))
+    if len(w_rows) != n - k:
+        raise StructureError("failed to split H over H∩F")
+    w_vecs = [cc.VectorInV.from_coords(n, r) for r in w_rows]
+    e_top = []
+    if n > k:
+        pinv = linalg.inverse([[cc.pairing(w, fprime[k + b]) for b in range(n - k)] for w in w_vecs])
+        for a in range(n - k):
+            coords = [
+                sum((pinv[a][b] * w_vecs[b].coords()[c] for b in range(n - k)), Fraction(0))
+                for c in range(2 * n)
+            ]
+            e_top.append(cc.VectorInV.from_coords(n, coords))
+    new_e = _oracle_complete_e_rows(n, fprime, {k + 1 + a: e_top[a] for a in range(n - k)})
+    basis = gc.AdaptedBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime), k=k)
+    basis.verify()
+    if linalg.row_space([v.coords() for v in fprime[:k]]) != [list(r) for r in hf]:
+        raise StructureError("f'_1..f'_k do not span H∩F")
+    span_h = [v.coords() for v in new_e[k:]] + [v.coords() for v in fprime[:k]]
+    if linalg.row_space(span_h) != [list(r) for r in h.rows]:
+        raise StructureError("adapted rows do not span H")
+    return basis
 
 
 def random_exterior(n, rng, nterms=4, den=1):

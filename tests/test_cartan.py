@@ -11,10 +11,12 @@ from spinalg import grassmann_cone as gc
 from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg import transfer_maps as tm
-from spinalg.errors import GenericityError, LevelMismatchError, SpinalgError
+from spinalg.errors import GenericityError, LevelMismatchError, SpinalgError, StructureError
 
 from conftest import (
     make_rng,
+    oracle_second_factor_matrix,
+    oracle_verify_intertwining,
     oracle_half_pair,
     oracle_induced_map,
     oracle_nu2,
@@ -290,3 +292,73 @@ class TestLowerFactorization:
     def test_bottom_level_bound(self):
         with pytest.raises(Exception):
             ca.lower_factorization(4, 4, 3, sr.GroupElement.identity(4))
+
+
+@pytest.fixture(scope="module")
+def factorization_calls():
+    """The arguments of every _second_factor_matrix and _verify_intertwining
+    call of real factorizations at (5, 5, 4), (6, 5, 4) and (6, 6, 4), three
+    seeds each."""
+    calls = {"_second_factor_matrix": [], "_verify_intertwining": []}
+
+    def recorder(real, record):
+        def recorded(*args):
+            record.append(args)
+            return real(*args)
+
+        return recorded
+
+    patch = pytest.MonkeyPatch()
+    for name, record in calls.items():
+        patch.setattr(ca, name, recorder(getattr(ca, name), record))
+    try:
+        for cfg in [(5, 5, 4), (6, 5, 4), (6, 6, 4)]:
+            for seed in range(3):
+                ca.sample_lower_factorization(*cfg, seed=f"audit:{seed}")
+    finally:
+        patch.undo()
+    assert len(calls["_verify_intertwining"]) == 9
+    return calls
+
+
+def outcome(audit, args):
+    """None when the audit passes, else the error's type and message."""
+    try:
+        audit(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestFactorizationAudits:
+    def test_bottom_factor_matches_the_per_column_solves(self, factorization_calls):
+        for args in factorization_calls["_second_factor_matrix"]:
+            assert ca._second_factor_matrix(*args) == oracle_second_factor_matrix(*args)
+
+    def test_intertwining_passes_like_the_oracle(self, factorization_calls):
+        for args in factorization_calls["_verify_intertwining"]:
+            assert outcome(ca._verify_intertwining, args) is None
+            assert outcome(oracle_verify_intertwining, args) is None
+
+    def test_intertwining_mutants_rejected_like_the_oracle(self, factorization_calls):
+        rng = make_rng("intertwining-mutants")
+        calls = factorization_calls["_verify_intertwining"]
+        seen = set()
+        for t, (n0, u, m, masks) in enumerate(calls):
+            r, c = rng.randrange(len(u)), rng.randrange(len(u))
+            bumped = [list(row) for row in u]
+            bumped[r][c] += Fraction(1, 3)
+            rescaled = [list(row) for row in u]
+            rescaled[r] = [2 * x for x in rescaled[r]]
+            # another word's bottom factor: it preserves the form too
+            other = next(args[2] for args in calls[t + 1 :] + calls[:t] if args[2] != m)
+            sheared = [list(row) for row in m]
+            sheared[r % len(m)][c % len(m)] += 1
+            for mutant in ((n0, bumped, m, masks), (n0, rescaled, m, masks),
+                           (n0, u, other, masks), (n0, u, sheared, masks)):
+                got = outcome(ca._verify_intertwining, mutant)
+                assert got is not None
+                assert got == outcome(oracle_verify_intertwining, mutant)
+                seen.add(got)
+        assert (StructureError, "bottom factor fails the conjugation audit") in seen
+        assert (StructureError, "matrix is not skew with respect to the split form") in seen

@@ -173,10 +173,12 @@ def test_report_matches_golden_digest(suite):
 # the suites again at n = 1..6: theorem61 and lowering run the level-4
 # discovery, the 120-member level-6 pullback family and the level-6 root
 # tables; clifford, spinrep, transfer and cartan run the letter kernel on
-# the dense level-6 products and the level-6 nu2 pair table
+# the dense level-6 products and the level-6 nu2 pair table; cone runs
+# omega_of and adapted_basis on the subspaces of every level
 GOLDEN_REPORTS_N6 = {
     "cartan": "153e98bba2422eaee87d6cba0d9f624735b88a3f86f14d5a96f6015afa5bbf6b",
     "clifford": "771a409a7f281f5c8a99f1621f3cf0103f38a845e4c4d945b6b08134cd311c7e",
+    "cone": "8b1911eac8f90711aa0b775255312b015a9125d2282517037ecdf576173f4a83",
     "lowering": "783a5dea591ba4a8b0d3360f131252cf9243db7a012c2fe141077ceb90037124",
     "spinrep": "a58e01f80560652eebd200fbe5e73fbe85e36df9983453b65904c99fdef29430",
     "theorem61": "a53374eb27c62f8b2d5f0b6260f7279388c4beb622aac4eeffd02cc34293f084",

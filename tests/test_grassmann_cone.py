@@ -10,9 +10,22 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
-from spinalg.errors import IndexRangeError, LevelMismatchError, NotIsotropicError, SpinalgError
+from spinalg.errors import (
+    IndexRangeError,
+    LevelMismatchError,
+    NotIsotropicError,
+    SpinalgError,
+    StructureError,
+)
 
-from conftest import cone_query_points, make_rng, oracle_annihilator, pfaffian, random_spin
+from conftest import (
+    cone_query_points,
+    make_rng,
+    oracle_adapted_basis,
+    oracle_annihilator,
+    pfaffian,
+    random_spin,
+)
 
 
 class TestCheckIsotropic:
@@ -49,6 +62,15 @@ class TestCheckIsotropic:
             e.contains(cc.VectorInV.basis(2, -1))
 
 
+def outcome(build, h):
+    """(None, None) when build(h) returns, else the error's type and message."""
+    try:
+        build(h)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, None
+
+
 class TestAdaptedBasis:
     def test_extreme_intersections(self):
         assert gc.adapted_basis(gc.standard_f_subspace(2)).k == 2
@@ -77,8 +99,84 @@ class TestAdaptedBasis:
 
     def test_rejects_non_maximal(self):
         sub = gc.check_isotropic([cc.VectorInV.basis(3, 1)], 3)
-        with pytest.raises(SpinalgError):
-            gc.adapted_basis(sub)
+        for build in (gc.adapted_basis, oracle_adapted_basis):
+            with pytest.raises(SpinalgError) as err:
+                build(sub)
+            assert type(err.value) is SpinalgError
+            assert str(err.value) == "subspace is not maximal: dim 1 != 3"
+
+    @staticmethod
+    def assert_matches_oracle(h):
+        ab, ref = gc.adapted_basis(h), oracle_adapted_basis(h)
+        assert (ab.k, ab.new_e, ab.new_f) == (ref.k, ref.new_e, ref.new_f)
+        return ab.k
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_oracle_on_coordinate_subspaces(self, n):
+        ks = {self.assert_matches_oracle(gc.coordinate_subspace(n, m)) for m in range(1 << n)}
+        assert ks == set(range(n + 1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_oracle_on_random_subspaces(self, n):
+        # short words leave H∩F large, long ones make it small
+        subs = [gc.random_maximal_isotropic(n, f"ab-oracle:{t}", 1 + t % 8) for t in range(40)]
+        subs += [
+            gc.annihilator(gc.sample_cone_point(n, f"ab-oracle:{t}", part, 1 + t))
+            for t in range(4)
+            for part in ("even", "odd")
+        ]
+        ks = {self.assert_matches_oracle(h) for h in subs}
+        assert len(ks) > 1
+
+    @staticmethod
+    def hand_built(n, rows):
+        return gc.IsotropicSubspace(n, tuple(tuple(r) for r in rows))
+
+    def assert_rejected_like_oracle(self, h, message):
+        for build in (gc.adapted_basis, oracle_adapted_basis):
+            with pytest.raises(StructureError) as err:
+                build(h)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rows_other_than_the_rref_are_rejected(self, n):
+        for h in (gc.coordinate_subspace(n, 1), gc.random_maximal_isotropic(n, f"ab-bad:{n}", 2)):
+            rows = [list(r) for r in h.rows]
+            for bad in ([[2 * x for x in r] for r in rows], rows[::-1], rows[1:] + rows[:1]):
+                self.assert_rejected_like_oracle(self.hand_built(n, bad), "adapted rows do not span H")
+            self.assert_rejected_like_oracle(
+                self.hand_built(n, rows[:-1] + rows[:1]), "failed to split H over H∩F"
+            )
+
+    def test_hand_built_rows_match_the_oracle(self):
+        # rows that need not be isotropic, independent or reduced; on their
+        # rref, and on dependent rows, the outcome is the oracle's, message
+        # included.  Independent rows that are not their rref keep the error
+        # type: off isotropy, the oracle's complement of H∩F, picked from the
+        # rows as given, can make verify() name another pair.
+        rng = make_rng("ab-hand-built")
+        verdicts = set()
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            rows = [[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(2 * n)] for _ in range(n)]
+            canonical = linalg.row_space(rows)
+            exact = canonical == rows or len(canonical) < n
+            for candidate, same_message in ((canonical, True), (rows, exact)):
+                h = self.hand_built(n, candidate)
+                got, want = outcome(gc.adapted_basis, h), outcome(oracle_adapted_basis, h)
+                assert got == want if same_message else got[0] == want[0]
+                verdicts.add(got[0])
+        assert verdicts >= {None, SpinalgError, StructureError, ValueError}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_row_fails_the_split(self, n):
+        # a zero row has no pivot: reading pivots off the rows must still
+        # end in the split's error (not, say, a bare StopIteration)
+        for h in (gc.standard_e_subspace(n), gc.standard_f_subspace(n), gc.coordinate_subspace(n, 1)):
+            for at in (0, n - 1):
+                rows = [list(r) for r in h.rows]
+                rows[at] = [Fraction(0)] * (2 * n)
+                self.assert_rejected_like_oracle(self.hand_built(n, rows), "failed to split H over H∩F")
 
 
 class TestOmega:
