@@ -353,7 +353,7 @@ def lower_factorization(
         raise LevelMismatchError(f"levels differ: {q} vs {g.n}")
 
     mg = g.so_matrix()
-    mg_inv = g.inverse().so_matrix()
+    mg_inv = g.so_matrix_inverse()
     # E'' = g^{-1} (span of top e-block); rows of E'' in level-q coords
     epp_rows = [[mg_inv[r][i] for r in range(2 * q)] for i in range(n0, q)]
     # V_n + F has zero e-coords above n; the auxiliary F block is f_(n+1)..f_q
@@ -464,7 +464,7 @@ def _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
     (over Etilde); only the right-hand side changes with b, so one reduction
     serves every column."""
     d_rows = linalg.nullspace(constraints) if constraints else linalg.identity(2 * q)
-    mgp_inv = g_prime.inverse().so_matrix()
+    mgp_inv = g_prime.so_matrix_inverse()
     nd = len(d_rows)
     rows = []
     for k in range(2 * n):

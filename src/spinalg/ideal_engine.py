@@ -109,6 +109,16 @@ class Polynomial:
                     _check_masks(is_limit, level, mono[0], mono[-1])
                 cc._accumulate(self.terms, mono, c)
 
+    @classmethod
+    def _trusted(cls, is_limit: bool, level: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """The polynomial on terms as given, unchecked: sorted in-range monomials, nonzero Fractions."""
+        self = object.__new__(cls)
+        self.is_limit = is_limit
+        self.level = level
+        self.terms = terms
+        self._parities = None
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -319,10 +329,7 @@ def stable_vanishing_forms(n: int, degree: int, seed) -> tuple[list[Polynomial],
         pts_b = cone_points(n, f"vf:{seed}:b{round_no}", count)
         forms_a = vanishing_forms(pts_a, degree)
         forms_b = vanishing_forms(pts_b, degree)
-        cross_ok = all(
-            eval_poly(f, x) == 0 for f in forms_a for x in pts_b
-        ) and all(eval_poly(f, x) == 0 for f in forms_b for x in pts_a)
-        if len(forms_a) == len(forms_b) and cross_ok:
+        if len(forms_a) == len(forms_b) and _vanish(forms_a, pts_b) and _vanish(forms_b, pts_a):
             provenance = {
                 "level": n,
                 "degree": degree,
@@ -336,6 +343,14 @@ def stable_vanishing_forms(n: int, degree: int, seed) -> tuple[list[Polynomial],
     raise DiscoveryError(
         f"vanishing forms did not stabilize at level {n}, degree {degree}"
     )
+
+
+def _vanish(forms: list[Polynomial], points: list[sr.SpinVector]) -> bool:
+    """Whether every form vanishes at every point, on integers: a form is zero
+    at a point iff its integer coefficients are zero at the point's integer row."""
+    coefs = [linalg._integer_row(f.terms.items())[0] for f in forms]
+    rows = [linalg._integer_row(x.terms.items())[0] for x in points]
+    return not any(sum(_monomial_value(mono, xs, c) for mono, c in cf.items()) for cf in coefs for xs in rows)
 
 
 def _primitive_normal(p: Polynomial) -> Polynomial:
@@ -396,34 +411,53 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
         raise LevelMismatchError(f"levels differ: {p.level} vs {lm.target_n}")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
-    return _pullback_rows(p, *_integer_rows(lm), lm.source_n)
+    q = _pullback_rows(p, *_integer_rows(lm), lm.source_n)
+    if masks := q._masks():
+        _check_masks(False, q.level, min(masks), max(masks))
+    return q
 
 
 def _pullback_rows(
     p: Polynomial, rows: dict[int, dict[int, int]], den: int, source_n: int
 ) -> Polynomial:
-    """pullback of p along L = rows / den, rows as _integer_rows gives them
-    (target mask -> {source mask: coef}, no zero entries)."""
+    """pullback of the homogeneous p along L = rows / den, rows as
+    _integer_rows gives them (target mask -> {source mask: coef}, no zero
+    entries; the caller checks the source masks).  Symmetric accumulation:
+    the products of one entry from each row of a monomial are keyed by their
+    masks, sorted as each pick is made, so reordered picks meet in one int
+    and no monomial is sorted again; a pick making a two-mask key is one compare."""
     # on integers: p = P content / den_p
     coefs, den_p, content = linalg._integer_row(p.terms.items())
     out: dict[Monomial, int] = {}
     for mono, c in coefs.items():
-        # the products of one entry from each row of mono, keyed by the picks
-        picks: dict[tuple, int] = {(): c}
-        for m in mono:
+        if not mono:
+            out[()] = out.get((), 0) + c
+        picks: dict[Monomial, int] = {(): c}
+        for depth, m in enumerate(mono, 1):
             row = rows.get(m, {}).items()
-            picks = {key + (s,): v * a for key, v in picks.items() for s, a in row}
-        for key, v in picks.items():
-            cc._accumulate(out, key, v)
-    # merge reordered picks on integers, in the order Polynomial would
-    merged: dict[Monomial, int] = {}
-    for key, v in out.items():
-        cc._accumulate(merged, tuple(sorted(key)), v)
-    return Polynomial(
-        False,
-        source_n,
-        {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in merged.items()},
-    )
+            step: dict[Monomial, int] = out if depth == len(mono) else {}
+            get = step.get
+            for key, v in picks.items():
+                if len(key) == 1:
+                    (s,) = key
+                    for t, a in row:
+                        k = (s, t) if s <= t else (t, s)
+                        step[k] = get(k, 0) + v * a
+                else:
+                    for t, a in row:
+                        k = (*key, t) if not key or key[-1] <= t else tuple(sorted((*key, t)))
+                        step[k] = get(k, 0) + v * a
+            picks = step
+    # p is homogeneous, so every term shares one denominator; many share a value
+    scale = den_p * den ** p.degree()
+    made: dict[int, Fraction] = {}
+    terms: dict[Monomial, Fraction] = {}
+    for mono, v in out.items():
+        if v:
+            if (c := made.get(v)) is None:
+                c = made[v] = Fraction(v * content, scale)
+            terms[mono] = c
+    return Polynomial._trusted(False, source_n, terms)
 
 
 @dataclass(frozen=True)
@@ -533,18 +567,19 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
     if length < 1:
         raise IndexRangeError(f"word length must be >= 1, got {length}")
     base = i4_quadric()
-    sources = component_variables(n)
     targets = component_variables(4)
     members = []
     for i in range(count):
         g = sr.random_group_element(n, f"family:{seed}:{i}", length) if i else sr.GroupElement.identity(n)
         rows, den = sr._word_rows(g, targets)
-        sparse = {t: dict(sorted(r.items())) for t, r in zip(targets, rows)}
-        quad = _pullback_rows(base, sparse, den, n)
+        quad = _pullback_rows(base, dict(zip(targets, rows)), den, n)
         if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
             raise StructureError("pulled-back form is not homogeneous quadratic")
-        dense = tuple(tuple(r.get(s, 0) for s in sources) for r in rows)
-        members.append(FamilyMember(g, quad, dense, den))
+        dense = [[0] * ((1 << n) >> 1) for _ in rows]
+        for row, r in zip(dense, rows):
+            for s, c in r.items():
+                row[s >> 1] = c  # the even mask s is the (s >> 1)-th even mask
+        members.append(FamilyMember(g, quad, tuple(map(tuple, dense)), den))
     return PullbackFamily(n, str(seed), tuple(members))
 
 

@@ -488,11 +488,7 @@ def _validate_root(kind: str, i: int, j: int, n: int) -> None:
 
 def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
     _validate_root(kind, i, j, n)
-    if kind == "ee":
-        return SoElement.basis_ee(n, i, j)
-    if kind == "ff":
-        return SoElement.basis_ff(n, i, j)
-    return SoElement.basis_ef(n, i, j)
+    return SoElement(n, **{kind: {(i, j): 1}})
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,18 +525,20 @@ def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
     return table, inverse
 
 
-def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transpose: bool) -> dict[int, int]:
+def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transpose: bool, low: int = -1) -> dict[int, int]:
     """exp(t X) = I + t rho(X) on integers, given the tables of X: every
     permitted root X has rho(X)^2 = 0.  With t = p/q the step returns
     2q v + p (2c) v[src] at each image, so the caller multiplies its
     denominator by 2q.  transpose=True moves a covector instead, through the
-    inverse table; either way the step costs v's nonzero entries."""
+    inverse table; either way the step costs v's nonzero entries.  The bits
+    of a key outside `low` are a tag that the step carries along unread."""
     p, s = t.numerator, 2 * t.denominator
     table = tables[transpose]
     out = {m: s * c for m, c in v.items()}
     for src, c in v.items():
-        if hit := table.get(src):
+        if hit := table.get(src & low):
             m, c2 = hit
+            m |= src & ~low
             c = p * c2 * c + out.get(m, 0)
             if c:
                 out[m] = c
@@ -551,19 +549,22 @@ def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transp
 
 def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, int]], int]:
     """The rows of g for the target masks on integers: rows[k][s] / den is the
-    coefficient of targets[k] in g e_s, zeros left out, with den the common
-    denominator of all the rows (the gcd of den and every entry is 1).  Each
-    unit covector moves through the transposed steps, first letter first."""
-    rows = [{t: 1} for t in targets]
+    coefficient of targets[k] in g e_s, zeros left out and s increasing, with
+    den the common denominator of all the rows (the gcd of den and every
+    entry is 1).  The unit covectors move through the transposed steps, first
+    letter first, in one dict, row k's keys tagged k << n as _root_table tags."""
+    n = g.n
+    low = (1 << n) - 1
+    v = {k << n | t: 1 for k, t in enumerate(targets)}
     den = 1
     for kind, i, j, t in g.word:
         if t:
-            tables = _root_table(g.n, kind, i, j)
-            rows = [_root_step(tables, t, row, True) for row in rows]
+            v = _root_step(_root_table(n, kind, i, j), t, v, True, low)
             den *= 2 * t.denominator
-    common = functools.reduce(math.gcd, (c for row in rows for c in row.values()), den)
-    if common != 1:
-        rows = [{s: c // common for s, c in row.items()} for row in rows]
+    common = functools.reduce(math.gcd, v.values(), den)
+    rows: list[dict[int, int]] = [{} for _ in targets]
+    for key, c in sorted(v.items()):
+        rows[key >> n][key & low] = c // common
     return rows, den // common
 
 
@@ -599,6 +600,15 @@ class GroupElement:
         self.word: tuple = tuple(w)
         self._so = None
 
+    @classmethod
+    def _trusted(cls, n: int, word: tuple) -> "GroupElement":
+        """The element of the word tuple as given, unchecked."""
+        self = object.__new__(cls)
+        self.n = n
+        self.word = word
+        self._so = None
+        return self
+
     @staticmethod
     def identity(n: int) -> "GroupElement":
         return GroupElement(n, ())
@@ -617,13 +627,11 @@ class GroupElement:
         return LinearOperator.of_group_element(self)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(
-            self.n, [(k, i, j, -t) for (k, i, j, t) in reversed(self.word)]
-        )
+        return GroupElement._trusted(self.n, tuple((k, i, j, -t) for (k, i, j, t) in reversed(self.word)))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         cc._check_levels(self, other)
-        return GroupElement(self.n, self.word + other.word)
+        return GroupElement._trusted(self.n, self.word + other.word)
 
     def __eq__(self, other) -> bool:
         return (
@@ -648,6 +656,13 @@ class GroupElement:
         self._so = [list(row) for row in zip(*cols)]
         return self._so
 
+    def so_matrix_inverse(self):
+        """The inverse of so_matrix() in closed form: g preserves the split
+        form, whose Gram matrix J swaps the e- and f-blocks, so M^-1 = J M^T J."""
+        m = self.so_matrix()
+        swap = [*range(self.n, 2 * self.n), *range(self.n)]
+        return [[m[c][r] for c in swap] for r in swap]
+
     def serialize(self) -> list:
         return [[k, i, j, str(t)] for (k, i, j, t) in self.word]
 
@@ -668,20 +683,15 @@ def exp_nilpotent(n: int, kind: str, i: int, j: int, t) -> GroupElement:
     return GroupElement(n, [(kind, i, j, Fraction(t))])
 
 
-def all_root_vectors(n: int) -> list[tuple[str, int, int]]:
-    roots = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            roots.append(("ee", i, j))
-            roots.append(("ff", i, j))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                roots.append(("ef", i, j))
-    return roots
+@functools.lru_cache(maxsize=None)
+def all_root_vectors(n: int) -> tuple[tuple[str, int, int], ...]:
+    """The permitted roots, once per level: ee, ff for each i < j, then ef for i != j."""
+    index = range(1, n + 1)
+    pairs = [(kind, i, j) for i in index for j in index if i < j for kind in ("ee", "ff")]
+    return tuple(pairs + [("ef", i, j) for i in index for j in index if i != j])
 
 
-_PARAMS = (-2, -1, 1, 2)
+_PARAMS = tuple(map(Fraction, (-2, -1, 1, 2)))
 
 
 def random_group_element(n: int, seed, length: int = 6) -> GroupElement:
@@ -692,12 +702,7 @@ def random_group_element(n: int, seed, length: int = 6) -> GroupElement:
     if not roots:
         raise IndexRangeError("no root vectors below level 2")
     rng = random.Random(f"spingroup:{n}:{seed}:{length}")
-    word = []
-    for _ in range(length):
-        kind, i, j = rng.choice(roots)
-        t = rng.choice(_PARAMS)
-        word.append((kind, i, j, Fraction(t)))
-    return GroupElement(n, word)
+    return GroupElement._trusted(n, tuple((*rng.choice(roots), rng.choice(_PARAMS)) for _ in range(length)))
 
 
 def gl_twist_residual(a: SoElement) -> LinearOperator:

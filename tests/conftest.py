@@ -310,6 +310,42 @@ def oracle_word_rows(g, targets):
     return [{m: c // common for m, c in row.items()} for row in rows], den // common
 
 
+def oracle_random_group_element(n, seed, length):
+    """random_group_element as first written: the roots rebuilt and every
+    parameter made on each call, the word validated by GroupElement."""
+    roots = sr.all_root_vectors(n)
+    rng = random.Random(f"spingroup:{n}:{seed}:{length}")
+    word = []
+    for _ in range(length):
+        kind, i, j = rng.choice(roots)
+        t = rng.choice((-2, -1, 1, 2))
+        word.append((kind, i, j, Fraction(t)))
+    return sr.GroupElement(n, word)
+
+
+def oracle_pullback_rows(p, rows, den, source_n):
+    """_pullback_rows as first written: the products keyed by the ordered
+    picks, merged into sorted monomials in a second pass and validated by
+    the Polynomial constructor."""
+    coefs, den_p, content = linalg._integer_row(p.terms.items())
+    out = {}
+    for mono, c in coefs.items():
+        picks = {(): c}
+        for m in mono:
+            row = rows.get(m, {}).items()
+            picks = {key + (s,): v * a for key, v in picks.items() for s, a in row}
+        for key, v in picks.items():
+            cc._accumulate(out, key, v)
+    merged = {}
+    for key, v in out.items():
+        cc._accumulate(merged, tuple(sorted(key)), v)
+    return ie.Polynomial(
+        False,
+        source_n,
+        {mono: Fraction(v * content, den_p * den ** len(mono)) for mono, v in merged.items()},
+    )
+
+
 def oracle_vanishing_forms(points, degree):
     """vanishing_forms as first written, on the Fraction evaluation matrix
     of the points themselves, with the kernel read off oracle_rref: one

@@ -2,6 +2,7 @@
 derivations, and the degree-lowering machinery."""
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -15,6 +16,7 @@ from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg import transfer_maps as tm
 from spinalg.errors import (
+    DiscoveryError,
     IndexRangeError,
     LevelMismatchError,
     SpinalgError,
@@ -27,6 +29,7 @@ from conftest import (
     oracle_certify,
     oracle_gamma_windowed,
     oracle_level_maps,
+    oracle_pullback_rows,
     oracle_vanishing_forms,
     random_spin,
 )
@@ -184,6 +187,43 @@ class TestVanishingForms:
         assert len(forms) == 1
         assert prov["dimension"] == 1
 
+    @pytest.mark.parametrize(
+        "n,degree,points,dimension", [(3, 2, 30, 0), (4, 1, 24, 0), (4, 2, 108, 1)]
+    )
+    def test_discovery_provenance(self, n, degree, points, dimension):
+        forms, prov = ie.stable_vanishing_forms(n, degree, "prov")
+        assert prov == {
+            "level": n,
+            "degree": degree,
+            "seed": "prov",
+            "points_per_stream": points,
+            "rounds": 1,
+            "dimension": dimension,
+        }
+        assert len(forms) == dimension
+
+    def test_integer_cross_check_matches_evaluation(self):
+        # forms scaled by fractions, vanishing or not, at cone points scaled
+        # by fractions, dense points with denominators and the zero point
+        rng = make_rng("cross-check")
+        quad = ie.i4_quadric()
+        x13, x24 = ie.Polynomial.variable(var_f(4, 1, 3)), ie.Polynomial.variable(var_f(4, 2, 4))
+        forms = [quad.scale(Fraction(-3, 7)), quad + (x13 * x24).scale(Fraction(1, 5)), (x13 * x24).scale(Fraction(2, 9))]
+        points = [gc.sample_cone_point(4, f"cc:{k}", length=6).scale(Fraction(rng.randint(1, 9), rng.randint(1, 12))) for k in range(6)]
+        points += [sr.SpinVector(4, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for m in ie.component_variables(4)}) for _ in range(3)]
+        points += [sr.SpinVector.zero(4), sr.SpinVector(4, {3: Fraction(1, 2)})]
+        for f in forms:
+            for x in points:
+                assert ie._vanish([f], [x]) == (ie.eval_poly(f, x) == 0)
+        assert ie._vanish(forms[:1], points[:6]) and not ie._vanish(forms, points)
+
+    def test_discovery_that_never_agrees_raises(self, monkeypatch):
+        # a form that misses every point fails the cross-check in every round
+        monkeypatch.setattr(ie, "cone_points", lambda n, seed, count: [sr.SpinVector.omega0(4)] * count)
+        monkeypatch.setattr(ie, "vanishing_forms", lambda points, degree: [ie.Polynomial.variable(var_f(4, 1, 2, 3, 4))])
+        with pytest.raises(DiscoveryError, match="did not stabilize at level 4, degree 2"):
+            ie.stable_vanishing_forms(4, 2, "never")
+
     def test_quadric_is_frozen_and_norm_proportional(self):
         quad = ie.i4_quadric()
         expect = (
@@ -250,6 +290,68 @@ class TestPullback:
         assert ie.pullback(ie.pullback(p, lm_outer), lm_inner) == ie.pullback(
             p, combined
         )
+
+
+    def test_source_mask_out_of_range_rejected(self):
+        # source mask 16 does not exist at level 4
+        col = sr.SpinVector.basis(4, 0b0011) + sr.SpinVector.basis(4, 0b1100)
+        with pytest.raises(IndexRangeError):
+            ie.pullback(ie.i4_quadric(), sr.LinearOperator(4, 4, {16: col}))
+
+
+def random_rows(rng, targets, n):
+    """Sparse integer rows over the level-n masks, a quarter of the targets
+    missing; entries in -3..3, so that products cancel now and then."""
+    rows = {}
+    for t in targets:
+        row = {s: rng.choice([-3, -2, -1, 1, 2, 3]) for s in range(1 << n) if rng.random() < 0.4}
+        if row and rng.random() > 0.25:
+            rows[t] = row
+    return rows
+
+
+def random_form(rng, masks, degree):
+    """A homogeneous form of the degree on the masks, with 1..5 terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.choice(masks) for _ in range(degree))
+        terms[mono] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 8))
+    return ie.Polynomial(False, 4, terms)
+
+
+class TestPullbackRows:
+    """_pullback_rows against oracle_pullback_rows, the routine as first
+    written: equal polynomials, whatever the degree."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_matches_oracle(self, degree):
+        rng = make_rng(f"pullback-rows:{degree}")
+        targets = ie.component_variables(4)
+        for n in (2, 4, 5):
+            for _ in range(8):
+                p = random_form(rng, targets, degree)
+                rows, den = random_rows(rng, targets, n), rng.randint(1, 6)
+                assert ie._pullback_rows(p, rows, den, n) == oracle_pullback_rows(p, rows, den, n)
+
+    def test_cancelling_terms(self):
+        a, b, c = 0b0011, 0b1100, 0b0101
+        rows = {a: {1: 2, 2: -1}, b: {1: 2, 2: -1}, c: {3: 5}}
+        # r_a^2 - r_a r_b is zero, and r_a r_c is all that is left of the second
+        for terms in ({(a, a): 1, (a, b): -1}, {(a, a): 1, (a, b): -1, (a, c): Fraction(1, 3)}):
+            p = ie.Polynomial(False, 4, terms)
+            got = ie._pullback_rows(p, rows, 3, 2)
+            assert got == oracle_pullback_rows(p, rows, 3, 2)
+        assert ie._pullback_rows(ie.Polynomial(False, 4, {(a, a): 1, (a, b): -1}), rows, 3, 2).is_zero()
+        assert got.terms == {(1, 3): Fraction(10, 27), (2, 3): Fraction(-5, 27)}
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_family_maps_match_oracle(self, n):
+        targets = ie.component_variables(4)
+        fam = ie.orbit_pullback_family(n, f"pb-oracle:{n}", 12)
+        for member in fam.members:
+            rows, den = sr._word_rows(member.g, targets)
+            expected = oracle_pullback_rows(ie.i4_quadric(), dict(zip(targets, rows)), den, n)
+            assert member.quadric == expected
 
 
 class TestCertification:
@@ -706,6 +808,25 @@ class TestGoldenOutputs:
         assert str(ie.i4_quadric()) == (
             "1*x[]*x[1,2,3,4] + -1*x[1,2]*x[3,4] + 1*x[1,3]*x[2,4] + -1*x[2,3]*x[1,4]"
         )
+
+    @pytest.mark.parametrize(
+        "n,count,expected",
+        [
+            (5, 64, "a90d82d95bdfa7c2524d56a18ce5e7ff5e38001d4a377fe6e8d903ff4a5f7d52"),
+            (6, 120, "7d9efd29f322b7955d59be497abc2069c9eb80b0f9d5a1efb932d2272106da86"),
+        ],
+    )
+    def test_pullback_family(self, n, count, expected):
+        # every member's word, compiled rows, denominator and quadric terms
+        fam = ie.orbit_pullback_family(n, "7:fam", count)
+        doc = {
+            "family": fam.serialize(),
+            "members": [
+                [m.rows, m.den, sorted((list(mono), str(c)) for mono, c in m.quadric.terms.items())]
+                for m in fam.members
+            ],
+        }
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == expected
 
     def test_lowering_trace_and_localized_certificate(self):
         tr = ie.degree_lowering_trace(ie.i4_quadric().to_limit(), 6)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg.errors import (
@@ -19,6 +20,7 @@ from spinalg.errors import (
 from conftest import (
     make_rng,
     oracle_group_apply,
+    oracle_random_group_element,
     oracle_root_table,
     oracle_so_matrix,
     oracle_word_rows,
@@ -285,13 +287,18 @@ class TestGroupElements:
 
     def test_word_rows_match_full_table_scan(self, rng):
         params = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2)]
-        for n in range(4, 7):
+        for n in range(2, 7):
             roots = sr.all_root_vectors(n)
-            for length in (1, 3, 6, 10):
-                g = sr.GroupElement(n, [(*rng.choice(roots), rng.choice(params)) for _ in range(length)])
-                for targets in ([0, 3, 5, 6, 9, 10, 12, 15], list(range(1 << n))):
+            words = [[(*rng.choice(roots), rng.choice(params)) for _ in range(length)] for length in (1, 3, 6, 10)]
+            # a zero parameter leaves a letter out; an all-zero word is the identity
+            words.append([(*roots[0], Fraction(0))])
+            words.append([(*rng.choice(roots), Fraction(0) if k % 2 else Fraction(3, 2)) for k in range(6)])
+            for word in words:
+                g = sr.GroupElement(n, word)
+                for targets in (ie.component_variables(min(n, 4)), list(range(1 << n))):
                     rows, den = sr._word_rows(g, targets)
                     assert (rows, den) == oracle_word_rows(g, targets), (n, g)
+                    assert all(list(row) == sorted(row) for row in rows)
 
     def test_root_table_build_rejects_other_shapes(self, monkeypatch):
         build = sr._root_table.__wrapped__  # uncached, so no bad table is kept
@@ -318,6 +325,23 @@ class TestGroupElements:
     def test_diagonal_root_rejected(self):
         with pytest.raises(InvalidRootVectorError):
             sr.exp_nilpotent(2, "ef", 1, 1, 1)
+
+    def test_random_element_matches_the_validated_draw(self):
+        # the same rng draws as the validating build, so every word is unchanged
+        for n in range(2, 7):
+            for seed in range(12):
+                for length in range(1, 11):
+                    g = sr.random_group_element(n, f"draw:{seed}", length)
+                    expected = oracle_random_group_element(n, f"draw:{seed}", length)
+                    assert (g.n, g.word) == (expected.n, expected.word)
+                    assert all(type(t) is Fraction for *_root, t in g.word)
+
+    def test_so_matrix_inverse_closed_form(self):
+        for n in range(2, 8):
+            for g in [sr.GroupElement.identity(n)] + [sr.random_group_element(n, f"inv:{s}", 4 + s) for s in range(6)]:
+                m_inv = g.so_matrix_inverse()
+                assert m_inv == g.inverse().so_matrix()
+                assert linalg.matmul(g.so_matrix(), m_inv) == linalg.identity(2 * n)
 
     def test_random_element_determinism(self):
         g1 = sr.random_group_element(3, 11, 5)

@@ -2,7 +2,8 @@
 
 The arithmetic of the element types and the letter kernel's products build
 their results through SparseElement._trusted and VectorInV._trusted, which
-check nothing.  Each such result is compared at levels 1..6 with a reference
+check nothing; pulled-back polynomials are built by Polynomial._trusted, and
+random, inverted and multiplied group words by GroupElement._trusted.  Each such result is compared at levels 1..6 with a reference
 computed coefficient by coefficient and passed through the public
 constructor, which checks every key and coefficient: equal, with equal hashes,
 every coefficient a nonzero Fraction, and (for vectors) every zero coordinate
@@ -23,6 +24,7 @@ import pytest
 from spinalg import cartan as ca
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
+from spinalg import ideal_engine as ie
 from spinalg import spin_rep as sr
 
 from conftest import (
@@ -31,6 +33,8 @@ from conftest import (
     oracle_group_apply,
     oracle_induced_map,
     oracle_letter,
+    oracle_pullback_rows,
+    oracle_random_group_element,
     oracle_wedge,
     random_clifford,
     random_exterior,
@@ -264,6 +268,56 @@ def test_mult_mh_matches_the_oracle(n):
         f_n = cc.VectorInV.basis(n, -n)
         assert_same(ca.mult_mh(omega, f_n), oracle_induced_map(omega, coordinate, front=[f_n]))
         assert_same(ca.mult_mh(omega, h, e), oracle_induced_map(omega, general, front=[h]))
+
+
+def assert_same_polynomial(p, reference):
+    """p equals the reference and what the validating constructor makes of
+    p's own terms: sorted monomials of masks in range, nonzero Fractions."""
+    rebuilt = ie.Polynomial(p.is_limit, p.level, dict(p.terms))
+    assert p == rebuilt == reference
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert p._variable_parities() == rebuilt._variable_parities()
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_pullbacks_match_the_validating_constructor(n):
+    """_pullback_rows along the family maps and along random rows, and
+    pullback along a Fraction map, at degrees 0..3."""
+    rng = make_rng(f"trusted-pullback:{n}")
+    targets = ie.component_variables(4)
+    for member in ie.orbit_pullback_family(n, f"trusted:{n}", 6).members:
+        rows, den = sr._word_rows(member.g, targets)
+        rows = dict(zip(targets, rows))
+        assert_same_polynomial(member.quadric, oracle_pullback_rows(ie.i4_quadric(), rows, den, n))
+    for degree in range(4):
+        p = ie.Polynomial(False, 4, {tuple(rng.choice(targets) for _ in range(degree)): Fraction(rng.randint(1, 5), 3)})
+        rows = {t: {s: rng.randint(-2, 2) for s in range(1 << n) if rng.random() < 0.3} for t in targets}
+        rows = {t: {s: a for s, a in row.items() if a} for t, row in rows.items()}
+        assert_same_polynomial(ie._pullback_rows(p, rows, 5, n), oracle_pullback_rows(p, rows, 5, n))
+    g = sr.random_group_element(n, "trusted", 5)
+    lm = sr.LinearOperator.of_contraction(n, 4).compose(sr.LinearOperator.of_group_element(g))
+    assert_same_polynomial(ie.pullback(ie.i4_quadric(), lm), oracle_pullback_rows(ie.i4_quadric(), *ie._integer_rows(lm), n))
+
+
+def assert_same_word(g, reference):
+    assert (g.n, g.word) == (reference.n, reference.word)
+    assert type(g.word) is tuple and all(type(t) is Fraction for *_root, t in g.word)
+    assert g._so is None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_group_words_match_the_validating_constructor(n):
+    """random_group_element, inverse and products build their words with
+    GroupElement._trusted; each equals GroupElement(n, word) on the same word."""
+    for length in range(1, 11):
+        g = sr.random_group_element(n, f"trusted:{length}", length)
+        assert_same_word(g, oracle_random_group_element(n, f"trusted:{length}", length))
+        h = sr.GroupElement(n, [(k, i, j, Fraction(1, length)) for k, i, j, _t in g.word[:3]])
+        assert_same_word(g.inverse(), sr.GroupElement(n, [(k, i, j, -t) for k, i, j, t in reversed(g.word)]))
+        assert_same_word(g * h, sr.GroupElement(n, list(g.word) + list(h.word)))
+        assert_same_word(h * sr.GroupElement.identity(n), h)
+    identity = sr.GroupElement.identity(n)
+    assert_same_word(identity.inverse(), identity)
 
 
 def int_factors(letters) -> bool:
