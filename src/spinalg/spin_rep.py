@@ -382,6 +382,10 @@ class LinearOperator:
         self.cols: dict[int, SpinVector] = {}
         if cols:
             for m, v in cols.items():
+                if not 0 <= m < 1 << source_n:
+                    raise IndexRangeError(f"LinearOperator key {m} out of range at level {source_n}")
+                if v.n != target_n:
+                    raise LevelMismatchError(f"levels differ: {target_n} vs {v.n}")
                 if not v.is_zero():
                     self.cols[m] = v
 

@@ -1,12 +1,17 @@
 """Named verification suites over a range of levels.
 
-Each check returns a CheckResult; checks outside their level domain are
-reported as skipped with a reason.  Everything is deterministic in the
-configured seed."""
+A check takes (n, seed, samples) and returns a failure witness, a string
+that says what went wrong, or None when it passes.  Each `_SUITES` row
+declares the levels its check runs at: a domain, the levels the check is
+defined at, and an optional cost limit, the highest level the report runs
+it at.  `run_checks` reports the levels outside them as skipped with the
+row's reason, without calling the check.  Everything is deterministic in
+the configured seed."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +33,32 @@ class CheckResult:
     anchor: str
     status: str  # pass | fail | skipped
     witness: str | None
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry row: a check and the levels the report runs it at.
+
+    ``domain`` is (low, high, reason): the levels the check is defined at,
+    high None for no upper end, and why the report skips the others.
+    ``cost`` is (highest, reason): the highest level the report runs the
+    check at, below the top of its domain, and why."""
+
+    name: str
+    anchor: str
+    fn: Callable[[int, object, int], str | None]
+    domain: tuple[int, int | None, str] | None = None
+    cost: tuple[int, str] | None = None
+
+    def skip_reason(self, n: int) -> str | None:
+        """Why the report skips level n, or None where it runs the check."""
+        if self.domain is not None:
+            low, high, reason = self.domain
+            if n < low or (high is not None and n > high):
+                return reason
+        if self.cost is not None and n > self.cost[0]:
+            return self.cost[1]
+        return None
 
 
 def _rng(seed, *tags) -> random.Random:
@@ -65,31 +96,21 @@ def _check_clifford_relations(n, seed, samples):
         lhs = cc.mul(vc, wc) + cc.mul(wc, vc)
         rhs = cc.CliffordElement.unit(n).scale(2 * cc.pairing(v, w))
         if lhs != rhs:
-            return "fail", f"anticommutator failed for sample {t}"
+            return f"anticommutator failed for sample {t}"
         sq = cc.mul(vc, vc)
         if sq != cc.CliffordElement.unit(n).scale(cc.quadratic_value(v)):
-            return "fail", f"square failed for sample {t}"
-    return "pass", None
+            return f"square failed for sample {t}"
 
 
 def _check_module_iso(n, seed, samples):
-    if n > 4:
-        return "skipped", "dense rank bounded to n <= 4"
-    columns = []
+    images = []  # as sparse rows: the map's rank is that of its transpose
     for em in range(1 << n):
         for fm in range(1 << n):
             a = cc.CliffordElement(n, {(em, fm): Fraction(1)})
-            columns.append(cc.act_on_exterior(a, cc.ExteriorVector.unit(n)))
-    mask_index: dict[int, int] = {}
-    entries: dict[int, dict[int, Fraction]] = {}
-    for j, img in enumerate(columns):
-        for mask, cval in img.terms.items():
-            r = mask_index.setdefault(mask, len(mask_index))
-            entries.setdefault(r, {})[j] = cval
-    rank = linalg.sparse_rank(list(entries.values()))
+            images.append(cc.act_on_exterior(a, cc.ExteriorVector.unit(n)).terms)
+    rank = linalg.sparse_rank(images)
     if rank != 4**n:
-        return "fail", f"rank {rank} != {4 ** n}"
-    return "pass", None
+        return f"rank {rank} != {4 ** n}"
 
 
 def _check_star(n, seed, samples):
@@ -98,10 +119,9 @@ def _check_star(n, seed, samples):
         x = _random_clifford(n, rng)
         y = _random_clifford(n, rng)
         if cc.star(cc.star(x)) != x:
-            return "fail", f"involution failed at {t}"
+            return f"involution failed at {t}"
         if cc.star(cc.mul(x, y)) != cc.mul(cc.star(y), cc.star(x)):
-            return "fail", f"antihomomorphism failed at {t}"
-    return "pass", None
+            return f"antihomomorphism failed at {t}"
 
 
 def _random_clifford(n, rng) -> cc.CliffordElement:
@@ -133,8 +153,7 @@ def _check_quarter_embedding(n, seed, samples):
                     uv.scale(cc.pairing(vv, wv)) - vv.scale(cc.pairing(uv, wv))
                 ).as_clifford()
                 if lhs != rhs:
-                    return "fail", f"bracket failed at ({u},{v},{w})"
-    return "pass", None
+                    return f"bracket failed at ({u},{v},{w})"
 
 
 def _check_highest_weights(n, seed, samples):
@@ -142,28 +161,26 @@ def _check_highest_weights(n, seed, samples):
     w1 = sr.SpinVector.omega1(n)
     for i in range(1, n + 1):
         if sr.rho_so(sr.SoElement.basis_ef(n, i, i), w0) != w0.scale(Fraction(1, 2)):
-            return "fail", f"e{i}^f{i} on the full wedge"
+            return f"e{i}^f{i} on the full wedge"
     if n < 2:
-        return "pass", None  # the Chevalley elements need two indices
+        return None  # the Chevalley elements need two indices
     for i in range(1, n):
         if not sr.rho_so(sr.SoElement.chevalley_h(n, i), w0).is_zero():
-            return "fail", f"h{i} on the full wedge"
+            return f"h{i} on the full wedge"
     if sr.rho_so(sr.SoElement.chevalley_h(n, n), w0) != w0:
-        return "fail", "h_n on the full wedge"
-    if n >= 2:
-        if sr.rho_so(sr.SoElement.chevalley_h(n, n - 1), w1) != w1:
-            return "fail", "h_{n-1} on the short wedge"
-        if not sr.rho_so(sr.SoElement.chevalley_h(n, n), w1).is_zero():
-            return "fail", "h_n on the short wedge"
+        return "h_n on the full wedge"
+    if sr.rho_so(sr.SoElement.chevalley_h(n, n - 1), w1) != w1:
+        return "h_{n-1} on the short wedge"
+    if not sr.rho_so(sr.SoElement.chevalley_h(n, n), w1).is_zero():
+        return "h_n on the short wedge"
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if not sr.rho_so(sr.SoElement.basis_ee(n, i, j), w0).is_zero():
-                return "fail", f"e{i}^e{j} on the full wedge"
+                return f"e{i}^e{j} on the full wedge"
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j and not sr.rho_so(sr.SoElement.basis_ef(n, i, j), w0).is_zero():
-                return "fail", f"e{i}^f{j} on the full wedge"
-    return "pass", None
+                return f"e{i}^f{j} on the full wedge"
 
 
 def _all_two_forms(n):
@@ -178,8 +195,6 @@ def _all_two_forms(n):
     return out
 
 def _check_bracket_compat(n, seed, samples):
-    if n > 4:
-        return "skipped", "full pair enumeration bounded to n <= 4"
     forms = _all_two_forms(n)
     rng = _rng(seed, "bracket", n)
     pairs = [(x, y) for x in forms for y in forms]
@@ -192,8 +207,7 @@ def _check_bracket_compat(n, seed, samples):
             lhs = sr.rho_so(z, b)
             rhs = sr.rho_so(x, sr.rho_so(y, b)) - sr.rho_so(y, sr.rho_so(x, b))
             if lhs != rhs:
-                return "fail", f"bracket mismatch for {x} , {y}"
-    return "pass", None
+                return f"bracket mismatch for {x} , {y}"
 
 
 def _check_twist(n, seed, samples):
@@ -205,37 +219,28 @@ def _check_twist(n, seed, samples):
                 ef[(i, j)] = Fraction(rng.randint(-2, 2))
         a = sr.SoElement(n, ef=ef)
         if not sr.gl_twist_residual(a).is_zero():
-            return "fail", f"twist residual nonzero at sample {t}"
-    return "pass", None
+            return f"twist residual nonzero at sample {t}"
 
 
 def _check_group_unipotent(n, seed, samples):
-    if n > 4:
-        return "skipped", "operator determinants bounded to n <= 4"
     rng = _rng(seed, "grp", n)
     for kind, i, j in sr.all_root_vectors(n):
         t = Fraction(rng.randint(1, 3))
         g = sr.exp_nilpotent(n, kind, i, j, t)
         if not (g * g.inverse()).operator() == sr.LinearOperator.identity(n):
-            return "fail", f"inverse failed for {kind}({i},{j})"
+            return f"inverse failed for {kind}({i},{j})"
         if g.operator().determinant() != 1:
-            return "fail", f"determinant != 1 for {kind}({i},{j})"
-    return "pass", None
+            return f"determinant != 1 for {kind}({i},{j})"
 
 
 def _check_pi_tau(n, seed, samples):
     for m in range(1 << n):
         x = sr.SpinVector.basis(n, m)
         if tm.pi_last(tm.tau_last(x)) != x:
-            return "fail", f"pi o tau != id at mask {m}"
-    return "pass", None
+            return f"pi o tau != id at mask {m}"
 
 
 def _check_equivariance(n, seed, samples):
-    if n > 5:
-        return "skipped", "generator enumeration bounded to n <= 5"
-    if n < 2:
-        return "skipped", "no generators below level 2"
     rng = _rng(seed, "equiv", n)
     for kind, i, j in sr.all_root_vectors(n - 1):
         t = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 2]))
@@ -244,32 +249,31 @@ def _check_equivariance(n, seed, samples):
         for m in range(1 << n):
             x = sr.SpinVector.basis(n, m)
             if tm.pi_last(g_high.apply(x)) != g_low.apply(tm.pi_last(x)):
-                return "fail", f"pi equivariance failed for {kind}({i},{j})"
+                return f"pi equivariance failed for {kind}({i},{j})"
         for m in range(1 << (n - 1)):
             x = sr.SpinVector.basis(n - 1, m)
             if tm.tau_last(g_low.apply(x)) != g_high.apply(tm.tau_last(x)):
-                return "fail", f"tau equivariance failed for {kind}({i},{j})"
-    return "pass", None
+                return f"tau equivariance failed for {kind}({i},{j})"
 
 
 def _check_gram(n, seed, samples):
     g = tm.beta_gram(n)
     size = 1 << n
     if linalg.rank([list(r) for r in g]) != size:
-        return "fail", "gram matrix is singular"
+        return "gram matrix is singular"
     sym = n % 4 in (0, 1)
     for a in range(size):
         for b in range(size):
             if sym and g[a][b] != g[b][a]:
-                return "fail", f"not symmetric at ({a},{b})"
+                return f"not symmetric at ({a},{b})"
             if not sym and g[a][b] != -g[b][a]:
-                return "fail", f"not skew at ({a},{b})"
+                return f"not skew at ({a},{b})"
     for a in range(size):
         for b in range(size):
             pa, pb = bin(a).count("1") % 2, bin(b).count("1") % 2
             cross_zero = (pa == pb) if n % 2 == 1 else (pa != pb)
             if cross_zero and g[a][b] != 0:
-                return "fail", f"parity block structure violated at ({a},{b})"
+                return f"parity block structure violated at ({a},{b})"
     # block nondegeneracy
     ev = [m for m in range(size) if bin(m).count("1") % 2 == 0]
     od = [m for m in range(size) if bin(m).count("1") % 2 == 1]
@@ -279,8 +283,7 @@ def _check_gram(n, seed, samples):
         blocks = [[[g[a][b] for b in od] for a in ev]]
     for blk in blocks:
         if linalg.rank(blk) != len(blk):
-            return "fail", "a parity block pairing is degenerate"
-    return "pass", None
+            return "a parity block pairing is degenerate"
 
 
 def _check_psidual(n, seed, samples):
@@ -292,93 +295,68 @@ def _check_psidual(n, seed, samples):
                     sr.SpinVector.basis(n - 1, am), sr.SpinVector.basis(n, xm)
                 )
                 if r != 0:
-                    return "fail", f"residual {r} at basis pair ({am},{xm})"
+                    return f"residual {r} at basis pair ({am},{xm})"
     else:
         for t in range(min(samples, 40)):
             a = _random_spin(n - 1, rng)
             x = _random_spin(n, rng)
             r = tm.psidual_residual(a, x)
             if r != 0:
-                return "fail", f"residual {r} at sample {t}"
-    return "pass", None
+                return f"residual {r} at sample {t}"
 
 
 def _check_beta_invariance(n, seed, samples):
-    if n < 2:
-        return "skipped", "no group generators below level 2"
     rng = _rng(seed, "betainv", n)
     for t in range(min(samples, 8)):
         g = sr.random_group_element(n, f"{seed}:binv:{t}", 5)
         x = _random_spin(n, rng)
         y = _random_spin(n, rng)
         if tm.beta(g.apply(x), g.apply(y)) != tm.beta(x, y):
-            return "fail", f"invariance failed at sample {t}"
+            return f"invariance failed at sample {t}"
         if tm.beta(x, y) != tm.beta_direct(x, y):
-            return "fail", f"gram route disagrees with product route at {t}"
-    return "pass", None
+            return f"gram route disagrees with product route at {t}"
 
 
 def _check_annihilator_roundtrip(n, seed, samples):
-    if n < 2:
-        return "skipped", "subspace sampling needs level >= 2"
-    if n > 5:
-        return "skipped", "coordinate enumeration bounded to n <= 5"
     for emask in range(1 << n):
         h = gc.coordinate_subspace(n, emask)
         if gc.annihilator(gc.omega_of(h)) != h:
-            return "fail", f"roundtrip failed for coordinate mask {emask}"
+            return f"roundtrip failed for coordinate mask {emask}"
     for t in range(min(samples, 10)):
         h = gc.random_maximal_isotropic(n, f"{seed}:rt:{t}")
         if gc.annihilator(gc.omega_of(h)) != h:
-            return "fail", f"roundtrip failed for random subspace {t}"
-    return "pass", None
+            return f"roundtrip failed for random subspace {t}"
 
 
 def _check_sh_dimension(n, seed, samples):
-    if n < 2:
-        return "skipped", "subspace sampling needs level >= 2"
-    if n > 5:
-        return "skipped", "bounded to n <= 5"
     for t in range(min(samples, 8)):
         h = gc.random_maximal_isotropic(n, f"{seed}:sh:{t}")
-        cols = []
-        for row in h.vectors():
-            cols.append(row)
-        masks = list(range(1 << n))
         rows = []
-        for v in cols:
-            op_cols = [
-                sr.vector_action(v, sr.SpinVector.basis(n, m)) for m in masks
-            ]
+        for v in h.vectors():
+            op_cols = [sr.vector_action(v, sr.SpinVector.basis(n, m)) for m in range(1 << n)]
             for mask in range(1 << n):
                 rows.append([col.coefficient(mask) for col in op_cols])
         kern = linalg.nullspace(rows)
         if len(kern) != 1:
-            return "fail", f"S_H dimension {len(kern)} != 1 at sample {t}"
-    return "pass", None
+            return f"S_H dimension {len(kern)} != 1 at sample {t}"
 
 
 def _check_purity_orbit(n, seed, samples):
-    if n < 2:
-        return "skipped", "orbit sampling needs level >= 2"
     for t in range(min(samples, 15)):
         x = gc.sample_cone_point(n, f"{seed}:po:{t}")
         if gc.is_pure(x).kind != "pure":
-            return "fail", f"orbit point not pure at sample {t}"
-    return "pass", None
+            return f"orbit point not pure at sample {t}"
 
 
 def _check_map_stability(n, seed, samples):
-    if n < 2:
-        return "skipped", "needs level >= 2"
     for t in range(min(samples, 10)):
         x = gc.sample_cone_point(n, f"{seed}:ms:{t}")
         px = tm.pi_last(x)
         if not gc.is_pure(px).on_cone:
-            return "fail", f"contraction left the cone at sample {t}"
+            return f"contraction left the cone at sample {t}"
         tx = tm.tau_last(x)
         if not gc.is_pure(tx).on_cone:
-            return "fail", f"multiplication left the cone at sample {t}"
+            return f"multiplication left the cone at sample {t}"
     # contraction at a general vector maps the pure spinor into S_{H_e}
     rng = _rng(seed, "pigen", n)
     for t in range(min(samples, 6)):
@@ -388,7 +366,7 @@ def _check_map_stability(n, seed, samples):
         img = tm.pi_general(omega, e)
         e_in_h = h.contains(e)
         if e_in_h != img.is_zero():
-            return "fail", f"zero-iff-e-in-H failed at sample {t}"
+            return f"zero-iff-e-in-H failed at sample {t}"
         if not img.is_zero():
             # H ∩ e-perp: combinations of H-rows pairing to zero with e
             vs = h.vectors()
@@ -406,8 +384,7 @@ def _check_map_stability(n, seed, samples):
             he = gc.check_isotropic(linalg.row_space(he_rows), n - 1)
             ann = gc.annihilator(img)
             if ann != he:
-                return "fail", f"image annihilator differs from H_e at sample {t}"
-    return "pass", None
+                return f"image annihilator differs from H_e at sample {t}"
 
 
 def _random_isotropic_not_in_f(n, rng) -> cc.VectorInV:
@@ -419,40 +396,27 @@ def _random_isotropic_not_in_f(n, rng) -> cc.VectorInV:
 
 
 def _check_pluecker_scalar(n, seed, samples):
-    if n < 2:
-        return "skipped", "subspace sampling needs level >= 2"
-    if n > 5:
-        return "skipped", "bounded to n <= 5"
     for t in range(min(samples, 8)):
         h = gc.random_maximal_isotropic(n, f"{seed}:pl:{t}")
         k = gc.adapted_basis(h).k
         if ca.nu2(gc.omega_of(h)) != gc.pluecker(h).scale(Fraction(2) ** (n - k)):
-            return "fail", f"scalar failed at sample {t}"
-    return "pass", None
+            return f"scalar failed at sample {t}"
+
+
+def _diagram_witness(n, rng, samples, residual):
+    for t in range(min(samples, 10)):
+        for parity in ("even", "odd"):
+            x = _random_spin(n, rng, parity)
+            if not x.is_zero() and not residual(x).is_zero():
+                return f"{parity} residual nonzero at sample {t}"
 
 
 def _check_contraction_diagram(n, seed, samples):
-    rng = _rng(seed, "cdiag", n)
-    for t in range(min(samples, 10)):
-        for parity in ("even", "odd"):
-            x = _random_spin(n, rng, parity)
-            if x.is_zero():
-                continue
-            if not ca.diagram_pi_residual(x).is_zero():
-                return "fail", f"{parity} residual nonzero at sample {t}"
-    return "pass", None
+    return _diagram_witness(n, _rng(seed, "cdiag", n), samples, ca.diagram_pi_residual)
 
 
 def _check_multiplication_diagram(n, seed, samples):
-    rng = _rng(seed, "mdiag", n)
-    for t in range(min(samples, 10)):
-        for parity in ("even", "odd"):
-            x = _random_spin(n, rng, parity)
-            if x.is_zero():
-                continue
-            if not ca.diagram_tau_residual(x).is_zero():
-                return "fail", f"{parity} residual nonzero at sample {t}"
-    return "pass", None
+    return _diagram_witness(n, _rng(seed, "mdiag", n), samples, ca.diagram_tau_residual)
 
 
 def _check_ce_mh(n, seed, samples):
@@ -466,46 +430,32 @@ def _check_ce_mh(n, seed, samples):
             continue
         back = ca.contract_ce(ca.mult_mh(omega, h), e, h)
         if back != omega:
-            return "fail", f"c_e o m_h != id at sample {t}"
-    return "pass", None
+            return f"c_e o m_h != id at sample {t}"
 
 
 def _check_injectivity(n, seed, samples):
-    if n < 2:
-        return "skipped", "orbit sampling needs level >= 2"
     for t in range(min(samples, 8)):
         x = gc.sample_cone_point(n, f"{seed}:ix:{t}")
         y = gc.sample_cone_point(n, f"{seed}:iy:{t}")
         v = ca.injectivity_witness(x, y)
         if not v.ok:
-            return "fail", v.reason
-    return "pass", None
+            return v.reason
 
 
 def _check_cone_to_pluecker(n, seed, samples):
-    if n < 2:
-        return "skipped", "orbit sampling needs level >= 2"
-    if n > 5:
-        return "skipped", "bounded to n <= 5"
     for t in range(min(samples, 8)):
         x = gc.sample_cone_point(n, f"{seed}:cp:{t}")
         if not ca.is_decomposable(ca.nu2(x)):
-            return "fail", f"image not a pure wedge at sample {t}"
-    return "pass", None
+            return f"image not a pure wedge at sample {t}"
 
 
 def _check_i4(n, seed, samples):
-    if n != 4:
-        return "skipped", "the quadric discovery runs at level 4"
     quad = ie.i4_quadric()
     if not cc._proportional(quad.terms, ie.beta_norm_quadric(4).terms):
-        return "fail", "discovered quadric is not pairing-norm proportional"
-    return "pass", None
+        return "discovered quadric is not pairing-norm proportional"
 
 
 def _check_membership(n, seed, samples):
-    if n not in (5, 6):
-        return "skipped", "membership certification runs at levels 5 and 6"
     count = 64 if n == 5 else 120
     fam = ie.orbit_pullback_family(n, f"{seed}:fam", count)
     half = max(1, samples // 2)
@@ -513,18 +463,15 @@ def _check_membership(n, seed, samples):
         x = gc.sample_cone_point(n, f"{seed}:mon:{t}", length=10)
         v = ie.certify_membership(x, fam)
         if not v.passes:
-            return "fail", f"on-cone sample {t} rejected by member {v.witness_index}"
+            return f"on-cone sample {t} rejected by member {v.witness_index}"
     for t in range(half):
         x = ie.off_cone_sample(n, f"{seed}:moff:{t}")
         v = ie.certify_membership(x, fam)
         if v.passes:
-            return "fail", f"off-cone sample {t} passed every member"
-    return "pass", None
+            return f"off-cone sample {t} passed every member"
 
 
 def _check_degree2_span(n, seed, samples):
-    if n != 5:
-        return "skipped", "span comparison runs at level 5"
     variables = ie.component_variables(5)
     monos = ie.monomials_of_degree(variables, 2)
     idx = {m: i for i, m in enumerate(monos)}
@@ -544,72 +491,55 @@ def _check_degree2_span(n, seed, samples):
     r2 = linalg.rank(van_rows)
     r3 = linalg.rank(fam_rows + van_rows)
     if not (r1 == r2 == r3):
-        return "fail", f"ranks family={r1} vanishing={r2} joint={r3}"
-    return "pass", None
+        return f"ranks family={r1} vanishing={r2} joint={r3}"
 
 
 def _check_lowering(n, seed, samples):
-    if n != 6:
-        return "skipped", "the lowering demonstration runs once (n = 6)"
     p = ie.i4_quadric().to_limit()
     tr = ie.degree_lowering_trace(p, 6)
     final = tr.final()
     main = (ie.Polynomial.variable(tr.top_var) * tr.q).scale(tr.scalar)
     if final != main + tr.remainder:
-        return "fail", "decomposition mismatch"
+        return "decomposition mismatch"
     if tr.ell != 1:
-        return "fail", f"expected one step, got {tr.ell}"
-    return "pass", None
+        return f"expected one step, got {tr.ell}"
 
 
 def _check_solving(n, seed, samples):
-    if n != 6:
-        return "skipped", "the solving-element demonstration runs once (n = 6)"
     p = ie.i4_quadric().to_limit()
     tr = ie.degree_lowering_trace(p, 6)
     sol = ie.produce_solving_element(tr, (1 << 6) - 1, 8)
     mult = ie.ideal_membership(sol.element, list(sol.generators))
     if mult is None:
-        return "fail", "witness not in the recorded ideal"
+        return "witness not in the recorded ideal"
     loc = ie.assemble_localized(tr, (1 << 8) - 1, 8)
     if any(v.filtration > 4 for v in loc.s.variables()):
-        return "fail", "numerator carries a high-filtration variable"
-    return "pass", None
+        return "numerator carries a high-filtration variable"
 
 
 def _check_lower_factorization(n, seed, samples):
-    if n not in (5, 6):
-        return "skipped", "factorization checks run at levels 5 and 6"
     configs = [(5, 5, 4)] if n == 5 else [(6, 5, 4), (6, 6, 4)]
     for q, nn, n0 in configs:
         tries = min(max(samples // 20, 2), 10)
         for t in range(tries):
             try:
-                res, g, fails = ca.sample_lower_factorization(
+                ca.sample_lower_factorization(
                     q, nn, n0, seed=f"{seed}:{t}", exterior_audit=(t == 0 and q <= 5)
                 )
             except GenericityError as exc:
-                return "fail", f"no generic element for {(q, nn, n0)}: {exc}"
-    return "pass", None
+                return f"no generic element for {(q, nn, n0)}: {exc}"
 
 
 def _check_gl_homogeneity(n, seed, samples):
-    if n != 6:
-        return "skipped", "runs once (n = 6)"
     p = ie.i4_quadric().to_limit()
     window = 6
     # a diagonal element on an index contained in every variable's index set
     d = ie.derivation_ef(5, 5, p, window)
     if d != p.scale(Fraction(p.degree(), 2)):
-        return "fail", "diagonal action does not scale by degree/2"
-    return "pass", None
+        return "diagonal action does not scale by degree/2"
 
 
 def _check_duality_pairing(n, seed, samples):
-    if n < 2:
-        return "skipped", "needs two gl indices"
-    if n > 6:
-        return "skipped", "windowed pairing bounded to n <= 6"
     rng = _rng(seed, "gamma", n)
     for t in range(min(samples, 10)):
         fin = {
@@ -627,61 +557,80 @@ def _check_duality_pairing(n, seed, samples):
             n,
         )
         if before != after:
-            return "fail", f"pairing not invariant at sample {t}"
-    return "pass", None
+            return f"pairing not invariant at sample {t}"
 
 
-_SUITES: dict[str, list[tuple[str, str, object]]] = {
+_SUITES: dict[str, list[Check]] = {
     "clifford": [
-        ("clifford-relations", "eq:cliff-rel-2", _check_clifford_relations),
-        ("module-iso-rank", "cliff-module-iso", _check_module_iso),
-        ("star-involution", "star-antiautomorphism", _check_star),
-        ("quarter-embedding-bracket", "so-embedding", _check_quarter_embedding),
+        Check("clifford-relations", "eq:cliff-rel-2", _check_clifford_relations),
+        Check("module-iso-rank", "cliff-module-iso", _check_module_iso,
+              cost=(4, "dense rank bounded to n <= 4")),
+        Check("star-involution", "star-antiautomorphism", _check_star),
+        Check("quarter-embedding-bracket", "so-embedding", _check_quarter_embedding),
     ],
     "spinrep": [
-        ("highest-weight-facts", "highest-weights", _check_highest_weights),
-        ("bracket-compatibility", "so-embedding", _check_bracket_compat),
-        ("gl-twist", "re:Twist", _check_twist),
-        ("group-unipotent", "spin-group-generators", _check_group_unipotent),
+        Check("highest-weight-facts", "highest-weights", _check_highest_weights),
+        Check("bracket-compatibility", "so-embedding", _check_bracket_compat,
+              cost=(4, "full pair enumeration bounded to n <= 4")),
+        Check("gl-twist", "re:Twist", _check_twist),
+        Check("group-unipotent", "spin-group-generators", _check_group_unipotent,
+              cost=(4, "operator determinants bounded to n <= 4")),
     ],
     "transfer": [
-        ("pi-tau-identity", "eq:pi&tau", _check_pi_tau),
-        ("equivariance", "prop:pihom", _check_equivariance),
-        ("gram-structure", "lem:procesi-pairing", _check_gram),
-        ("dual-contraction", "prop:PsiDual", _check_psidual),
-        ("beta-invariance", "lem:procesi-pairing", _check_beta_invariance),
+        Check("pi-tau-identity", "eq:pi&tau", _check_pi_tau),
+        Check("equivariance", "prop:pihom", _check_equivariance,
+              (2, None, "no generators below level 2"),
+              (5, "generator enumeration bounded to n <= 5")),
+        Check("gram-structure", "lem:procesi-pairing", _check_gram),
+        Check("dual-contraction", "prop:PsiDual", _check_psidual),
+        Check("beta-invariance", "lem:procesi-pairing", _check_beta_invariance,
+              (2, None, "no group generators below level 2")),
     ],
     "cone": [
-        ("annihilator-roundtrip", "eq:S_H", _check_annihilator_roundtrip),
-        ("stabilizer-line", "eq:S_H", _check_sh_dimension),
-        ("orbit-purity", "prop:properties", _check_purity_orbit),
-        ("map-stability", "prop:properties", _check_map_stability),
+        Check("annihilator-roundtrip", "eq:S_H", _check_annihilator_roundtrip,
+              (2, None, "subspace sampling needs level >= 2"),
+              (5, "coordinate enumeration bounded to n <= 5")),
+        Check("stabilizer-line", "eq:S_H", _check_sh_dimension,
+              (2, None, "subspace sampling needs level >= 2"), (5, "bounded to n <= 5")),
+        Check("orbit-purity", "prop:properties", _check_purity_orbit,
+              (2, None, "orbit sampling needs level >= 2")),
+        Check("map-stability", "prop:properties", _check_map_stability,
+              (2, None, "needs level >= 2")),
     ],
     "cartan": [
-        ("pluecker-scalar", "ex:Cartan", _check_pluecker_scalar),
-        ("contraction-diagram", "prop:CartanContraction", _check_contraction_diagram),
-        ("multiplication-diagram", "prop:CartanContraction", _check_multiplication_diagram),
-        ("ce-mh-identity", "ce-mh-identity", _check_ce_mh),
-        ("injectivity-sampled", "lm:CartanInjective", _check_injectivity),
-        ("cone-to-pluecker", "ex:Cartan", _check_cone_to_pluecker),
+        Check("pluecker-scalar", "ex:Cartan", _check_pluecker_scalar,
+              (2, None, "subspace sampling needs level >= 2"), (5, "bounded to n <= 5")),
+        Check("contraction-diagram", "prop:CartanContraction", _check_contraction_diagram),
+        Check("multiplication-diagram", "prop:CartanContraction", _check_multiplication_diagram),
+        Check("ce-mh-identity", "ce-mh-identity", _check_ce_mh),
+        Check("injectivity-sampled", "lm:CartanInjective", _check_injectivity,
+              (2, None, "orbit sampling needs level >= 2")),
+        Check("cone-to-pluecker", "ex:Cartan", _check_cone_to_pluecker,
+              (2, None, "orbit sampling needs level >= 2"), (5, "bounded to n <= 5")),
     ],
     "theorem61": [
-        ("i4-discovery", "cor:isotropic-cartan", _check_i4),
-        ("membership-agreement", "cor:isotropic-cartan", _check_membership),
-        ("degree2-span", "cor:isotropic-cartan", _check_degree2_span),
+        Check("i4-discovery", "cor:isotropic-cartan", _check_i4,
+              (4, 4, "the quadric discovery runs at level 4")),
+        Check("membership-agreement", "cor:isotropic-cartan", _check_membership,
+              (5, 6, "membership certification runs at levels 5 and 6")),
+        Check("degree2-span", "cor:isotropic-cartan", _check_degree2_span,
+              (5, 5, "span comparison runs at level 5")),
     ],
     "lowering": [
-        ("lowering-decomposition", "thm:Main", _check_lowering),
-        ("solving-element", "lm:Z", _check_solving),
-        ("lower-factorization", "lm:Lower", _check_lower_factorization),
-        ("gl-homogeneity", "lm:GLE", _check_gl_homogeneity),
-        ("duality-pairing", "lm:Duality", _check_duality_pairing),
+        Check("lowering-decomposition", "thm:Main", _check_lowering,
+              (6, 6, "the lowering demonstration runs once (n = 6)")),
+        Check("solving-element", "lm:Z", _check_solving,
+              (6, 6, "the solving-element demonstration runs once (n = 6)")),
+        Check("lower-factorization", "lm:Lower", _check_lower_factorization,
+              (5, 6, "factorization checks run at levels 5 and 6")),
+        Check("gl-homogeneity", "lm:GLE", _check_gl_homogeneity,
+              (6, 6, "runs once (n = 6)")),
+        Check("duality-pairing", "lm:Duality", _check_duality_pairing,
+              (2, None, "needs two gl indices"), (6, "windowed pairing bounded to n <= 6")),
     ],
 }
 
-KNOWN_ANCHORS = sorted(
-    {anchor for checks in _SUITES.values() for (_, anchor, _) in checks}
-)
+KNOWN_ANCHORS = sorted({check.anchor for checks in _SUITES.values() for check in checks})
 
 
 def suite_names() -> list[str]:
@@ -704,13 +653,16 @@ def run_checks(suite: str, n_min: int, n_max: int, seed, samples: int, fail_fast
     results: list[CheckResult] = []
     for suite_name in names:
         for n in range(n_min, n_max + 1):
-            for check_name, anchor, fn in _SUITES[suite_name]:
-                try:
-                    status, witness = fn(n, seed, samples)
-                except Exception as exc:  # a crash is a failure with a witness
-                    status, witness = "fail", _crash_witness(exc)
+            for check in _SUITES[suite_name]:
+                status, witness = "skipped", check.skip_reason(n)
+                if witness is None:
+                    try:
+                        witness = check.fn(n, seed, samples)
+                    except Exception as exc:  # a crash is a failure with a witness
+                        witness = _crash_witness(exc)
+                    status = "pass" if witness is None else "fail"
                 results.append(
-                    CheckResult(suite_name, n, check_name, anchor, status, witness)
+                    CheckResult(suite_name, n, check.name, check.anchor, status, witness)
                 )
                 if fail_fast and status == "fail":
                     return results

@@ -7,7 +7,9 @@ import pytest
 
 from spinalg import cartan
 from spinalg import cli
+from spinalg import suites
 from spinalg.suites import KNOWN_ANCHORS, run_checks
+from spinalg.transfer_maps import DENSE_LEVEL_BOUND
 
 
 def small_config(**extra):
@@ -209,3 +211,66 @@ class TestSkipping:
         assert report.counts["fail"] == 0
         assert report.counts["pass"] == 0
         assert report.counts["skipped"] > 0
+
+
+class TestRegistry:
+    """run_checks reads each check's levels from its _SUITES row and turns
+    the check's witness (or None) into the report status."""
+
+    def register(self, monkeypatch, fn, **levels):
+        row = suites.Check("probe", "eq:pi&tau", fn, **levels)
+        monkeypatch.setattr(suites, "_SUITES", {"probe": [row]})
+
+    def test_levels_outside_the_row_are_skipped_without_a_call(self, monkeypatch):
+        calls = []
+
+        def check(n, seed, samples):
+            calls.append(n)
+            raise ZeroDivisionError(f"called at level {n}")
+
+        self.register(
+            monkeypatch, check, domain=(2, 5, "defined at 2..5"), cost=(3, "bounded to n <= 3")
+        )
+        results = run_checks("probe", 1, 6, 7, 25, False)
+        crash = "exception: ZeroDivisionError in spinalg.suites.run_checks: called at level"
+        assert [(r.n, r.status, r.witness) for r in results] == [
+            (1, "skipped", "defined at 2..5"),
+            (2, "fail", f"{crash} 2"),
+            (3, "fail", f"{crash} 3"),
+            (4, "skipped", "bounded to n <= 3"),
+            (5, "skipped", "bounded to n <= 3"),
+            (6, "skipped", "defined at 2..5"),
+        ]
+        assert calls == [2, 3]
+
+    def test_a_returned_string_is_the_failure_witness(self, monkeypatch):
+        self.register(monkeypatch, lambda n, seed, samples: f"broke at {n}" if n >= 3 else None)
+        results = run_checks("probe", 1, 6, 7, 25, True)
+        assert [(r.n, r.status, r.witness) for r in results] == [
+            (1, "pass", None),
+            (2, "pass", None),
+            (3, "fail", "broke at 3"),
+        ]
+
+    def test_none_is_a_pass(self, monkeypatch):
+        self.register(monkeypatch, lambda n, seed, samples: None)
+        results = run_checks("probe", 1, 6, 7, 25, True)
+        assert [r.status for r in results] == ["pass"] * 6
+        assert all(r.witness is None for r in results)
+
+
+# the report cells at desk scale that a row skips only for cost: every level
+# of the check's domain above its cost limit, up to the dense bound
+COST_LIMITED_CELLS = [
+    pytest.param(check, n, id=f"{suite}/{check.name}/{n}")
+    for suite, rows in sorted(suites._SUITES.items())
+    for check in rows
+    if check.cost is not None
+    for n in range(1, DENSE_LEVEL_BOUND + 1)
+    if check.skip_reason(n) == check.cost[1]
+]
+
+
+@pytest.mark.parametrize("check, n", COST_LIMITED_CELLS)
+def test_cost_limited_cell_passes(check, n):
+    assert check.fn(n, 7, 25) is None

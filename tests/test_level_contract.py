@@ -66,6 +66,10 @@ LEVEL_PAIRS = {
         lambda: sr.GroupElement.identity(4).apply(spin(4)),
         lambda: sr.GroupElement.identity(4).apply(spin(5)),
     ),
+    "LinearOperator.__init__": (
+        lambda: sr.LinearOperator(4, 3, {0: sr.SpinVector.basis(3, 0)}),
+        lambda: sr.LinearOperator(4, 3, {0: sr.SpinVector.basis(4, 0)}),
+    ),
     "LinearOperator.__add__": (
         lambda: sr.LinearOperator.of_contraction(4, 3) + sr.LinearOperator.of_contraction(4, 3),
         lambda: sr.LinearOperator.of_contraction(4, 3) + sr.LinearOperator.of_contraction(5, 3),

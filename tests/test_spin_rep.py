@@ -406,6 +406,18 @@ class TestLinearOperator:
         with pytest.raises(LevelMismatchError, match=r"^levels differ: 3 vs 2$"):
             sr.LinearOperator.of_contraction(4, 3) + sr.LinearOperator.of_contraction(4, 2)
 
+    def test_column_keys_name_source_coordinates(self):
+        for key in (16, -1):
+            with pytest.raises(IndexRangeError, match=f"key {key} out of range at level 4"):
+                sr.LinearOperator(4, 4, {key: sr.SpinVector.basis(4, 3)})
+
+    def test_columns_live_at_the_target_level(self):
+        # a level-5 column of a level-4 operator, zero or not, is refused
+        # rather than dropped by apply
+        for col in (sr.SpinVector.basis(5, 0b10011), sr.SpinVector.zero(5)):
+            with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
+                sr.LinearOperator(4, 4, {3: col})
+
 
 class TestTwist:
     def test_trace_one_diagonal(self):
