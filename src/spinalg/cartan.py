@@ -33,6 +33,16 @@ def _parity_sign(n: int, parity: str) -> int:
     return (-1) ** (n - 1) if parity == "even" else (-1) ** n
 
 
+@lru_cache(maxsize=None)
+def _parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(PX, SX) over the subsets y of [n]: bit i of PX[y] (of SX[y]) is set
+    when an odd number of the bits of y lie below (above) i."""
+    subsets = range(1 << n)
+    px = tuple(sum(1 << i for i in range(n) if (y & ~(-1 << i)).bit_count() & 1) for y in subsets)
+    sx = tuple(sum(1 << i for i in range(n) if (y >> i + 1).bit_count() & 1) for y in subsets)
+    return px, sx
+
+
 def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
     """B_n(S, T): the degree-n part of e_S f acting, in the module of the
     whole exterior algebra, on star(e_T) 1 = (-1)^(k(k-1)/2) e_T, k = |T|,
@@ -55,49 +65,79 @@ def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
       B_n(S, T) = sum over D1 in D, |D1| = |D|/2, of
                   +-2^|S n T| e_((S n T) u D1) f_(([n] \\ (S u T)) u D1),
 
-    zero when |D| is odd.  The sign is that of one path, walked with the
-    kernel's rule: a move on bit b in mask m gives (-1)^(set bits of m
-    below b)."""
-    k = t.bit_count()
-    both = s & t
+    zero when |D| is odd.  The sign is that of one path under the kernel's
+    rule, a move on bit b in mask m gives (-1)^(set bits of m below b).
+    Summed over the path, those counts are popcounts against the parity
+    masks of _parity_masks: with a = D1 n T, b = D1 n S, nT = [n] \\ T,
+    st = S \\ T and both = S n T, the sign is (-1) to the power
+
+      c0 + |a n MA| + |b n MB| + C(|a|, 2) + C(|b|, 2) + |a| (k + |st| - |b|),
+
+      c0 = C(k, 2) + (n - k) k + |T n PX[T]| + |T n PX[nT]|
+           + |both n PX[st]| + |st n PX[nT]|,
+      MA = PX[T] ^ SX[T] ^ PX[nT] ^ SX[st] ^ SX[both],
+      MB = SX[both] ^ PX[st] ^ PX[nT],
+
+    where c0, MA and MB depend on (S, T) only."""
     d = s ^ t
-    scale = (-1 if k * (k - 1) // 2 & 1 else 1) << both.bit_count()
     half, odd = divmod(d.bit_count(), 2)
     out: dict[int, int] = {}
     if odd:
         return out
-    f_moves = range(n - 1, -1, -1)
-    e_moves = [j for j in f_moves if s >> j & 1]
+    px, sx = _parity_masks(n)
+    k = t.bit_count()
+    nt = ((1 << n) - 1) ^ t
+    both = s & t
+    st = s & ~t
+    ts = t & ~s
+    free = (nt & ~s) << n
+    c0 = (
+        k * (k - 1) // 2 + (n - k) * k + (t & px[t]).bit_count() + (t & px[nt]).bit_count()
+        + (both & px[st]).bit_count() + (st & px[nt]).bit_count()
+    )
+    ma = px[t] ^ sx[t] ^ px[nt] ^ sx[st] ^ sx[both]
+    mb = sx[both] ^ px[st] ^ px[nt]
+    c1 = k + st.bit_count()
+    mag = 1 << both.bit_count()
     for d1 in combinations([1 << j for j in range(n) if d >> j & 1], half):
         d1 = sum(d1)
-        # f_j contracts e_j on T outside D1 (S n T takes this path), else
-        # wedges f_j; e_j contracts f_j on S \ T outside D1, else wedges e_j
-        contract_e = t & ~d1
-        contract_f = s & ~(t | d1)
-        m, sign = t, scale
-        for j in f_moves:
-            b = 1 << j if contract_e >> j & 1 else 1 << (n + j)
-            if (m & (b - 1)).bit_count() & 1:
-                sign = -sign
-            m ^= b
-        for j in e_moves:
-            b = 1 << (n + j) if contract_f >> j & 1 else 1 << j
-            if (m & (b - 1)).bit_count() & 1:
-                sign = -sign
-            m ^= b
-        out[m] = sign
+        a = d1 & ts
+        b = d1 & st
+        na, nb = a.bit_count(), b.bit_count()
+        p = c0 + (a & ma).bit_count() + (b & mb).bit_count()
+        p += na * (na - 1) // 2 + nb * (nb - 1) // 2 + na * (c1 - nb)
+        out[both | d1 | free | d1 << n] = -mag if p & 1 else mag
     return out
 
 
 @lru_cache(maxsize=None)
 def _nu2_pair(n: int, s: int, t: int) -> tuple:
     """P_n(S, T) for S <= T as (mask, int) pairs: B_n(S, T) + B_n(T, S) off
-    the diagonal, B_n(S, S) on it.  Filled on first use, one pair at a time."""
+    the diagonal, B_n(S, S) on it, each from _half_pair's closed-form sign.
+    Filled on first use, one pair at a time."""
     pair = _half_pair(n, s, t)
     if s != t:
         for m, c in _half_pair(n, t, s).items():
             cc._accumulate(pair, m, c)
     return tuple(pair.items())
+
+
+def _nu2_ints(n: int, terms: dict) -> tuple[dict[int, int], int]:
+    """nu2 of the level-n spin vector with these terms on integers, as
+    (map, den): nu2 = map / den, den the square of the terms' common
+    denominator, zero entries dropped.  See nu2."""
+    items = sorted(terms.items())
+    den = reduce(lcm, (c.denominator for _, c in items), 1)
+    ints = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+    acc: dict[int, int] = {}
+    for i, (s, a) in enumerate(ints):
+        for t, b in ints[i:]:
+            if (s ^ t).bit_count() & 1:
+                continue
+            ab = a * b
+            for m, c in _nu2_pair(n, s, t):
+                acc[m] = acc.get(m, 0) + ab * c
+    return {m: c for m, c in acc.items() if c}, den * den
 
 
 def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -110,36 +150,48 @@ def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
     The Algebraic Theory of Spinors, 1954, Ch. III).  B_n(S, T) is zero when
     |S ^ T| is odd (the degree-n part of an element of parity |S| + |T| + n),
     so those pairs are skipped.  The sum runs on integers over the common
-    denominator of x.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
-    n = x.n
-    items = sorted(x.terms.items())
-    den = reduce(lcm, (c.denominator for _, c in items), 1)
-    ints = [(m, c.numerator * (den // c.denominator)) for m, c in items]
-    acc: dict[int, int] = {}
-    for i, (s, a) in enumerate(ints):
-        for t, b in ints[i:]:
-            if (s ^ t).bit_count() & 1:
-                continue
-            ab = a * b
-            for m, c in _nu2_pair(n, s, t):
-                acc[m] = acc.get(m, 0) + ab * c
-    den *= den
-    return cc.ExteriorVector(n, {m: Fraction(c, den) for m, c in acc.items() if c})
+    denominator of x (_nu2_ints), and only the result is made of Fractions.
+    Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
+    acc, den = _nu2_ints(x.n, x.terms)
+    return cc.ExteriorVector._trusted(x.n, {m: Fraction(c, den) for m, c in acc.items()})
 
 
-def _remask_exterior(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
-    """The same e and f symbols at level target: the mask e | f << m of level
-    m becomes e | f << target.  StructureError when a symbol above target is
-    present."""
-    m = omega.n
-    out: dict[int, Fraction] = {}
-    for mask, c in omega.terms.items():
-        e_part = mask & ((1 << m) - 1)
-        f_part = mask >> m
-        if e_part >> target or f_part >> target:
-            raise StructureError(f"symbols above level {target} present")
-        out[e_part | (f_part << target)] = c
-    return cc.ExteriorVector(target, out)
+def _contract_top(terms: dict, n: int) -> dict:
+    """c_(e_n) modulo e_n on level-n masks, on coefficients of any type:
+    e_n removes f_n, the top bit, with the kernel's sign (-1)^(set bits
+    below it), then _quotient_top."""
+    top_f = 1 << (2 * n - 1)
+    # the bits below f_n are all but f_n itself
+    moved = {m ^ top_f: c if m.bit_count() & 1 else -c for m, c in terms.items() if m & top_f}
+    return _quotient_top(moved, n)
+
+
+def _quotient_top(terms: dict, n: int) -> dict:
+    """Level-n masks modulo (e_n, f_n) at level n-1: masks holding e_n are
+    killed, one holding f_n raises StructureError, and the rest are
+    remasked."""
+    top_e, top_f = 1 << (n - 1), 1 << (2 * n - 1)
+    low = top_e - 1
+    out = {}
+    for mask, c in terms.items():
+        if mask & top_e:
+            continue  # killed modulo e
+        if mask & top_f:
+            raise StructureError("contraction image leaked the partner symbol")
+        out[mask & low | (mask >> n) << (n - 1)] = c
+    return out
+
+
+def _wedge_top(terms: dict, n: int) -> dict:
+    """m_(f_n) on level-(n-1) masks, on coefficients of any type: each mask
+    is remasked to level n and f_n, the top bit, is wedged on the left with
+    the kernel's sign (-1)^(set bits below it)."""
+    low = (1 << (n - 1)) - 1
+    top_f = 1 << (2 * n - 1)
+    return {
+        mask & low | (mask >> (n - 1)) << n | top_f: -c if mask.bit_count() & 1 else c
+        for mask, c in terms.items()
+    }
 
 
 def contract_ce(
@@ -151,23 +203,15 @@ def contract_ce(
 
     With a hyperbolic partner h (in the fixed F) the result is expressed in
     the deterministic model basis of the orthogonal complement of (e, h);
-    for the coordinate pair e = e_n, h = f_n this is the identity relabeling.
+    for the coordinate pair e = e_n, h = f_n this is the identity relabeling,
+    and the contraction is one bit move on each mask (_contract_top).
     """
     n = omega.n
     cc.require_isotropic(e)
-    contracted = omega.inner_vector(e)
-    if e != cc.VectorInV.basis(n, n) or (h is not None and h != cc.VectorInV.basis(n, -n)):
-        contracted = contracted.change_basis(gc.hyperbolic_basis_through(e, h).rows())
-    top_e = 1 << (n - 1)
-    top_f = 1 << (2 * n - 1)
-    out: dict[int, Fraction] = {}
-    for mask, c in contracted.terms.items():
-        if mask & top_e:
-            continue  # killed modulo e
-        if mask & top_f:
-            raise StructureError("contraction image leaked the partner symbol")
-        out[mask] = c
-    return _remask_exterior(cc.ExteriorVector(n, out), n - 1)
+    if e == cc.VectorInV.basis(n, n) and (h is None or h == cc.VectorInV.basis(n, -n)):
+        return cc.ExteriorVector._trusted(n - 1, _contract_top(omega.terms, n))
+    contracted = omega.inner_vector(e).change_basis(gc.hyperbolic_basis_through(e, h).rows())
+    return cc.ExteriorVector._trusted(n - 1, _quotient_top(contracted.terms, n))
 
 
 def mult_mh(
@@ -178,35 +222,61 @@ def mult_mh(
     """Outer multiplication by the hyperbolic partner h.
 
     The source lives at level n-1 (the model of the quotient by (e, h)); for
-    the coordinate pair the inclusion is index-preserving.  A non-coordinate
-    h needs its e supplied so the model basis is determined.
+    the coordinate pair the inclusion is index-preserving and the product is
+    one bit move on each mask (_wedge_top).  A non-coordinate h needs its e
+    supplied so the model basis is determined.
     """
     n = omega.n + 1
     cc.require_isotropic(h, "multiplication vector")
     if h.n != n:
         raise LevelMismatchError("partner must live at the target level")
-    lifted = _remask_exterior(omega, n)
-    if e is not None:
-        if cc.pairing(e, h) != 1:
-            raise NotIsotropicError("(e|h) must equal 1")
-        rows = gc.hyperbolic_basis_through(e, h).rows()
-        lifted = cc.induced_map(lifted, [row.coords() for row in rows])
-    elif h != cc.VectorInV.basis(n, -n):
-        raise SpinalgError("non-coordinate partner needs its isotropic e")
+    if e is None:
+        if h != cc.VectorInV.basis(n, -n):
+            raise SpinalgError("non-coordinate partner needs its isotropic e")
+        return cc.ExteriorVector._trusted(n, _wedge_top(omega.terms, n))
+    if cc.pairing(e, h) != 1:
+        raise NotIsotropicError("(e|h) must equal 1")
+    low = (1 << omega.n) - 1
+    lifted = cc.ExteriorVector._trusted(
+        n, {m & low | (m >> omega.n) << n: c for m, c in omega.terms.items()}
+    )
+    rows = gc.hyperbolic_basis_through(e, h).rows()
+    lifted = cc.induced_map(lifted, [row.coords() for row in rows])
     return cc._wedge_front(lifted, h.coords())
+
+
+def _residual(n: int, lhs: tuple, rhs: tuple, sign: int) -> cc.ExteriorVector:
+    """lhs - sign * rhs at level n for two (int map, den) pairs, compared by
+    cross-multiplying the denominators: a Fraction is made only for a
+    nonzero entry, so a zero residual makes none."""
+    (a, da), (b, db) = lhs, rhs
+    den = da * db
+    sb = sign * da
+    out = {}
+    for m, c in a.items():
+        if v := c * db - sb * b.get(m, 0):
+            out[m] = Fraction(v, den)
+    for m, c in b.items():
+        if m not in a and (v := -sb * c):
+            out[m] = Fraction(v, den)
+    return cc.ExteriorVector._trusted(n, out)
 
 
 def diagram_pi_residual(x: sr.SpinVector) -> cc.ExteriorVector:
     """nu2(pi(x)) - sign * c_e(nu2(x)) at the top coordinate pair; zero for
-    parity-pure x, with sign (-1)^(n-1) even and (-1)^n odd."""
+    parity-pure x, with sign (-1)^(n-1) even and (-1)^n odd.
+
+    Runs on integers: both sides are _nu2_ints maps over their own
+    denominators, c_e the one-bit move _contract_top, and _residual
+    compares them."""
     parity = x.parity()
     if parity == "mixed":
         raise SpinalgError("diagram residuals need parity-pure input")
     n = x.n
     sign = _parity_sign(n, parity)
-    lhs = nu2(tm.pi_last(x))
-    rhs = contract_ce(nu2(x), cc.VectorInV.basis(n, n), cc.VectorInV.basis(n, -n))
-    return lhs - rhs.scale(sign)
+    lhs = _nu2_ints(n - 1, tm.pi_last(x).terms)
+    acc, den = _nu2_ints(n, x.terms)
+    return _residual(n - 1, lhs, (_contract_top(acc, n), den), sign)
 
 
 def diagram_tau_residual(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -215,15 +285,17 @@ def diagram_tau_residual(x: sr.SpinVector) -> cc.ExteriorVector:
     The sign is (-1)^(n-1) on the even part and (-1)^n on the odd part with
     n the target level, the same convention as the contraction diagram; the
     odd part differs from the even one by exactly the stated minus sign.
+    Runs on integers like diagram_pi_residual, with f_n ^ the one-bit move
+    _wedge_top.
     """
     parity = x.parity()
     if parity == "mixed":
         raise SpinalgError("diagram residuals need parity-pure input")
     n = x.n + 1
     sign = _parity_sign(n, parity)
-    lhs = nu2(tm.tau_last(x))
-    rhs = mult_mh(nu2(x), cc.VectorInV.basis(n, -n))
-    return lhs - rhs.scale(sign)
+    lhs = _nu2_ints(n, tm.tau_last(x).terms)
+    acc, den = _nu2_ints(x.n, x.terms)
+    return _residual(n, lhs, (_wedge_top(acc, n), den), sign)
 
 
 def wedge_annihilator(omega: cc.ExteriorVector) -> list[list[Fraction]]:

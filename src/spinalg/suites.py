@@ -22,7 +22,7 @@ from . import ideal_engine as ie
 from . import linalg
 from . import spin_rep as sr
 from . import transfer_maps as tm
-from .errors import GenericityError
+from .errors import GenericityError, IndexRangeError
 
 
 @dataclass(frozen=True)
@@ -649,6 +649,10 @@ def _crash_witness(exc: Exception) -> str:
 
 
 def run_checks(suite: str, n_min: int, n_max: int, seed, samples: int, fail_fast: bool) -> list[CheckResult]:
+    """Run the suite's checks at levels n_min..n_max; IndexRangeError unless
+    1 <= n_min <= n_max <= DENSE_LEVEL_BOUND, the range the CLI accepts."""
+    if not 1 <= n_min <= n_max <= tm.DENSE_LEVEL_BOUND:
+        raise IndexRangeError(f"need 1 <= n-min <= n-max <= {tm.DENSE_LEVEL_BOUND}")
     names = sorted(_SUITES) if suite == "all" else [suite]
     results: list[CheckResult] = []
     for suite_name in names:

@@ -1,17 +1,20 @@
 """Shared helpers and independent oracles for the test suite."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spinalg import cartan as ca
 from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import transfer_maps as tm
 from spinalg.errors import NotIsotropicError, SpinalgError, StructureError
 
 
@@ -460,6 +463,93 @@ def oracle_half_pair(n, s, t):
     word = [cc._exterior_letter(sym, n) for sym in cc.monomial_word((s, (1 << n) - 1))]
     image = oracle_apply_words([(1, word)], {t: -1 if k * (k - 1) // 2 & 1 else 1})
     return {m: c for m, c in image.items() if m.bit_count() == n}
+
+
+def oracle_half_pair_walk(n, s, t):
+    """B_n(S, T) as the per-index walk written before the closed-form sign:
+    for each half D1 of S ^ T, the letters f_n .. f_1 and then e_i for i in
+    S, descending, each contract their partner or wedge their symbol, with
+    the kernel's sign rule applied move by move."""
+    k = t.bit_count()
+    both = s & t
+    d = s ^ t
+    scale = (-1 if k * (k - 1) // 2 & 1 else 1) << both.bit_count()
+    half, odd = divmod(d.bit_count(), 2)
+    out = {}
+    if odd:
+        return out
+    f_moves = range(n - 1, -1, -1)
+    e_moves = [j for j in f_moves if s >> j & 1]
+    for d1 in itertools.combinations([1 << j for j in range(n) if d >> j & 1], half):
+        d1 = sum(d1)
+        contract_e = t & ~d1
+        contract_f = s & ~(t | d1)
+        m, sign = t, scale
+        for j in f_moves:
+            b = 1 << j if contract_e >> j & 1 else 1 << (n + j)
+            if (m & (b - 1)).bit_count() & 1:
+                sign = -sign
+            m ^= b
+        for j in e_moves:
+            b = 1 << (n + j) if contract_f >> j & 1 else 1 << j
+            if (m & (b - 1)).bit_count() & 1:
+                sign = -sign
+            m ^= b
+        out[m] = sign
+    return out
+
+
+def oracle_contract_top(omega):
+    """contract_ce at the coordinate pair as first written: the kernel's
+    contraction by e_n (inner_vector), the masks holding e_n killed, one
+    holding f_n rejected, and the rest remasked to level n-1."""
+    n = omega.n
+    contracted = omega.inner_vector(cc.VectorInV.basis(n, n))
+    out = {}
+    for mask, c in contracted.terms.items():
+        if mask >> (n - 1) & 1:
+            continue
+        if mask >> (2 * n - 1) & 1:
+            raise StructureError("contraction image leaked the partner symbol")
+        e_part, f_part = mask & ((1 << n) - 1), mask >> n
+        out[e_part | f_part << (n - 1)] = c
+    return cc.ExteriorVector(n - 1, out)
+
+
+def oracle_mult_top(omega):
+    """mult_mh by f_n as first written: the masks of level n-1 remasked to
+    level n, then f_n wedged on the left by the kernel (_wedge_front)."""
+    n = omega.n + 1
+    low = (1 << omega.n) - 1
+    lifted = cc.ExteriorVector(
+        n, {m & low | (m >> (n - 1)) << n: c for m, c in omega.terms.items()}
+    )
+    return cc._wedge_front(lifted, cc.VectorInV.basis(n, -n).coords())
+
+
+def _oracle_parity(x):
+    parity = x.parity()
+    if parity == "mixed":
+        raise SpinalgError("diagram residuals need parity-pure input")
+    return parity
+
+
+def oracle_diagram_pi_residual(x):
+    """diagram_pi_residual as first written, on Fractions: nu2 of pi(x) and
+    of x as ExteriorVectors, the contraction by oracle_contract_top, and
+    the difference of the two sides; the sign read from cartan at call
+    time."""
+    parity = _oracle_parity(x)
+    sign = ca._parity_sign(x.n, parity)
+    return ca.nu2(tm.pi_last(x)) - oracle_contract_top(ca.nu2(x)).scale(sign)
+
+
+def oracle_diagram_tau_residual(x):
+    """diagram_tau_residual as first written, on Fractions: nu2 of tau(x)
+    less the sign times f_n ^ nu2(x), the product by oracle_mult_top."""
+    parity = _oracle_parity(x)
+    sign = ca._parity_sign(x.n + 1, parity)
+    return ca.nu2(tm.tau_last(x)) - oracle_mult_top(ca.nu2(x)).scale(sign)
 
 
 def oracle_letter(coords, contract=False):

@@ -17,8 +17,13 @@ from conftest import (
     make_rng,
     oracle_second_factor_matrix,
     oracle_verify_intertwining,
+    oracle_contract_top,
+    oracle_diagram_pi_residual,
+    oracle_diagram_tau_residual,
     oracle_half_pair,
+    oracle_half_pair_walk,
     oracle_induced_map,
+    oracle_mult_top,
     oracle_nu2,
     random_exterior,
     random_isotropic,
@@ -80,7 +85,9 @@ class TestNu2:
         # every pair at every level; |S ^ T| odd gives nothing on either side
         for s in range(1 << n):
             for t in range(1 << n):
-                assert ca._half_pair(n, s, t) == oracle_half_pair(n, s, t), (n, s, t)
+                got = ca._half_pair(n, s, t)
+                assert got == oracle_half_pair(n, s, t), (n, s, t)
+                assert got == oracle_half_pair_walk(n, s, t), (n, s, t)
 
     def test_cone_image_is_decomposable(self):
         for n in (3, 4):
@@ -105,6 +112,23 @@ class TestContraction:
         assert ca.contract_ce(
             omega, cc.VectorInV.basis(n, n), cc.VectorInV.basis(n, -n)
         ).is_zero()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coordinate_pair_moves_match_the_kernel(self, n):
+        # every mask of level n (and n-1), so that the dropped f_n, the
+        # killed e_n and both signs are all reached
+        rng = make_rng(f"coordinate-moves:{n}")
+        e, h = cc.VectorInV.basis(n, n), cc.VectorInV.basis(n, -n)
+        for size in (n, n - 1):
+            for den in (1, 3):
+                omega = cc.ExteriorVector(
+                    size, {m: Fraction(rng.randint(1, 4), den) for m in range(1 << (2 * size))}
+                )
+                if size == n:
+                    assert ca.contract_ce(omega, e, h) == oracle_contract_top(omega)
+                    assert ca.contract_ce(omega, e) == oracle_contract_top(omega)
+                else:
+                    assert ca.mult_mh(omega, h) == oracle_mult_top(omega)
 
     def test_section_identity(self, rng):
         n = 4
@@ -199,6 +223,68 @@ class TestDiagrams:
         x = sr.SpinVector(2, {0: Fraction(1), 1: Fraction(1)})
         with pytest.raises(SpinalgError):
             ca.diagram_pi_residual(x)
+
+    def test_tau_mixed_parity_rejected(self):
+        x = sr.SpinVector(2, {0: Fraction(1), 1: Fraction(1)})
+        with pytest.raises(SpinalgError):
+            ca.diagram_tau_residual(x)
+
+    @staticmethod
+    def residual_points(n):
+        """Parity-pure points at level n: dense fractional, dense integer,
+        sparse and single-term points of both parities, and orbit points
+        from level 2 on."""
+        rng = make_rng(f"residual:{n}")
+        points = []
+        for parity in (0, 1):
+            masks = [m for m in range(1 << n) if m.bit_count() & 1 == parity]
+            dense = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in masks}
+            sparse = {
+                m: Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                for m in rng.sample(masks, min(3, len(masks)))
+            }
+            points.append(sr.SpinVector(n, dense))
+            points.append(random_spin(n, rng, ("even", "odd")[parity]))
+            points.append(sr.SpinVector(n, sparse))
+            points.append(sr.SpinVector(n, {rng.choice(masks): Fraction(-3, 7)}))
+        if n > 1:  # words need a root
+            points += [gc.sample_cone_point(n, f"residual:{n}:{t}", length=1 + t) for t in range(3)]
+        return [x for x in points if not x.is_zero()]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_residuals_match_the_fraction_oracles(self, n):
+        for x in self.residual_points(n):
+            assert ca.diagram_pi_residual(x) == oracle_diagram_pi_residual(x)
+            assert ca.diagram_tau_residual(x) == oracle_diagram_tau_residual(x)
+
+    @pytest.mark.parametrize("breakage", ["sign", "transfer"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_nonzero_residuals_match_the_fraction_oracles(self, n, breakage, monkeypatch):
+        # a broken build makes the residuals nonzero: a flipped sign
+        # convention, or pi and tau that lose the lowest term of their image
+        # (so that each side has masks the other lacks).  The oracles read
+        # the same patched functions, so the residuals are compared term by
+        # term.
+        if breakage == "sign":
+            original = ca._parity_sign
+            monkeypatch.setattr(ca, "_parity_sign", lambda n, p: -original(n, p))
+        else:
+            for name in ("pi_last", "tau_last"):
+                def lossy(x, transfer=getattr(tm, name)):
+                    y = transfer(x)
+                    return sr.SpinVector(y.n, dict(sorted(y.terms.items())[1:]))
+
+                monkeypatch.setattr(tm, name, lossy)
+        nonzero = 0
+        for x in self.residual_points(n):
+            for residual, oracle in (
+                (ca.diagram_pi_residual, oracle_diagram_pi_residual),
+                (ca.diagram_tau_residual, oracle_diagram_tau_residual),
+            ):
+                got = residual(x)
+                assert got == oracle(x)
+                nonzero += not got.is_zero()
+        assert nonzero
 
 
 class TestInjectivity:

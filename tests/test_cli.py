@@ -8,6 +8,7 @@ import pytest
 from spinalg import cartan
 from spinalg import cli
 from spinalg import suites
+from spinalg.errors import IndexRangeError
 from spinalg.suites import KNOWN_ANCHORS, run_checks
 from spinalg.transfer_maps import DENSE_LEVEL_BOUND
 
@@ -79,6 +80,14 @@ class TestExitCodes:
     def test_bad_range(self):
         assert cli.main(["--n-min", "3", "--n-max", "2"]) == cli.EXIT_CONFIG
         assert cli.main(["--n-max", "9"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "n_min, n_max", [(0, 0), (0, 2), (3, 2), (1, DENSE_LEVEL_BOUND + 1), (-1, 1)]
+    )
+    def test_run_checks_rejects_the_ranges_the_cli_rejects(self, n_min, n_max):
+        assert small_config(suite="all", n_min=n_min, n_max=n_max).validate()
+        with pytest.raises(IndexRangeError):
+            run_checks("all", n_min, n_max, 7, 1, False)
 
     def test_corrupted_sign_produces_witness(self, tmp_path, monkeypatch):
         # simulate a broken build: flip the diagram sign convention
