@@ -78,7 +78,9 @@ def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
       MA = PX[T] ^ SX[T] ^ PX[nT] ^ SX[st] ^ SX[both],
       MB = SX[both] ^ PX[st] ^ PX[nT],
 
-    where c0, MA and MB depend on (S, T) only."""
+    where c0, MA and MB depend on (S, T) only.  The masks are symmetric in S
+    and T, and so are the signs: B_n(S, T) = B_n(T, S), checked at every pair
+    for n <= 7 by test_half_pair_closed_form_matches_letter_word."""
     d = s ^ t
     half, odd = divmod(d.bit_count(), 2)
     out: dict[int, int] = {}
@@ -112,14 +114,11 @@ def _half_pair(n: int, s: int, t: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _nu2_pair(n: int, s: int, t: int) -> tuple:
-    """P_n(S, T) for S <= T as (mask, int) pairs: B_n(S, T) + B_n(T, S) off
-    the diagonal, B_n(S, S) on it, each from _half_pair's closed-form sign.
-    Filled on first use, one pair at a time."""
-    pair = _half_pair(n, s, t)
-    if s != t:
-        for m, c in _half_pair(n, t, s).items():
-            cc._accumulate(pair, m, c)
-    return tuple(pair.items())
+    """P_n(S, T) for S <= T as (mask, int) pairs: B_n(S, T) + B_n(T, S) =
+    2 B_n(S, T) off the diagonal (B_n is symmetric, see _half_pair) and
+    B_n(S, S) on it; filled on first use, one pair at a time."""
+    scale = 1 if s == t else 2
+    return tuple((m, scale * c) for m, c in _half_pair(n, s, t).items())
 
 
 def _nu2_ints(n: int, terms: dict) -> tuple[dict[int, int], int]:
@@ -147,11 +146,12 @@ def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
         nu2(x) = sum_(S <= T) x_S x_T P_n(S, T)   (see _nu2_pair).
 
     Its image of the pure spinors is cut out by Cartan's quadrics (Chevalley,
-    The Algebraic Theory of Spinors, 1954, Ch. III).  B_n(S, T) is zero when
-    |S ^ T| is odd (the degree-n part of an element of parity |S| + |T| + n),
-    so those pairs are skipped.  The sum runs on integers over the common
-    denominator of x (_nu2_ints), and only the result is made of Fractions.
-    Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
+    The Algebraic Theory of Spinors, 1954, Ch. III).  B_n(S, T) is symmetric
+    in S and T (see _half_pair), so P_n(S, T) = 2 B_n(S, T) off the diagonal;
+    it is zero when |S ^ T| is odd (the degree-n part of an element of parity
+    |S| + |T| + n), so those pairs are skipped.  The sum runs on integers over
+    the common denominator of x (_nu2_ints), and only the result is made of
+    Fractions.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
     acc, den = _nu2_ints(x.n, x.terms)
     return cc.ExteriorVector._trusted(x.n, {m: Fraction(c, den) for m, c in acc.items()})
 
@@ -344,25 +344,6 @@ def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdic
     return InjectivityVerdict(True, "")
 
 
-# -- exterior-side helpers for the factorization audit ------------------------
-
-
-def contract_top_e_block(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
-    """c_{e_{target+1}} o ... o c_{e_n} in coordinates, landing at level target."""
-    cur = omega
-    while cur.n > target:
-        cur = contract_ce(cur, cc.VectorInV.basis(cur.n, cur.n), cc.VectorInV.basis(cur.n, -cur.n))
-    return cur
-
-
-def mult_top_f_block(omega: cc.ExteriorVector, target: int) -> cc.ExteriorVector:
-    """m_{f_target} o ... o m_{f_{n+1}} in coordinates, raising the level."""
-    cur = omega
-    while cur.n < target:
-        cur = mult_mh(cur, cc.VectorInV.basis(cur.n + 1, -(cur.n + 1)))
-    return cur
-
-
 # -- the level-lowering factorization -----------------------------------------
 
 
@@ -385,14 +366,6 @@ class LowerFactorization:
 
 def _even_masks(n: int) -> list[int]:
     return [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
-
-
-def _pairing_matrix(n: int) -> list[list[Fraction]]:
-    m = linalg.zeros(2 * n, 2 * n)
-    for i in range(n):
-        m[i][n + i] = Fraction(1)
-        m[n + i][i] = Fraction(1)
-    return m
 
 
 def _next_seed(seed: int | str) -> int | None:
@@ -498,8 +471,7 @@ def lower_factorization(
 
     # the proof's bottom factor as an orthogonal matrix
     m_second = _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, vnf_constraints + pair_rows)
-    jn0 = _pairing_matrix(n0)
-    if linalg.matmul(linalg.matmul(linalg.transpose(m_second), jn0), m_second) != jn0:
+    if linalg.matmul(sr._form_adjoint(m_second), m_second) != linalg.identity(2 * n0):
         raise StructureError("bottom factor does not preserve the form")
     det_second = linalg.det(m_second)
     _verify_intertwining(n0, u, m_second, masks_n0)
@@ -625,26 +597,30 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
     rng = _random.Random(f"extaudit:{q}:{n}:{n0}:{seed}")
     samples = [cc.ExteriorVector(n, {((1 << n) - 1): Fraction(1)})]
     for _ in range(3):
-        vecs = [
-            cc.VectorInV.from_coords(
-                n, [Fraction(rng.randint(-2, 2)) for _ in range(2 * n)]
-            )
-            for _ in range(n)
-        ]
-        samples.append(cc.wedge_of_vectors(n, vecs))
+        coords = [[Fraction(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(n)]
+        samples.append(cc.wedge_of_vectors(n, [cc.VectorInV.from_coords(n, c) for c in coords]))
     for omega in samples:
-        lifted = mult_top_f_block(omega, q)
-        lhs = contract_top_e_block(cc.induced_map(lifted, linalg.transpose(mg)), n0)
-        mid = contract_top_e_block(cc.induced_map(omega, linalg.transpose(mgp)), n0)
-        rhs = cc.induced_map(mid, linalg.transpose(m_second))
-        if lhs.is_zero() and rhs.is_zero():
+        # lhs = c_(e_(n0+1)) ... c_(e_q) g m_(f_q) ... m_(f_(n+1)) omega and
+        # rhs = g'' c_(e_(n0+1)) ... c_(e_n) g' omega, each c and m a one-bit
+        # move on the masks (_contract_top, _wedge_top)
+        lhs = omega.terms
+        for level in range(n + 1, q + 1):
+            lhs = _wedge_top(lhs, level)
+        lhs = cc.induced_map(cc.ExteriorVector._trusted(q, lhs), linalg.transpose(mg)).terms
+        mid = cc.induced_map(omega, linalg.transpose(mgp)).terms
+        for level in range(q, n0, -1):
+            lhs = _contract_top(lhs, level)
+        for level in range(n, n0, -1):
+            mid = _contract_top(mid, level)
+        rhs = cc.induced_map(cc.ExteriorVector._trusted(n0, mid), linalg.transpose(m_second)).terms
+        if not lhs and not rhs:
             continue
-        if lhs.is_zero() or rhs.is_zero():
+        if not lhs or not rhs:
             raise StructureError("exterior audit: one side vanished")
-        if not cc._proportional(lhs.terms, rhs.terms):
+        if not cc._proportional(lhs, rhs):
             raise StructureError("exterior audit: sides are not proportional")
-        k = next(iter(lhs.terms))
-        r = lhs.terms[k] / rhs.terms[k]
+        k = next(iter(lhs))
+        r = lhs[k] / rhs[k]
         if ratio is None:
             ratio = r
         elif ratio != r:

@@ -231,6 +231,8 @@ def _vector_letter(coords) -> tuple[tuple, int]:
 
 
 def monomial_word(mono: Monomial) -> list[Symbol]:
+    """The symbols of a basis monomial in normal order; public so that a
+    product of monomials can be spelled as one word for normal_form."""
     emask, fmask = mono
     return [i for i in _mask_indices(emask)] + [-j for j in _mask_indices(fmask)]
 

@@ -108,14 +108,6 @@ def check_isotropic(rows, n: int) -> IsotropicSubspace:
     return _isotropic_subspace(ints, scales, n)
 
 
-def standard_e_subspace(n: int) -> IsotropicSubspace:
-    return check_isotropic([cc.VectorInV.basis(n, i) for i in range(1, n + 1)], n)
-
-
-def standard_f_subspace(n: int) -> IsotropicSubspace:
-    return check_isotropic([cc.VectorInV.basis(n, -i) for i in range(1, n + 1)], n)
-
-
 def coordinate_subspace(n: int, emask: int) -> IsotropicSubspace:
     """span of {e_i : i in emask} and {f_j : j not in emask}."""
     rows = [cc.VectorInV.basis(n, i) for i in range(1, n + 1) if emask >> (i - 1) & 1]
@@ -472,7 +464,8 @@ def _vector_to_top_steps(coords: list[Fraction], level: int, n: int) -> list:
 
 
 def element_moving_vector_to_top(v: cc.VectorInV) -> sr.GroupElement:
-    """A word of root exponentials whose orthogonal image sends v to e_n."""
+    """A word of root exponentials whose orthogonal image sends v to e_n;
+    public as the one-vector form of element_moving_to_coordinate_top."""
     n = v.n
     cc.require_isotropic(v)
     if v.is_zero():

@@ -1076,17 +1076,19 @@ def ideal_membership(target: Polynomial, generators: list[Polynomial]) -> list[P
 
 def gamma_windowed(finite_terms: dict[int, Fraction], limit_terms: dict[int, Fraction], window: int) -> Fraction:
     """Coefficient-of-everything pairing between a finite wedge (subset
-    masks over the window) and a limit vector (complement masks)."""
-    full = (1 << window) - 1
+    masks over the window) and a limit vector (complement masks); a mask of
+    either map with a bit above the window raises IndexRangeError."""
+    for terms in (finite_terms, limit_terms):
+        if terms:
+            _check_masks(False, window, min(terms), max(terms))
     total = Fraction(0)
-    for s_mask, a in finite_terms.items():
-        b = limit_terms.get(s_mask)
+    for s, a in finite_terms.items():
+        b = limit_terms.get(s)
         if not b:
             continue
-        # the sign of e_S wedge e_(complement) against the full window wedge,
-        # S the mask's bits in the window: (-1)^inv(S) for the pairs i in S,
-        # j not in S, j < i, which is sign(S) (-1)^(k(k-1)/2), k = |S|
-        s = s_mask & full
+        # the sign of e_S wedge e_(complement) against the full window wedge:
+        # (-1)^inv(S) for the pairs i in S, j not in S, j < i, which is
+        # sign(S) (-1)^(k(k-1)/2), k = |S|
         k = s.bit_count()
         sign = tm._complement_sign(s) * (-1) ** (k * (k - 1) // 2)
         total += sign * a * b

@@ -327,7 +327,8 @@ def from_left_ideal(x: cc.CliffordElement) -> SpinVector:
 def clifford_action_on_spin(a: cc.CliffordElement, x: SpinVector) -> SpinVector:
     """Left action of the Clifford algebra on the ideal model, as left
     multiplication of x f: e_i acts as the wedge, f_j as twice the
-    contraction."""
+    contraction; public as the action by definition, which the closed forms
+    are checked against, and as an entry point of perfbench/tracer.py."""
     x._check_level(a)
     return from_left_ideal(cc.mul(a, to_left_ideal(x)))
 
@@ -586,6 +587,15 @@ def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], 
         a[n + j - 1] -= t * a[n + i - 1]
 
 
+def _form_adjoint(m: list) -> list:
+    """J M^T J for a 2n x 2n matrix M, with J the Gram matrix of the split
+    form, which swaps the e- and f-blocks: the inverse of M exactly when M
+    preserves the form."""
+    n = len(m) // 2
+    swap = [*range(n, 2 * n), *range(n)]
+    return [[m[c][r] for c in swap] for r in swap]
+
+
 class GroupElement:
     """A word of exponentials exp(t * rho(X)) of nilpotent root vectors.
 
@@ -662,10 +672,8 @@ class GroupElement:
 
     def so_matrix_inverse(self):
         """The inverse of so_matrix() in closed form: g preserves the split
-        form, whose Gram matrix J swaps the e- and f-blocks, so M^-1 = J M^T J."""
-        m = self.so_matrix()
-        swap = [*range(self.n, 2 * self.n), *range(self.n)]
-        return [[m[c][r] for c in swap] for r in swap]
+        form, so M^-1 = J M^T J (_form_adjoint)."""
+        return _form_adjoint(self.so_matrix())
 
     def serialize(self) -> list:
         return [[k, i, j, str(t)] for (k, i, j, t) in self.word]

@@ -455,9 +455,13 @@ def _check_i4(n, seed, samples):
         return "discovered quadric is not pairing-norm proportional"
 
 
+def _family_size(n):
+    """Members of the level-n pullback family of the theorem61 checks."""
+    return 64 if n == 5 else 120
+
+
 def _check_membership(n, seed, samples):
-    count = 64 if n == 5 else 120
-    fam = ie.orbit_pullback_family(n, f"{seed}:fam", count)
+    fam = ie.orbit_pullback_family(n, f"{seed}:fam", _family_size(n))
     half = max(1, samples // 2)
     for t in range(half):
         x = gc.sample_cone_point(n, f"{seed}:mon:{t}", length=10)
@@ -472,12 +476,12 @@ def _check_membership(n, seed, samples):
 
 
 def _check_degree2_span(n, seed, samples):
-    variables = ie.component_variables(5)
+    variables = ie.component_variables(n)
     monos = ie.monomials_of_degree(variables, 2)
     idx = {m: i for i, m in enumerate(monos)}
-    pts = ie.cone_points(5, f"{seed}:span", 3 * len(monos))
+    pts = ie.cone_points(n, f"{seed}:span", 3 * len(monos))
     forms = ie.vanishing_forms(pts, 2)
-    fam = ie.orbit_pullback_family(5, f"{seed}:fam", 64)
+    fam = ie.orbit_pullback_family(n, f"{seed}:fam", _family_size(n))
 
     def rowof(p):
         row = [Fraction(0)] * len(monos)

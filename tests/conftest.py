@@ -652,6 +652,51 @@ def oracle_second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
     return linalg.transpose(cols)
 
 
+def oracle_exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0):
+    """cartan._exterior_audit as first written: the same seeded samples,
+    raised to level q by mult_mh with f_(n+1) .. f_q and lowered to level
+    n0 by contract_ce at (e_q, f_q) .. (e_(n0+1), f_(n0+1)), one public call
+    per level, on ExteriorVectors."""
+
+    def lower(omega):
+        while omega.n > n0:
+            k = omega.n
+            omega = ca.contract_ce(omega, cc.VectorInV.basis(k, k), cc.VectorInV.basis(k, -k))
+        return omega
+
+    rng = random.Random(f"extaudit:{q}:{n}:{n0}:{seed}")
+    samples = [cc.ExteriorVector(n, {(1 << n) - 1: Fraction(1)})]
+    for _ in range(3):
+        vecs = [
+            cc.VectorInV.from_coords(n, [Fraction(rng.randint(-2, 2)) for _ in range(2 * n)])
+            for _ in range(n)
+        ]
+        samples.append(cc.wedge_of_vectors(n, vecs))
+    ratio = None
+    for omega in samples:
+        lifted = omega
+        while lifted.n < q:
+            lifted = ca.mult_mh(lifted, cc.VectorInV.basis(lifted.n + 1, -(lifted.n + 1)))
+        lhs = lower(cc.induced_map(lifted, linalg.transpose(mg)))
+        mid = lower(cc.induced_map(omega, linalg.transpose(g_prime.so_matrix())))
+        rhs = cc.induced_map(mid, linalg.transpose(m_second))
+        if lhs.is_zero() and rhs.is_zero():
+            continue
+        if lhs.is_zero() or rhs.is_zero():
+            raise StructureError("exterior audit: one side vanished")
+        if not cc._proportional(lhs.terms, rhs.terms):
+            raise StructureError("exterior audit: sides are not proportional")
+        k = next(iter(lhs.terms))
+        r = lhs.terms[k] / rhs.terms[k]
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            raise StructureError("exterior audit: ratio is not constant")
+    if ratio is None:
+        raise StructureError("exterior audit: all samples vanished")
+    return ratio
+
+
 def _oracle_functional(w):
     return list(w.f) + list(w.e)
 

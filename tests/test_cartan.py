@@ -20,6 +20,7 @@ from conftest import (
     oracle_contract_top,
     oracle_diagram_pi_residual,
     oracle_diagram_tau_residual,
+    oracle_exterior_audit,
     oracle_half_pair,
     oracle_half_pair_walk,
     oracle_induced_map,
@@ -82,12 +83,14 @@ class TestNu2:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_half_pair_closed_form_matches_letter_word(self, n):
-        # every pair at every level; |S ^ T| odd gives nothing on either side
+        # every pair at every level; |S ^ T| odd gives nothing on either side;
+        # B_n is symmetric, which _nu2_pair relies on to read one half-pair
         for s in range(1 << n):
             for t in range(1 << n):
                 got = ca._half_pair(n, s, t)
                 assert got == oracle_half_pair(n, s, t), (n, s, t)
                 assert got == oracle_half_pair_walk(n, s, t), (n, s, t)
+                assert got == ca._half_pair(n, t, s), (n, s, t)
 
     def test_cone_image_is_decomposable(self):
         for n in (3, 4):
@@ -382,10 +385,10 @@ class TestLowerFactorization:
 
 @pytest.fixture(scope="module")
 def factorization_calls():
-    """The arguments of every _second_factor_matrix and _verify_intertwining
-    call of real factorizations at (5, 5, 4), (6, 5, 4) and (6, 6, 4), three
-    seeds each."""
-    calls = {"_second_factor_matrix": [], "_verify_intertwining": []}
+    """The arguments of every _second_factor_matrix, _verify_intertwining and
+    _exterior_audit call of real factorizations at (5, 5, 4), (6, 5, 4) and
+    (6, 6, 4), three seeds each, the first with the exterior audit."""
+    calls = {"_second_factor_matrix": [], "_verify_intertwining": [], "_exterior_audit": []}
 
     def recorder(real, record):
         def recorded(*args):
@@ -400,10 +403,11 @@ def factorization_calls():
     try:
         for cfg in [(5, 5, 4), (6, 5, 4), (6, 6, 4)]:
             for seed in range(3):
-                ca.sample_lower_factorization(*cfg, seed=f"audit:{seed}")
+                ca.sample_lower_factorization(*cfg, seed=f"audit:{seed}", exterior_audit=seed == 0)
     finally:
         patch.undo()
     assert len(calls["_verify_intertwining"]) == 9
+    assert len(calls["_exterior_audit"]) == 3
     return calls
 
 
@@ -448,3 +452,30 @@ class TestFactorizationAudits:
                 seen.add(got)
         assert (StructureError, "bottom factor fails the conjugation audit") in seen
         assert (StructureError, "matrix is not skew with respect to the split form") in seen
+
+    def test_exterior_audit_matches_the_oracle(self, factorization_calls):
+        for args in factorization_calls["_exterior_audit"]:
+            assert ca._exterior_audit(*args) == oracle_exterior_audit(*args)
+
+    def test_exterior_audit_rejects_another_bottom_factor(self, factorization_calls):
+        # another word's bottom factor preserves the form, but does not carry
+        # the middle level's images onto the lowered ones
+        factors = [args[2] for args in factorization_calls["_verify_intertwining"]]
+        expected = (StructureError, "exterior audit: sides are not proportional")
+        for args in factorization_calls["_exterior_audit"]:
+            other = next(m for m in factors if m != args[5])
+            mutant = args[:5] + (other,) + args[6:]
+            assert outcome(ca._exterior_audit, mutant) == expected
+            assert outcome(oracle_exterior_audit, mutant) == expected
+
+    def test_sheared_bottom_factor_breaks_the_form(self, monkeypatch):
+        real = ca._second_factor_matrix
+
+        def sheared(*args):
+            m = [list(row) for row in real(*args)]
+            m[0][0] += 1
+            return m
+
+        monkeypatch.setattr(ca, "_second_factor_matrix", sheared)
+        with pytest.raises(StructureError, match="^bottom factor does not preserve the form$"):
+            ca.sample_lower_factorization(5, 5, 4, seed="shear")

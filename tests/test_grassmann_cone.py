@@ -30,9 +30,9 @@ from conftest import (
 
 class TestCheckIsotropic:
     def test_standard_subspaces(self):
-        e = gc.standard_e_subspace(3)
+        e = gc.coordinate_subspace(3, 0b111)
         assert e.dim == 3
-        f = gc.standard_f_subspace(3)
+        f = gc.coordinate_subspace(3, 0)
         assert gc.adapted_basis(f).k == 3
 
     def test_gram_witness(self):
@@ -56,7 +56,7 @@ class TestCheckIsotropic:
 
     def test_contains_rejects_vector_of_other_level(self):
         # the level-2 f_1 was read as the first four coordinates of six, e_3
-        e = gc.standard_e_subspace(3)
+        e = gc.coordinate_subspace(3, 0b111)
         assert not e.contains(cc.VectorInV.basis(3, -1))
         with pytest.raises(LevelMismatchError):
             e.contains(cc.VectorInV.basis(2, -1))
@@ -73,8 +73,8 @@ def outcome(build, h):
 
 class TestAdaptedBasis:
     def test_extreme_intersections(self):
-        assert gc.adapted_basis(gc.standard_f_subspace(2)).k == 2
-        ab = gc.adapted_basis(gc.standard_e_subspace(2))
+        assert gc.adapted_basis(gc.coordinate_subspace(2, 0)).k == 2
+        ab = gc.adapted_basis(gc.coordinate_subspace(2, 0b11))
         assert ab.k == 0
         assert list(ab.new_e) == [cc.VectorInV.basis(2, 1), cc.VectorInV.basis(2, 2)]
 
@@ -172,7 +172,7 @@ class TestAdaptedBasis:
     def test_zero_row_fails_the_split(self, n):
         # a zero row has no pivot: reading pivots off the rows must still
         # end in the split's error (not, say, a bare StopIteration)
-        for h in (gc.standard_e_subspace(n), gc.standard_f_subspace(n), gc.coordinate_subspace(n, 1)):
+        for h in (gc.coordinate_subspace(n, m) for m in ((1 << n) - 1, 0, 1)):
             for at in (0, n - 1):
                 rows = [list(r) for r in h.rows]
                 rows[at] = [Fraction(0)] * (2 * n)
@@ -182,8 +182,8 @@ class TestAdaptedBasis:
 class TestOmega:
     def test_highest_weight_cases(self):
         n = 3
-        assert gc.omega_of(gc.standard_e_subspace(n)) == sr.SpinVector.omega0(n)
-        assert gc.omega_of(gc.standard_f_subspace(n)) == sr.SpinVector.basis(n, 0)
+        assert gc.omega_of(gc.coordinate_subspace(n, (1 << n) - 1)) == sr.SpinVector.omega0(n)
+        assert gc.omega_of(gc.coordinate_subspace(n, 0)) == sr.SpinVector.basis(n, 0)
 
     def test_mixed_example(self):
         h = gc.check_isotropic(
@@ -263,7 +263,7 @@ class TestPurity:
     def test_highest_weight(self):
         res = gc.is_pure(sr.SpinVector.omega0(3))
         assert res.kind == "pure"
-        assert res.subspace == gc.standard_e_subspace(3)
+        assert res.subspace == gc.coordinate_subspace(3, 0b111)
 
     def test_zero_verdict(self):
         res = gc.is_pure(sr.SpinVector.zero(3))
@@ -337,10 +337,10 @@ class TestPluecker:
     def test_coordinate_cases(self):
         n = 3
         full_e = (1 << n) - 1
-        assert gc.pluecker(gc.standard_e_subspace(n)) == cc.ExteriorVector(
+        assert gc.pluecker(gc.coordinate_subspace(n, (1 << n) - 1)) == cc.ExteriorVector(
             n, {full_e: Fraction(1)}
         )
-        assert gc.pluecker(gc.standard_f_subspace(n)) == cc.ExteriorVector(
+        assert gc.pluecker(gc.coordinate_subspace(n, 0)) == cc.ExteriorVector(
             n, {full_e << n: Fraction(1)}
         )
 

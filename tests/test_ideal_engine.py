@@ -769,7 +769,8 @@ class TestGamma:
                 got = ie.gamma_windowed({s_mask: a}, {s_mask: b}, window)
                 assert got == oracle_gamma_windowed({s_mask: a}, {s_mask: b}, window)
                 assert got in (a * b, -a * b)
-        # maps with shared and unshared masks, some with bits above the window
+        # maps with shared and unshared masks, some with bits above the window,
+        # which are rejected
         rng = make_rng(f"gamma-walk:{window}")
         for k in range(30):
             top = 1 << (window + (k % 3 == 2))
@@ -780,9 +781,28 @@ class TestGamma:
             fin = {rng.randrange(top): coef() for _ in range(rng.randint(0, 6))}
             lim = {rng.randrange(top): coef() for _ in range(rng.randint(0, 6))}
             lim.update((m, coef()) for m in list(fin)[k % 2 :: 2])
+            if any(m >> window for m in [*fin, *lim]):
+                with pytest.raises(IndexRangeError, match=f"^variable mask out of range at level {window}$"):
+                    ie.gamma_windowed(fin, lim, window)
+                continue
             got = ie.gamma_windowed(fin, lim, window)
             assert got == oracle_gamma_windowed(fin, lim, window)
             assert type(got) is Fraction
+
+    @pytest.mark.parametrize(
+        "fin, lim",
+        [
+            ({0b100: Fraction(1)}, {0b100: Fraction(1)}),  # shared, above the window
+            ({0b100: Fraction(1)}, {0b01: Fraction(1)}),  # finite side only
+            ({0b01: Fraction(1)}, {0b101: Fraction(2)}),  # limit side only
+            ({-1: Fraction(1)}, {}),  # negative mask
+        ],
+    )
+    def test_masks_outside_the_window_rejected(self, fin, lim):
+        # a mask with a bit above the window was paired by its window bits
+        # alone: {0b100} against itself read as the empty set at window 2
+        with pytest.raises(IndexRangeError, match="^variable mask out of range at level 2$"):
+            ie.gamma_windowed(fin, lim, 2)
 
 
 class TestOffConeSampler:
