@@ -471,10 +471,11 @@ def lower_factorization(
 
     # the proof's bottom factor as an orthogonal matrix
     m_second = _second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, vnf_constraints + pair_rows)
-    if linalg.matmul(sr._form_adjoint(m_second), m_second) != linalg.identity(2 * n0):
+    m_inv = sr._form_adjoint(m_second)
+    if linalg.matmul(m_inv, m_second) != linalg.identity(2 * n0):
         raise StructureError("bottom factor does not preserve the form")
     det_second = linalg.det(m_second)
-    _verify_intertwining(n0, u, m_second, masks_n0)
+    _verify_intertwining(n0, u, m_second, m_inv, masks_n0)
 
     scalar = next(
         (u[r][c] for r in range(len(u)) for c in range(len(u[0])) if u[r][c] != 0),
@@ -550,11 +551,11 @@ def _two_rho_basis(n0: int, masks: list[int]) -> list[tuple[int, int, list]]:
     return out
 
 
-def _verify_intertwining(n0, u, m_second, masks_n0):
+def _verify_intertwining(n0, u, m_second, m_inv, masks_n0):
     """u must intertwine the spin action with conjugation by the bottom
     factor M: u rho(x) = rho(M x M^-1) u for each x of the so(2 n0) basis.
 
-    Runs on integers, with M = A / a, M^-1 = B / b, s = a b and u = U / c.
+    Runs on integers, with M = A / a, M^-1 = m_inv = B / b, s = a b and u = U / c.
     The basis element x = e^e' (see _two_rho_basis, coordinates p and p2)
     sends w to (e'|w) e - (e|w) e', so s M x M^-1 = A[:, p] B[p2*, :] -
     A[:, p2] B[p*, :], with r* the partner coordinate of r.  Its coefficient
@@ -563,7 +564,7 @@ def _verify_intertwining(n0, u, m_second, masks_n0):
     skew for the split form.  The audit compares U (2 rho(x)) s with
     (2 s rho(M x M^-1)) U."""
     a, den_a = linalg._int_matrix(m_second)
-    b, den_b = linalg._int_matrix(linalg.inverse(m_second))
+    b, den_b = linalg._int_matrix(m_inv)
     uu = linalg._int_matrix(u)[0]
     s = den_a * den_b
     size = 2 * n0

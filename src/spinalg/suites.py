@@ -134,25 +134,32 @@ def _random_clifford(n, rng) -> cc.CliffordElement:
 
 
 def _check_quarter_embedding(n, seed, samples):
-    syms = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
-    elements = {s: cc.CliffordElement.from_symbol(n, s) for s in syms}
-    vectors = {s: cc.VectorInV.basis(n, s) for s in syms}
+    """The quarter-commutator embedding u^v -> x = (uv - vu)/4 (Chevalley)
+    respects the bracket: [x, w] = (v|w) u - (u|w) v for all basis vectors
+    u != v and w.
+
+    Runs on the letter kernel over packed masks em | fm << n, scaled by 4 so
+    that every coefficient is an int: 4x = uv - vu from the unit, and
+    4[x, w] = (4x) w - w (4x), the letters of 4x's monomials on the mask of w
+    less w's letter on 4x, must equal 4((v|w) u - (u|w) v).  On basis
+    symbols (a|b) is 1 exactly when a = -b."""
+    syms = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    table = cc._letter_table(cc._clifford_letter, n)
     for u in syms:
-        uv = vectors[u]
+        bu = cc._bit(u, n)
         for v in syms:
             if u == v:
                 continue
-            vv = vectors[v]
-            x = cc.normal_form([u, v], n) - cc.normal_form([v, u], n)
-            x = x.scale(Fraction(1, 4))
+            bv = cc._bit(v, n)
+            lu, lv = table[bu], table[bv]
+            x4 = cc._apply_words([(1, [lu, lv]), (-1, [lv, lu])], {0: 1})
+            words = [(c, [table[b] for b in range(2 * n) if m >> b & 1]) for m, c in x4.items()]
             for w in syms:
-                wc = elements[w]
-                lhs = cc.mul(x, wc) - cc.mul(wc, x)
-                wv = vectors[w]
-                rhs = (
-                    uv.scale(cc.pairing(vv, wv)) - vv.scale(cc.pairing(uv, wv))
-                ).as_clifford()
-                if lhs != rhs:
+                bw = cc._bit(w, n)
+                bracket = cc._apply_words(words, {1 << bw: 1})
+                for m, c in cc._apply_words([(-1, [table[bw]])], x4).items():
+                    cc._accumulate(bracket, m, c)
+                if bracket != ({1 << bu: 4} if v == -w else {1 << bv: -4} if u == -w else {}):
                     return f"bracket failed at ({u},{v},{w})"
 
 

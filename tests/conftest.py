@@ -455,6 +455,32 @@ def oracle_apply_words(words, terms):
     return out
 
 
+def oracle_quarter_embedding(n, seed, samples):
+    """suites._check_quarter_embedding as first written, on Fractions and
+    the element types: x = (uv - vu)/4 by normal_form, [x, w] by mul, and
+    (v|w) u - (u|w) v by VectorInV arithmetic and pairing."""
+    syms = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+    elements = {s: cc.CliffordElement.from_symbol(n, s) for s in syms}
+    vectors = {s: cc.VectorInV.basis(n, s) for s in syms}
+    for u in syms:
+        uv = vectors[u]
+        for v in syms:
+            if u == v:
+                continue
+            vv = vectors[v]
+            x = cc.normal_form([u, v], n) - cc.normal_form([v, u], n)
+            x = x.scale(Fraction(1, 4))
+            for w in syms:
+                wc = elements[w]
+                lhs = cc.mul(x, wc) - cc.mul(wc, x)
+                wv = vectors[w]
+                rhs = (
+                    uv.scale(cc.pairing(vv, wv)) - vv.scale(cc.pairing(uv, wv))
+                ).as_clifford()
+                if lhs != rhs:
+                    return f"bracket failed at ({u},{v},{w})"
+
+
 def oracle_half_pair(n, s, t):
     """B_n(S, T) as first written: the exterior letters of the word e_S f
     (f_1..f_n in full) applied by oracle_apply_words to (-1)^(k(k-1)/2) e_T,

@@ -426,29 +426,31 @@ class TestFactorizationAudits:
             assert ca._second_factor_matrix(*args) == oracle_second_factor_matrix(*args)
 
     def test_intertwining_passes_like_the_oracle(self, factorization_calls):
-        for args in factorization_calls["_verify_intertwining"]:
-            assert outcome(ca._verify_intertwining, args) is None
-            assert outcome(oracle_verify_intertwining, args) is None
+        for n0, u, m, m_inv, masks in factorization_calls["_verify_intertwining"]:
+            assert m_inv == linalg.inverse(m)
+            assert outcome(ca._verify_intertwining, (n0, u, m, m_inv, masks)) is None
+            assert outcome(oracle_verify_intertwining, (n0, u, m, masks)) is None
 
     def test_intertwining_mutants_rejected_like_the_oracle(self, factorization_calls):
         rng = make_rng("intertwining-mutants")
         calls = factorization_calls["_verify_intertwining"]
         seen = set()
-        for t, (n0, u, m, masks) in enumerate(calls):
+        for t, (n0, u, m, m_inv, masks) in enumerate(calls):
             r, c = rng.randrange(len(u)), rng.randrange(len(u))
             bumped = [list(row) for row in u]
             bumped[r][c] += Fraction(1, 3)
             rescaled = [list(row) for row in u]
             rescaled[r] = [2 * x for x in rescaled[r]]
             # another word's bottom factor: it preserves the form too
-            other = next(args[2] for args in calls[t + 1 :] + calls[:t] if args[2] != m)
+            other, other_inv = next(args[2:4] for args in calls[t + 1 :] + calls[:t] if args[2] != m)
             sheared = [list(row) for row in m]
             sheared[r % len(m)][c % len(m)] += 1
-            for mutant in ((n0, bumped, m, masks), (n0, rescaled, m, masks),
-                           (n0, u, other, masks), (n0, u, sheared, masks)):
+            for mutant in ((n0, bumped, m, m_inv, masks), (n0, rescaled, m, m_inv, masks),
+                           (n0, u, other, other_inv, masks),
+                           (n0, u, sheared, linalg.inverse(sheared), masks)):
                 got = outcome(ca._verify_intertwining, mutant)
                 assert got is not None
-                assert got == outcome(oracle_verify_intertwining, mutant)
+                assert got == outcome(oracle_verify_intertwining, mutant[:3] + mutant[4:])
                 seen.add(got)
         assert (StructureError, "bottom factor fails the conjugation audit") in seen
         assert (StructureError, "matrix is not skew with respect to the split form") in seen

@@ -11,6 +11,7 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import suites
 from spinalg.errors import IndexRangeError, LevelMismatchError
 
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     oracle_induced_map,
     oracle_letter,
     oracle_normal_form,
+    oracle_quarter_embedding,
     random_clifford,
     random_exterior,
     random_isotropic,
@@ -252,6 +254,37 @@ class TestTwoFormEmbedding:
                     uv.scale(cc.pairing(vv, wv)) - vv.scale(cc.pairing(uv, wv))
                 ).as_clifford()
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bracket_check_matches_the_oracle(self, n):
+        assert suites._check_quarter_embedding(n, 7, 4) is None
+        assert oracle_quarter_embedding(n, 7, 4) is None
+
+    @pytest.mark.parametrize("kind", ["sign", "factor", "drop"])
+    def test_bracket_check_fails_like_the_oracle_on_broken_letters(self, kind, monkeypatch):
+        # one Clifford letter of the table broken: the wedge move's sign
+        # flipped, or the contraction's factor 2 made 3, or the contraction
+        # dropped; every bit of every level, the witness must be the oracle's
+        real = cc._letter_table
+        mutate = {
+            "sign": lambda letter: ((letter[0][0], letter[0][1], -letter[0][2]),) + letter[1:],
+            "factor": lambda letter: letter[:1] + ((letter[1][0], letter[1][1], 3),),
+            "drop": lambda letter: letter[:1],
+        }[kind]
+        failing = 0
+        for n in range(1, 7):
+            for bit in range(0 if kind == "sign" else n, 2 * n):
+                def broken(letter, level, bit=bit):
+                    table = real(letter, level)
+                    if letter is not cc._clifford_letter:
+                        return table
+                    return table[:bit] + (mutate(table[bit]),) + table[bit + 1 :]
+
+                monkeypatch.setattr(cc, "_letter_table", broken)
+                got = suites._check_quarter_embedding(n, 7, 4)
+                assert got == oracle_quarter_embedding(n, 7, 4)
+                failing += got is not None
+        assert failing
 
 
 class TestModuleAction:

@@ -26,6 +26,7 @@ from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import spin_rep as sr
+from spinalg import suites
 
 from conftest import (
     make_rng,
@@ -382,6 +383,7 @@ def test_every_letter_has_int_factors(n, monkeypatch):
         sr.rho_so(form, x)
     sr.rho_standard(sr.SoElement.basis_ef(n, 1, n), x)
     sr.vector_action(v, x)
+    assert suites._check_quarter_embedding(n, 7, 4) is None
     sites = kernel_call_sites()
     if n > 1:
         sr._root_table.__wrapped__(n, "ef", 1, n)
