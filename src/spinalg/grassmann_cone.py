@@ -3,6 +3,7 @@ and the annihilator membership oracle for the isotropic Grassmann cone."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,6 +196,10 @@ def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
     one against the standard f-basis, which pins the scalar of every derived
     object (omega_of, pluecker).  Hand-built rows that are not H's rref fail
     the last adaptation invariant, or the split when they are dependent.
+
+    No package code calls it (omega_of and pluecker use its closed forms); it
+    stays public as the one place a caller gets the e'- and f'-vectors that
+    define those closed forms, and as the reference their tests compare to.
     """
     n = h.n
     if h.dim != n:
@@ -293,22 +298,86 @@ def multiply_vectors(n: int, vectors) -> cc.CliffordElement:
     return out
 
 
+def _is_own_rref(rows) -> bool:
+    """Whether the rows are their own rref: pivots (first nonzero entries)
+    increase, each pivot is 1, and each pivot column is zero elsewhere."""
+    pivots = [next((c for c, x in enumerate(r) if x), -1) for r in rows]
+    return (all(p >= 0 and r[p] == 1 for p, r in zip(pivots, rows)) and pivots == sorted(set(pivots))
+            and not any(r[p] for a, p in enumerate(pivots) for i, r in enumerate(rows) if i != a))
+
+
+def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
+    """(rows, m, det P) for a maximal H: its rref rows, the m = n - k rows W
+    with a nonzero e-part first, then the k rows spanning H∩F.  With J the
+    f-indices outside adapted_basis's `ends` and d the f'-block's determinant
+    before it is normalised (+- the minor of the H∩F rows at `ends`), P is
+    W's e-coordinates at J, (w_a|f'_(k+b)), its last column over d.  Rejects
+    what adapted_basis rejects, in its order and with its error types."""
+    n = h.n
+    if h.dim != n:
+        raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
+    rows = h.rows
+    own = _is_own_rref(rows)
+    if not own:
+        rows = linalg.row_space([list(r) for r in rows])
+        if len(rows) != n:
+            raise StructureError("failed to split H over H∩F")
+    m = sum(1 for r in rows if any(r[:n]))
+    det_p = Fraction(1)
+    if m:
+        reversed_f = [linalg._integer_row(enumerate(reversed(r[n:])))[0] for r in rows[m:]]
+        ends = sorted(n - 1 - c for c, _ in linalg._eliminate(reversed_f))
+        cols = [j for j in range(n) if j not in ends]
+        d = linalg.det([[r[n + c] for c in ends] for r in rows[m:]])
+        if sum(j < c for c in ends for j in cols) % 2:
+            d = -d
+        # on an isotropic H, J is the pivot columns of W, so P * d is the identity
+        p0 = [[r[j] for j in cols] for r in rows[:m]]
+        det_p = (1 if p0 == linalg.identity(m) else linalg.det(p0)) / d
+        if not det_p:
+            raise ValueError("H's rows pair singularly with f'_(k+1)..f'_n")
+    if not own:
+        raise StructureError("adapted rows do not span H")
+    return rows, m, det_p
+
+
 def omega_of(h: IsotropicSubspace) -> sr.SpinVector:
-    """The pure spinor of H: e'_{k+1}..e'_n f'_1..f'_n in the wedge model."""
-    basis = adapted_basis(h)
-    letters = list(basis.new_e[basis.k :]) + list(basis.new_f)
-    prod = multiply_vectors(h.n, letters)
-    omega = sr.from_left_ideal(prod)
+    """The pure spinor of H, e'_{k+1}..e'_n f'_1..f'_n in the wedge model, in
+    closed form from H's rref rows (_rref_split): the f'-block has
+    determinant 1 and F is isotropic, so f'_1..f'_n = f_1..f_n, the vacuum;
+    e'_{k+1..n} = P^-1 W and H is isotropic, so
+
+        omega_H = det(P)^-1 w_1.(w_2.(...(w_m.1))),
+
+    one kernel word of W's integer letters on the vacuum.  The audit: omega
+    is not zero and every row of H annihilates it; the annihilator of a
+    nonzero spinor is isotropic, so this certifies that H is isotropic and
+    omega its pure spinor, and the formula fixes the scalar."""
+    n = h.n
+    rows, m, det_p = _rref_split(h)
+    letters = [sr._vector_letter(r, n) for r in rows]
+    coef = 1 / (det_p * math.prod(scale for _, scale in letters[:m]))
+    omega = sr._act([(coef, [letter for letter, _ in letters[:m]])], sr.SpinVector.basis(n, 0))
     if omega.is_zero():
-        raise StructureError("omega_H vanished; adapted basis is broken")
+        raise StructureError("omega_H vanished: H is not isotropic")
+    for i, (letter, _) in enumerate(letters):
+        if not sr._act([(1, [letter])], omega).is_zero():
+            raise StructureError(f"row {i + 1} of H does not annihilate omega_H")
     return omega
 
 
 def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
-    """Wedge of the adapted rows e'_{k+1}..e'_n, f'_1..f'_k of H."""
-    basis = adapted_basis(h)
-    rows = list(basis.new_e[basis.k :]) + list(basis.new_f[: basis.k])
-    return cc.wedge_of_vectors(h.n, rows)
+    """The wedge of the adapted rows e'_{k+1}..e'_n, f'_1..f'_k of H, in
+    closed form from its rref rows (_rref_split): det(P)^-1 w_1^..^w_m ^
+    hf_1^..^hf_k, with one more factor 1/d when k = n, where d = 1 since the
+    rows are then the standard f-basis.  The audit: the rows are their own
+    rref and the Gram matrix of their integer multiples is zero."""
+    n = h.n
+    rows, _, det_p = _rref_split(h)
+    ints = [linalg._integer_row(enumerate(r))[0] for r in rows]
+    if any(_row_pairing(a, b, n) for i, a in enumerate(ints) for b in ints[i:]):
+        raise StructureError("H is not isotropic: the Gram matrix of its rows is not zero")
+    return cc.wedge_of_vectors(n, [cc.VectorInV.from_coords(n, r) for r in rows]).scale(1 / det_p)
 
 
 def _action_rows(x: sr.SpinVector) -> list[linalg.IntRow]:

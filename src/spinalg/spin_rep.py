@@ -112,13 +112,19 @@ def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     return vector_action(v, omega).scale(Fraction(1, 2))
 
 
+def _vector_letter(coords, n: int) -> tuple[tuple, int]:
+    """vector_action's letter for coordinates (e-block, f-block), scaled to
+    int factors: (L times the letter, L), as cc._int_letter returns it."""
+    return cc._int_letter(
+        tuple(cc._wedge(i, c) for i, c in enumerate(coords[:n]) if c)
+        + tuple(cc._contract(j, 2 * c) for j, c in enumerate(coords[n:]) if c)
+    )
+
+
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
     omega._check_level(v)
-    letter, scale = cc._int_letter(
-        tuple(cc._wedge(i, c) for i, c in enumerate(v.e) if c)
-        + tuple(cc._contract(j, 2 * c) for j, c in enumerate(v.f) if c)
-    )
+    letter, scale = _vector_letter(v.e + v.f, v.n)
     return _act([(Fraction(1, scale), [letter])], omega)
 
 
@@ -575,16 +581,19 @@ def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, in
 
 def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], n: int) -> None:
     """In-place action of exp(t X) on a coordinate vector of V (e-block, f-block)."""
-    a = coords  # a[0..n-1] e-coords, a[n..2n-1] f-coords
+    for a, b, sign in _step_rows(kind, i, j, n):
+        coords[a] += sign * t * coords[b]
+
+
+def _step_rows(kind: str, i: int, j: int, n: int) -> tuple:
+    """The two coordinates that exp(tX) moves, as (target, source, sign):
+    coordinate target gains sign * t * coordinate source (_apply_step).  No
+    source is a target, so both moves read the coordinates before the step."""
     if kind == "ee":
-        a[i - 1] += t * a[n + j - 1]
-        a[j - 1] -= t * a[n + i - 1]
-    elif kind == "ff":
-        a[n + i - 1] += t * a[j - 1]
-        a[n + j - 1] -= t * a[i - 1]
-    else:  # ef
-        a[i - 1] += t * a[j - 1]
-        a[n + j - 1] -= t * a[n + i - 1]
+        return (i - 1, n + j - 1, 1), (j - 1, n + i - 1, -1)
+    if kind == "ff":
+        return (n + i - 1, j - 1, 1), (n + j - 1, i - 1, -1)
+    return (i - 1, j - 1, 1), (n + j - 1, n + i - 1, -1)
 
 
 def _form_adjoint(m: list) -> list:
@@ -656,18 +665,27 @@ class GroupElement:
 
     def so_matrix(self):
         """Image in the special orthogonal group: column c is the basis vector
-        c of V moved by the word's steps, last step first."""
+        c of V moved by the word's steps, last step first.  Runs on integer
+        rows R over one denominator, M = R / den: each step exp(tX), t = p/q,
+        multiplies M on the left, R <- q R + p X R and den <- q den, with X R
+        two rows (_step_rows), and one Fraction is made per entry at the end."""
         if self._so is not None:
             return self._so
         size = 2 * self.n
-        cols = []
-        for c in range(size):
-            col = [Fraction(0)] * size
-            col[c] = Fraction(1)
-            for kind, i, j, t in reversed(self.word):
-                _apply_step(kind, i, j, t, col, self.n)
-            cols.append(col)
-        self._so = [list(row) for row in zip(*cols)]
+        rows = [[int(r == c) for c in range(size)] for r in range(size)]
+        den = 1
+        for kind, i, j, t in reversed(self.word):
+            if not t:
+                continue
+            p, q = t.numerator, t.denominator
+            moved = [(a, [q * x + sign * p * y for x, y in zip(rows[a], rows[b])])
+                     for a, b, sign in _step_rows(kind, i, j, self.n)]
+            if q != 1:
+                rows = [[q * x for x in row] for row in rows]
+                den *= q
+            for a, row in moved:
+                rows[a] = row
+        self._so = [[Fraction(x, den) for x in row] for row in rows]
         return self._so
 
     def so_matrix_inverse(self):

@@ -798,6 +798,46 @@ def oracle_adapted_basis(h):
     return basis
 
 
+def oracle_omega_of(h, basis=None):
+    """grassmann_cone.omega_of as first written: the Clifford product
+    e'_{k+1}..e'_n f'_1..f'_n of the oracle's adapted basis (or of `basis`,
+    when given), read in the wedge model."""
+    basis = basis or oracle_adapted_basis(h)
+    prod = gc.multiply_vectors(h.n, list(basis.new_e[basis.k :]) + list(basis.new_f))
+    omega = sr.from_left_ideal(prod)
+    if omega.is_zero():
+        raise StructureError("omega_H vanished; adapted basis is broken")
+    return omega
+
+
+def oracle_pluecker(h, basis=None):
+    """grassmann_cone.pluecker as first written: the wedge of the adapted
+    rows e'_{k+1}..e'_n, f'_1..f'_k of the oracle's basis (or of `basis`)."""
+    basis = basis or oracle_adapted_basis(h)
+    return cc.wedge_of_vectors(h.n, list(basis.new_e[basis.k :]) + list(basis.new_f[: basis.k]))
+
+
+def oracle_so_matrix_replay(g):
+    """GroupElement.so_matrix as first written: each basis column of V moved
+    by the word's steps on Fractions, last step first, in place."""
+    n, size = g.n, 2 * g.n
+    cols = []
+    for c in range(size):
+        a = [Fraction(int(r == c)) for r in range(size)]
+        for kind, i, j, t in reversed(g.word):
+            if kind == "ee":
+                a[i - 1] += t * a[n + j - 1]
+                a[j - 1] -= t * a[n + i - 1]
+            elif kind == "ff":
+                a[n + i - 1] += t * a[j - 1]
+                a[n + j - 1] -= t * a[i - 1]
+            else:
+                a[i - 1] += t * a[j - 1]
+                a[n + j - 1] -= t * a[n + i - 1]
+        cols.append(a)
+    return [list(row) for row in zip(*cols)]
+
+
 def random_exterior(n, rng, nterms=4, den=1):
     """A few seeded monomials over the 2n symbol bits, coefficients in
     [-2, 2] over den."""

@@ -23,6 +23,8 @@ from conftest import (
     make_rng,
     oracle_adapted_basis,
     oracle_annihilator,
+    oracle_omega_of,
+    oracle_pluecker,
     pfaffian,
     random_spin,
 )
@@ -63,12 +65,18 @@ class TestCheckIsotropic:
 
 
 def outcome(build, h):
-    """(None, None) when build(h) returns, else the error's type and message."""
+    """(None, the result) when build(h) returns, else the error's type and
+    message."""
     try:
-        build(h)
+        return None, build(h)
     except Exception as exc:
         return type(exc), str(exc)
-    return None, None
+
+
+# what omega_of and pluecker must match: adapted_basis's oracle, built on
+# into the objects as first written
+CLOSED_FORMS = ((gc.omega_of, oracle_omega_of), (gc.pluecker, oracle_pluecker))
+BUILDS = ((gc.adapted_basis, oracle_adapted_basis),) + CLOSED_FORMS
 
 
 class TestAdaptedBasis:
@@ -99,7 +107,7 @@ class TestAdaptedBasis:
 
     def test_rejects_non_maximal(self):
         sub = gc.check_isotropic([cc.VectorInV.basis(3, 1)], 3)
-        for build in (gc.adapted_basis, oracle_adapted_basis):
+        for build in (b for pair in BUILDS for b in pair):
             with pytest.raises(SpinalgError) as err:
                 build(sub)
             assert type(err.value) is SpinalgError
@@ -107,8 +115,12 @@ class TestAdaptedBasis:
 
     @staticmethod
     def assert_matches_oracle(h):
+        # omega_of and pluecker read the adapted basis's objects off H's rref
+        # rows in closed form; each equals the oracle built from the basis
         ab, ref = gc.adapted_basis(h), oracle_adapted_basis(h)
         assert (ab.k, ab.new_e, ab.new_f) == (ref.k, ref.new_e, ref.new_f)
+        assert gc.omega_of(h) == oracle_omega_of(h, ref)
+        assert gc.pluecker(h) == oracle_pluecker(h, ref)
         return ab.k
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -133,7 +145,7 @@ class TestAdaptedBasis:
         return gc.IsotropicSubspace(n, tuple(tuple(r) for r in rows))
 
     def assert_rejected_like_oracle(self, h, message):
-        for build in (gc.adapted_basis, oracle_adapted_basis):
+        for build in (b for pair in BUILDS for b in pair):
             with pytest.raises(StructureError) as err:
                 build(h)
             assert str(err.value) == message
@@ -142,7 +154,9 @@ class TestAdaptedBasis:
     def test_rows_other_than_the_rref_are_rejected(self, n):
         for h in (gc.coordinate_subspace(n, 1), gc.random_maximal_isotropic(n, f"ab-bad:{n}", 2)):
             rows = [list(r) for r in h.rows]
-            for bad in ([[2 * x for x in r] for r in rows], rows[::-1], rows[1:] + rows[:1]):
+            # scaled, reordered, and echelon with a pivot column not cleared
+            echelon = [[x + y for x, y in zip(rows[0], rows[1])]] + rows[1:]
+            for bad in ([[2 * x for x in r] for r in rows], rows[::-1], rows[1:] + rows[:1], echelon):
                 self.assert_rejected_like_oracle(self.hand_built(n, bad), "adapted rows do not span H")
             self.assert_rejected_like_oracle(
                 self.hand_built(n, rows[:-1] + rows[:1]), "failed to split H over H∩F"
@@ -153,9 +167,13 @@ class TestAdaptedBasis:
         # rref, and on dependent rows, the outcome is the oracle's, message
         # included.  Independent rows that are not their rref keep the error
         # type: off isotropy, the oracle's complement of H∩F, picked from the
-        # rows as given, can make verify() name another pair.
+        # rows as given, can make verify() name another pair.  omega_of and
+        # pluecker accept exactly what the oracle accepts, with its result,
+        # and raise its error type; off isotropy they name their own audit,
+        # so only the split and rref messages are pinned for them.
+        pinned = {"failed to split H over H∩F", "adapted rows do not span H"}
         rng = make_rng("ab-hand-built")
-        verdicts = set()
+        verdicts = {build: set() for build, _ in BUILDS}
         for _ in range(120):
             n = rng.randint(2, 4)
             rows = [[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(2 * n)] for _ in range(n)]
@@ -163,10 +181,15 @@ class TestAdaptedBasis:
             exact = canonical == rows or len(canonical) < n
             for candidate, same_message in ((canonical, True), (rows, exact)):
                 h = self.hand_built(n, candidate)
-                got, want = outcome(gc.adapted_basis, h), outcome(oracle_adapted_basis, h)
-                assert got == want if same_message else got[0] == want[0]
-                verdicts.add(got[0])
-        assert verdicts >= {None, SpinalgError, StructureError, ValueError}
+                for build, oracle in BUILDS:
+                    got, want = outcome(build, h), outcome(oracle, h)
+                    assert got[0] == want[0], (build.__name__, candidate, got, want)
+                    pin = same_message if build is gc.adapted_basis else got[0] is None or want[1] in pinned
+                    if pin:
+                        assert got == want, (build.__name__, candidate)
+                    verdicts[build].add(got[0])
+        for seen in verdicts.values():
+            assert seen >= {None, SpinalgError, StructureError, ValueError}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_zero_row_fails_the_split(self, n):

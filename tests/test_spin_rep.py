@@ -23,6 +23,7 @@ from conftest import (
     oracle_random_group_element,
     oracle_root_table,
     oracle_so_matrix,
+    oracle_so_matrix_replay,
     oracle_word_rows,
     random_spin,
     random_vector,
@@ -388,6 +389,24 @@ class TestGroupElements:
         g = sr.GroupElement(3, [("ef", 1, 2, Fraction(1, 3)), ("ee", 2, 3, 0)])
         assert g.so_matrix() == oracle_so_matrix(g)
         assert sr.GroupElement.identity(2).so_matrix() == linalg.identity(4)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_so_matrix_matches_the_fraction_replay(self, n):
+        # integer rows over one denominator against the in-place Fraction
+        # replay; random words carry integer parameters only, so words with
+        # denominators (and zero steps) exercise the scaling
+        rng = make_rng(f"so-replay:{n}")
+        roots = sr.all_root_vectors(n)
+        for length in range(1, 11):
+            words = [sr.random_group_element(n, f"so-replay:{length}", length).word]
+            words += [[(*rng.choice(roots), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(length)]
+                      for _ in range(3)]
+            for word in words:
+                g = sr.GroupElement(n, word)
+                m = g.so_matrix()
+                assert m == oracle_so_matrix_replay(g), (n, word)
+                assert all(type(x) is Fraction for row in m for x in row)
+                assert g.so_matrix() is m
 
 
 class TestLinearOperator:

@@ -383,6 +383,7 @@ def test_every_letter_has_int_factors(n, monkeypatch):
         sr.rho_so(form, x)
     sr.rho_standard(sr.SoElement.basis_ef(n, 1, n), x)
     sr.vector_action(v, x)
+    gc.omega_of(gc.annihilator(gc.sample_cone_point(n, "int-letters")) if n > 1 else gc.coordinate_subspace(1, 1))
     assert suites._check_quarter_embedding(n, 7, 4) is None
     sites = kernel_call_sites()
     if n > 1:
