@@ -184,6 +184,13 @@ def _complete_e_rows(
     return [built[i] for i in range(1, n + 1)]
 
 
+def _f_ends(hf, n: int) -> list[int]:
+    """The f-indices, ascending, at which the vectors of span(hf) in F end:
+    the pivots of one elimination of the rows' f-parts from the last column."""
+    reversed_f = [linalg._integer_row(enumerate(reversed(r[n:])))[0] for r in hf]
+    return sorted(n - 1 - c for c, _ in linalg._eliminate(reversed_f))
+
+
 def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
     """Deterministic adapted hyperbolic basis for a maximal isotropic H.
 
@@ -211,8 +218,7 @@ def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
     hf = [r for r in canonical if not any(r[:n])]
     w_rows = [r for r in canonical if any(r[:n])]
     k = len(hf)
-    reversed_f = [linalg._integer_row(enumerate(reversed(r[n:])))[0] for r in hf]
-    ends = {n - 1 - c for c, _ in linalg._eliminate(reversed_f)}
+    ends = _f_ends(hf, n)
     fprime_coords = hf + [cc.VectorInV.basis(n, -j - 1).coords() for j in range(n) if j not in ends]
     # normalize the f'-block to determinant 1 over the standard f-basis
     d = linalg.det([row[n:] for row in fprime_coords])
@@ -309,8 +315,8 @@ def _is_own_rref(rows) -> bool:
 def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
     """(rows, m, det P) for a maximal H: its rref rows, the m = n - k rows W
     with a nonzero e-part first, then the k rows spanning H∩F.  With J the
-    f-indices outside adapted_basis's `ends` and d the f'-block's determinant
-    before it is normalised (+- the minor of the H∩F rows at `ends`), P is
+    f-indices outside their ends (_f_ends) and d the f'-block's determinant
+    before it is normalised (+- the minor of the H∩F rows at the ends), P is
     W's e-coordinates at J, (w_a|f'_(k+b)), its last column over d.  Rejects
     what adapted_basis rejects, in its order and with its error types."""
     n = h.n
@@ -325,15 +331,12 @@ def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
     m = sum(1 for r in rows if any(r[:n]))
     det_p = Fraction(1)
     if m:
-        reversed_f = [linalg._integer_row(enumerate(reversed(r[n:])))[0] for r in rows[m:]]
-        ends = sorted(n - 1 - c for c, _ in linalg._eliminate(reversed_f))
+        ends = _f_ends(rows[m:], n)
         cols = [j for j in range(n) if j not in ends]
         d = linalg.det([[r[n + c] for c in ends] for r in rows[m:]])
         if sum(j < c for c in ends for j in cols) % 2:
             d = -d
-        # on an isotropic H, J is the pivot columns of W, so P * d is the identity
-        p0 = [[r[j] for j in cols] for r in rows[:m]]
-        det_p = (1 if p0 == linalg.identity(m) else linalg.det(p0)) / d
+        det_p = linalg.det([[r[j] for j in cols] for r in rows[:m]]) / d
         if not det_p:
             raise ValueError("H's rows pair singularly with f'_(k+1)..f'_n")
     if not own:
