@@ -204,9 +204,10 @@ def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
     object (omega_of, pluecker).  Hand-built rows that are not H's rref fail
     the last adaptation invariant, or the split when they are dependent.
 
-    No package code calls it (omega_of and pluecker use its closed forms); it
-    stays public as the one place a caller gets the e'- and f'-vectors that
-    define those closed forms, and as the reference their tests compare to.
+    omega_of and pluecker read its objects off H's rref rows in closed form
+    and call it only to reject rows that are not their own rref.  It stays
+    public as the one place a caller gets the e'- and f'-vectors that define
+    those closed forms, and as the reference their tests compare to.
     """
     n = h.n
     if h.dim != n:
@@ -316,46 +317,37 @@ def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
     """(rows, m, det P) for a maximal H: its rref rows, the m = n - k rows W
     with a nonzero e-part first, then the k rows spanning H∩F.  With J the
     f-indices outside their ends (_f_ends) and d the f'-block's determinant
-    before it is normalised (+- the minor of the H∩F rows at the ends), P is
-    W's e-coordinates at J, (w_a|f'_(k+b)), its last column over d.  Rejects
-    what adapted_basis rejects, in its order and with its error types."""
-    n = h.n
-    if h.dim != n:
-        raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
-    rows = h.rows
-    own = _is_own_rref(rows)
-    if not own:
-        rows = linalg.row_space([list(r) for r in rows])
-        if len(rows) != n:
-            raise StructureError("failed to split H over H∩F")
+    before it is normalised, P is W's e-coordinates at J, (w_a|f'_(k+b)), its
+    last column over d.  Rejects what adapted_basis rejects, with its error
+    types."""
+    n, rows = h.n, h.rows
+    if h.dim != n or not _is_own_rref(rows):
+        adapted_basis(h)  # raises: its dimension check, split or last invariant
     m = sum(1 for r in rows if any(r[:n]))
-    det_p = Fraction(1)
-    if m:
-        ends = _f_ends(rows[m:], n)
-        cols = [j for j in range(n) if j not in ends]
-        d = linalg.det([[r[n + c] for c in ends] for r in rows[m:]])
-        if sum(j < c for c in ends for j in cols) % 2:
-            d = -d
-        det_p = linalg.det([[r[j] for j in cols] for r in rows[:m]]) / d
-        if not det_p:
-            raise ValueError("H's rows pair singularly with f'_(k+1)..f'_n")
-    if not own:
-        raise StructureError("adapted rows do not span H")
+    if not m:
+        return rows, 0, Fraction(1)
+    ends = _f_ends(rows[m:], n)
+    cols = [j for j in range(n) if j not in ends]
+    # d is +- the minor of the H∩F rows at their ends
+    d = linalg.det([[r[n + c] for c in ends] for r in rows[m:]])
+    if sum(j < c for c in ends for j in cols) % 2:
+        d = -d
+    det_p = linalg.det([[r[j] for j in cols] for r in rows[:m]]) / d
+    if not det_p:
+        raise ValueError("H's rows pair singularly with f'_(k+1)..f'_n")
     return rows, m, det_p
 
 
 def omega_of(h: IsotropicSubspace) -> sr.SpinVector:
     """The pure spinor of H, e'_{k+1}..e'_n f'_1..f'_n in the wedge model, in
-    closed form from H's rref rows (_rref_split): the f'-block has
-    determinant 1 and F is isotropic, so f'_1..f'_n = f_1..f_n, the vacuum;
-    e'_{k+1..n} = P^-1 W and H is isotropic, so
-
-        omega_H = det(P)^-1 w_1.(w_2.(...(w_m.1))),
-
-    one kernel word of W's integer letters on the vacuum.  The audit: omega
-    is not zero and every row of H annihilates it; the annihilator of a
-    nonzero spinor is isotropic, so this certifies that H is isotropic and
-    omega its pure spinor, and the formula fixes the scalar."""
+    closed form from H's rref rows (_rref_split): f'_1..f'_n = f_1..f_n, the
+    vacuum, since the f'-block has determinant 1 and F is isotropic, and
+    e'_{k+1}..e'_n = det(P)^-1 w_1..w_m, since e'_{k+1..n} = P^-1 W and H is
+    isotropic.  So omega_H = det(P)^-1 w_1.(w_2.(...(w_m.1))), one kernel word
+    of W's integer letters on the vacuum.  The audit: omega is not zero and
+    every row of H annihilates it.  The annihilator of a nonzero spinor is
+    isotropic, so this certifies that H is isotropic and omega its pure
+    spinor; the formula fixes the scalar."""
     n = h.n
     rows, m, det_p = _rref_split(h)
     letters = [sr._vector_letter(r, n) for r in rows]

@@ -675,8 +675,6 @@ class GroupElement:
         rows = [[int(r == c) for c in range(size)] for r in range(size)]
         den = 1
         for kind, i, j, t in reversed(self.word):
-            if not t:
-                continue
             p, q = t.numerator, t.denominator
             moved = [(a, [q * x + sign * p * y for x, y in zip(rows[a], rows[b])])
                      for a, b, sign in _step_rows(kind, i, j, self.n)]
