@@ -350,7 +350,7 @@ def omega_of(h: IsotropicSubspace) -> sr.SpinVector:
     spinor; the formula fixes the scalar."""
     n = h.n
     rows, m, det_p = _rref_split(h)
-    letters = [sr._vector_letter(r, n) for r in rows]
+    letters = [sr._action_letter(r, n) for r in rows]
     coef = 1 / (det_p * math.prod(scale for _, scale in letters[:m]))
     omega = sr._act([(coef, [letter for letter, _ in letters[:m]])], sr.SpinVector.basis(n, 0))
     if omega.is_zero():

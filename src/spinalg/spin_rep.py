@@ -112,7 +112,7 @@ def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     return vector_action(v, omega).scale(Fraction(1, 2))
 
 
-def _vector_letter(coords, n: int) -> tuple[tuple, int]:
+def _action_letter(coords, n: int) -> tuple[tuple, int]:
     """vector_action's letter for coordinates (e-block, f-block), scaled to
     int factors: (L times the letter, L), as cc._int_letter returns it."""
     return cc._int_letter(
@@ -124,7 +124,7 @@ def _vector_letter(coords, n: int) -> tuple[tuple, int]:
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
     omega._check_level(v)
-    letter, scale = _vector_letter(v.e + v.f, v.n)
+    letter, scale = _action_letter(v.e + v.f, v.n)
     return _act([(Fraction(1, scale), [letter])], omega)
 
 

@@ -73,10 +73,13 @@ def outcome(build, h):
         return type(exc), str(exc)
 
 
-# what omega_of and pluecker must match: adapted_basis's oracle, built on
-# into the objects as first written
-CLOSED_FORMS = ((gc.omega_of, oracle_omega_of), (gc.pluecker, oracle_pluecker))
-BUILDS = ((gc.adapted_basis, oracle_adapted_basis),) + CLOSED_FORMS
+# each build with its oracle: omega_of and pluecker must match adapted_basis's
+# oracle, built on into the objects as first written
+BUILDS = (
+    (gc.adapted_basis, oracle_adapted_basis),
+    (gc.omega_of, oracle_omega_of),
+    (gc.pluecker, oracle_pluecker),
+)
 
 
 class TestAdaptedBasis:
