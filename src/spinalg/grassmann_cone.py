@@ -4,6 +4,7 @@ and the annihilator membership oracle for the isotropic Grassmann cone."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,14 +25,31 @@ class IsotropicSubspace:
     """A subspace of the level-n space on which the form vanishes.
 
     Rows are kept in reduced row echelon form, so equal subspaces compare
-    equal.  Use check_isotropic() to construct from candidate rows.
+    equal.  The constructor takes the rows of that form and checks them:
+    IndexRangeError for a row that is not 2n long, NotIsotropicError for a
+    nonzero Gram entry, SpinalgError for dependent rows and StructureError
+    for independent rows that are not their own rref.  Use check_isotropic()
+    to construct from any spanning rows.
     """
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, n: int, rows):
+        coords = _as_coord_rows(rows, n)
+        span = check_isotropic(coords, n)
+        if [list(r) for r in span.rows] != coords:
+            raise StructureError("rows are not their own rref")
+        self.n = n
+        self.rows = span.rows
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[tuple[Fraction, ...], ...]) -> "IsotropicSubspace":
+        """The subspace on rows as given, unchecked: they must be the rref rows
+        of an isotropic subspace, each a tuple of 2n Fractions."""
+        self = object.__new__(cls)
         self.n = n
         self.rows = rows
+        return self
 
     @property
     def dim(self) -> int:
@@ -96,7 +114,7 @@ def _isotropic_subspace(rows: list[linalg.IntRow], scales: list, n: int) -> Isot
     pivots = linalg._eliminate(rows)
     if len(pivots) != len(rows):
         raise SpinalgError(f"rows are rank deficient: rank {len(pivots)} < {len(rows)}")
-    return IsotropicSubspace(n, tuple(map(tuple, linalg._pivot_rows(rows, pivots, 2 * n))))
+    return IsotropicSubspace._trusted(n, tuple(map(tuple, linalg._pivot_rows(rows, pivots, 2 * n))))
 
 
 def check_isotropic(rows, n: int) -> IsotropicSubspace:
@@ -375,47 +393,109 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
     return cc.wedge_of_vectors(n, [cc.VectorInV.from_coords(n, r) for r in rows]).scale(1 / det_p)
 
 
-def _action_rows(x: sr.SpinVector) -> list[linalg.IntRow]:
-    """The rows of the integer action matrix of v -> v.x, one per image mask.
-
-    Works on the primitive integer multiple of x, which has the same
-    annihilator.  Column e_i wedges bit i-1 into each mask of x, column f_j
-    contracts bit j-1 out with the factor 2 (as in vector_action), each with
-    the sign of the set bits below it; a (row, column) entry has exactly one
-    source mask."""
-    n = x.n
-    action: dict[int, linalg.IntRow] = {}
-    for m, c in linalg._integer_row(x.terms.items())[0].items():
-        for i in range(n):
-            b = 1 << i
-            v = -c if (m & (b - 1)).bit_count() & 1 else c
-            if m & b:
-                action.setdefault(m ^ b, {})[n + i] = 2 * v
+def _action_row(ints: linalg.IntRow, t: int, n: int) -> linalg.IntRow:
+    """The row at image mask t of the integer action matrix of v -> v.X on
+    the primitive integer multiple X = ints of x, which has the same
+    annihilator.  Column e_i wedges bit i-1 into mask t ^ (1 << (i-1)) of X
+    when t has that bit, column f_i contracts it out with the factor 2 (as in
+    vector_action) when t has not, each with the sign of the set bits of t
+    below it; a (row, column) entry has exactly one source mask."""
+    row = {}
+    for i in range(n):
+        b = 1 << i
+        c = ints.get(t ^ b)
+        if c:
+            v = -c if (t & (b - 1)).bit_count() & 1 else c
+            if t & b:
+                row[i] = v
             else:
-                action.setdefault(m | b, {})[i] = v
-    return list(action.values())
+                row[n + i] = 2 * v
+    return row
 
 
-def _kernel_subspace(rows: list[linalg.IntRow], n: int) -> IsotropicSubspace:
-    """The kernel of the action rows, after the same audit as
-    check_isotropic.  Eliminates the rows in place."""
-    kernel = linalg._kernel(rows, linalg._eliminate(rows), 2 * n)
-    if not kernel:
-        return IsotropicSubspace(n, ())
-    sub = _isotropic_subspace([v for v, _ in kernel], [l for _, l in kernel], n)
-    if sub.dim > n:
-        raise StructureError("annihilator dimension exceeds n")
-    return sub
+def _split_action(x: sr.SpinVector) -> tuple[dict[int, tuple[int, linalg.IntRow]], int, Iterator[linalg.IntRow]]:
+    """The action rows of x (_action_row) split at its first support mask s0.
+
+    With C the columns e_i for the bits i-1 outside s0 and f_i for those in
+    s0, the row at s0 ^ (1 << (i-1)) has exactly one entry D in C, +-X[s0] or
+    +-2 X[s0], in the column of bit i-1: these n rows are pivots [D | M] with
+    D diagonal, so the rank is at least n.  Returns (pivots, l, others): l is
+    the lcm of the D, pivots maps each column c of C to (l / D_c, M_c) with
+    M_c the pivot row off C, and others yields the other nonzero rows one at
+    a time."""
+    n = x.n
+    ints = linalg._integer_row(x.terms.items())[0]
+    s0 = next(iter(ints))
+    pivots = {}
+    for i in range(n):
+        row = _action_row(ints, s0 ^ (1 << i), n)
+        c = n + i if s0 >> i & 1 else i
+        pivots[c] = (row.pop(c), row)
+    l = math.lcm(*(d for d, _ in pivots.values()))
+
+    def others():
+        seen = {s0 ^ (1 << i) for i in range(n)}
+        for m in ints:
+            for i in range(n):
+                t = m ^ (1 << i)
+                if t not in seen:
+                    seen.add(t)
+                    yield _action_row(ints, t, n)
+
+    return {c: (l // d, rest) for c, (d, rest) in pivots.items()}, l, others()
+
+
+def _residual(row: linalg.IntRow, pivots: dict, l: int) -> linalg.IntRow:
+    """l row - sum over c in C of row[c] (l / D_c) pivot_c: the row reduced
+    by the pivot rows in one pass, zero on C, so kept off C."""
+    out = {k: l * v for k, v in row.items() if k not in pivots}
+    for c, v in row.items():
+        if c in pivots:
+            q, rest = pivots[c]
+            f = v * q
+            for k, y in rest.items():
+                z = out.get(k, 0) - f * y
+                if z:
+                    out[k] = z
+                else:
+                    del out[k]
+    return out
+
+
+def _split_kernel(pivots: dict, l: int, residuals: list[linalg.IntRow], n: int) -> IsotropicSubspace:
+    """The annihilator from the split (_split_action): the kernel of the
+    residual rows over the n columns off C, each vector w lifted to
+    l w - sum over c in C of (l / D_c)(M_c . w) e_c, after the same audit as
+    check_isotropic.  Eliminates the residual rows in place."""
+    lift: dict[int, dict[int, int]] = {}  # column k off C -> {c: -(l / D_c) M_c[k]}
+    for c, (q, rest) in pivots.items():
+        for k, y in rest.items():
+            lift.setdefault(k, {})[c] = -q * y
+    rows, scales = [], []
+    free = [k for k in range(2 * n) if k not in pivots]
+    for w, s in linalg._kernel(residuals, linalg._eliminate(residuals), free):
+        v = {k: l * y for k, y in w.items()}
+        for k, y in w.items():
+            for c, z in lift.get(k, {}).items():
+                v[c] = v.get(c, 0) + z * y
+        rows.append({k: y for k, y in v.items() if y})
+        scales.append(l * s)
+    return _isotropic_subspace(rows, scales, n)
 
 
 def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
     """The exact nullspace of v -> v.x in V; always isotropic of dim <= n.
 
-    The kernel of the integer action matrix (see _action_rows) passes the
-    same audit as check_isotropic."""
+    The action rows are split at one support mask of x into n pivot rows,
+    diagonal on a set C of n columns, and the rest (_split_action); each
+    other row is reduced against the pivots in one pass (_residual).  The
+    kernel of the residuals on the n columns off C, lifted through the
+    pivots, is the annihilator; it passes the same audit as check_isotropic."""
     if x.is_zero():
         raise SpinalgError("annihilator of the zero vector is all of V")
-    return _kernel_subspace(_action_rows(x), x.n)
+    pivots, l, others = _split_action(x)
+    residuals = [r for r in (_residual(row, pivots, l) for row in others) if r]
+    return _split_kernel(pivots, l, residuals, x.n)
 
 
 @dataclass(frozen=True)
@@ -433,27 +513,19 @@ class PurityResult:
 def is_pure(x: sr.SpinVector) -> PurityResult:
     """Annihilator-rank membership oracle for the isotropic Grassmann cone.
 
-    The annihilator of a nonzero x is isotropic, so its dimension is at most
-    n and the rank r of the 2n-column action matrix is at least n; x is pure
-    iff r == n.  If the first n+1 action rows already reduce to n+1 pivots,
-    then r > n and x is not pure: that verdict is exact and returns without
-    a kernel.  Otherwise the full annihilator path runs on all the rows,
-    the n+1 reduced ones in place of their originals (the same row space,
-    so the same kernel): elimination, kernel, isotropy audit and dim == n,
-    so a pure verdict carries the audited subspace.  Points certified by the
-    n+1 rows skip the audit; annihilator() still audits every kernel."""
+    The action matrix of a nonzero x has n pivot rows, diagonal on a set C
+    of n columns (_split_action), so its rank is at least n; x is pure iff
+    the rank is exactly n, that is iff every other row reduces to zero
+    against those pivots (_residual).  The first nonzero residual returns
+    "not pure".  Otherwise the annihilator is explicit: one vector per
+    column off C, lifted through the pivots, and a pure verdict carries it
+    after the same audit as annihilator() (_split_kernel)."""
     if x.is_zero():
         return PurityResult("zero", None)
-    n = x.n
-    rows = _action_rows(x)
-    head = rows[: n + 1]
-    if len(linalg._eliminate(head)) > n:
+    pivots, l, others = _split_action(x)
+    if any(_residual(row, pivots, l) for row in others):
         return PurityResult("not_pure", None)
-    rows[: n + 1] = head
-    ann = _kernel_subspace(rows, n)
-    if ann.dim == n:
-        return PurityResult("pure", ann)
-    return PurityResult("not_pure", None)
+    return PurityResult("pure", _split_kernel(pivots, l, [], x.n))
 
 
 def sample_cone_point(n: int, seed, component: str = "even", length: int = 6) -> sr.SpinVector:

@@ -122,39 +122,49 @@ def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list
     the integers.
 
     Column by column, the shortest row that is not yet a pivot row and has an
-    entry in column c becomes the pivot row r_p, with pivot pv = r_p[c].  Every
-    other row r_i with an entry there becomes (pv r_i - r_i[c] r_p) / g, with
-    the common factor of pv and r_i[c] taken out first and g the gcd of the
-    result, so every row stays primitive.  Returns (column, row index) of each
-    pivot in column order; afterwards each pivot row is zero in every other
-    pivot column.  When `scales` is given, each step also multiplies
-    scales[i] by the factor a / g it multiplied row i by, so the determinant
-    of the rows over the product of the scales stays the same.
+    entry in column c becomes the pivot row r_p, with pivot pv = r_p[c]; ties
+    go to the lowest row index.  Every other row r_i with an entry there
+    becomes (pv r_i - r_i[c] r_p) / g, with the common factor of pv and r_i[c]
+    taken out first and g the gcd of the result, so every row stays
+    primitive.  A column index (the set of rows with an entry in each column,
+    kept as fill-in appears and cancels) finds the rows with an entry in c
+    without visiting the others.  Returns (column, row index) of each pivot
+    in column order; afterwards each pivot row is zero in every other pivot
+    column.  When `scales` is given, each step also multiplies scales[i] by
+    the factor a / g it multiplied row i by, so the determinant of the rows
+    over the product of the scales stays the same.
     """
-    waiting = {i for i, row in enumerate(rows) if row}
+    holding: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for k in row:
+            holding.setdefault(k, set()).add(i)
+    pivoted: set[int] = set()
     pivots: list[tuple[int, int]] = []
-    for c in sorted(set().union(*rows)):
-        candidates = [i for i in waiting if c in rows[i]]
+    for c in sorted(holding):
+        candidates = holding[c] - pivoted
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: len(rows[i]))
-        waiting.discard(p)
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        pivoted.add(p)
         pivots.append((c, p))
         pivot_row = rows[p]
         pv = pivot_row[c]
-        for i, row in enumerate(rows):
-            ric = row.get(c)
-            if ric is None or i == p:
+        for i in list(holding[c]):
+            if i == p:
                 continue
-            g = gcd(pv, ric)
-            a, b = pv // g, ric // g
+            row = rows[i]
+            g = gcd(pv, row[c])
+            a, b = pv // g, row[c] // g
             new = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
             for k, v in pivot_row.items():
                 x = new.get(k, 0) - b * v
                 if x:
+                    if k not in new:
+                        holding[k].add(i)
                     new[k] = x
                 else:
                     del new[k]
+                    holding[k].discard(i)
             content = reduce(gcd, new.values()) if new else 1
             if content != 1:
                 new = {k: v // content for k, v in new.items()}
@@ -186,13 +196,14 @@ def _pivot_rows(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) ->
     return out
 
 
-def _kernel(rows: list[IntRow], pivots: list[tuple[int, int]], cols: int) -> list[tuple[IntRow, int]]:
-    """Integer kernel basis of eliminated rows: for each free column f in
-    order, (v, l) with v / l the kernel vector whose f coordinate is 1 and
-    whose free coordinates are otherwise 0 (so v[f] = l > 0)."""
+def _kernel(rows: list[IntRow], pivots: list[tuple[int, int]], columns) -> list[tuple[IntRow, int]]:
+    """Integer kernel basis of eliminated rows over the given columns (every
+    column of the rows among them): for each free column f in order, (v, l)
+    with v / l the kernel vector whose f coordinate is 1 and whose free
+    coordinates are otherwise 0 (so v[f] = l > 0)."""
     pivot_cols = {c for c, _ in pivots}
     out = []
-    for free in range(cols):
+    for free in columns:
         if free in pivot_cols:
             continue
         hits = [(c, rows[i][free], rows[i][c]) for c, i in pivots if free in rows[i]]
@@ -259,7 +270,7 @@ def nullspace(a: Matrix) -> Matrix:
     """Canonical kernel basis: one vector per free column, free coordinate 1."""
     rows, pivots, cols = _echelon(a)
     basis: Matrix = []
-    for v, l in _kernel(rows, pivots, cols):
+    for v, l in _kernel(rows, pivots, range(cols)):
         dense = [Fraction(0)] * cols
         for k, x in v.items():
             dense[k] = Fraction(x, l)

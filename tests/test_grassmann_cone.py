@@ -145,7 +145,7 @@ class TestAdaptedBasis:
 
     @staticmethod
     def hand_built(n, rows):
-        return gc.IsotropicSubspace(n, tuple(tuple(r) for r in rows))
+        return gc.IsotropicSubspace._trusted(n, tuple(tuple(r) for r in rows))
 
     def assert_rejected_like_oracle(self, h, message):
         for build in (b for pair in BUILDS for b in pair):
@@ -275,8 +275,8 @@ class TestAnnihilator:
             gc.annihilator(x)
 
     def test_off_cone_kernel_goes_through_the_isotropy_audit(self, monkeypatch):
-        # is_pure certifies this point from n+1 action rows without an audit;
-        # annihilator still audits its one-dimensional kernel
+        # is_pure returns "not pure" at the first nonzero residual, without a
+        # kernel; annihilator still audits its one-dimensional kernel
         x = ie.off_cone_sample(5, "audit")
         assert gc.annihilator(x).dim == 1
         monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
@@ -316,26 +316,56 @@ class TestPurity:
             kinds.add(res.kind)
         assert kinds == {"pure", "not_pure"}
 
-    def test_inconclusive_rows_fall_through(self, monkeypatch):
-        # a not-pure point whose first n+1 action rows have rank <= n: the
-        # verdict comes from the full annihilator path
-        full_path = []
-        kernel_subspace = gc._kernel_subspace
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_verdict_subspace_and_annihilator_agree(self, n):
+        # one route: the pure verdict's subspace is annihilator(x), and both
+        # are the oracle's, on orbit points of both parities, sparse points,
+        # rational points and points of mixed parity
+        rng = make_rng(f"one-route:{n}")
+        points = [
+            gc.sample_cone_point(n, f"one-route:{t}", part, 1 + 2 * t) if n > 1 else sr.SpinVector.basis(n, t % 2)
+            for t in range(3)
+            for part in ("even", "odd")
+        ]
+        points += [p.scale(Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 12))) for p in points[:2]]
+        points += [
+            sr.SpinVector(n, {rng.randrange(1 << n): Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k)})
+            for k in (1, 2, 3)
+        ]
+        points += [random_spin(n, rng, part, bound=2) for part in ("even", "odd", None)]
+        points.append(sr.SpinVector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(1 << n)}))
+        dims = set()
+        for x in points:
+            if x.is_zero():
+                continue
+            res, want = gc.is_pure(x), oracle_annihilator(x)
+            assert gc.annihilator(x) == want
+            assert res.kind == ("pure" if want.dim == n else "not_pure")
+            assert res.subspace == (want if res.kind == "pure" else None)
+            dims.add(want.dim)
+        assert n in dims and (n == 1 or len(dims) > 1)
 
-        def spy(rows, n):
-            full_path.append(n)
-            return kernel_subspace(rows, n)
+    def test_residual_of_a_far_mask(self):
+        # x = 1 + e_1234: the pivot rows sit at the masks next to the support
+        # mask s0, and every other row, three bits from s0, is left with a
+        # nonzero residual; the verdict must come from those rows alone
+        n = 4
+        for terms in ({0: 1, 0b1111: 1}, {0b1111: 1, 0: 1}):
+            x = sr.SpinVector(n, terms)
+            s0 = next(iter(x.terms))
+            pivots, l, others = gc._split_action(x)
+            assert sorted(pivots) == sorted(n + i if s0 >> i & 1 else i for i in range(n))
+            others = list(others)
+            assert len(others) == 4 and all(gc._residual(row, pivots, l) for row in others)
+            assert gc.is_pure(x).kind == "not_pure"
+            assert gc.annihilator(x) == oracle_annihilator(x) and gc.annihilator(x).dim == 0
 
-        monkeypatch.setattr(gc, "_kernel_subspace", spy)
-        rng = make_rng("pure-fall-through")
-        for _ in range(40):
-            x = random_spin(5, rng, "even", bound=1)
-            full_path.clear()
-            if not x.is_zero() and gc.is_pure(x).kind == "not_pure" and full_path:
-                break
-        else:
-            pytest.fail("no not-pure point reached the full path")
-        assert oracle_annihilator(x).dim < 5
+    def test_pure_verdict_goes_through_the_isotropy_audit(self, monkeypatch):
+        x = gc.sample_cone_point(5, "pure-audit")
+        assert gc.is_pure(x).kind == "pure"
+        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
+            gc.is_pure(x)
 
     def test_orbit_points_are_pure(self):
         for n in (3, 4, 5):

@@ -5,9 +5,12 @@ solve_matrix, inverse, det and sparse_rank must agree with the dense Fraction
 Gauss-Jordan oracle on every shape."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
+from spinalg import clifford_core as cc
 from spinalg import linalg
 
 from conftest import dense_matmul, make_rng, oracle_det, oracle_rref
@@ -246,6 +249,103 @@ def test_det_signs_and_scales():
     assert type(linalg.det([[2, 1], [1, 1]])) is Fraction
     with pytest.raises(ValueError):
         linalg.inverse([[1, 2], [2, 4]])
+
+
+# -- the column index on the module-iso-rank matrix ------------------------------
+
+
+def module_iso_rows(n):
+    """The sparse rows of the report's module-iso-rank check at level n: the
+    image of the unit under each Clifford monomial e_S f_T, 4^n rows over
+    4^n columns, about three entries a row."""
+    return [
+        {k: x for k, x in cc.act_on_exterior(cc.CliffordElement(n, {(em, fm): Fraction(1)}), cc.ExteriorVector.unit(n)).terms.items()}
+        for em in range(1 << n)
+        for fm in range(1 << n)
+    ]
+
+
+def dense(rows, cols):
+    return [[row.get(k, Fraction(0)) for k in range(cols)] for row in rows]
+
+
+def index_free_eliminate(rows, scales=None):
+    """The elimination core as first written, without the column index: the
+    candidates of each column by testing every waiting row, then a visit of
+    every row.  The reference for the indexed core, which must take the same
+    pivots and make the same integer rows and scales."""
+    waiting = {i for i, row in enumerate(rows) if row}
+    pivots = []
+    for c in sorted(set().union(*rows)):
+        candidates = [i for i in waiting if c in rows[i]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        waiting.discard(p)
+        pivots.append((c, p))
+        pivot_row = rows[p]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            ric = row.get(c)
+            if ric is None or i == p:
+                continue
+            g = gcd(pv, ric)
+            a, b = pv // g, ric // g
+            new = {k: a * v for k, v in row.items()}
+            for k, v in pivot_row.items():
+                x = new.get(k, 0) - b * v
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            content = reduce(gcd, new.values()) if new else 1
+            rows[i] = {k: v // content for k, v in new.items()}
+            if scales is not None:
+                scales[i] *= Fraction(a, content)
+    return pivots
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_module_iso_matrix_matches_oracle(n):
+    a = dense(module_iso_rows(n), 4**n)
+    out, pivots = linalg.rref(a)
+    assert (out, pivots) == oracle_rref(a)
+    assert pivots == list(range(4**n))
+    assert linalg.det(a) == oracle_det(a)
+
+
+@pytest.mark.parametrize("n", [5])
+def test_module_iso_elimination_matches_the_index_free_core(n):
+    # every step is the same integer step: the same pivots, rows and scales;
+    # at n = 5 the dense oracles would take about 16 s
+    sparse = module_iso_rows(n)
+    runs = []
+    for eliminate in (linalg._eliminate, index_free_eliminate):
+        rows, scales = [], []
+        for row in sparse:
+            ints, den, content = linalg._integer_row(row.items())
+            rows.append(ints)
+            scales.append(Fraction(den, content))
+        runs.append((eliminate(rows, scales), rows, scales))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 4**n
+    assert linalg.sparse_rank(sparse) == 4**n
+
+
+def test_det_of_each_sign_under_permuted_rows():
+    # permuted rows change which row is the shortest candidate of a column,
+    # so the pivot rows and the sign of the pivot permutation change
+    rng = make_rng("det-module-iso")
+    a = dense(module_iso_rows(3), 64)
+    signs = set()
+    for _ in range(6):
+        perm = list(range(len(a)))
+        rng.shuffle(perm)
+        b = [a[i] for i in perm]
+        d = linalg.det(b)
+        assert d == oracle_det(b) and d in (1, -1)
+        signs.add(d)
+    assert signs == {1, -1}
 
 
 NON_SQUARE = ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
