@@ -128,7 +128,9 @@ def check_isotropic(rows, n: int) -> IsotropicSubspace:
 
 
 def coordinate_subspace(n: int, emask: int) -> IsotropicSubspace:
-    """span of {e_i : i in emask} and {f_j : j not in emask}."""
+    """span of {e_i : i in emask} and {f_j : j not in emask}, emask < 2^n."""
+    if not 0 <= emask < 1 << n:
+        raise IndexRangeError(f"coordinate mask {emask} out of range at level {n}")
     rows = [cc.VectorInV.basis(n, i) for i in range(1, n + 1) if emask >> (i - 1) & 1]
     rows += [cc.VectorInV.basis(n, -j) for j in range(1, n + 1) if not emask >> (j - 1) & 1]
     return check_isotropic(rows, n)

@@ -16,7 +16,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import clifford_core as cc
 from .errors import (
@@ -296,6 +296,11 @@ def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
     return _act(x._words, omega)
 
 
+def _standard_words(a: SoElement) -> list:
+    """rho_standard's words: e_i^f_j acts as o(e_i) iota(f_j)."""
+    return [(c, [_o(i), _iota(j)]) for (i, j), c in a.ef.items()]
+
+
 def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
     """Derivation action of gl(E) on the wedge algebra (e_j replaced by e_i):
     e_i^f_j acts as o(e_i) iota(f_j).
@@ -306,7 +311,7 @@ def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
     if a.ee or a.ff:
         raise InvalidRootVectorError("standard action is defined on gl(E) only")
     omega._check_level(a)
-    return _act([(c, [_o(i), _iota(j)]) for (i, j), c in a.ef.items()], omega)
+    return _act(_standard_words(a), omega)
 
 
 # -- the left ideal picture --------------------------------------------------
@@ -397,17 +402,14 @@ class LinearOperator:
                     self.cols[m] = v
 
     @staticmethod
-    def from_function(n: int, fn: Callable[[SpinVector], SpinVector]) -> "LinearOperator":
-        return LinearOperator(n, n, {m: fn(SpinVector.basis(n, m)) for m in range(1 << n)})
-
-    @staticmethod
     def identity(n: int) -> "LinearOperator":
         return LinearOperator(n, n, {m: SpinVector.basis(n, m) for m in range(1 << n)})
 
     @staticmethod
     def of_group_element(g: "GroupElement") -> "LinearOperator":
-        """g's columns, applied word by word; caches nothing on g."""
-        return LinearOperator.from_function(g.n, g.apply)
+        """g's columns from one pass of its steps over _tagged_basis; caches nothing on g."""
+        v, den = _word_steps(g, _tagged_basis(g.n), False, (1 << g.n) - 1)
+        return _tagged_operator(g.n, v, den)
 
     @staticmethod
     def of_contraction(n: int, target: int) -> "LinearOperator":
@@ -502,6 +504,27 @@ def root_so_element(n: int, kind: str, i: int, j: int) -> SoElement:
     return SoElement(n, **{kind: {(i, j): 1}})
 
 
+def _tagged_basis(n: int) -> dict[int, int]:
+    """The 2^n basis masks m tagged m << n, for one pass over all: no letter or
+    root step touches the tag and no sign counts it, so images never meet."""
+    return {m | m << n: 1 for m in range(1 << n)}
+
+
+def _columns(n: int, v: dict) -> dict[int, dict]:
+    """A tagged dict split by tag: tag -> {mask: value}, both increasing."""
+    low = (1 << n) - 1
+    cols: dict[int, dict] = {}
+    for key in sorted(v):
+        cols.setdefault(key >> n, {})[key & low] = v[key]
+    return cols
+
+
+def _tagged_operator(n: int, v: dict, den: int = 1) -> "LinearOperator":
+    """The operator whose column m is v's entries tagged m, over den."""
+    return LinearOperator(n, n, {m: SpinVector._trusted(n, {k: Fraction(c, den) for k, c in col.items()})
+                                 for m, col in _columns(n, v).items()})
+
+
 @functools.lru_cache(maxsize=None)
 def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
     """rho(X) of a root X, compiled once on integers: basis mask -> (image
@@ -515,17 +538,11 @@ def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
     words = _so_words(root_so_element(n, kind, i, j))
     scale = math.lcm(*(c.denominator for c, _ in words))
     words = [(c.numerator * (scale // c.denominator), letters) for c, letters in words]
-    # one kernel pass over every basis mask m, each tagged with a copy of m
-    # above bit n: no letter touches those bits and no sign counts them, so
-    # the images of two masks never meet
-    images: dict[int, list] = {}
-    for key, c in cc._apply_words(words, {m | m << n: 1 for m in range(1 << n)}).items():
-        images.setdefault(key >> n, []).append((key & ((1 << n) - 1), c))
     table = {}
-    for m, image in sorted(images.items()):
+    for m, image in _columns(n, cc._apply_words(words, _tagged_basis(n))).items():
         if len(image) > 1:
             raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
-        ((img, c),) = image
+        ((img, c),) = image.items()
         c2, rest = divmod(2 * c, scale)
         if rest or abs(c2) not in (1, 2, 4):
             raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {Fraction(c, scale)}")
@@ -563,20 +580,24 @@ def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, in
     coefficient of targets[k] in g e_s, zeros left out and s increasing, with
     den the common denominator of all the rows (the gcd of den and every
     entry is 1).  The unit covectors move through the transposed steps, first
-    letter first, in one dict, row k's keys tagged k << n as _root_table tags."""
+    letter first, in one dict, row k's keys tagged k << n (see _tagged_basis)."""
     n = g.n
-    low = (1 << n) - 1
-    v = {k << n | t: 1 for k, t in enumerate(targets)}
-    den = 1
-    for kind, i, j, t in g.word:
-        if t:
-            v = _root_step(_root_table(n, kind, i, j), t, v, True, low)
-            den *= 2 * t.denominator
+    v, den = _word_steps(g, {k << n | t: 1 for k, t in enumerate(targets)}, True, (1 << n) - 1)
     common = functools.reduce(math.gcd, v.values(), den)
-    rows: list[dict[int, int]] = [{} for _ in targets]
-    for key, c in sorted(v.items()):
-        rows[key >> n][key & low] = c // common
-    return rows, den // common
+    cols = _columns(n, {key: c // common for key, c in v.items()})
+    return [cols.get(k, {}) for k in range(len(targets))], den // common
+
+
+def _word_steps(g: "GroupElement", v: dict[int, int], transpose: bool, low: int = -1) -> tuple[dict[int, int], int]:
+    """v moved through the root steps of g's word on integers (_root_step),
+    last letter first, or first letter first through the transposed steps,
+    and the denominator the steps add."""
+    den = 1
+    for kind, i, j, t in g.word if transpose else reversed(g.word):
+        if t:
+            v = _root_step(_root_table(g.n, kind, i, j), t, v, transpose, low)
+            den *= 2 * t.denominator
+    return v, den
 
 
 def _apply_step(kind: str, i: int, j: int, t: Fraction, coords: list[Fraction], n: int) -> None:
@@ -639,12 +660,8 @@ class GroupElement:
     def apply(self, x: SpinVector) -> SpinVector:
         x._check_level(self)
         den = math.lcm(*(c.denominator for c in x.terms.values()))
-        out = {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}
-        for kind, i, j, t in reversed(self.word):
-            if t:
-                out = _root_step(_root_table(self.n, kind, i, j), t, out, False)
-                den *= 2 * t.denominator
-        return SpinVector._trusted(self.n, {m: Fraction(c, den) for m, c in out.items()})
+        out, steps = _word_steps(self, {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}, False)
+        return SpinVector._trusted(self.n, {m: Fraction(c, den * steps) for m, c in out.items()})
 
     def operator(self) -> LinearOperator:
         return LinearOperator.of_group_element(self)
@@ -734,12 +751,10 @@ def random_group_element(n: int, seed, length: int = 6) -> GroupElement:
 
 
 def gl_twist_residual(a: SoElement) -> LinearOperator:
-    """rho(A) - rho~(A) + tr(A)/2 * Id for A in gl(E); zero when the twist holds."""
+    """rho(A) - rho~(A) + tr(A)/2 * Id for A in gl(E); zero when the twist
+    holds.  One kernel pass over the tagged basis, with the words of rho(A),
+    the negated _standard_words of rho~(A) and the scalar word tr(A)/2."""
     if a.ee or a.ff:
         raise InvalidRootVectorError("twist residual is defined on gl(E) only")
-    half_tr = a.trace_gl() / 2
-
-    def residual(v: SpinVector) -> SpinVector:
-        return rho_so(a, v) - rho_standard(a, v) + v.scale(half_tr)
-
-    return LinearOperator.from_function(a.n, residual)
+    words = _so_words(a) + [(-c, letters) for c, letters in _standard_words(a)] + [(a.trace_gl() / 2, [])]
+    return _tagged_operator(a.n, cc._apply_words(words, _tagged_basis(a.n)))

@@ -202,19 +202,22 @@ def _all_two_forms(n):
     return out
 
 def _check_bracket_compat(n, seed, samples):
+    """rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on every basis vector for
+    sampled pairs of basis two-forms, five kernel calls a pair on the tagged basis."""
     forms = _all_two_forms(n)
     rng = _rng(seed, "bracket", n)
     pairs = [(x, y) for x in forms for y in forms]
     if len(pairs) > samples * 20:
         pairs = rng.sample(pairs, samples * 20)
-    basis = [sr.SpinVector.basis(n, m) for m in range(1 << n)]
+    basis = sr._tagged_basis(n)
     for x, y in pairs:
-        z = sr.so_bracket(x, y)
-        for b in basis:
-            lhs = sr.rho_so(z, b)
-            rhs = sr.rho_so(x, sr.rho_so(y, b)) - sr.rho_so(y, sr.rho_so(x, b))
-            if lhs != rhs:
-                return f"bracket mismatch for {x} , {y}"
+        wx, wy = sr._so_words(x), sr._so_words(y)
+        lhs = cc._apply_words(sr._so_words(sr.so_bracket(x, y)), basis)
+        rhs = cc._apply_words(wx, cc._apply_words(wy, basis))
+        for key, c in cc._apply_words(wy, cc._apply_words(wx, basis)).items():
+            cc._accumulate(rhs, key, -c)
+        if lhs != rhs:
+            return f"bracket mismatch for {x} , {y}"
 
 
 def _check_twist(n, seed, samples):
@@ -248,19 +251,22 @@ def _check_pi_tau(n, seed, samples):
 
 
 def _check_equivariance(n, seed, samples):
+    """pi(g x) = g pi(x) on each level-n basis x, then tau(g x) = g tau(x) on each
+    level-(n - 1) one, g = exp(tX) for the roots X of level n - 1: one step per
+    level over the tagged basis (keys image | m << level, both scaled by 2q for
+    t = p/q), pi (drop masks with bit n) and tau (keep all) filters on the keys."""
     rng = _rng(seed, "equiv", n)
+    top = 1 << (n - 1)
+    high_basis, low_basis = sr._tagged_basis(n), sr._tagged_basis(n - 1)
     for kind, i, j in sr.all_root_vectors(n - 1):
         t = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 2]))
-        g_low = sr.exp_nilpotent(n - 1, kind, i, j, t)
-        g_high = sr.exp_nilpotent(n, kind, i, j, t)
-        for m in range(1 << n):
-            x = sr.SpinVector.basis(n, m)
-            if tm.pi_last(g_high.apply(x)) != g_low.apply(tm.pi_last(x)):
-                return f"pi equivariance failed for {kind}({i},{j})"
-        for m in range(1 << (n - 1)):
-            x = sr.SpinVector.basis(n - 1, m)
-            if tm.tau_last(g_low.apply(x)) != g_high.apply(tm.tau_last(x)):
-                return f"tau equivariance failed for {kind}({i},{j})"
+        high = sr._root_step(sr._root_table(n, kind, i, j), t, high_basis, False, 2 * top - 1)
+        low = sr._root_step(sr._root_table(n - 1, kind, i, j), t, low_basis, False, top - 1)
+        if {key >> n << (n - 1) | key & (top - 1): c for key, c in high.items() if not key & top} != low:
+            return f"pi equivariance failed for {kind}({i},{j})"
+        up = {key >> (n - 1) << n | key & (top - 1): c for key, c in low.items()}
+        if {key: c for key, c in high.items() if key >> n < top} != up:
+            return f"tau equivariance failed for {kind}({i},{j})"
 
 
 def _check_gram(n, seed, samples):

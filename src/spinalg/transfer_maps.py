@@ -184,14 +184,16 @@ def _gram_rows(n: int) -> tuple:
     2^n sign(n, S) at T = S ^ (2^n - 1), zero elsewhere (Chevalley, The
     Algebraic Theory of Spinors, 1954, Ch. III; see beta).
 
-    It stays an lru_cache: perfbench/tracer.py reads its cache_info()."""
+    It stays an lru_cache: perfbench/tracer.py reads its cache_info().  The
+    rows share one Fraction per value and are read off one scratch row."""
     full = (1 << n) - 1
-    zero = Fraction(0)
+    zero, plus, minus = Fraction(0), Fraction(1 << n), Fraction(-1 << n)
+    row = [zero] * (1 << n)
     rows = []
     for s in range(1 << n):
-        row = [zero] * (1 << n)
-        row[s ^ full] = Fraction(_complement_sign(s) << n)
+        row[s ^ full] = plus if _complement_sign(s) > 0 else minus
         rows.append(tuple(row))
+        row[s ^ full] = zero
     return tuple(rows)
 
 

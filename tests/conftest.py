@@ -14,6 +14,7 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import suites
 from spinalg import transfer_maps as tm
 from spinalg.errors import NotIsotropicError, SpinalgError, StructureError
 
@@ -272,6 +273,80 @@ def oracle_group_apply(g, x):
     return x
 
 
+def oracle_operator(n, fn):
+    """The operator with column m fn(e_m), one call of fn per basis vector:
+    how GroupElement.operator and gl_twist_residual first built theirs."""
+    return sr.LinearOperator(n, n, {m: fn(sr.SpinVector.basis(n, m)) for m in range(1 << n)})
+
+
+def oracle_twist_residual(a):
+    """gl_twist_residual as first written: rho(A) - rho~(A) + tr(A)/2 on
+    each basis vector, by rho_so and rho_standard."""
+    half_tr = a.trace_gl() / 2
+    return oracle_operator(a.n, lambda v: sr.rho_so(a, v) - sr.rho_standard(a, v) + v.scale(half_tr))
+
+
+def oracle_bracket_compat(n, seed, samples):
+    """suites._check_bracket_compat as first written: both sides by rho_so on
+    one basis vector at a time."""
+    forms = suites._all_two_forms(n)
+    rng = suites._rng(seed, "bracket", n)
+    pairs = [(x, y) for x in forms for y in forms]
+    if len(pairs) > samples * 20:
+        pairs = rng.sample(pairs, samples * 20)
+    basis = [sr.SpinVector.basis(n, m) for m in range(1 << n)]
+    for x, y in pairs:
+        z = sr.so_bracket(x, y)
+        for b in basis:
+            lhs = sr.rho_so(z, b)
+            rhs = sr.rho_so(x, sr.rho_so(y, b)) - sr.rho_so(y, sr.rho_so(x, b))
+            if lhs != rhs:
+                return f"bracket mismatch for {x} , {y}"
+
+
+def oracle_group_unipotent(n, seed, samples):
+    """suites._check_group_unipotent with each operator built by
+    GroupElement.apply on one basis vector at a time."""
+    rng = suites._rng(seed, "grp", n)
+    for kind, i, j in sr.all_root_vectors(n):
+        t = Fraction(rng.randint(1, 3))
+        g = sr.exp_nilpotent(n, kind, i, j, t)
+        if not oracle_operator(n, (g * g.inverse()).apply) == sr.LinearOperator.identity(n):
+            return f"inverse failed for {kind}({i},{j})"
+        if oracle_operator(n, g.apply).determinant() != 1:
+            return f"determinant != 1 for {kind}({i},{j})"
+
+
+def oracle_twist(n, seed, samples):
+    """suites._check_twist on oracle_twist_residual."""
+    rng = suites._rng(seed, "twist", n)
+    for t in range(min(samples, 12)):
+        ef = {}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                ef[(i, j)] = Fraction(rng.randint(-2, 2))
+        if not oracle_twist_residual(sr.SoElement(n, ef=ef)).is_zero():
+            return f"twist residual nonzero at sample {t}"
+
+
+def oracle_equivariance(n, seed, samples):
+    """suites._check_equivariance as first written: GroupElement.apply,
+    pi_last and tau_last on one basis vector at a time."""
+    rng = suites._rng(seed, "equiv", n)
+    for kind, i, j in sr.all_root_vectors(n - 1):
+        t = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 2]))
+        g_low = sr.exp_nilpotent(n - 1, kind, i, j, t)
+        g_high = sr.exp_nilpotent(n, kind, i, j, t)
+        for m in range(1 << n):
+            x = sr.SpinVector.basis(n, m)
+            if tm.pi_last(g_high.apply(x)) != g_low.apply(tm.pi_last(x)):
+                return f"pi equivariance failed for {kind}({i},{j})"
+        for m in range(1 << (n - 1)):
+            x = sr.SpinVector.basis(n - 1, m)
+            if tm.tau_last(g_low.apply(x)) != g_high.apply(tm.tau_last(x)):
+                return f"tau equivariance failed for {kind}({i},{j})"
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_root_table(n, kind, i, j):
     """The root table built on Fractions, as first written: rho(X) applied
@@ -374,10 +449,7 @@ def oracle_level_maps(family):
     member's group word (by oracle_group_apply), on all 2^n basis columns."""
     n = family.n
     pi_map = sr.LinearOperator.of_contraction(n, 4)
-    words = [
-        sr.LinearOperator.from_function(n, lambda x, g=m.g: oracle_group_apply(g, x))
-        for m in family.members
-    ]
+    words = [oracle_operator(n, lambda x, g=m.g: oracle_group_apply(g, x)) for m in family.members]
     return [pi_map.compose(w) for w in words]
 
 

@@ -204,6 +204,24 @@ def test_report_matches_golden_digest_at_level_six(suite):
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPORTS_N6[suite]
 
 
+# sha256 of `spinalg --suite S --n-min 1 --n-max 6 --seed 7` at the default
+# --samples 25, recorded while bracket-compatibility, group operators and
+# the twist residual still went one basis vector at a time and equivariance
+# applied each root to one basis vector at a time: at the default samples
+# bracket-compatibility compares 500 pairs, at --samples 1 only 20
+GOLDEN_REPORTS_DEFAULT_SAMPLES = {
+    "spinrep": "164965f6e9dd320467c684945f5d4160d6601d3696fa2b4c68e3a520657a941c",
+    "transfer": "5133f6e85f1c8b0c644fbec60307a2c9f99335a007de1ebff39d4add56b3f307",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS_DEFAULT_SAMPLES))
+def test_report_matches_golden_digest_at_default_samples(suite):
+    config = cli.SuiteConfig(suite, 1, 6, 7, 25, None, False)
+    doc = cli.run_suite(config).to_document()
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPORTS_DEFAULT_SAMPLES[suite]
+
+
 class TestSkipping:
     def test_out_of_domain_levels_are_skipped(self):
         report = cli.run_suite(

@@ -84,3 +84,19 @@ def test_results_are_the_public_constructors_results():
     h = gc.random_maximal_isotropic(5, "contract")
     assert gc.IsotropicSubspace(5, h.rows) == h
 
+
+
+@pytest.mark.parametrize("n, emask", [(2, 0b111), (2, -1), (2, 1 << 2), (1, 2), (4, 1 << 4)])
+def test_coordinate_masks_outside_the_level_rejected(n, emask):
+    # coordinate_subspace read only the low n bits of its mask, so
+    # coordinate_subspace(2, 0b111) equaled coordinate_subspace(2, 0b11)
+    with pytest.raises(IndexRangeError) as err:
+        gc.coordinate_subspace(n, emask)
+    assert type(err.value) is IndexRangeError
+    assert f"coordinate mask {emask} out of range at level {n}" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_coordinate_mask_of_the_level_builds(n):
+    subspaces = {gc.coordinate_subspace(n, emask) for emask in range(1 << n)}
+    assert len(subspaces) == 1 << n

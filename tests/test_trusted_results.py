@@ -382,6 +382,8 @@ def test_every_letter_has_int_factors(n, monkeypatch):
         cc.so_to_clifford(form)
         sr.rho_so(form, x)
     sr.rho_standard(sr.SoElement.basis_ef(n, 1, n), x)
+    assert sr.gl_twist_residual(forms[0]).is_zero()
+    assert suites._check_bracket_compat(n, 7, 1) is None
     sr.vector_action(v, x)
     gc.omega_of(gc.annihilator(gc.sample_cone_point(n, "int-letters")) if n > 1 else gc.coordinate_subspace(1, 1))
     assert suites._check_quarter_embedding(n, 7, 4) is None
