@@ -468,9 +468,19 @@ class FamilyMember:
     increasing order, as component_variables lists them)."""
 
     g: sr.GroupElement
-    quadric: Polynomial
     rows: tuple[tuple[int, ...], ...]
     den: int
+
+    @cached_property
+    def quadric(self) -> Polynomial:
+        """The level-4 quadric pulled back along rows / den, on first read;
+        StructureError unless it is homogeneous quadratic."""
+        sources = component_variables(self.g.n)  # the even mask s sits at s >> 1
+        rows = [{sources[b]: c for b, c in enumerate(row) if c} for row in self.rows]
+        quad = _pullback_rows(i4_quadric(), dict(zip(component_variables(4), rows)), self.den, self.g.n)
+        if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
+            raise StructureError("pulled-back form is not homogeneous quadratic")
+        return quad
 
 
 # a member's rows, one per even level-4 mask; certify_membership maps a
@@ -566,20 +576,17 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
         raise IndexRangeError(f"a pullback family needs at least one member, got count {count}")
     if length < 1:
         raise IndexRangeError(f"word length must be >= 1, got {length}")
-    base = i4_quadric()
+    i4_quadric()  # the members' base quadric: a failed discovery raises at build, not at a query
     targets = component_variables(4)
     members = []
     for i in range(count):
         g = sr.random_group_element(n, f"family:{seed}:{i}", length) if i else sr.GroupElement.identity(n)
         rows, den = sr._word_rows(g, targets)
-        quad = _pullback_rows(base, dict(zip(targets, rows)), den, n)
-        if not (quad.is_homogeneous() and quad.degree() in (0, 2)):
-            raise StructureError("pulled-back form is not homogeneous quadratic")
         dense = [[0] * ((1 << n) >> 1) for _ in rows]
         for row, r in zip(dense, rows):
             for s, c in r.items():
                 row[s >> 1] = c  # the even mask s is the (s >> 1)-th even mask
-        members.append(FamilyMember(g, quad, tuple(map(tuple, dense)), den))
+        members.append(FamilyMember(g, tuple(map(tuple, dense)), den))
     return PullbackFamily(n, str(seed), tuple(members))
 
 

@@ -17,6 +17,7 @@ intersect_row_spaces are all built on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -267,13 +268,25 @@ def row_space(a: Matrix) -> Matrix:
 
 
 def nullspace(a: Matrix) -> Matrix:
-    """Canonical kernel basis: one vector per free column, free coordinate 1."""
-    rows, pivots, cols = _echelon(a)
+    """Canonical kernel basis: one vector per free column of a's rref, free
+    coordinate 1, the other free coordinates 0.  The columns are eliminated
+    densest first (a static order: the count of rows holding each column, ties
+    by index; Markowitz 1957), and the kernel vectors are read back by one
+    elimination with their columns reversed, whose pivots are a's free
+    columns: the last columns a kernel vector can end in."""
+    cols = _cols(a)
+    rows = [_integer_row(enumerate(row))[0] for row in a]
+    held = Counter(k for row in rows for k in row)
+    order = sorted(range(cols), key=lambda k: (-held[k], k))
+    label = {k: j for j, k in enumerate(order)}
+    rows = [{label[k]: v for k, v in row.items()} for row in rows]
+    kernel = _kernel(rows, _eliminate(rows), range(cols))
+    back = [{cols - 1 - order[j]: x for j, x in v.items()} for v, _ in kernel]
     basis: Matrix = []
-    for v, l in _kernel(rows, pivots, range(cols)):
+    for c, i in reversed(_eliminate(back)):
         dense = [Fraction(0)] * cols
-        for k, x in v.items():
-            dense[k] = Fraction(x, l)
+        for k, x in back[i].items():
+            dense[cols - 1 - k] = Fraction(x, back[i][c])
         basis.append(dense)
     return basis
 

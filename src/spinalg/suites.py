@@ -254,7 +254,11 @@ def _check_equivariance(n, seed, samples):
     """pi(g x) = g pi(x) on each level-n basis x, then tau(g x) = g tau(x) on each
     level-(n - 1) one, g = exp(tX) for the roots X of level n - 1: one step per
     level over the tagged basis (keys image | m << level, both scaled by 2q for
-    t = p/q), pi (drop masks with bit n) and tau (keep all) filters on the keys."""
+    t = p/q), pi (drop masks with bit n) and tau (keep all) filters on the keys.
+    The tau half can never fail first: roots of level n - 1 never move bit n, so
+    pi drops no image of a mask without bit n and tau compares the same entries.
+    What the row checks is the level-n step against the level-(n - 1) one on
+    the masks without bit n; a flipped coefficient on a mask with bit n is unseen."""
     rng = _rng(seed, "equiv", n)
     top = 1 << (n - 1)
     high_basis, low_basis = sr._tagged_basis(n), sr._tagged_basis(n - 1)

@@ -14,12 +14,14 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import suites
 from spinalg import transfer_maps as tm
 from spinalg.errors import (
     DiscoveryError,
     IndexRangeError,
     LevelMismatchError,
     SpinalgError,
+    StructureError,
     TooFewPointsError,
 )
 
@@ -396,6 +398,19 @@ class TestCertification:
         r64 = linalg.rank(rows(fam64))
         assert r32 == r64 == 10
 
+    def test_degree2_span_at_level_six(self, monkeypatch):
+        # the report runs degree2-span at n = 5 only; at n = 6 the pullbacks
+        # of 120 members span the 66 = 528 - 462 quadrics on the cone
+        ranks, rank = [], linalg.rank
+
+        def spy(a):
+            ranks.append(rank(a))
+            return ranks[-1]
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        assert suites._check_degree2_span(6, 7, 25) is None
+        assert ranks == [66, 66, 66]
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected_at_build(self, count):
         with pytest.raises(IndexRangeError, match=f"count {count}"):
@@ -463,6 +478,34 @@ class TestCertification:
         for member in fam.members:
             assert member.den > 0
             assert reduce(gcd, (a for row in member.rows for a in row), member.den) == 1
+
+
+class TestQuadricOnFirstRead:
+    """A member pulls the level-4 quadric back when its quadric is first
+    read; building a family and certifying membership read only the rows."""
+
+    def test_build_and_certify_make_no_quadric(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pulled back")
+
+        monkeypatch.setattr(ie, "_pullback_rows", refuse)
+        fam = ie.orbit_pullback_family(5, "first-read", 12)
+        assert ie.certify_membership(sr.SpinVector.omega1(5), fam).passes
+        assert not ie.certify_membership(ie.off_cone_sample(5, "first-read"), fam).passes
+        with pytest.raises(AssertionError, match="pulled back"):
+            fam.members[3].quadric
+
+    def test_a_pullback_that_is_not_quadratic_raises_on_first_read(self, monkeypatch):
+        fam = ie.orbit_pullback_family(5, "first-read", 2)
+        x = ie.Polynomial.variable(var_f(5))
+        monkeypatch.setattr(ie, "_pullback_rows", lambda *args: x * x * x)
+        with pytest.raises(StructureError, match="not homogeneous quadratic"):
+            fam.members[1].quadric
+
+    def test_a_second_read_returns_the_same_quadric(self):
+        member = ie.orbit_pullback_family(5, "first-read", 2).members[1]
+        first = member.quadric
+        assert member.quadric is first
 
 
 @lru_cache(maxsize=None)
@@ -569,7 +612,7 @@ class TestPackedCertification:
             ie.PullbackFamily(6, "mixed", fam5.members)
         # a level-6 group element with level-5 rows
         m = fam5.members[0]
-        wrong_rows = ie.FamilyMember(sr.GroupElement.identity(6), m.quadric, m.rows, m.den)
+        wrong_rows = ie.FamilyMember(sr.GroupElement.identity(6), m.rows, m.den)
         with pytest.raises(LevelMismatchError):
             ie.PullbackFamily(6, "rows", (wrong_rows,))
         assert ie.PullbackFamily(5, fam5.seed, fam5.members) == fam5

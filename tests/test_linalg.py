@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import ideal_engine as ie
 from spinalg import linalg
 
 from conftest import dense_matmul, make_rng, oracle_det, oracle_rref
@@ -348,7 +349,74 @@ def test_det_of_each_sign_under_permuted_rows():
     assert signs == {1, -1}
 
 
-NON_SQUARE = ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+def evaluation_matrix(points, degree):
+    """The value of each degree-d monomial in the even coordinates at each
+    point, one row a point: the matrix whose kernel vanishing_forms reads."""
+    monos = ie.monomials_of_degree(ie.component_variables(points[0].n), degree)
+    out = []
+    for x in points:
+        row = []
+        for mono in monos:
+            v = Fraction(1)
+            for m in mono:
+                v *= x.terms.get(m, 0)
+            row.append(v)
+        out.append(row)
+    return out
+
+
+def densest_first(a):
+    """The columns of a, most nonzero entries first, ties by index."""
+    return sorted(range(width(a)), key=lambda k: (-sum(1 for row in a if row[k]), k))
+
+
+@pytest.mark.parametrize("stream", ["a", "b"])
+def test_nullspace_of_the_discovery_matrices_matches_oracle(stream):
+    # the two 108 x 36 matrices of the level-4 quadric's discovery, round 0
+    a = evaluation_matrix(ie.cone_points(4, f"vf:i4-discovery:{stream}0", 108), 2)
+    assert (len(a), width(a)) == (108, 36)
+    kernel = linalg.nullspace(a)
+    assert kernel == oracle_nullspace(a) and len(kernel) == 1
+
+
+def test_nullspace_of_the_level_five_degree_two_matrix_matches_oracle():
+    # the 408 x 136 matrix of degree2-span at n = 5, seed 7.  The oracle
+    # reads its first 150 rows (all 408 would take about 9 s): their kernel
+    # holds a's, and it has as many vectors as nullspace(a) finds in a's, so
+    # the two kernels are one space with one canonical basis
+    a = evaluation_matrix(ie.cone_points(5, "7:span", 408), 2)
+    assert (len(a), width(a)) == (408, 136)
+    kernel = linalg.nullspace(a)
+    assert len(kernel) == 10
+    for v in kernel:
+        assert linalg.matvec(a, v) == [0] * len(a)
+    assert kernel == oracle_nullspace(a[:150])
+
+
+def test_nullspace_reads_back_when_densest_first_takes_other_pivots():
+    # column 2 = column 0 + column 1 is the densest, so densest first takes
+    # columns 2 and 1 as pivots where index order takes 0 and 1
+    a = [[1, 0, 1], [0, 1, 1], [0, 1, 1]]
+    order = densest_first(a)
+    assert order == [2, 1, 0]
+    _, permuted = oracle_rref([[row[k] for k in order] for row in a])
+    assert {order[j] for j in permuted} != set(oracle_rref(a)[1])
+    assert linalg.nullspace(a) == oracle_nullspace(a) == [[-1, -1, 1]]
+    rng = make_rng("densest-first")
+    for _ in range(20):
+        b = rank_deficient(rng, rng.randint(3, 9), 8, rng.randint(1, 5))
+        assert linalg.nullspace(b) == oracle_nullspace(b)
+
+
+def test_nullspace_with_an_all_zero_column():
+    a = [[1, 0, 2, 3], [2, 0, 4, 5], [Fraction(1, 2), 0, 1, 0]]
+    assert densest_first(a)[-1] == 1
+    kernel = linalg.nullspace(a)
+    assert kernel == oracle_nullspace(a) == [[0, 1, 0, 0], [-2, 0, 1, 0]]
+    assert_all_fractions(kernel)
+
+
+NON_SQUARE =([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
 @pytest.mark.parametrize("a", NON_SQUARE)
