@@ -136,7 +136,8 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def _like(self, terms) -> "Polynomial":
-        return Polynomial(self.is_limit, self.level, terms)
+        """Unchecked: the ring operations keep sorted in-range monomials, and _accumulate drops zeros."""
+        return Polynomial._trusted(self.is_limit, self.level, terms)
 
     def _check(self, other) -> None:
         """LevelMismatchError unless other (a polynomial or a variable) is at
@@ -173,7 +174,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                cc._accumulate(out, m1 + m2, c1 * c2)
+                cc._accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
         return self._like(out)
 
     def is_zero(self) -> bool:
@@ -420,14 +421,28 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
 def _pullback_rows(
     p: Polynomial, rows: dict[int, dict[int, int]], den: int, source_n: int
 ) -> Polynomial:
-    """pullback of the homogeneous p along L = rows / den, rows as
-    _integer_rows gives them (target mask -> {source mask: coef}, no zero
-    entries; the caller checks the source masks).  Symmetric accumulation:
-    the products of one entry from each row of a monomial are keyed by their
-    masks, sorted as each pick is made, so reordered picks meet in one int
-    and no monomial is sorted again; a pick making a two-mask key is one compare."""
+    """pullback of the homogeneous p along L = rows / den, rows as _integer_rows
+    gives them (target mask -> {source mask: coef}, no zero entries; the caller
+    checks the source masks): _pullback_ints on p's integer coefficients."""
     # on integers: p = P content / den_p
     coefs, den_p, content = linalg._integer_row(p.terms.items())
+    # p is homogeneous, so every term shares one denominator; many share a value
+    scale = den_p * den ** p.degree()
+    made: dict[int, Fraction] = {}
+    terms: dict[Monomial, Fraction] = {}
+    for mono, v in _pullback_ints(coefs, rows).items():
+        if v:
+            if (c := made.get(v)) is None:
+                c = made[v] = Fraction(v * content, scale)
+            terms[mono] = c
+    return Polynomial._trusted(False, source_n, terms)
+
+
+def _pullback_ints(coefs: dict[Monomial, int], rows: dict[int, dict[int, int]]) -> dict[Monomial, int]:
+    """sum_mono c prod_(m in mono) rows[m] on integers, cancelled terms kept as
+    zeros.  Symmetric accumulation: the products of one entry from each row are
+    keyed by their sources, sorted as each pick is made, so reordered picks
+    meet in one int; a pick making a two-key monomial is one compare."""
     out: dict[Monomial, int] = {}
     for mono, c in coefs.items():
         if not mono:
@@ -448,16 +463,7 @@ def _pullback_rows(
                         k = (*key, t) if not key or key[-1] <= t else tuple(sorted((*key, t)))
                         step[k] = get(k, 0) + v * a
             picks = step
-    # p is homogeneous, so every term shares one denominator; many share a value
-    scale = den_p * den ** p.degree()
-    made: dict[int, Fraction] = {}
-    terms: dict[Monomial, Fraction] = {}
-    for mono, v in out.items():
-        if v:
-            if (c := made.get(v)) is None:
-                c = made[v] = Fraction(v * content, scale)
-            terms[mono] = c
-    return Polynomial._trusted(False, source_n, terms)
+    return out
 
 
 @dataclass(frozen=True)
@@ -483,8 +489,8 @@ class FamilyMember:
         return quad
 
 
-# a member's rows, one per even level-4 mask; certify_membership maps a
-# point by _BLOCK members at once, slot _ROWS j + a holding row a of member j
+# a member's rows, one per even level-4 mask; the screen maps a point by
+# members 0.._BLOCK-1 at once, slot _ROWS j + a holding row a of member j
 _ROWS = 8
 _BLOCK = 8
 _SLOTS = _BLOCK * _ROWS
@@ -499,14 +505,14 @@ class PullbackFamily:
     for a group element of another level, or rows that are not _ROWS rows over
     the 2^(n-1) even level-n masks.
 
-    certify_membership reads the members through packed tables, kept per
-    slot width w outside the fields, so equality and hash see only n, seed
-    and members.  For each block of _BLOCK members and each even source
-    position k, the table holds the one int sum_s rows_s[k] 2^(w s) over the
-    block's slots s (Kronecker substitution): one multiply-add per nonzero
-    coordinate of a point maps it by the whole block.  A block's table is
-    built when a query first reaches the block, so a query that stops in
-    block 0 builds no other."""
+    certify_membership reads the members through packed tables kept outside
+    the fields, so equality and hash see only n, seed and members.  The screen
+    holds, per even source position k and slot width w, the int sum_s rows_s[k]
+    2^(w s) over the rows s of members 0.._BLOCK-1 (Kronecker substitution).
+    The pair table holds, per pair s <= t of even positions, the int T[s][t] =
+    sum_j S_j[s, t] 2^(w j), S_j / den^2 the quadric of member _BLOCK + j
+    (_pullback_ints on its rows).  It is built when a point first passes the
+    screen, over that point's positions, then over all once a point leaves them."""
 
     n: int
     seed: str
@@ -528,38 +534,46 @@ class PullbackFamily:
 
     @cached_property
     def _row_bound(self) -> int:
-        """The largest L1 norm of a member's row."""
-        return max((sum(map(abs, row)) for m in self.members for row in m.rows), default=0)
+        """The largest L1 norm of a screen member's row."""
+        return max((sum(map(abs, row)) for m in self.members[:_BLOCK] for row in m.rows), default=0)
 
     @cached_property
-    def _tables(self) -> dict[int, tuple[int, "_PackedBlocks"]]:
-        """Slot width -> (bias, the blocks' packed tables), filled by _packed."""
+    def _tables(self) -> dict:
+        """width -> (bias, screen), and "pairs" -> (positions, bound, width -> T)."""
         return {}
 
-    def _packed(self, width: int) -> tuple[int, "_PackedBlocks"]:
-        """The bias that puts 2^(width-1) in every slot, and the blocks'
-        packed tables at slot width `width`."""
+    def _screen(self, width: int) -> tuple[int, list[int]]:
+        """The bias that puts 2^(width-1) in every slot, and the screen."""
         if width not in self._tables:
             bias = sum(1 << width * s for s in range(_SLOTS)) << width - 1
-            self._tables[width] = bias, _PackedBlocks(self.members, width)
+            slots = [row for m in self.members[:_BLOCK] for row in m.rows]
+            self._tables[width] = bias, [sum(c << width * s for s, c in enumerate(col) if c) for col in zip(*slots)]
         return self._tables[width]
 
+    def _pairs(self, top: int, support: set[int]) -> tuple[int, list[list[int]]]:
+        """The pair table covering support at the smallest width w, a multiple of
+        64, with top^2 * bound < 2^(w-1), bound the largest sum_(s<=t) |S_j[s, t]|
+        over the covered pairs; S_j is pulled back again for a new width, not kept."""
+        cover, bound, packed = self._tables.get("pairs", (None, 0, {}))
+        quads = None
+        if cover is None or not support.issubset(cover):
+            cover = support if cover is None else range((1 << self.n) >> 1)
+            quads = self._pair_quadrics(cover)
+            bound, packed = max(sum(map(abs, q.values())) for q in quads), {}
+            self._tables["pairs"] = cover, bound, packed
+        width = 64 * ((top * top * bound).bit_length() // 64 + 1)
+        if width not in packed:
+            table = packed[width] = [[0] * ((1 << self.n) >> 1) for _ in range((1 << self.n) >> 1)]
+            for j, q in enumerate(quads or self._pair_quadrics(cover)):
+                for (s, t), c in q.items():
+                    table[s][t] += c << width * j
+        return width, packed[width]
 
-class _PackedBlocks(dict):
-    """Block index -> one packed int per even source position of the block's
-    members at one slot width, each block built on its first lookup."""
-
-    __slots__ = ("members", "width")
-
-    def __init__(self, members: tuple[FamilyMember, ...], width: int):
-        super().__init__()
-        self.members = members
-        self.width = width
-
-    def __missing__(self, i: int) -> list[int]:
-        slots = [row for m in self.members[i * _BLOCK : (i + 1) * _BLOCK] for row in m.rows]
-        table = self[i] = [sum(c << self.width * s for s, c in enumerate(col) if c) for col in zip(*slots)]
-        return table
+    def _pair_quadrics(self, cover) -> list[dict[Monomial, int]]:
+        """S_j on the pairs of positions in cover, for each member after the screen."""
+        quad = {(a, b): c for a, b, c in _i4_slot_terms()}
+        return [_pullback_ints(quad, {a: {k: row[k] for k in cover if row[k]} for a, row in enumerate(m.rows)})
+                for m in self.members[_BLOCK:]]
 
 
 def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> PullbackFamily:
@@ -622,22 +636,18 @@ def _slot_values(packed: int, width: int) -> memoryview | list[int]:
 def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVerdict:
     """x passes iff every pulled-back form vanishes at x.
 
-    Each member's form is evaluated as the level-4 quadric at the mapped
-    point, on integers: x is scaled to its primitive integer multiple X =
-    (den_x / content) x, mapped by the member's integer rows, and the
-    integral quadric is evaluated there.  A nonzero value val gives the
-    witness val content^2 / (den den_x)^2, which equals the stored
-    pullback's value at x; the first member with a nonzero value is the
-    witness, so an off-cone point usually stops in the first block.
-
-    The members are mapped a block at a time through the family's packed
-    tables: Y = bias + sum_k X_k P_k holds 2^(w-1) + y_s in slot s, where
-    y_s is row s of the block applied to X.  The slot width w, the smallest
-    multiple of 64 with max|X| * (largest row L1 norm) < 2^(w-1), keeps
-    every slot in [0, 2^w), so no slot carries into or borrows from the
-    next, and Y ^ bias is the y_s in w-bit two's complement.  Only even
-    points can be certified: LevelMismatchError for a point with an odd
-    coordinate."""
+    The forms are evaluated on integers at X = (den_x / content) x; the first
+    member with a nonzero value val is the witness, val content^2 / (den
+    den_x)^2, the pullback's value at x.  The screen maps X by members
+    0.._BLOCK-1 at once: Y = bias + sum_k X_k P_k holds 2^(w-1) + y_s in slot
+    s, y_s row s applied to X, and w, the smallest multiple of 64 with max|X|
+    * (largest row L1 norm) < 2^(w-1), keeps every slot in [0, 2^w), so Y ^
+    bias is the y_s in w-bit two's complement.  A point that passes meets the
+    other members in one zero test: Y = sum_(s<=t) X_s X_t T[s][t] over its
+    support holds S_j(X) in slot j, and the pair table's width makes every
+    |S_j(X)| < 2^(w-1), so Y = 0 only when every S_j(X) is; else the lowest
+    set bit of Y lies in the first nonzero slot, read as a signed w-bit int.
+    LevelMismatchError for a point with an odd coordinate."""
     if not family.members:
         raise SpinalgError("empty family cannot certify")
     if x.n != family.n:
@@ -651,23 +661,28 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     # (s >> 1)-th in increasing order
     positions = [s >> 1 for s in ints]
     values = list(ints.values())
-    width = 64 * ((max(map(abs, values)) * family._row_bound).bit_length() // 64 + 1)
-    bias, blocks = family._packed(width)
-    quad = _i4_slot_terms()
-    for i in range((len(family.members) + _BLOCK - 1) // _BLOCK):
-        block = blocks[i]
-        ys = _slot_values(sum(map(mul, map(block.__getitem__, positions), values), bias) ^ bias, width)
-        # the quadric's value for each member of the block, over strided slots
-        vals = repeat(0, _BLOCK)
-        for a, b, c in quad:
-            vals = map(add, vals, map(mul, map(mul, ys[a::_ROWS], ys[b::_ROWS]), repeat(c)))
-        for j, val in enumerate(vals):
-            if val:
-                idx = i * _BLOCK + j
-                member = family.members[idx]
-                witness = Fraction(val * content * content, (member.den * den_x) ** 2)
-                return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
-    return MembershipVerdict(True, None, None, None)
+    top = max(map(abs, values))
+    width = 64 * ((top * family._row_bound).bit_length() // 64 + 1)
+    bias, screen = family._screen(width)
+    ys = _slot_values(sum(map(mul, map(screen.__getitem__, positions), values), bias) ^ bias, width)
+    # the quadric's value for each screen member, over strided slots
+    vals = repeat(0, _BLOCK)
+    for a, b, c in _i4_slot_terms():
+        vals = map(add, vals, map(mul, map(mul, ys[a::_ROWS], ys[b::_ROWS]), repeat(c)))
+    idx, val = next(((j, v) for j, v in enumerate(vals) if v), (0, 0))
+    if not val and len(family.members) > _BLOCK:
+        width, pairs = family._pairs(top, set(positions))
+        coords = sorted(zip(positions, values))
+        y = sum(a * b * pairs[s][t] for i, (s, a) in enumerate(coords) for t, b in coords[i:])
+        if y:
+            j = ((y & -y).bit_length() - 1) // width
+            low = y >> width * j & (1 << width) - 1
+            idx, val = _BLOCK + j, low - (low >> width - 1 << width)
+    if not val:
+        return MembershipVerdict(True, None, None, None)
+    member = family.members[idx]
+    witness = Fraction(val * content * content, (member.den * den_x) ** 2)
+    return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
 
 
 def off_cone_sample(n: int, seed) -> sr.SpinVector:

@@ -151,9 +151,9 @@ def dense_matmul(a, b):
 
 
 def oracle_rref(a):
-    """Dense Gauss-Jordan over Fractions: (rref rows, pivot columns).  The
-    original reference routine; entries are made Fractions first, so plain
-    integers give the same result.  Each input is reduced once per test run
+    """Gauss-Jordan over Fractions: (rref rows, pivot columns), with the pivots
+    and rows of the original dense reference routine; entries are made
+    Fractions first, so plain integers give the same result.  Each input is reduced once per test run
     (the elimination tests share their large cases); every call gets its own
     copy of the answer."""
     m, pivots = _oracle_rref(tuple(map(tuple, a)))
@@ -162,27 +162,35 @@ def oracle_rref(a):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_rref(a):
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Gauss-Jordan over Fractions on sparse rows {column: value}, zeros left
+    out, so a pivot step touches only the rows and entries that it changes;
+    the pivot of column c is the first remaining row with an entry there, as
+    in the dense routine first written.  The rows are returned dense."""
+    cols = len(a[0]) if a else 0
+    m = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r] = {k: x / pv for k, x in m[r].items()}
+        for i, row in enumerate(m):
+            if i != r and c in row:
+                f = row[c]
+                for k, y in m[r].items():
+                    x = row.get(k, 0) - f * y
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return m, pivots
+    return [[row.get(k, Fraction(0)) for k in range(cols)] for row in m], pivots
 
 
 def oracle_det(a):

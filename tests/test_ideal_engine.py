@@ -510,9 +510,16 @@ class TestQuadricOnFirstRead:
 
 @lru_cache(maxsize=None)
 def family_with_maps(n):
-    """A 17-member family at level n (two full blocks and one member) and
-    the oracle's Fraction map of each member."""
+    """A 17-member family at level n (the screen's 8 members and 9 in the
+    pair table) and the oracle's Fraction map of each member."""
     fam = ie.orbit_pullback_family(n, f"packed:{n}", 17)
+    return fam, oracle_level_maps(fam)
+
+
+@lru_cache(maxsize=None)
+def full_family_with_maps(n):
+    """The report's family size at level n (64 at 5, 120 at 6) and the maps."""
+    fam = ie.orbit_pullback_family(n, f"pairs:{n}", suites._family_size(n))
     return fam, oracle_level_maps(fam)
 
 
@@ -528,32 +535,58 @@ def wide_points(n, tag):
     point under a word with parameters near 2^71, the same point plus a
     unit coordinate, and a dense point with entries up to 2^75."""
     rng = make_rng(f"{tag}:{n}")
-    word = sr.random_group_element(n, tag, 6).word
-    g = sr.GroupElement(n, [(k, i, j, Fraction(2**71 + 2 * s + 1, 3)) for s, (k, i, j, _t) in enumerate(word)])
-    on_cone = g.apply(sr.SpinVector.omega0(n) if n % 2 == 0 else sr.SpinVector.omega1(n))
+    on_cone = orbit_point(n, tag, 71)
     dense = sr.SpinVector(
         n, {m: Fraction(rng.randint(-(2**75), 2**75), rng.randint(1, 99)) for m in ie.component_variables(n)}
     )
     return [on_cone, on_cone + sr.SpinVector.basis(n, 0), dense]
 
 
+def orbit_point(n, tag, bits):
+    """The base point moved by a six-letter word with parameters near 2^bits / 3."""
+    word = sr.random_group_element(n, tag, 6).word
+    g = sr.GroupElement(n, [(k, i, j, Fraction(2**bits + 2 * s + 1, 3)) for s, (k, i, j, _t) in enumerate(word)])
+    return g.apply(sr.SpinVector.omega0(n) if n % 2 == 0 else sr.SpinVector.omega1(n))
+
+
+def pair_widths(fam):
+    """The slot widths of the family's pair tables built so far."""
+    return set(fam._tables["pairs"][2]) if "pairs" in fam._tables else set()
+
+
+def reordered(fam, maps, picks):
+    """The family of fam's members picks[0], picks[1], ..., and their maps."""
+    return ie.PullbackFamily(fam.n, fam.seed, tuple(fam.members[k] for k in picks)), [maps[k] for k in picks]
+
+
 class TestPackedCertification:
-    """certify_membership maps 8 members at a time through packed integer
-    tables; every verdict must equal oracle_certify's, witness included."""
+    """certify_membership screens members 0..7 through a row-packed table
+    and meets the others in one zero test over the pair table; every
+    verdict must equal oracle_certify's, witness included."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_partial_blocks_match_oracle(self, n):
         fam, maps = family_with_maps(n)
         points = cone_query_points(n, "packed") + wide_points(n, "packed")
-        for size in (1, 7, 9, 17):
+        for size in (1, 7, 8, 9, 17):
             sub = ie.PullbackFamily(n, fam.seed, fam.members[:size])
             for x in points:
                 assert ie.certify_membership(x, sub) == oracle_certify(x, sub, maps[:size])
 
     @pytest.mark.parametrize("n", [5, 6])
+    def test_families_of_the_report_match_oracle(self, n):
+        fam, maps = full_family_with_maps(n)
+        verdicts = set()
+        for x in cone_query_points(n, "pairs") + wide_points(n, "pairs"):
+            got = ie.certify_membership(x, fam)
+            assert got == oracle_certify(x, fam, maps)
+            verdicts.add(got.passes)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [5, 6])
     def test_witness_in_a_later_block(self, n):
         # the plain contraction (member 0) kills every mask above level 4;
-        # nine copies of it lead, so the first witness sits in block 1 or later
+        # nine copies of it lead, so the first witness sits in the pair table
         fam, maps = family_with_maps(n)
         lead = ie.PullbackFamily(n, fam.seed, fam.members[:1] * 9 + fam.members[1:])
         lead_maps = maps[:1] * 9 + maps[1:]
@@ -564,6 +597,21 @@ class TestPackedCertification:
             got = ie.certify_membership(x, lead)
             assert got == oracle_certify(x, lead, lead_maps)
             assert not got.passes and got.witness_index >= 9
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_witness_at_member_eight_and_at_the_last_member(self, n):
+        # an orbit point plus a coordinate that member 0 kills: member 0's
+        # copies vanish there, and the one other member does not
+        fam, maps = full_family_with_maps(n)
+        last = len(fam.members) - 1
+        x = gc.sample_cone_point(n, "eighth", length=4) + sr.SpinVector.basis(n, 0b11000)
+        k = oracle_certify(x, fam, maps).witness_index  # the first member that does not vanish
+        assert k > 0
+        for picks, index in (([0] * 8 + [k], 8), ([0] * 8 + list(range(k, k + 9)), 8), ([0] * last + [k], last)):
+            sub, sub_maps = reordered(fam, maps, picks)
+            got = ie.certify_membership(x, sub)
+            assert got == oracle_certify(x, sub, sub_maps)
+            assert got.witness_index == index
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_slots_wider_than_64_bits(self, n):
@@ -576,20 +624,82 @@ class TestPackedCertification:
             verdicts.append(got.passes)
         assert verdicts[0] and not verdicts[2]
 
+    def test_pair_slots_of_128_and_192_bits_both_signs(self):
+        # witnesses of both signs read from pair slots of 64, 128 and 192 bits
+        fam, maps = family_with_maps(5)
+        lead, lead_maps = reordered(fam, maps, [0] * 9 + list(range(1, 17)))
+        signs, widths = set(), set()
+        for bits in (8, 12, 20):
+            x = orbit_point(5, "wide", bits)
+            for y, sign in ((x, 0), (x + sr.SpinVector.basis(5, 24), -1), (x - sr.SpinVector.basis(5, 24), 1)):
+                fresh = ie.PullbackFamily(5, lead.seed, lead.members)
+                got = ie.certify_membership(y, fresh)
+                assert got == oracle_certify(y, fresh, lead_maps)
+                assert got.passes == (sign == 0)
+                if sign:
+                    assert got.witness_index == 9 and (got.witness_value > 0) == (sign > 0)
+                    signs.add(sign)
+                widths |= pair_widths(fresh)
+        assert signs == {-1, 1} and widths == {64, 128, 192}
+
+    def test_rows_that_are_not_a_group_word(self):
+        # a group word's rows send every basis point onto the cone, so its
+        # S_j[s, s] is 0; free integer rows read the diagonal of the table too
+        n, rng = 5, make_rng("free-rows")
+        quad = ie._i4_slot_terms()
+        zero = tuple((0,) * 16 for _ in range(8))
+        free = [tuple(tuple(rng.randint(-3, 3) for _ in range(16)) for _ in range(8)) for _ in range(9)]
+        identity = sr.GroupElement.identity(n)
+        fam = ie.PullbackFamily(n, "free", tuple(ie.FamilyMember(identity, rows, 2) for rows in [zero] * 8 + free))
+        masks = ie.component_variables(n)
+        points = [sr.SpinVector.basis(n, m) for m in masks[:4]]
+        points += [sr.SpinVector(n, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for m in rng.sample(masks, 3)})
+                   for _ in range(20)]
+        for x in points:
+            coords = [x.coefficient(m) for m in masks]
+            values = []
+            for member in fam.members:
+                y = [sum(Fraction(c, member.den) * v for c, v in zip(row, coords)) for row in member.rows]
+                values.append(sum(c * y[a] * y[b] for a, b, c in quad))
+            index = next((k for k, v in enumerate(values) if v), None)
+            got = ie.certify_membership(x, fam)
+            assert (got.witness_index, got.witness_value) == (index, None if index is None else values[index])
+            assert got.passes == (index is None) and (index is None or index >= 8)
+
     @pytest.mark.parametrize("n", [5, 6])
-    def test_blocks_are_built_when_a_query_reaches_them(self, n):
+    def test_pair_quadrics_are_the_member_quadrics(self, n):
+        fam, _maps = full_family_with_maps(n)
+        sources = ie.component_variables(n)
+        for member, ints in zip(fam.members[8:], fam._pair_quadrics(range(len(sources)))):
+            scaled = {(sources[s], sources[t]): Fraction(c, member.den**2) for (s, t), c in ints.items() if c}
+            assert scaled == member.quadric.terms
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_pair_table_is_built_when_a_point_passes_the_screen(self, n, monkeypatch):
         fam, maps = family_with_maps(n)
         fresh = ie.PullbackFamily(n, fam.seed, fam.members)
+        covers = []
+        build = ie.PullbackFamily._pair_quadrics
+
+        def spy(self, cover):
+            covers.append(sorted(cover))
+            return build(self, cover)
+
+        monkeypatch.setattr(ie.PullbackFamily, "_pair_quadrics", spy)
         off = ie.off_cone_sample(n, "lazy")
         got = ie.certify_membership(off, fresh)
-        assert got == oracle_certify(off, fresh, maps)
-        assert got.witness_index < 8
-        ((width, (_bias, blocks)),) = fresh._tables.items()
-        assert len(blocks) == 1  # the query stopped in block 0
-        on = gc.sample_cone_point(n, "lazy")
-        assert ie.certify_membership(on, fresh) == oracle_certify(on, fresh, maps)
-        assert len(fresh._tables[width][1]) == 3  # 17 members: two full blocks and one
-        assert ie.certify_membership(off, fresh) == got
+        assert got == oracle_certify(off, fresh, maps) and got.witness_index < 8
+        assert "pairs" not in fresh._tables and covers == []  # the query stopped in the screen
+        on = gc.sample_cone_point(n, "lazy", length=4)
+        support = sorted(m >> 1 for m in on.terms)
+        for x in (on, on.scale(Fraction(-3, 4)), off):
+            assert ie.certify_membership(x, fresh) == oracle_certify(x, fresh, maps)
+        assert covers == [support]  # built once, over the first point's positions
+        other = gc.sample_cone_point(n, "lazy", length=10)
+        assert not {m >> 1 for m in other.terms} <= set(support)
+        for x in (other, on, other + on):
+            assert ie.certify_membership(x, fresh) == oracle_certify(x, fresh, maps)
+        assert covers == [support, list(range(1 << n - 1))]  # then once over every position
 
     def test_tables_leave_equality_and_hash_alone(self):
         fam, _maps = family_with_maps(5)

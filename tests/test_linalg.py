@@ -381,7 +381,7 @@ def test_nullspace_of_the_discovery_matrices_matches_oracle(stream):
 
 def test_nullspace_of_the_level_five_degree_two_matrix_matches_oracle():
     # the 408 x 136 matrix of degree2-span at n = 5, seed 7.  The oracle
-    # reads its first 150 rows (all 408 would take about 9 s): their kernel
+    # reads its first 150 rows (all 408 would take about 4 s): their kernel
     # holds a's, and it has as many vectors as nullspace(a) finds in a's, so
     # the two kernels are one space with one canonical basis
     a = evaluation_matrix(ie.cone_points(5, "7:span", 408), 2)

@@ -2,8 +2,9 @@
 
 The arithmetic of the element types and the letter kernel's products build
 their results through SparseElement._trusted and VectorInV._trusted, which
-check nothing; pulled-back polynomials are built by Polynomial._trusted, and
-random, inverted and multiplied group words by GroupElement._trusted.  Each such result is compared at levels 1..6 with a reference
+check nothing; pulled-back polynomials and the results of polynomial
+arithmetic are built by Polynomial._trusted, and random, inverted and
+multiplied group words by GroupElement._trusted.  Each such result is compared at levels 1..6 with a reference
 computed coefficient by coefficient and passed through the public
 constructor, which checks every key and coefficient: equal, with equal hashes,
 every coefficient a nonzero Fraction, and (for vectors) every zero coordinate
@@ -27,6 +28,7 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import spin_rep as sr
 from spinalg import suites
+from spinalg.errors import LevelMismatchError
 
 from conftest import (
     make_rng,
@@ -298,6 +300,68 @@ def test_pullbacks_match_the_validating_constructor(n):
     g = sr.random_group_element(n, "trusted", 5)
     lm = sr.LinearOperator.of_contraction(n, 4).compose(sr.LinearOperator.of_group_element(g))
     assert_same_polynomial(ie.pullback(ie.i4_quadric(), lm), oracle_pullback_rows(ie.i4_quadric(), *ie._integer_rows(lm), n))
+
+
+def random_polynomial(rng, is_limit, level, masks):
+    """A polynomial of degree <= 3 with up to five terms over masks."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = tuple(rng.choice(masks) for _ in range(rng.randint(0, 3)))
+        terms[mono] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return ie.Polynomial(is_limit, level, terms)
+
+
+def summed(is_limit, level, pairs):
+    """The validating constructor on the (monomial, coefficient) pairs, each
+    monomial sorted and repeated ones added up first."""
+    acc = {}
+    for mono, c in pairs:
+        key = tuple(sorted(mono))
+        acc[key] = acc.get(key, 0) + c
+    return ie.Polynomial(is_limit, level, acc)
+
+
+@pytest.mark.parametrize("level", [-1, 4, 5, 6])
+def test_polynomial_arithmetic_matches_the_validating_constructor(level):
+    """Sums, differences, negation, scaling, products and partial derivatives
+    build their results with Polynomial._trusted: each equals the result made
+    term by term through the validating constructor (level -1 is the limit)."""
+    is_limit = level < 0
+    rng = make_rng(f"trusted-polynomial:{level}")
+    masks = list(range(1 << 6)) if is_limit else list(range(1 << level))
+    for _ in range(25):
+        p = random_polynomial(rng, is_limit, level, masks)
+        part = ie.Polynomial(is_limit, level, {m: -c for m, c in list(p.terms.items())[::2]})
+        for q in (random_polynomial(rng, is_limit, level, masks), p, part, p.scale(-1)):
+            both = [*p.terms.items(), *q.terms.items()]
+            assert_same_polynomial(p + q, summed(is_limit, level, both))
+            assert_same_polynomial(p - q, summed(is_limit, level, [*p.terms.items(), *q.scale(-1).terms.items()]))
+            products = [(m1 + m2, c1 * c2) for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()]
+            assert_same_polynomial(p * q, summed(is_limit, level, products))
+        assert_same_polynomial(-p, summed(is_limit, level, [(m, -c) for m, c in p.terms.items()]))
+        for c in (0, 3, Fraction(-2, 7)):
+            assert_same_polynomial(p.scale(c), summed(is_limit, level, [(m, c * v) for m, v in p.terms.items()]))
+            assert_same_polynomial(p * c, p.scale(c))
+        for mask in {m for mono in p.terms for m in mono}:
+            v = ie.SpinVariable(is_limit, level, mask)
+            reference = [(mono[: mono.index(mask)] + mono[mono.index(mask) + 1 :], mono.count(mask) * c)
+                         for mono, c in p.terms.items() if mask in mono]
+            assert_same_polynomial(p.partial(v), summed(is_limit, level, reference))
+        assert (p - p).terms == {} and (p + -p).terms == {}
+
+
+def test_polynomial_arithmetic_still_checks_levels():
+    """The unchecked results keep _check in front of them: operands and
+    variables of another level raise LevelMismatchError."""
+    p = ie.Polynomial(False, 5, {(3, 5): 1})
+    for other in (ie.Polynomial(False, 4, {(3, 5): 1}), ie.Polynomial(True, -1, {(3, 5): 1})):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(LevelMismatchError):
+                op(p, other)
+            with pytest.raises(LevelMismatchError):
+                op(other, p)
+        with pytest.raises(LevelMismatchError):
+            p.partial(ie.SpinVariable(other.is_limit, other.level, 3))
 
 
 def assert_same_word(g, reference):
