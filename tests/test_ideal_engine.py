@@ -675,7 +675,9 @@ class TestPackedCertification:
             assert scaled == member.quadric.terms
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_pair_table_is_built_when_a_point_passes_the_screen(self, n, monkeypatch):
+    def test_blocks_are_built_when_a_query_reaches_them(self, n, monkeypatch):
+        # two blocks: the screen of the first eight members, then the pair
+        # table of the rest, built only when a point passes the screen
         fam, maps = family_with_maps(n)
         fresh = ie.PullbackFamily(n, fam.seed, fam.members)
         covers = []
@@ -690,6 +692,7 @@ class TestPackedCertification:
         got = ie.certify_membership(off, fresh)
         assert got == oracle_certify(off, fresh, maps) and got.witness_index < 8
         assert "pairs" not in fresh._tables and covers == []  # the query stopped in the screen
+        assert len(fresh._tables) == 1  # the screen, at one slot width
         on = gc.sample_cone_point(n, "lazy", length=4)
         support = sorted(m >> 1 for m in on.terms)
         for x in (on, on.scale(Fraction(-3, 4)), off):
