@@ -378,6 +378,7 @@ class CliffordElement(SparseElement):
 
     @staticmethod
     def from_symbol(n: int, sym) -> "CliffordElement":
+        """The generator e_i or f_i named by sym ("e3", ("f", 2), -2); public to write words by name."""
         s = parse_symbol(sym)
         _check_index(s, n)
         if s > 0:
@@ -615,6 +616,7 @@ class ExteriorVector(SparseElement):
         return {bin(m).count("1") for m in self.terms}
 
     def degree_component(self, d: int) -> "ExteriorVector":
+        """The degree-d part; public as the projection onto one graded piece."""
         return ExteriorVector(
             self.n, {m: c for m, c in self.terms.items() if bin(m).count("1") == d}
         )

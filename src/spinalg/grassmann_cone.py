@@ -45,7 +45,8 @@ class IsotropicSubspace:
     @classmethod
     def _trusted(cls, n: int, rows: tuple[tuple[Fraction, ...], ...]) -> "IsotropicSubspace":
         """The subspace on rows as given, unchecked: they must be the rref rows
-        of an isotropic subspace, each a tuple of 2n Fractions."""
+        of an isotropic subspace, each a tuple of 2n Fractions.  _rref_split
+        rejects rows that are not their own rref; isotropy is left to audits."""
         self = object.__new__(cls)
         self.n = n
         self.rows = rows
@@ -212,62 +213,36 @@ def _f_ends(hf, n: int) -> list[int]:
 
 
 def adapted_basis(h: IsotropicSubspace) -> AdaptedBasis:
-    """Deterministic adapted hyperbolic basis for a maximal isotropic H.
+    """Deterministic adapted hyperbolic basis for a maximal isotropic H, read
+    off its rows by _rref_split, which rejects H when it is not maximal or
+    its rows are not their own rref.
 
-    H∩F is read off H's rref rows (h.rows, when H comes from check_isotropic
-    or annihilator): those with their pivot in the f-block are the rref
-    basis of H∩F, and the others complement it in H.  The f'-block extends
-    H∩F by the standard f_j, lowest index first, that are not in H∩F +
-    span(f_1..f_(j-1)): the f_j at which no vector of H∩F ends, read off one
-    elimination from the last column.  The f'-block is scaled to determinant
-    one against the standard f-basis, which pins the scalar of every derived
-    object (omega_of, pluecker).  Hand-built rows that are not H's rref fail
-    the last adaptation invariant, or the split when they are dependent.
+    f'_1..f'_k are the rows spanning H∩F, then come the standard f_j at which
+    no vector of H∩F ends, lowest index first, the last of the block over d:
+    that scales it to determinant one against the standard f-basis and pins
+    the scalar of every derived object (omega_of, pluecker).  The other rows
+    W complement H∩F in H, and e'_(k+1..n) = P^-1 W, one exact solve.  So
+    e'_(k+1..n), f'_1..f'_k span H by construction; verify() audits the rest.
 
     omega_of and pluecker read its objects off H's rref rows in closed form
-    and call it only to reject rows that are not their own rref.  It stays
-    public as the one place a caller gets the e'- and f'-vectors that define
-    those closed forms, and as the reference their tests compare to.
+    and do not call it.  It stays public as the one place a caller gets the
+    e'- and f'-vectors that define those closed forms, and as the reference
+    their tests compare to.
     """
     n = h.n
-    if h.dim != n:
-        raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
-    rows = [list(r) for r in h.rows]
-    canonical = linalg.row_space(rows)
-    if len(canonical) != n:
-        raise StructureError("failed to split H over H∩F")
-    hf = [r for r in canonical if not any(r[:n])]
-    w_rows = [r for r in canonical if any(r[:n])]
-    k = len(hf)
-    ends = _f_ends(hf, n)
-    fprime_coords = hf + [cc.VectorInV.basis(n, -j - 1).coords() for j in range(n) if j not in ends]
-    # normalize the f'-block to determinant 1 over the standard f-basis
-    d = linalg.det([row[n:] for row in fprime_coords])
-    if d == 0:
-        raise StructureError("f'-rows do not span F")
-    fprime_coords[-1] = [x / d for x in fprime_coords[-1]]
-    fprime = [cc.VectorInV.from_coords(n, r) for r in fprime_coords]
-
-    # fix the pairing of the complement against f'_{k+1}..f'_n
-    e_top = []
-    if n > k:
-        w_vecs = [cc.VectorInV.from_coords(n, r) for r in w_rows]
-        pinv, den_p = linalg._int_matrix(
-            linalg.inverse([[cc.pairing(w, f) for f in fprime[k:]] for w in w_vecs])
-        )
-        w_ints, den_w = linalg._int_matrix(w_rows)
-        for row in linalg._product(pinv, w_ints, 0):
-            e_top.append(cc.VectorInV.from_coords(n, [Fraction(x, den_p * den_w) for x in row]))
-    known = {k + 1 + a: e_top[a] for a in range(n - k)}
+    rows, m, ends, d, _ = _rref_split(h)
+    k = n - m
+    cols = [j for j in range(n) if j not in ends]
+    fprime = [cc.VectorInV.from_coords(n, r) for r in rows[m:]]
+    fprime += [cc.VectorInV.basis(n, -j - 1) for j in cols]
+    fprime[-1] = fprime[-1].scale(1 / d)
+    # P = ((w_a|f'_(k+b))): W's e-coordinates at the f_j, the last over d
+    p = [[r[j] for j in cols[:-1]] + [r[cols[-1]] / d] for r in rows[:m]]
+    e_top = linalg.solve_matrix(p, [list(r) for r in rows[:m]])
+    known = {k + 1 + a: cc.VectorInV.from_coords(n, r) for a, r in enumerate(e_top)}
     new_e = _complete_e_rows(n, fprime, known)
     basis = AdaptedBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime), k=k)
     basis.verify()
-    # adaptation invariants
-    if linalg.row_space([v.coords() for v in fprime[:k]]) != hf:
-        raise StructureError("f'_1..f'_k do not span H∩F")
-    span_h = [v.coords() for v in new_e[k:]] + [v.coords() for v in fprime[:k]]
-    if linalg.row_space(span_h) != rows:
-        raise StructureError("adapted rows do not span H")
     return basis
 
 
@@ -275,8 +250,10 @@ def hyperbolic_basis_through(e: cc.VectorInV, h: cc.VectorInV | None = None) -> 
     """Hyperbolic basis with e'_n = e and f'_1..f'_n spanning the standard F.
 
     If h is given it must lie in F with (e|h) = 1; then f'_n = h.  Otherwise
-    f'_n is the lowest-index standard f_j with (e|f_j) != 0, rescaled.
-    """
+    f'_n is the lowest-index standard f_j with (e|f_j) != 0, rescaled.  The
+    f_j - (e|f_j) f'_n span F ∩ e-perp with the one relation sum_j (f'_n)_j
+    (f_j - (e|f_j) f'_n) = 0: those of every j but the last in f'_n's support
+    are f'_1..f'_(n-1), lowest index first."""
     n = e.n
     cc.require_isotropic(e, "contraction vector")
     if all(c == 0 for c in e.e):
@@ -291,15 +268,8 @@ def hyperbolic_basis_through(e: cc.VectorInV, h: cc.VectorInV | None = None) -> 
             raise NotIsotropicError("(e|h) must equal 1")
         f_last = h
     # remaining f'-rows span F ∩ e-perp, lowest index first
-    rest: list[cc.VectorInV] = []
-    rest_coords: list[list[Fraction]] = []
-    for j in range(1, n + 1):
-        if len(rest) == n - 1:
-            break
-        cand = cc.VectorInV.basis(n, -j) - f_last.scale(cc.pairing(e, cc.VectorInV.basis(n, -j)))
-        if linalg.rank(rest_coords + [cand.coords()]) > len(rest):
-            rest.append(cand)
-            rest_coords.append(cand.coords())
+    last = max(j for j in range(n) if f_last.f[j])
+    rest = [cc.VectorInV.basis(n, -j - 1) - f_last.scale(e.e[j]) for j in range(n) if j != last]
     fprime = rest + [f_last]
     # dual E-side candidates, then correct against e
     g = [list(v.f) for v in fprime]
@@ -333,19 +303,20 @@ def _is_own_rref(rows) -> bool:
             and not any(r[p] for a, p in enumerate(pivots) for i, r in enumerate(rows) if i != a))
 
 
-def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
-    """(rows, m, det P) for a maximal H: its rref rows, the m = n - k rows W
-    with a nonzero e-part first, then the k rows spanning H∩F.  With J the
-    f-indices outside their ends (_f_ends) and d the f'-block's determinant
-    before it is normalised, P is W's e-coordinates at J, (w_a|f'_(k+b)), its
-    last column over d.  Rejects what adapted_basis rejects, with its error
-    types."""
+def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, list[int], Fraction, Fraction]:
+    """(rows, m, ends, d, det P) for a maximal H: its rref rows, the m = n - k
+    rows W with a nonzero e-part first, then the k rows spanning H∩F; the
+    f-indices at which those end (_f_ends); with J the f-indices outside the
+    ends, d the determinant of the f'-block (H∩F, then the f_j at J) before
+    it is normalised, and P W's e-coordinates at J, (w_a|f'_(k+b)), its last
+    column over d.  Raises SpinalgError for H not maximal, StructureError for
+    rows that are not their own rref, ValueError for det P = 0."""
     n, rows = h.n, h.rows
-    if h.dim != n or not _is_own_rref(rows):
-        adapted_basis(h)  # raises: its dimension check, split or last invariant
+    if h.dim != n:
+        raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
+    if not _is_own_rref(rows):
+        raise StructureError("rows are not their own rref")
     m = sum(1 for r in rows if any(r[:n]))
-    if not m:
-        return rows, 0, Fraction(1)
     ends = _f_ends(rows[m:], n)
     cols = [j for j in range(n) if j not in ends]
     # d is +- the minor of the H∩F rows at their ends
@@ -355,7 +326,7 @@ def _rref_split(h: IsotropicSubspace) -> tuple[tuple, int, Fraction]:
     det_p = linalg.det([[r[j] for j in cols] for r in rows[:m]]) / d
     if not det_p:
         raise ValueError("H's rows pair singularly with f'_(k+1)..f'_n")
-    return rows, m, det_p
+    return rows, m, ends, d, det_p
 
 
 def omega_of(h: IsotropicSubspace) -> sr.SpinVector:
@@ -369,7 +340,7 @@ def omega_of(h: IsotropicSubspace) -> sr.SpinVector:
     isotropic, so this certifies that H is isotropic and omega its pure
     spinor; the formula fixes the scalar."""
     n = h.n
-    rows, m, det_p = _rref_split(h)
+    rows, m, _, _, det_p = _rref_split(h)
     letters = [sr._action_letter(r, n) for r in rows]
     coef = 1 / (det_p * math.prod(scale for _, scale in letters[:m]))
     omega = sr._act([(coef, [letter for letter, _ in letters[:m]])], sr.SpinVector.basis(n, 0))
@@ -388,7 +359,7 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
     rows are then the standard f-basis.  The audit: the rows are their own
     rref and the Gram matrix of their integer multiples is zero."""
     n = h.n
-    rows, _, det_p = _rref_split(h)
+    rows, _, _, _, det_p = _rref_split(h)
     ints = [linalg._integer_row(enumerate(r))[0] for r in rows]
     if any(_row_pairing(a, b, n) for i, a in enumerate(ints) for b in ints[i:]):
         raise StructureError("H is not isotropic: the Gram matrix of its rows is not zero")

@@ -131,6 +131,7 @@ class Polynomial:
 
     @staticmethod
     def constant_finite(level: int, c) -> "Polynomial":
+        """The constant c at a finite level; public as the finite-level twin of variable()."""
         return Polynomial(False, level, {(): Fraction(c)})
 
     # -- ring operations ----------------------------------------------------
@@ -265,7 +266,8 @@ def _monomial_value(mono: Monomial, coords: dict[int, Fraction], c: Fraction) ->
 
 
 def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
-    """Exact evaluation of a finite-level polynomial at a spin vector."""
+    """Exact evaluation of a finite-level polynomial at a spin vector; public
+    as the plain evaluation the README example uses (certify_membership packs its own)."""
     if p.is_limit:
         raise LevelMismatchError("evaluate limit polynomials through to_finite")
     if p.level != x.n:
@@ -740,7 +742,8 @@ def derivation_ff(i: int, j: int, p: Polynomial, window: int) -> Polynomial:
     """Derivation action of f_i^f_j; raises each complement size by 2.
 
     The per-variable scalar (including its factor 2 and sign) comes from
-    the finite-level oracle, never from a closed-form convention."""
+    the finite-level oracle, never from a closed-form convention.  Public as
+    the lowering argument's derivation, which _main_step applies by _derive."""
     if not i < j:
         raise IndexRangeError("need i < j")
     if j > window:
@@ -753,6 +756,16 @@ def derivation_ef(i: int, j: int, p: Polynomial, window: int) -> Polynomial:
     if i > window or j > window:
         raise IndexRangeError("truncation too small for the indices")
     return _derive(sr.SoElement.basis_ef(window, i, j), p, window)
+
+
+def _main_step(x: sr.SoElement, cur: Polynomial, cmask: int, window: int, where: str) -> tuple[Fraction, int, Polynomial]:
+    """One step of the lowering construction: x's scalar and new complement
+    on the main variable with complement cmask (_limit_variable_action), and
+    x's derivation of cur; StructureError when x kills the main variable."""
+    acted = _limit_variable_action(x, cmask, window)
+    if acted is None:
+        raise StructureError(f"main variable died {where}")
+    return *acted, _derive(x, cur, window)
 
 
 @dataclass(frozen=True)
@@ -817,13 +830,9 @@ def degree_lowering_trace(p: Polynomial, window: int) -> LoweringTrace:
                 pair.append(i)
             i += 1
         i1, i2 = pair
-        acted = _limit_variable_action(
-            sr.SoElement.basis_ff(window, i1, i2), cmask, window
+        step_scalar, cmask, cur = _main_step(
+            sr.SoElement.basis_ff(window, i1, i2), cur, cmask, window, "under its own pair"
         )
-        if acted is None:
-            raise StructureError("main variable died under its own pair")
-        step_scalar, cmask = acted
-        cur = derivation_ff(i1, i2, cur, window)
         scalar *= step_scalar
         steps.append(LoweringStep((i1, i2), step_scalar, cur))
     if ell > 0 and cmask != full:
@@ -889,19 +898,12 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
     power = 1
     q = trace.q
     # phase one: (n+1, n+2), ..., (m-1, m)
-    t = n_tr + 1
-    while t < m:
-        i1, i2 = t, t + 1
-        acted = _limit_variable_action(
-            sr.SoElement.basis_ff(window, i1, i2), cmask, window
+    for t in range(n_tr + 1, m, 2):
+        step_scalar, cmask, cur = _main_step(
+            sr.SoElement.basis_ff(window, t, t + 1), cur, cmask, window, "while extending"
         )
-        if acted is None:
-            raise StructureError("main variable died while extending")
-        step_scalar, cmask = acted
-        cur = derivation_ff(i1, i2, cur, window)
         generators.append(cur)
         scalar *= step_scalar
-        t += 2
     # phase two: move the complement [m] onto the target, largest slot first
     targets = sorted(
         i + 1 for i in range(target_cmask.bit_length()) if target_cmask >> i & 1
@@ -913,25 +915,18 @@ def produce_solving_element(trace: LoweringTrace, target_cmask: int, window: int
             continue
         moves.append((t_slot, c_t))
     for i, j in moves:
-        acted = _limit_variable_action(
-            sr.SoElement.basis_ef(window, i, j), cmask, window
-        )
-        if acted is None:
-            raise StructureError("main variable died under a gl move")
-        move_scalar, new_cmask = acted
-        dq = derivation_ef(i, j, q, window)
-        dcur = derivation_ef(i, j, cur, window)
+        x = sr.SoElement.basis_ef(window, i, j)
+        move_scalar, cmask, dcur = _main_step(x, cur, cmask, window, "under a gl move")
+        dq = _derive(x, q, window)
         generators.append(dcur)
+        scalar *= move_scalar
         if dq.is_zero():
             cur = dcur
-            scalar *= move_scalar
         else:
             # q * D(cur) - power * D(q) * cur keeps the main shape, power + 1
             cur = q * dcur - dq.scale(power) * cur
-            scalar *= move_scalar
             power += 1
             generators.append(cur)
-        cmask = new_cmask
     if cmask != target_cmask:
         raise StructureError("moves did not reach the target variable")
     remainder = cur - Polynomial(True, -1, {(cmask,): scalar}) * q_power(q, power)

@@ -93,7 +93,8 @@ def _int_matrix(a: Matrix) -> tuple[list[list[int]], int]:
 
 def matvec(a: Matrix, v: Vector) -> Vector:
     """a v, summing only the products of nonzero factors; ValueError unless
-    every row of a has one entry per entry of v."""
+    every row of a has one entry per entry of v.  Public as the Matrix type's
+    matrix-vector product, which callers and the tests check solutions with."""
     if any(len(row) != len(v) for row in a):
         raise ValueError("matrix and vector dimensions differ")
     nonzero = [(k, y) for k, y in enumerate(v) if y]

@@ -413,7 +413,8 @@ class LinearOperator:
 
     @staticmethod
     def of_contraction(n: int, target: int) -> "LinearOperator":
-        """The contraction tower from level n down to level target."""
+        """The contraction tower from level n down to level target; public as
+        the operator form of transfer_maps.pi_tower, for compose."""
         from .transfer_maps import pi_tower
 
         cols = {m: pi_tower(SpinVector.basis(n, m), target) for m in range(1 << n)}
@@ -431,7 +432,8 @@ class LinearOperator:
         return SpinVector(self.target_n, out)
 
     def compose(self, inner_op: "LinearOperator") -> "LinearOperator":
-        """self o inner_op."""
+        """self o inner_op; public as the composition law of the level maps,
+        so a tower and a group word make one operator."""
         if inner_op.target_n != self.source_n:
             raise LevelMismatchError(f"levels differ: {self.source_n} vs {inner_op.target_n}")
         return LinearOperator(

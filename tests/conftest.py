@@ -16,7 +16,7 @@ from spinalg import linalg
 from spinalg import spin_rep as sr
 from spinalg import suites
 from spinalg import transfer_maps as tm
-from spinalg.errors import NotIsotropicError, SpinalgError, StructureError
+from spinalg.errors import IndexRangeError, NotIsotropicError, SpinalgError, StructureError
 
 
 def make_rng(tag: str) -> random.Random:
@@ -895,6 +895,99 @@ def oracle_pluecker(h, basis=None):
     rows e'_{k+1}..e'_n, f'_1..f'_k of the oracle's basis (or of `basis`)."""
     basis = basis or oracle_adapted_basis(h)
     return cc.wedge_of_vectors(h.n, list(basis.new_e[basis.k :]) + list(basis.new_f[: basis.k]))
+
+
+def oracle_hyperbolic_basis_through(e, h=None):
+    """grassmann_cone.hyperbolic_basis_through as first written: f'_n as
+    there, f'_1..f'_(n-1) picked greedily by linalg.rank from the
+    f_j - (e|f_j) f'_n, lowest index first, and the E-side read off
+    linalg.inverse of the f'-block, then corrected against e."""
+    n = e.n
+    cc.require_isotropic(e, "contraction vector")
+    if all(c == 0 for c in e.e):
+        raise IndexRangeError("vector lies in F; contraction is not defined there")
+    if h is None:
+        j0 = next(i for i, c in enumerate(e.e) if c != 0)
+        f_last = cc.VectorInV.basis(n, -(j0 + 1)).scale(1 / e.e[j0])
+    else:
+        if any(c != 0 for c in h.e):
+            raise IndexRangeError("hyperbolic partner must lie in F")
+        if cc.pairing(e, h) != 1:
+            raise NotIsotropicError("(e|h) must equal 1")
+        f_last = h
+    rest, rest_coords = [], []
+    for j in range(1, n + 1):
+        if len(rest) == n - 1:
+            break
+        cand = cc.VectorInV.basis(n, -j) - f_last.scale(cc.pairing(e, cc.VectorInV.basis(n, -j)))
+        if linalg.rank(rest_coords + [cand.coords()]) > len(rest):
+            rest.append(cand)
+            rest_coords.append(cand.coords())
+    fprime = rest + [f_last]
+    ginv = linalg.inverse([list(v.f) for v in fprime])
+    new_e = []
+    for i in range(n - 1):
+        etil = cc.VectorInV(n, [ginv[j][i] for j in range(n)], [0] * n)
+        new_e.append(etil - f_last.scale(cc.pairing(etil, e)))
+    new_e.append(e)
+    basis = gc.HyperbolicBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime))
+    basis.verify()
+    return basis
+
+
+def oracle_primed_solver(n, e_coords):
+    """transfer_maps._primed_contraction_solver as first written, on the
+    oracle's hyperbolic basis: the elements e'_I f'_1..f'_(n-1), the pivot
+    rows of the rref of their coefficient matrix's transpose, the inverse of
+    that square, and a solve by linalg.matvec audited by reconstructing y on
+    every monomial.  Returns (basis, solve, elements)."""
+    basis = oracle_hyperbolic_basis_through(cc.VectorInV.from_coords(n, list(e_coords)))
+    f_block = gc.multiply_vectors(n, basis.new_f[: n - 1])
+    elements = []
+    for mask in range(1 << n):
+        prod = cc.CliffordElement.unit(n)
+        for v in (basis.new_e[i] for i in range(n) if mask >> i & 1):
+            prod = cc.mul(prod, v.as_clifford())
+        elements.append(cc.mul(prod, f_block))
+    monos = sorted(set().union(*[set(el.terms) for el in elements]))
+    a = [[el.coefficient(m) for el in elements] for m in monos]
+    _, pivots = linalg.rref(linalg.transpose(a))
+    if len(pivots) != 1 << n:
+        raise StructureError("primed ideal basis is not independent")
+    square_inv = linalg.inverse([a[r] for r in pivots])
+    pivot_monos = [monos[r] for r in pivots]
+
+    def solve(y):
+        z = linalg.matvec(square_inv, [y.coefficient(m) for m in pivot_monos])
+        recon = {}
+        for c, el in zip(z, elements):
+            for m, v in el.terms.items():
+                recon[m] = recon.get(m, Fraction(0)) + c * v
+        if {m: v for m, v in recon.items() if v} != y.terms:
+            raise StructureError("contraction image left the primed ideal")
+        return z
+
+    return basis, solve, elements
+
+
+def oracle_pi_general(x, e):
+    """transfer_maps.pi_general as first written, on oracle_primed_solver:
+    ex + (-1)^(n-1) xe halved on the even part, sign (-1)^n on the odd part,
+    solved in the primed basis, the masks without n kept."""
+    n = x.n
+    _, solve, _ = oracle_primed_solver(n, tuple(e.coords()))
+    ev, od = x.parity_split()
+    ec = e.as_clifford()
+    y = cc.CliffordElement.zero(n)
+    for part, sg in ((ev, Fraction((-1) ** (n - 1), 2)), (od, Fraction((-1) ** n, 2))):
+        if not part.is_zero():
+            xc = sr.to_left_ideal(part)
+            y = y + cc.mul(ec, xc).scale(sg) + cc.mul(xc, ec).scale(Fraction(1, 2))
+    if y.is_zero():
+        return sr.SpinVector.zero(n - 1)
+    z = solve(y)
+    top = 1 << (n - 1)
+    return sr.SpinVector(n - 1, {m: z[m] for m in range(1 << n) if z[m] and not m & top})
 
 
 def oracle_so_matrix_replay(g):

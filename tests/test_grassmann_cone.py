@@ -23,9 +23,11 @@ from conftest import (
     make_rng,
     oracle_adapted_basis,
     oracle_annihilator,
+    oracle_hyperbolic_basis_through,
     oracle_omega_of,
     oracle_pluecker,
     pfaffian,
+    random_isotropic,
     random_spin,
 )
 
@@ -147,11 +149,17 @@ class TestAdaptedBasis:
     def hand_built(n, rows):
         return gc.IsotropicSubspace._trusted(n, tuple(tuple(r) for r in rows))
 
-    def assert_rejected_like_oracle(self, h, message):
-        for build in (b for pair in BUILDS for b in pair):
+    def assert_rejected_like_oracle(self, h, oracle_message):
+        # the builds read H off its rref rows and reject rows that are not
+        # with the IsotropicSubspace constructor's message; the oracle, which
+        # reads any spanning rows, still rejects them with its own
+        for build, oracle in BUILDS:
             with pytest.raises(StructureError) as err:
                 build(h)
-            assert str(err.value) == message
+            assert str(err.value) == "rows are not their own rref"
+            with pytest.raises(StructureError) as err:
+                oracle(h)
+            assert str(err.value) == oracle_message
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rows_other_than_the_rref_are_rejected(self, n):
@@ -166,43 +174,79 @@ class TestAdaptedBasis:
             )
 
     def test_hand_built_rows_match_the_oracle(self):
-        # rows that need not be isotropic, independent or reduced; on their
-        # rref, and on dependent rows, the outcome is the oracle's, message
-        # included.  Independent rows that are not their rref keep the error
-        # type: off isotropy, the oracle's complement of H∩F, picked from the
-        # rows as given, can make verify() name another pair.  omega_of and
-        # pluecker accept exactly what the oracle accepts, with its result,
-        # and raise its error type; off isotropy they name their own audit,
-        # so only the split and rref messages are pinned for them.
+        # rows that need not be isotropic, independent or reduced.  On their
+        # rref the outcome is the oracle's: the result when it accepts, else
+        # its error type, and its message for adapted_basis, for non-maximal
+        # H and for the split and rref messages.  One message moves: where
+        # the oracle inverts a singular P, adapted_basis raises _rref_split's
+        # det P check, as omega_of and pluecker do.  Off isotropy omega_of
+        # and pluecker name their own audits.  Rows that are not their own
+        # rref are rejected by every build with the constructor's message,
+        # and by the oracle too, with its split message when dependent.
         pinned = {"failed to split H over H∩F", "adapted rows do not span H"}
+        singular = (ValueError, "H's rows pair singularly with f'_(k+1)..f'_n")
         rng = make_rng("ab-hand-built")
         verdicts = {build: set() for build, _ in BUILDS}
         for _ in range(120):
             n = rng.randint(2, 4)
             rows = [[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(2 * n)] for _ in range(n)]
             canonical = linalg.row_space(rows)
-            exact = canonical == rows or len(canonical) < n
-            for candidate, same_message in ((canonical, True), (rows, exact)):
-                h = self.hand_built(n, candidate)
-                for build, oracle in BUILDS:
-                    got, want = outcome(build, h), outcome(oracle, h)
-                    assert got[0] == want[0], (build.__name__, candidate, got, want)
-                    pin = same_message if build is gc.adapted_basis else got[0] is None or want[1] in pinned
-                    if pin:
-                        assert got == want, (build.__name__, candidate)
-                    verdicts[build].add(got[0])
+            h = self.hand_built(n, canonical)
+            for build, oracle in BUILDS:
+                got, want = outcome(build, h), outcome(oracle, h)
+                assert got[0] == want[0], (build.__name__, canonical, got, want)
+                if build is gc.adapted_basis and want == (ValueError, "matrix is singular"):
+                    assert got == singular, canonical
+                elif build is gc.adapted_basis or got[0] is None or want[1] in pinned or len(canonical) < n:
+                    assert got == want, (build.__name__, canonical)
+                verdicts[build].add(got[0])
+            if canonical == rows:
+                continue
+            h = self.hand_built(n, rows)
+            for build, oracle in BUILDS:
+                assert outcome(build, h) == (StructureError, "rows are not their own rref")
+                want = outcome(oracle, h)
+                assert want[0] is not None, rows
+                if len(canonical) < n:
+                    assert want == (StructureError, "failed to split H over H∩F")
         for seen in verdicts.values():
             assert seen >= {None, SpinalgError, StructureError, ValueError}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_zero_row_fails_the_split(self, n):
-        # a zero row has no pivot: reading pivots off the rows must still
-        # end in the split's error (not, say, a bare StopIteration)
+        # a zero row has no pivot: reading pivots off the rows must still end
+        # in the rref error, and the oracle's in its split error (not, say, a
+        # bare StopIteration)
         for h in (gc.coordinate_subspace(n, m) for m in ((1 << n) - 1, 0, 1)):
             for at in (0, n - 1):
                 rows = [list(r) for r in h.rows]
                 rows[at] = [Fraction(0)] * (2 * n)
                 self.assert_rejected_like_oracle(self.hand_built(n, rows), "failed to split H over H∩F")
+
+
+class TestHyperbolicBasis:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_the_greedy_oracle(self, n):
+        # e's coordinates permuted, so the index j0 of f'_n without a partner
+        # varies; a partner of random support varies the last index of its
+        # support, the one the closed form leaves out of f'_1..f'_(n-1)
+        rng = make_rng(f"hyperbolic-oracle:{n}")
+        j0s, left_out = set(), set()
+        for _ in range(30):
+            perm = rng.sample(range(n), n)
+            base = random_isotropic(n, rng)
+            e = cc.VectorInV(n, [base.e[p] for p in perm], [base.f[p] for p in perm])
+            j0s.add(next(j for j in range(n) if e.e[j]))
+            assert gc.hyperbolic_basis_through(e) == oracle_hyperbolic_basis_through(e)
+            h = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            s = sum((a * b for a, b in zip(e.e, h)), Fraction(0))
+            if not s:
+                continue
+            partner = cc.VectorInV(n, [0] * n, [x / s for x in h])
+            left_out.add(max(j for j in range(n) if h[j]))
+            assert gc.hyperbolic_basis_through(e, partner) == oracle_hyperbolic_basis_through(e, partner)
+        if n > 1:
+            assert len(j0s) > 1 and len(left_out) > 1
 
 
 class TestOmega:

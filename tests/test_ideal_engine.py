@@ -802,6 +802,20 @@ class TestLowering:
         tr = ie.degree_lowering_trace(p, 4)
         assert tr.main_var == var_l(1, 2)
 
+    def test_main_step_is_the_variable_action_and_the_derivation(self):
+        p = ie.i4_quadric().to_limit()
+        main = var_l(1, 2, 3, 4).mask
+        for x, derive in (
+            (sr.SoElement.basis_ff(8, 5, 6), lambda q: ie.derivation_ff(5, 6, q, 8)),
+            (sr.SoElement.basis_ef(8, 2, 7), lambda q: ie.derivation_ef(2, 7, q, 8)),
+        ):
+            scalar, cmask, cur = ie._main_step(x, p, main, 8, "here")
+            assert (scalar, cmask) == ie._limit_variable_action(x, main, 8)
+            assert cur == derive(p) and not cur.is_zero()
+        # f_1^f_2 contracts indices 1 and 2, which this variable lacks
+        with pytest.raises(StructureError, match="^main variable died under a gl move$"):
+            ie._main_step(sr.SoElement.basis_ff(8, 1, 2), p, main, 8, "under a gl move")
+
     def test_random_decompositions(self, rng):
         vars_pool = [m for m in range(1 << 4) if bin(m).count("1") % 2 == 0]
         done = 0
@@ -1033,3 +1047,27 @@ class TestGoldenOutputs:
             "7b329f4e7174c5b9a8c3843e27c6a56e40d1d547bb772589febf8abb394dde3f",
             "28db3105e40f592d6dc6fc009ce75ac9e6defd1cb2110d683f6d0d31d932f334",
         ]
+
+    def test_lowering_records(self):
+        # sha256 of the repr of each record of the lowering construction:
+        # Polynomial.__repr__ sorts the monomials, so the text is deterministic
+        tr = ie.degree_lowering_trace(ie.i4_quadric().to_limit(), 6)
+        records = [
+            tr,
+            ie.produce_solving_element(tr, 0b111111, 8),
+            ie.produce_solving_element(tr, 0b1111101, 8),
+            ie.assemble_localized(tr, 0xFF, 8),
+        ]
+        assert [hashlib.sha256(repr(r).encode()).hexdigest() for r in records] == [
+            "b1a84b159dcc35b5833aad4077e51c231bd69b7f90eeec62e404bfda8f52ad39",
+            "c541192fc5cf3811f7cd9e11e3aa1896e239494b5577dad3226c7b1868453e61",
+            "cf24bb65d4677bade18bfca56416f0bf8fe8dc6feff705b59f1e7a2fe6703c2e",
+            "2974c4baa35f2a69cc0f2f3565136061a38d8f36f915d15a8b31d03cf799c1fe",
+        ]
+        # gl moves that also hit q = x[~1,2]: the power grows to 3
+        p = ie.Polynomial(True, -1, {(0b0011, 0b1111): Fraction(1), (0, 0b1100): Fraction(1)})
+        sol = ie.produce_solving_element(ie.degree_lowering_trace(p, 6), 0b11111100, 8)
+        assert sol.power == 3
+        assert hashlib.sha256(repr(sol).encode()).hexdigest() == (
+            "c9828aa6775fcc89e0b79cdb76e5277ae7e568f7637747e6c08f082d790303da"
+        )

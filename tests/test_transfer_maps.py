@@ -13,9 +13,17 @@ from spinalg.errors import (
     IndexRangeError,
     NotIsotropicError,
     ResourceBoundError,
+    StructureError,
 )
 
-from conftest import make_rng, oracle_gram_rows, random_spin
+from conftest import (
+    make_rng,
+    oracle_gram_rows,
+    oracle_pi_general,
+    oracle_primed_solver,
+    random_isotropic,
+    random_spin,
+)
 
 
 class TestTowerMaps:
@@ -145,6 +153,50 @@ class TestGeneralContraction:
             assert h.contains(e) == img.is_zero()
             if not img.is_zero():
                 assert gc.is_pure(img).kind == "pure"
+
+
+class TestPrimedSolver:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pi_general_matches_the_inverse_route(self, n):
+        # e's coordinates permuted, so f'_n and the index the f'-rows leave
+        # out vary; x of either parity and of both
+        rng = make_rng(f"primed-oracle:{n}")
+        for t in range(3):
+            perm = rng.sample(range(n), n)
+            base = random_isotropic(n, rng)
+            e = cc.VectorInV(n, [base.e[p] for p in perm], [base.f[p] for p in perm])
+            for parity in ("even", "odd", None):
+                x = random_spin(n, rng, parity)
+                assert tm.pi_general(x, e) == oracle_pi_general(x, e)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_elements_outside_the_primed_span_are_rejected(self, n):
+        # the unit has a monomial no primed element touches; a single
+        # monomial of some element is in their support, and the solve
+        # rejects it exactly when the oracle's reconstruction audit does
+        e = random_isotropic(n, make_rng(f"primed-outside:{n}"))
+        _, solve = tm._primed_contraction_solver(n, tuple(e.coords()))
+        _, oracle_solve, elements = oracle_primed_solver(n, tuple(e.coords()))
+        support = set().union(*(el.terms for el in elements))
+        unit = cc.CliffordElement.unit(n)
+        assert not unit.terms.keys() & support
+        for y_solve in (solve, oracle_solve):
+            with pytest.raises(StructureError, match="contraction image left the primed ideal"):
+                y_solve(unit)
+        rejected = 0
+        for m in sorted(support):
+            y = cc.CliffordElement(n, {m: Fraction(1)})
+            try:
+                want = oracle_solve(y)
+            except StructureError:
+                with pytest.raises(StructureError, match="contraction image left the primed ideal"):
+                    solve(y)
+                rejected += 1
+            else:
+                assert solve(y) == want
+        assert rejected
+        for i, el in enumerate(elements):
+            assert solve(el) == [Fraction(int(i == j)) for j in range(1 << n)]
 
 
 class TestBeta:
