@@ -7,6 +7,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import clifford_core as cc
 from . import linalg
@@ -100,10 +101,9 @@ def _row_pairing(a: linalg.IntRow, b: linalg.IntRow, n: int) -> int:
     return total
 
 
-def _isotropic_subspace(rows: list[linalg.IntRow], scales: list, n: int) -> IsotropicSubspace:
-    """The span of the vectors rows[i] / scales[i], given as integer rows,
-    after the audit: zero Gram matrix and full rank.  Eliminates the rows in
-    place."""
+def _gram_audit(rows: list[linalg.IntRow], scales: list, n: int) -> None:
+    """NotIsotropicError unless the vectors rows[i] / scales[i], given as
+    integer rows, pair to zero two by two."""
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
             g = _row_pairing(a, rows[j], n)
@@ -112,6 +112,11 @@ def _isotropic_subspace(rows: list[linalg.IntRow], scales: list, n: int) -> Isot
                     f"Gram entry (row {i + 1}, row {j + 1}) = "
                     f"{Fraction(g) / (scales[i] * scales[j])} != 0"
                 )
+
+
+def _isotropic_subspace(rows: list[linalg.IntRow], n: int) -> IsotropicSubspace:
+    """The span of integer rows that passed _gram_audit, after the rank
+    audit, on its rref rows.  Eliminates the rows in place."""
     pivots = linalg._eliminate(rows)
     if len(pivots) != len(rows):
         raise SpinalgError(f"rows are rank deficient: rank {len(pivots)} < {len(rows)}")
@@ -125,7 +130,8 @@ def check_isotropic(rows, n: int) -> IsotropicSubspace:
         row, den, content = linalg._integer_row(enumerate(r))
         ints.append(row)
         scales.append(Fraction(den, content))
-    return _isotropic_subspace(ints, scales, n)
+    _gram_audit(ints, scales, n)
+    return _isotropic_subspace(ints, n)
 
 
 def coordinate_subspace(n: int, emask: int) -> IsotropicSubspace:
@@ -435,25 +441,33 @@ def _residual(row: linalg.IntRow, pivots: dict, l: int) -> linalg.IntRow:
     return out
 
 
-def _split_kernel(pivots: dict, l: int, residuals: list[linalg.IntRow], n: int) -> IsotropicSubspace:
-    """The annihilator from the split (_split_action): the kernel of the
-    residual rows over the n columns off C, each vector w lifted to
-    l w - sum over c in C of (l / D_c)(M_c . w) e_c, after the same audit as
-    check_isotropic.  Eliminates the residual rows in place."""
+def _split_kernel(pivots: dict, l: int, residuals: list[linalg.IntRow], n: int) -> list[linalg.IntRow]:
+    """The annihilator from the split (_split_action) as integer rows, after
+    the Gram audit of check_isotropic: the kernel of the residual rows over
+    the n columns off C, each vector w lifted to l w - sum over c in C of
+    (l / D_c)(M_c . w) e_c.  Without residuals the kernel is the unit
+    vectors there, so row k is l e_k plus its lift, and no other row has an
+    entry at k: the rows are independent.  Eliminates the residual rows in
+    place; _isotropic_subspace takes the rank audit and the rref."""
     lift: dict[int, dict[int, int]] = {}  # column k off C -> {c: -(l / D_c) M_c[k]}
     for c, (q, rest) in pivots.items():
         for k, y in rest.items():
             lift.setdefault(k, {})[c] = -q * y
-    rows, scales = [], []
     free = [k for k in range(2 * n) if k not in pivots]
-    for w, s in linalg._kernel(residuals, linalg._eliminate(residuals), free):
-        v = {k: l * y for k, y in w.items()}
-        for k, y in w.items():
-            for c, z in lift.get(k, {}).items():
-                v[c] = v.get(c, 0) + z * y
-        rows.append({k: y for k, y in v.items() if y})
-        scales.append(l * s)
-    return _isotropic_subspace(rows, scales, n)
+    if not residuals:
+        rows = [{k: l, **lift.get(k, {})} for k in free]
+        scales = [l] * len(rows)
+    else:
+        rows, scales = [], []
+        for w, s in linalg._kernel(residuals, linalg._eliminate(residuals), free):
+            v = {k: l * y for k, y in w.items()}
+            for k, y in w.items():
+                for c, z in lift.get(k, {}).items():
+                    v[c] = v.get(c, 0) + z * y
+            rows.append({k: y for k, y in v.items() if y})
+            scales.append(l * s)
+    _gram_audit(rows, scales, n)
+    return rows
 
 
 def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
@@ -463,24 +477,47 @@ def annihilator(x: sr.SpinVector) -> IsotropicSubspace:
     diagonal on a set C of n columns, and the rest (_split_action); each
     other row is reduced against the pivots in one pass (_residual).  The
     kernel of the residuals on the n columns off C, lifted through the
-    pivots, is the annihilator; it passes the same audit as check_isotropic."""
+    pivots, is the annihilator (_split_kernel); it passes the same Gram and
+    rank audits as check_isotropic, and is returned on its rref rows."""
     if x.is_zero():
         raise SpinalgError("annihilator of the zero vector is all of V")
     pivots, l, others = _split_action(x)
     residuals = [r for r in (_residual(row, pivots, l) for row in others) if r]
-    return _split_kernel(pivots, l, residuals, x.n)
+    return _isotropic_subspace(_split_kernel(pivots, l, residuals, x.n), x.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PurityResult:
-    """Cone membership verdict: 'pure', 'not_pure', or 'zero' (0 is on the cone)."""
+    """Cone membership verdict: 'pure', 'not_pure', or 'zero' (0 is on the cone).
+
+    A pure verdict holds the annihilator's n lifted integer rows, audited
+    isotropic by is_pure; subspace, the annihilator, is their rref, written
+    after the rank audit on first read (_isotropic_subspace, as annihilator
+    does) and kept.  Verdicts compare and hash by kind and subspace."""
 
     kind: str
-    subspace: IsotropicSubspace | None
+    _rows: tuple[linalg.IntRow, ...] = ()
+
+    @cached_property
+    def subspace(self) -> IsotropicSubspace | None:
+        if self.kind != "pure":
+            return None
+        return _isotropic_subspace(list(self._rows), len(self._rows))
 
     @property
     def on_cone(self) -> bool:
         return self.kind in ("pure", "zero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.subspace) == (other.kind, other.subspace)
+
+    def __hash__(self):
+        return hash((self.kind, self.subspace))
+
+    def __repr__(self) -> str:
+        return f"PurityResult(kind={self.kind!r}, subspace={self.subspace!r})"
 
 
 def is_pure(x: sr.SpinVector) -> PurityResult:
@@ -490,15 +527,16 @@ def is_pure(x: sr.SpinVector) -> PurityResult:
     of n columns (_split_action), so its rank is at least n; x is pure iff
     the rank is exactly n, that is iff every other row reduces to zero
     against those pivots (_residual).  The first nonzero residual returns
-    "not pure".  Otherwise the annihilator is explicit: one vector per
-    column off C, lifted through the pivots, and a pure verdict carries it
-    after the same audit as annihilator() (_split_kernel)."""
+    "not pure".  Otherwise the annihilator is explicit: one integer row per
+    column off C, lifted through the pivots (_split_kernel), and a pure
+    verdict carries those rows after the Gram audit.  Nothing is eliminated
+    here: the rank audit and the rref wait for the first read of subspace."""
     if x.is_zero():
-        return PurityResult("zero", None)
+        return PurityResult("zero")
     pivots, l, others = _split_action(x)
     if any(_residual(row, pivots, l) for row in others):
-        return PurityResult("not_pure", None)
-    return PurityResult("pure", _split_kernel(pivots, l, [], x.n))
+        return PurityResult("not_pure")
+    return PurityResult("pure", tuple(_split_kernel(pivots, l, [], x.n)))
 
 
 def sample_cone_point(n: int, seed, component: str = "even", length: int = 6) -> sr.SpinVector:

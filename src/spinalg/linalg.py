@@ -107,13 +107,20 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 def _integer_row(items) -> tuple[IntRow, int, int]:
     """The primitive integer row of the (col, value) pairs `items`, with the
     lcm `den` of their denominators and the gcd `content` of the scaled
-    numerators: integer row = (den / content) * values."""
+    numerators: integer row = (den / content) * values.  A one-entry row
+    takes its value itself as content, sign included, so it becomes {k: 1};
+    a longer row's content is positive.  Integer values (den 1) are not
+    rescaled."""
     nonzero = [(k, x) for k, x in items if x]
     if not nonzero:
         return {}, 1, 1
-    den = reduce(lcm, (x.denominator for _, x in nonzero))
-    row = {k: x.numerator * (den // x.denominator) for k, x in nonzero}
-    content = reduce(gcd, row.values())
+    den = lcm(*[x.denominator for _, x in nonzero])
+    if den == 1:
+        row = {k: x.numerator for k, x in nonzero}
+    else:
+        row = {k: x.numerator * (den // x.denominator) for k, x in nonzero}
+    vals = list(row.values())
+    content = gcd(*vals) if len(vals) > 1 else vals[0]
     if content != 1:
         row = {k: v // content for k, v in row.items()}
     return row, den, content

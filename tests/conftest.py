@@ -273,6 +273,55 @@ def oracle_annihilator(x):
     return gc.IsotropicSubspace(n, tuple(tuple(row) for row in reduced[: len(kernel)]))
 
 
+def oracle_pure_subspace(x):
+    """annihilator as written before the pure verdict kept its rows: the
+    split and residuals of grassmann_cone, the residuals' kernel by
+    linalg._eliminate and _kernel even when there are no residuals, each
+    kernel vector lifted through the pivots, then the Gram audit, the rank
+    audit and the rref rows in one routine."""
+    n = x.n
+    pivots, l, others = gc._split_action(x)
+    residuals = [r for r in (gc._residual(row, pivots, l) for row in others) if r]
+    lift = {}
+    for c, (q, rest) in pivots.items():
+        for k, y in rest.items():
+            lift.setdefault(k, {})[c] = -q * y
+    rows, scales = [], []
+    free = [k for k in range(2 * n) if k not in pivots]
+    for w, s in linalg._kernel(residuals, linalg._eliminate(residuals), free):
+        v = {k: l * y for k, y in w.items()}
+        for k, y in w.items():
+            for c, z in lift.get(k, {}).items():
+                v[c] = v.get(c, 0) + z * y
+        rows.append({k: y for k, y in v.items() if y})
+        scales.append(l * s)
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            g = gc._row_pairing(a, rows[j], n)
+            if g:
+                raise NotIsotropicError(
+                    f"Gram entry (row {i + 1}, row {j + 1}) = {Fraction(g) / (scales[i] * scales[j])} != 0"
+                )
+    pivots = linalg._eliminate(rows)
+    if len(pivots) != len(rows):
+        raise SpinalgError(f"rows are rank deficient: rank {len(pivots)} < {len(rows)}")
+    return gc.IsotropicSubspace._trusted(n, tuple(map(tuple, linalg._pivot_rows(rows, pivots, 2 * n))))
+
+
+def oracle_integer_row(items):
+    """linalg._integer_row as first written: lcm and gcd folded by reduce
+    over generators, every value rescaled."""
+    nonzero = [(k, x) for k, x in items if x]
+    if not nonzero:
+        return {}, 1, 1
+    den = functools.reduce(math.lcm, (x.denominator for _, x in nonzero))
+    row = {k: x.numerator * (den // x.denominator) for k, x in nonzero}
+    content = functools.reduce(math.gcd, row.values())
+    if content != 1:
+        row = {k: v // content for k, v in row.items()}
+    return row, den, content
+
+
 def oracle_group_apply(g, x):
     """GroupElement.apply step by step on Fractions, without the root
     tables: each letter (t, X), last first, sends x to x + t rho_so(X, x)."""
@@ -988,6 +1037,20 @@ def oracle_pi_general(x, e):
     z = solve(y)
     top = 1 << (n - 1)
     return sr.SpinVector(n - 1, {m: z[m] for m in range(1 << n) if z[m] and not m & top})
+
+
+def oracle_vector_in_quotient(v, e):
+    """transfer_maps.vector_in_quotient as first written: v's coordinates in
+    the quotient model basis by one 2n x 2n linalg.solve on the transposed
+    basis rows."""
+    n = v.n
+    rows = linalg.transpose([w.coords() for w in tm.quotient_model_basis(e).rows()])
+    sol = linalg.solve(rows, v.coords())
+    if sol is None:
+        raise StructureError("basis does not span")
+    if sol[2 * n - 1] != 0:
+        raise IndexRangeError("vector is not orthogonal to e")
+    return cc.VectorInV.from_coords(n - 1, [sol[i] for i in range(n - 1)] + [sol[n + i] for i in range(n - 1)])
 
 
 def oracle_so_matrix_replay(g):

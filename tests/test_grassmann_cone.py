@@ -26,6 +26,7 @@ from conftest import (
     oracle_hyperbolic_basis_through,
     oracle_omega_of,
     oracle_pluecker,
+    oracle_pure_subspace,
     pfaffian,
     random_isotropic,
     random_spin,
@@ -388,6 +389,79 @@ class TestPurity:
             assert res.subspace == (want if res.kind == "pure" else None)
             dims.add(want.dim)
         assert n in dims and (n == 1 or len(dims) > 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_query_points_match_the_eliminating_route(self, n):
+        # the pure verdict's rref, written on read, and annihilator against
+        # the route that eliminated on every verdict
+        pure = 0
+        for x in cone_query_points(n, "deferred-rref"):
+            want = oracle_pure_subspace(x)
+            assert gc.annihilator(x) == want
+            res = gc.is_pure(x)
+            assert res.subspace == (want if want.dim == n else None)
+            pure += res.kind == "pure"
+        assert pure
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orbit_points_match_the_eliminating_route(self, n):
+        for t in range(3):
+            for part in ("even", "odd"):
+                x = gc.sample_cone_point(n, f"deferred:{t}", part, 1 + 3 * t) if n > 1 else sr.SpinVector.basis(n, t % 2)
+                res, want = gc.is_pure(x), oracle_pure_subspace(x)
+                assert res.kind == "pure" and want.dim == n
+                assert res.subspace == want and gc.annihilator(x) == want
+                assert all(type(c) is Fraction for row in res.subspace.rows for c in row)
+
+    def test_pure_verdict_eliminates_on_first_read_only(self, monkeypatch):
+        calls = {"_eliminate": 0, "_pivot_rows": 0, "_kernel": 0}
+
+        def spy(name):
+            real = getattr(linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(linalg, name, spy(name))
+        x = gc.sample_cone_point(6, "first-read", length=5)
+        res = gc.is_pure(x)
+        assert res.kind == "pure" and res.on_cone
+        assert calls == {"_eliminate": 0, "_pivot_rows": 0, "_kernel": 0}
+        sub = res.subspace
+        assert calls == {"_eliminate": 1, "_pivot_rows": 1, "_kernel": 0}
+        assert res.subspace is sub and res == gc.is_pure(x)
+        assert calls["_eliminate"] == 2  # the second verdict's first read, for ==
+        assert sub == oracle_pure_subspace(x)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_lifted_rows_hold_l_alone_off_c(self, n):
+        # the structure the deferred rank audit rests on: row k holds l at
+        # its own column k off C, and no other row has an entry there
+        for t in range(4):
+            x = gc.sample_cone_point(n, f"lifted:{t}", length=1 + 2 * t)
+            pivots, l, _ = gc._split_action(x)
+            rows = gc.is_pure(x)._rows
+            free = [k for k in range(2 * n) if k not in pivots]
+            assert len(rows) == len(free) == n
+            for k, row in zip(free, rows):
+                assert row[k] == l
+                assert set(row) - {k} <= set(pivots)
+                assert not any(k in other for other in rows if other is not row)
+
+    def test_verdicts_compare_and_hash_by_kind_and_subspace(self):
+        x = gc.sample_cone_point(5, "verdict-eq")
+        res, scaled = gc.is_pure(x), gc.is_pure(x.scale(Fraction(-3, 7)))
+        assert res == scaled and hash(res) == hash(scaled)
+        assert res != gc.is_pure(gc.sample_cone_point(5, "verdict-other"))
+        assert gc.is_pure(sr.SpinVector.zero(5)) == gc.PurityResult("zero")
+        assert gc.PurityResult("not_pure") != gc.PurityResult("zero")
+        assert repr(res) == f"PurityResult(kind='pure', subspace={res.subspace!r})"
+        with pytest.raises(AttributeError):
+            res.kind = "not_pure"
 
     def test_residual_of_a_far_mask(self):
         # x = 1 + e_1234: the pivot rows sit at the masks next to the support

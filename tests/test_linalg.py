@@ -14,7 +14,7 @@ from spinalg import clifford_core as cc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 
-from conftest import dense_matmul, make_rng, oracle_det, oracle_rref
+from conftest import dense_matmul, make_rng, oracle_det, oracle_integer_row, oracle_rref
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -456,3 +456,23 @@ BAD_SHAPES = {
 def test_bad_shapes_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_integer_row_matches_the_reduce_body():
+    # the same row, dict order, lcm and content as the body folded by reduce,
+    # one-entry rows included: their content is the value itself, sign and all
+    rng = make_rng("integer-row")
+    cases = [[], [(0, Fraction(0))], [(3, 0), (5, Fraction(0))]]
+    cases += [[(k, v)] for k in (0, 7) for v in (1, -1, 6, -6, Fraction(-9, 4), Fraction(5, 3), 12)]
+    for _ in range(200):
+        cols = rng.sample(range(40), rng.randint(1, 12))
+        if rng.random() < 0.5:
+            cases.append([(k, Fraction(rng.randint(-30, 30), rng.randint(1, 12))) for k in cols])
+        else:
+            scale = rng.choice([1, 2, -3, 6])
+            cases.append([(k, scale * rng.randint(-9, 9)) for k in cols])
+            cases.append([(k, Fraction(scale * rng.randint(-9, 9))) for k in cols])
+    for items in cases:
+        got, want = linalg._integer_row(iter(items)), oracle_integer_row(iter(items))
+        assert got == want and list(got[0].items()) == list(want[0].items())
+        assert all(type(v) is int for v in got[0].values()) and type(got[1]) is int and type(got[2]) is int
