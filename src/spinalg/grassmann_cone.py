@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -496,7 +496,7 @@ class PurityResult:
     does) and kept.  Verdicts compare and hash by kind and subspace."""
 
     kind: str
-    _rows: tuple[linalg.IntRow, ...] = ()
+    _rows: tuple[linalg.IntRow, ...] = field(default=(), kw_only=True)
 
     @cached_property
     def subspace(self) -> IsotropicSubspace | None:
@@ -536,7 +536,7 @@ def is_pure(x: sr.SpinVector) -> PurityResult:
     pivots, l, others = _split_action(x)
     if any(_residual(row, pivots, l) for row in others):
         return PurityResult("not_pure")
-    return PurityResult("pure", tuple(_split_kernel(pivots, l, [], x.n)))
+    return PurityResult("pure", _rows=tuple(_split_kernel(pivots, l, [], x.n)))
 
 
 def sample_cone_point(n: int, seed, component: str = "even", length: int = 6) -> sr.SpinVector:

@@ -444,21 +444,8 @@ def _pullback_ints(coefs: dict[Monomial, int], rows: dict[int, dict[int, int]]) 
     """sum_mono c prod_(m in mono) rows[m] on integers, cancelled terms kept as
     zeros.  Symmetric accumulation: the products of one entry from each row are
     keyed by their sources, sorted as each pick is made, so reordered picks
-    meet in one int; a pick making a two-key monomial is one compare.  When
-    every monomial has two factors, as a quadric's do, the two rows of each
-    are multiplied out directly, with the same keys and sums in the same
-    order."""
+    meet in one int; a pick making a two-key monomial is one compare."""
     out: dict[Monomial, int] = {}
-    if all(len(mono) == 2 for mono in coefs):
-        get = out.get
-        for (a, b), c in coefs.items():
-            second = rows.get(b, {}).items()
-            for s, x in rows.get(a, {}).items():
-                v = c * x
-                for t, y in second:
-                    k = (s, t) if s <= t else (t, s)
-                    out[k] = get(k, 0) + v * y
-        return out
     for mono, c in coefs.items():
         if not mono:
             out[()] = out.get((), 0) + c

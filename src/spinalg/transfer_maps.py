@@ -67,52 +67,27 @@ def tau_tower(x: sr.SpinVector, target: int) -> sr.SpinVector:
 def _primed_contraction_solver(n: int, e_coords: tuple):
     """For an isotropic e with nonzero E-part, precompute the expansion of
     the primed ideal basis e'_I f'_1..f'_{n-1} and a solver expressing a
-    Clifford element exactly in that basis.
-
-    Each element is kept as an integer column times a scale.  The matrix of
-    those columns is eliminated once, by rows (one per monomial): rank 2^n,
-    or the basis is not independent, and the pivot rows pick 2^n monomials
-    on which the columns form an invertible square S.  The cache keeps
-    S^-1 = N / D with N an integer matrix, so solve(y), y = Y content / den
-    with Y primitive on integers, is Z = N applied to Y at those monomials,
-    audited on every monomial: the columns combined by Z must rebuild D Y.
-    That is the unique exact solution, or StructureError.  It stays an
-    lru_cache: perfbench/tracer.py reads its cache_info()."""
+    Clifford element exactly in that basis: the basis is checked independent
+    once, rank 2^n, so solve(y) is one exact solve, unique, or StructureError.
+    It stays an lru_cache: perfbench/tracer.py reads its cache_info()."""
     e = cc.VectorInV.from_coords(n, list(e_coords))
     basis = gc.hyperbolic_basis_through(e)
     f_block = gc.multiply_vectors(n, basis.new_f[: n - 1])
-    cols: list[linalg.IntRow] = []
-    scales: list[Fraction] = []  # element i = cols[i] * scales[i]
+    elements: list[cc.CliffordElement] = []
     for mask in range(1 << n):
         letters = [basis.new_e[i] for i in range(n) if mask >> i & 1]
-        el = cc.mul(gc.multiply_vectors(n, letters), f_block)
-        col, den, content = linalg._integer_row(el.terms.items())
-        cols.append(col)
-        scales.append(Fraction(content, den))
-    by_mono: dict = {}
-    for i, col in enumerate(cols):
-        for m, v in col.items():
-            by_mono.setdefault(m, {})[i] = v
-    monos = list(by_mono)
-    pivots = linalg._eliminate([linalg._integer_row(by_mono[m].items())[0] for m in monos])
-    if len(pivots) != 1 << n:
+        elements.append(cc.mul(gc.multiply_vectors(n, letters), f_block))
+    span = set().union(*[set(el.terms) for el in elements])
+    monos = sorted(span)
+    a = [[el.coefficient(m) for el in elements] for m in monos]
+    if linalg.rank(a) != 1 << n:
         raise StructureError("primed ideal basis is not independent")
-    picked = [monos[i] for _, i in pivots]
-    inv, d = linalg._int_matrix(linalg.inverse([[by_mono[m].get(i, 0) for i in range(1 << n)] for m in picked]))
-    inv_rows = [[(k, x) for k, x in enumerate(row) if x] for row in inv]
 
     def solve(y: cc.CliffordElement) -> list[Fraction]:
-        ints, den, content = linalg._integer_row(y.terms.items())
-        rhs = [ints.get(m, 0) for m in picked]
-        z = [sum(x * rhs[k] for k, x in row) for row in inv_rows]
-        rebuilt: dict = {}
-        for c, col in zip(z, cols):
-            if c:
-                for m, v in col.items():
-                    rebuilt[m] = rebuilt.get(m, 0) + c * v
-        if {m: v for m, v in rebuilt.items() if v} != {m: d * v for m, v in ints.items()}:
+        z = None if y.terms.keys() - span else linalg.solve(a, [y.coefficient(m) for m in monos])
+        if z is None:
             raise StructureError("contraction image left the primed ideal")
-        return [Fraction(c * content, d * den) / s for c, s in zip(z, scales)]
+        return z
 
     return basis, solve
 
@@ -152,10 +127,10 @@ def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
 def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
     """Express v in e-perp as a level-(n-1) vector of the quotient model.
 
-    In the hyperbolic basis of quotient_model_basis(e), v = sum a_i e'_i +
-    b_i f'_i with a_i = (v|f'_i) and b_i = (v|e'_i); b_n = (v|e) must be 0,
-    and a_n, the coefficient of e'_n = e, is dropped."""
-    basis = quotient_model_basis(e)
+    In the hyperbolic basis through e (the basis of quotient_model_basis(e)),
+    v = sum a_i e'_i + b_i f'_i with a_i = (v|f'_i) and b_i = (v|e'_i);
+    b_n = (v|e) must be 0, and a_n, the coefficient of e'_n = e, is dropped."""
+    basis = gc.hyperbolic_basis_through(e)
     if cc.pairing(v, e) != 0:
         raise IndexRangeError("vector is not orthogonal to e")
     coords = [cc.pairing(v, f) for f in basis.new_f[:-1]] + [cc.pairing(v, w) for w in basis.new_e[:-1]]

@@ -462,6 +462,10 @@ class TestPurity:
         assert repr(res) == f"PurityResult(kind='pure', subspace={res.subspace!r})"
         with pytest.raises(AttributeError):
             res.kind = "not_pure"
+        # the rows are keyword-only: a subspace passed as a second positional
+        # argument is refused when the verdict is made
+        with pytest.raises(TypeError):
+            gc.PurityResult("pure", res.subspace)
 
     def test_residual_of_a_far_mask(self):
         # x = 1 + e_1234: the pivot rows sit at the masks next to the support

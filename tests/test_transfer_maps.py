@@ -199,34 +199,26 @@ class TestPrimedSolver:
         for i, el in enumerate(elements):
             assert solve(el) == [Fraction(int(i == j)) for j in range(1 << n)]
 
-    def test_a_cached_solve_eliminates_nothing(self, monkeypatch):
-        # the eliminated system stays in the cache: once e's solver is built,
-        # pi_general at e makes no elimination, solve or inverse
-        n = 5
-        e = random_isotropic(n, make_rng("primed-cached"))
-        rng = make_rng("primed-cached:x")
-        xs = [random_spin(n, rng, parity) for parity in ("even", "odd", None)]
-        want = [oracle_pi_general(x, e) for x in xs]
-        assert [tm.pi_general(x, e) for x in xs] == want
-        for name in ("_eliminate", "solve", "solve_matrix", "inverse", "rank"):
-            monkeypatch.setattr(linalg, name, lambda *args, name=name: pytest.fail(f"linalg.{name} called"))
-        assert [tm.pi_general(x, e) for x in xs] == want
-
 
 class TestVectorInQuotient:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_pairings_match_the_solve_route(self, n):
-        # v = u - (u|e) f'_n is orthogonal to e; u itself mostly is not
+        # v = u - (u|e) f'_n is orthogonal to e; u itself mostly is not.  The
+        # pairings need only the hyperbolic basis: the primed solver's cache
+        # is not consulted
         rng = make_rng(f"quotient:{n}")
         for t in range(4):
             perm = rng.sample(range(n), n)
             base = random_isotropic(n, rng)
             e = cc.VectorInV(n, [base.e[p] for p in perm], [base.f[p] for p in perm])
-            h = tm.quotient_model_basis(e).new_f[-1]
+            h = gc.hyperbolic_basis_through(e).new_f[-1]
             for _ in range(4):
                 u = cc.VectorInV.from_coords(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n)])
                 v = u - h.scale(cc.pairing(u, e))
-                assert tm.vector_in_quotient(v, e) == oracle_vector_in_quotient(v, e)
+                info = tm._primed_contraction_solver.cache_info()
+                got = tm.vector_in_quotient(v, e)
+                assert tm._primed_contraction_solver.cache_info() == info
+                assert got == oracle_vector_in_quotient(v, e)
                 if cc.pairing(u, e):
                     for route in (tm.vector_in_quotient, oracle_vector_in_quotient):
                         with pytest.raises(IndexRangeError, match="vector is not orthogonal to e"):
