@@ -493,7 +493,8 @@ class PurityResult:
     A pure verdict holds the annihilator's n lifted integer rows, audited
     isotropic by is_pure; subspace, the annihilator, is their rref, written
     after the rank audit on first read (_isotropic_subspace, as annihilator
-    does) and kept.  Verdicts compare and hash by kind and subspace."""
+    does) and kept.  The rows are keyword-only.  Verdicts compare and hash
+    by kind and subspace."""
 
     kind: str
     _rows: tuple[linalg.IntRow, ...] = field(default=(), kw_only=True)
