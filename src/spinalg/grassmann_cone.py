@@ -7,7 +7,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import clifford_core as cc
 from . import linalg
@@ -67,11 +67,7 @@ class IsotropicSubspace:
         return linalg.rank(stacked + [v.coords()]) == len(self.rows)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IsotropicSubspace)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
+        return isinstance(other, IsotropicSubspace) and (self.n, self.rows) == (other.n, other.rows)
 
     def __hash__(self):
         return hash((self.n, self.rows))
@@ -194,14 +190,8 @@ def _complete_e_rows(
     for i in range(1, n + 1):
         if i in built:
             continue
-        rows = []
-        rhs = []
-        for j in range(1, n + 1):
-            rows.append(_pairing_functional(fprime[j - 1]))
-            rhs.append(Fraction(1) if i == j else Fraction(0))
-        for l, ev in built.items():
-            rows.append(_pairing_functional(ev))
-            rhs.append(Fraction(0))
+        rows = [_pairing_functional(v) for v in fprime] + [_pairing_functional(v) for v in built.values()]
+        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(1, n + 1)] + [Fraction(0)] * len(built)
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise StructureError("hyperbolic completion has no solution")
@@ -259,7 +249,9 @@ def hyperbolic_basis_through(e: cc.VectorInV, h: cc.VectorInV | None = None) -> 
     f'_n is the lowest-index standard f_j with (e|f_j) != 0, rescaled.  The
     f_j - (e|f_j) f'_n span F ∩ e-perp with the one relation sum_j (f'_n)_j
     (f_j - (e|f_j) f'_n) = 0: those of every j but the last in f'_n's support
-    are f'_1..f'_(n-1), lowest index first."""
+    are f'_1..f'_(n-1), lowest index first.  Their dual rows in E, e_j -
+    ((f'_n)_j / (f'_n)_last) e_last, less (their pairing with e) f'_n, are
+    e'_1..e'_(n-1)."""
     n = e.n
     cc.require_isotropic(e, "contraction vector")
     if all(c == 0 for c in e.e):
@@ -275,18 +267,10 @@ def hyperbolic_basis_through(e: cc.VectorInV, h: cc.VectorInV | None = None) -> 
         f_last = h
     # remaining f'-rows span F ∩ e-perp, lowest index first
     last = max(j for j in range(n) if f_last.f[j])
-    rest = [cc.VectorInV.basis(n, -j - 1) - f_last.scale(e.e[j]) for j in range(n) if j != last]
-    fprime = rest + [f_last]
-    # dual E-side candidates, then correct against e
-    g = [list(v.f) for v in fprime]
-    ginv = linalg.inverse(g)
-    new_e: list[cc.VectorInV] = []
-    for i in range(n - 1):
-        coords = [ginv[j][i] for j in range(n)]
-        etil = cc.VectorInV(n, coords, [0] * n)
-        d = cc.pairing(etil, e)
-        new_e.append(etil - f_last.scale(d))
-    new_e.append(e)
+    kept = [j for j in range(n) if j != last]
+    fprime = [cc.VectorInV.basis(n, -j - 1) - f_last.scale(e.e[j]) for j in kept] + [f_last]
+    dual = [cc.VectorInV.basis(n, j + 1) - cc.VectorInV.basis(n, last + 1).scale(f_last.f[j] / f_last.f[last]) for j in kept]
+    new_e = [v - f_last.scale(cc.pairing(v, e)) for v in dual] + [e]
     basis = HyperbolicBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime))
     basis.verify()
     return basis
@@ -403,7 +387,7 @@ def _split_action(x: sr.SpinVector) -> tuple[dict[int, tuple[int, linalg.IntRow]
     M_c the pivot row off C, and others yields the other nonzero rows one at
     a time."""
     n = x.n
-    ints = linalg._integer_row(x.terms.items())[0]
+    ints = x.integer_form()[0]
     s0 = next(iter(ints))
     pivots = {}
     for i in range(n):
@@ -521,22 +505,63 @@ class PurityResult:
         return f"PurityResult(kind={self.kind!r}, subspace={self.subspace!r})"
 
 
+@cache
+def _chart_table(n: int, s0: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int, int], ...]], ...]:
+    """The even T of {0..n-1} with |T| >= 4, by size then mask, as (T, s0 ^ T,
+    L s(t, k), terms): a(t, i) = s(t, i) X[t ^ 2^i] is the entry of
+    _action_row(X, t, n) in the column of bit i, k = min T, t = s0 ^ T ^ 2^k,
+    L = lcm(s_m) with s_m = s(s0 ^ 2^m, m), and terms holds (t ^ 2^m, s0 ^
+    2^m ^ 2^k, s(t, m) (L / s_m) s(s0 ^ 2^m, k)) for each m in T - k."""
+    def s(t: int, i: int) -> int:
+        return (-1) ** (t & (1 << i) - 1).bit_count() * (1 if t >> i & 1 else 2)
+
+    big_l = math.lcm(*(s(s0 ^ 1 << m, m) for m in range(n)))
+    out = []
+    for big_t in sorted((t for t in range(1 << n) if t.bit_count() > 3 and not t.bit_count() & 1), key=int.bit_count):
+        k, t = (big_t & -big_t).bit_length() - 1, s0 ^ (big_t & big_t - 1)
+        terms = tuple((t ^ 1 << m, s0 ^ 1 << m ^ 1 << k, s(t, m) * (big_l // s(s0 ^ 1 << m, m)) * s(s0 ^ 1 << m, k))
+                      for m in range(k + 1, n) if big_t >> m & 1)
+        out.append((big_t, s0 ^ big_t, big_l * s(t, k), terms))
+    return tuple(out)
+
+
+def _first_failing_chart_set(ints: linalg.IntRow, n: int) -> int:
+    """The first T of _chart_table(n, s0) with r_T != 0, s0 the first key of
+    ints, else 0: r_T = l a(t, k) - sum over m in T - k of a(t, m) q_m a(s0 ^
+    2^m, k), the entry of _residual(row t) in the column of bit k, off C, is
+    sgn(X[s0]) (X[s0] L s(t, k) X[s0 ^ T] - sum of c X[p] X[q] over terms)."""
+    s0 = next(iter(ints))
+    x0, get = ints[s0], ints.get
+    for big_t, lead, r, terms in _chart_table(n, s0):
+        r *= x0 * get(lead, 0)
+        for p, q, c in terms:
+            r -= c * get(p, 0) * get(q, 0)
+        if r:
+            return big_t
+    return 0
+
+
 def is_pure(x: sr.SpinVector) -> PurityResult:
     """Annihilator-rank membership oracle for the isotropic Grassmann cone.
 
     The action matrix of a nonzero x has n pivot rows, diagonal on a set C
-    of n columns (_split_action), so its rank is at least n; x is pure iff
-    the rank is exactly n, that is iff every other row reduces to zero
-    against those pivots (_residual).  The first nonzero residual returns
-    "not pure".  Otherwise the annihilator is explicit: one integer row per
-    column off C, lifted through the pivots (_split_kernel), and a pure
-    verdict carries those rows after the Gram audit.  Nothing is eliminated
-    here: the rank audit and the rref wait for the first read of subspace."""
+    of n columns (_split_action); x is pure iff every other row reduces to
+    zero against them (_residual).  A pure spinor has one parity; then one
+    residual entry r_T per chart set T decides (_first_failing_chart_set).
+    r_T is +-l or +-2l X[s0 ^ T] plus terms in X at distances |T| - 2 and 2
+    from s0, the Pfaffian expansion along min T in the chart through s0
+    (Chevalley, The Algebraic Theory of Spinors, 1954; Manivel, "On spinor
+    varieties and their secants", SIGMA 5, 2009), so all r_T = 0 fix X from
+    X at distances 0 and 2, as they fix the pure spinor exp(w) e_s0 agreeing
+    with X there.  A pure verdict carries the n lifted integer rows
+    (_split_kernel) after the Gram audit; the rank audit and rref wait for subspace."""
     if x.is_zero():
         return PurityResult("zero")
-    pivots, l, others = _split_action(x)
-    if any(_residual(row, pivots, l) for row in others):
+    ints = x.integer_form()[0]
+    s0 = next(iter(ints))
+    if any((m ^ s0).bit_count() & 1 for m in ints) or _first_failing_chart_set(ints, x.n):
         return PurityResult("not_pure")
+    pivots, l, _ = _split_action(x)
     return PurityResult("pure", _rows=tuple(_split_kernel(pivots, l, [], x.n)))
 
 
@@ -559,11 +584,7 @@ def random_maximal_isotropic(n: int, seed, length: int = 6) -> IsotropicSubspace
     """Seeded random maximal isotropic subspace: a group image of E."""
     g = sr.random_group_element(n, f"subspace:{seed}", length)
     m = g.so_matrix()
-    rows = []
-    for i in range(n):
-        col = [m[r][i] for r in range(2 * n)]
-        rows.append(col)
-    return check_isotropic(rows, n)
+    return check_isotropic([[m[r][i] for r in range(2 * n)] for i in range(n)], n)
 
 
 # -- moving isotropic data to coordinate position via root exponentials ------
@@ -646,9 +667,7 @@ def element_moving_to_coordinate_top(sub: IsotropicSubspace) -> sr.GroupElement:
         done = rows.pop(0)
         for r in rows:
             # clear the e_level coordinate using the fixed vector e_level
-            c = r[level - 1]
-            if c:
-                r[level - 1] = Fraction(0)
+            r[level - 1] = Fraction(0)
             if r[n + level - 1] != 0:
                 raise StructureError("residual rows are not orthogonal to e_level")
     g = sr.GroupElement(n, tuple(reversed(all_steps)))

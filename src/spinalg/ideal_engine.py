@@ -310,7 +310,7 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int) -> list[Polynomial
     monos = monomials_of_degree(component_variables(n), degree)
     if len(points) < len(monos):
         raise TooFewPointsError(f"need at least {len(monos)} points for {len(monos)} monomials, got {len(points)}")
-    ints = [linalg._integer_row(x.terms.items())[0] for x in points]
+    ints = [x.integer_form()[0] for x in points]
     kernel = linalg.nullspace([[_monomial_value(mono, xs, 1) for mono in monos] for xs in ints])
     return [Polynomial(False, n, dict(zip(monos, coeffs))) for coeffs in kernel]
 
@@ -352,7 +352,7 @@ def _vanish(forms: list[Polynomial], points: list[sr.SpinVector]) -> bool:
     """Whether every form vanishes at every point, on integers: a form is zero
     at a point iff its integer coefficients are zero at the point's integer row."""
     coefs = [linalg._integer_row(f.terms.items())[0] for f in forms]
-    rows = [linalg._integer_row(x.terms.items())[0] for x in points]
+    rows = [x.integer_form()[0] for x in points]
     return not any(sum(_monomial_value(mono, xs, c) for mono, c in cf.items()) for cf in coefs for xs in rows)
 
 
@@ -658,7 +658,7 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
         raise LevelMismatchError("the family's forms read even coordinates; the point has odd ones")
     if x.is_zero():
         return MembershipVerdict(True, None, None, None)
-    ints, den_x, content = linalg._integer_row(x.terms.items())
+    ints, den_x, content = x.integer_form()
     # one mask of each pair {2k, 2k + 1} is even, so the even mask s is the
     # (s >> 1)-th in increasing order
     positions = [s >> 1 for s in ints]

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import clifford_core as cc
+from . import linalg
 from .errors import (
     IndexRangeError,
     InvalidRootVectorError,
@@ -29,10 +30,18 @@ from .errors import (
 
 
 class SpinVector(cc.SparseElement):
-    """Sparse exact vector in the level-n spin space."""
+    """Sparse exact vector in the level-n spin space; its terms never change."""
 
-    __slots__ = ()
+    __slots__ = ("_int_form",)
     _width = 1
+
+    def integer_form(self) -> tuple[linalg.IntRow, int, int]:
+        """linalg._integer_row of the terms, kept from the first call; read only."""
+        try:
+            return self._int_form
+        except AttributeError:
+            self._int_form = linalg._integer_row(self.terms.items())
+            return self._int_form
 
     # -- constructors ------------------------------------------------------
 

@@ -92,12 +92,6 @@ def _primed_contraction_solver(n: int, e_coords: tuple):
     return basis, solve
 
 
-def quotient_model_basis(e: cc.VectorInV) -> gc.HyperbolicBasis:
-    """The deterministic hyperbolic basis used by pi_general for this e."""
-    basis, _ = _primed_contraction_solver(e.n, tuple(e.coords()))
-    return basis
-
-
 def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
     """Contraction at an arbitrary isotropic e with nonzero E-part.
 
@@ -127,7 +121,7 @@ def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
 def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
     """Express v in e-perp as a level-(n-1) vector of the quotient model.
 
-    In the hyperbolic basis through e (the basis of quotient_model_basis(e)),
+    In the hyperbolic basis through e (the basis of pi_general's primed solver),
     v = sum a_i e'_i + b_i f'_i with a_i = (v|f'_i) and b_i = (v|e'_i);
     b_n = (v|e) must be 0, and a_n, the coefficient of e'_n = e, is dropped."""
     basis = gc.hyperbolic_basis_through(e)

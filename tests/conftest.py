@@ -308,6 +308,18 @@ def oracle_pure_subspace(x):
     return gc.IsotropicSubspace._trusted(n, tuple(map(tuple, linalg._pivot_rows(rows, pivots, 2 * n))))
 
 
+def oracle_residual_purity(x):
+    """grassmann_cone.is_pure as written before the chart sets: every action
+    row that x reaches reduced against the n pivot rows (_residual), the
+    first nonzero residual a "not pure" verdict."""
+    if x.is_zero():
+        return gc.PurityResult("zero")
+    pivots, l, others = gc._split_action(x)
+    if any(gc._residual(row, pivots, l) for row in others):
+        return gc.PurityResult("not_pure")
+    return gc.PurityResult("pure", _rows=tuple(gc._split_kernel(pivots, l, [], x.n)))
+
+
 def oracle_integer_row(items):
     """linalg._integer_row as first written: lcm and gcd folded by reduce
     over generators, every value rescaled."""
@@ -1039,12 +1051,20 @@ def oracle_pi_general(x, e):
     return sr.SpinVector(n - 1, {m: z[m] for m in range(1 << n) if z[m] and not m & top})
 
 
+def quotient_model_basis(e):
+    """The deterministic hyperbolic basis the primed solver of pi_general
+    keeps for e (once transfer_maps.quotient_model_basis, which only tests
+    called)."""
+    basis, _ = tm._primed_contraction_solver(e.n, tuple(e.coords()))
+    return basis
+
+
 def oracle_vector_in_quotient(v, e):
     """transfer_maps.vector_in_quotient as first written: v's coordinates in
     the quotient model basis by one 2n x 2n linalg.solve on the transposed
     basis rows."""
     n = v.n
-    rows = linalg.transpose([w.coords() for w in tm.quotient_model_basis(e).rows()])
+    rows = linalg.transpose([w.coords() for w in quotient_model_basis(e).rows()])
     sol = linalg.solve(rows, v.coords())
     if sol is None:
         raise StructureError("basis does not span")

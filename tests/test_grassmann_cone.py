@@ -27,6 +27,7 @@ from conftest import (
     oracle_omega_of,
     oracle_pluecker,
     oracle_pure_subspace,
+    oracle_residual_purity,
     pfaffian,
     random_isotropic,
     random_spin,
@@ -248,6 +249,20 @@ class TestHyperbolicBasis:
             assert gc.hyperbolic_basis_through(e, partner) == oracle_hyperbolic_basis_through(e, partner)
         if n > 1:
             assert len(j0s) > 1 and len(left_out) > 1
+
+    def test_dual_rows_need_no_inverse(self, monkeypatch):
+        # the dual E-rows are in closed form: no matrix is inverted or reduced
+        rng = make_rng("hyperbolic-no-inverse")
+        es = [random_isotropic(6, rng) for _ in range(6)]
+        es = [e for e in es if any(e.e)]
+        want = [oracle_hyperbolic_basis_through(e) for e in es]
+
+        def refuse(*args):
+            raise AssertionError("hyperbolic_basis_through eliminated")
+
+        monkeypatch.setattr(linalg, "inverse", refuse)
+        monkeypatch.setattr(linalg, "rref", refuse)
+        assert es and [gc.hyperbolic_basis_through(e) for e in es] == want
 
 
 class TestOmega:
@@ -509,6 +524,99 @@ class TestPurity:
                     for mask in range(1 << n):
                         rows.append([col.coefficient(mask) for col in cols])
                 assert len(linalg.nullspace(rows)) == 1
+
+
+def chart_route_points(n, tag):
+    """Nonzero points of every class the chart route must decide as the
+    residual route does: orbit points of both parities, their rational
+    multiples, orbit points perturbed at one random mask (near or far, of
+    either parity), sparse points, and dense points of each parity and of
+    mixed parity."""
+    rng = make_rng(f"{tag}:{n}")
+    points = []
+    for t in range(4):
+        for part in ("even", "odd"):
+            x = gc.sample_cone_point(n, f"{tag}:{t}", part, 1 + 3 * t) if n > 1 else sr.SpinVector.basis(n, t % 2)
+            terms, m = dict(x.terms), rng.randrange(1 << n)
+            terms[m] = terms.get(m, 0) + Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            points += [x, x.scale(Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 12))), sr.SpinVector(n, terms)]
+    points += [
+        sr.SpinVector(n, {rng.randrange(1 << n): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k)})
+        for k in (1, 2, 3, 4)
+    ]
+    points += [random_spin(n, rng, part, bound=2) for part in ("even", "odd", None)]
+    return [x for x in points if not x.is_zero()]
+
+
+class TestChartRoute:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_verdicts_match_the_residual_route(self, n):
+        kinds = set()
+        for x in chart_route_points(n, "chart-route"):
+            res, want = gc.is_pure(x), oracle_residual_purity(x)
+            assert res.kind == want.kind and res._rows == want._rows
+            kinds.add(res.kind)
+        assert kinds == {"pure", "not_pure"}
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_table_gives_the_residual_entries(self, n):
+        # r_T, read off the chart table, is the entry of _residual(row
+        # s0 ^ T ^ 2^k) in the column of bit k = min T, a column off C, for
+        # every chart set and every point; the first nonzero one fails
+        seen = 0
+        for x in chart_route_points(n, "chart-entry"):
+            ints = x.integer_form()[0]
+            s0 = next(iter(ints))
+            x0, get = ints[s0], ints.get
+            pivots, l, _ = gc._split_action(x)
+            first = 0
+            for big_t, lead, a, terms in gc._chart_table(n, s0):
+                r = (x0 * a * get(lead, 0) - sum(c * get(p, 0) * get(q, 0) for p, q, c in terms)) * (1 if x0 > 0 else -1)
+                k = (big_t & -big_t).bit_length() - 1
+                t = s0 ^ big_t ^ 1 << k
+                col = k if t >> k & 1 else n + k
+                assert lead == s0 ^ big_t and col not in pivots
+                assert gc._residual(gc._action_row(ints, t, n), pivots, l).get(col, 0) == r
+                first = first or (big_t if r else 0)
+                seen += bool(r)
+            assert gc._first_failing_chart_set(ints, n) == first
+        assert seen
+
+    def test_each_chart_set_fails_first_at_its_own_mask(self):
+        # a pure point perturbed at s0 ^ T changes r_T and no residual of an
+        # earlier chart set, so T is the first to fail: this pins every entry
+        # of the table at level 6
+        n = 6
+        tested = set()
+        for part in ("even", "odd"):
+            x = gc.sample_cone_point(n, f"chart-first:{part}", part, 12)
+            s0 = next(iter(x.integer_form()[0]))
+            table = gc._chart_table(n, s0)
+            assert [t for t, *_ in table] == sorted(
+                (t for t in range(1 << n) if t.bit_count() in (4, 6)), key=lambda t: (t.bit_count(), t)
+            )
+            for big_t, *_ in table:
+                y = sr.SpinVector(n, {**x.terms, s0 ^ big_t: x.coefficient(s0 ^ big_t) + 1})
+                ints = y.integer_form()[0]
+                assert next(iter(ints)) == s0
+                assert gc._first_failing_chart_set(ints, n) == big_t
+                assert gc.is_pure(y).kind == oracle_residual_purity(y).kind == "not_pure"
+                tested.add(big_t)
+        assert len(tested) == 16
+
+    def test_odd_mask_far_from_s0_fails_on_parity_alone(self):
+        # the chart residuals read X at even distances from s0 only, so a
+        # mask of the other parity, here five bits from s0, is seen by the
+        # parity test alone
+        n = 6
+        x = gc.sample_cone_point(n, "chart-parity", "even", 12)
+        s0 = next(iter(x.integer_form()[0]))
+        far = next(m for m in range(1 << n) if (m ^ s0).bit_count() == 5)
+        y = sr.SpinVector(n, {**x.terms, far: Fraction(3)})
+        assert y.parity() == "mixed"
+        assert gc._first_failing_chart_set(y.integer_form()[0], n) == 0
+        assert gc.is_pure(y).kind == oracle_residual_purity(y).kind == "not_pure"
+        assert gc.annihilator(y) == oracle_annihilator(y)
 
 
 class TestPluecker:

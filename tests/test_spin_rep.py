@@ -1,11 +1,14 @@
 """The wedge model of the spin representation: letter operators, two-form
 action, the left-ideal dictionary, group elements, and the gl twist."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
@@ -20,6 +23,7 @@ from spinalg.errors import (
 from conftest import (
     make_rng,
     oracle_group_apply,
+    oracle_integer_row,
     oracle_random_group_element,
     oracle_root_table,
     oracle_so_matrix,
@@ -473,3 +477,58 @@ class TestSerialization:
     def test_spin_vector_text(self):
         x = sr.SpinVector(3, {0: Fraction(1, 2), 0b110: Fraction(-3)})
         assert str(x) == "1/2*1 + -3*e23"
+
+
+class TestIntegerForm:
+    def vectors(self):
+        rng = make_rng("integer-form")
+        return [
+            sr.SpinVector(4, {0b1010: Fraction(-6, 5)}),
+            sr.SpinVector(3, {0b110: Fraction(4), 0: Fraction(-6), 0b11: Fraction(10)}),
+            sr.SpinVector(5, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(32)}),
+            sr.SpinVector.zero(4),
+            random_spin(6, rng, "even"),
+            gc.sample_cone_point(6, "integer-form", "odd", 7),
+        ]
+
+    def test_form_matches_oracle_and_is_kept(self):
+        for x in self.vectors():
+            form = x.integer_form()
+            assert form == oracle_integer_row(x.terms.items())
+            assert list(form[0]) == [m for m, c in x.terms.items() if c]
+            assert x.integer_form() is form
+
+    def test_one_form_for_both_oracles_and_the_annihilator(self, monkeypatch):
+        fam = ie.orbit_pullback_family(5, "one-form", 20)
+        # the pair table is built on the first passing query, so a first
+        # pure point of full support builds it before the count starts
+        assert ie.certify_membership(gc.sample_cone_point(5, "one-form:warm", length=12), fam).passes
+        # fresh vectors: off_cone_sample has already asked is_pure about its own
+        points = [gc.sample_cone_point(5, "one-form", length=9), ie.off_cone_sample(5, "one-form")]
+        points = [sr.SpinVector(5, dict(x.terms)) for x in points]
+        calls = []
+        real = linalg._integer_row
+
+        def spy(items):
+            calls.append(1)
+            return real(items)
+
+        monkeypatch.setattr(linalg, "_integer_row", spy)
+        for x in points:
+            calls.clear()
+            verdict, member = gc.is_pure(x), ie.certify_membership(x, fam)
+            gc.annihilator(x)
+            assert verdict.on_cone == member.passes == (x is points[0])
+            assert len(calls) == 1
+            assert x.integer_form() == oracle_integer_row(x.terms.items())
+
+    def test_equality_hash_repr_copy_and_pickle_read_the_terms(self):
+        for x in self.vectors():
+            fresh = sr.SpinVector(x.n, dict(x.terms))
+            x.integer_form()
+            for y in (fresh, copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(fresh))):
+                assert y == x and hash(y) == hash(x) and repr(y) == repr(x) == str(x)
+                assert y.integer_form() == x.integer_form()
+            assert x != sr.SpinVector(x.n + 1, dict(x.terms))
+            if not x.is_zero():
+                assert x != x.scale(2) and x.integer_form()[0] == x.scale(2).integer_form()[0]

@@ -22,6 +22,7 @@ from conftest import (
     oracle_pi_general,
     oracle_primed_solver,
     oracle_vector_in_quotient,
+    quotient_model_basis,
     random_isotropic,
     random_spin,
 )
@@ -93,7 +94,7 @@ class TestGeneralContraction:
         # contraction intertwines the module action of vectors orthogonal to e
         n = 4
         e = cc.VectorInV(n, [1, 0, 2, 1], [0, 0, 0, 0])
-        basis = tm.quotient_model_basis(e)
+        basis = quotient_model_basis(e)
         for _ in range(6):
             x = random_spin(n, rng)
             # a random vector of e-perp: combination of the primed basis minus f'_n
