@@ -1052,9 +1052,8 @@ def oracle_pi_general(x, e):
 
 
 def quotient_model_basis(e):
-    """The deterministic hyperbolic basis the primed solver of pi_general
-    keeps for e (once transfer_maps.quotient_model_basis, which only tests
-    called)."""
+    """The deterministic hyperbolic basis that pi_general's primed solver
+    keeps for e."""
     basis, _ = tm._primed_contraction_solver(e.n, tuple(e.coords()))
     return basis
 
