@@ -202,15 +202,16 @@ def contract_ce(
     """Contraction with isotropic e followed by reduction modulo e.
 
     With a hyperbolic partner h (in the fixed F) the result is expressed in
-    the deterministic model basis of the orthogonal complement of (e, h);
-    for the coordinate pair e = e_n, h = f_n this is the identity relabeling,
-    and the contraction is one bit move on each mask (_contract_top).
+    the deterministic model basis of the orthogonal complement of (e, h), by
+    one induced map on the basis's symbol coordinates, its pairings; for the
+    coordinate pair e = e_n, h = f_n this is the identity relabeling, and
+    the contraction is one bit move on each mask (_contract_top).
     """
     n = omega.n
     cc.require_isotropic(e)
     if e == cc.VectorInV.basis(n, n) and (h is None or h == cc.VectorInV.basis(n, -n)):
         return cc.ExteriorVector._trusted(n - 1, _contract_top(omega.terms, n))
-    contracted = omega.inner_vector(e).change_basis(gc.hyperbolic_basis_through(e, h).rows())
+    contracted = cc.induced_map(omega.inner_vector(e), gc.hyperbolic_basis_through(e, h).symbol_coords())
     return cc.ExteriorVector._trusted(n - 1, _quotient_top(contracted.terms, n))
 
 

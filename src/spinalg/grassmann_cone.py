@@ -162,6 +162,13 @@ class HyperbolicBasis:
     def rows(self) -> list[cc.VectorInV]:
         return list(self.new_e) + list(self.new_f)
 
+    def symbol_coords(self) -> list[list[Fraction]]:
+        """Row s: the coordinates of the standard symbol s (e_1..e_n, then
+        f_1..f_n) over rows(), the rows of its inverse.  In a hyperbolic
+        basis they are pairings: ((s|f'_j))_j, then ((s|e'_j))_j."""
+        cols = [_pairing_functional(w) for w in self.new_f + self.new_e]
+        return [list(r) for r in zip(*cols)]
+
 
 @dataclass(frozen=True)
 class AdaptedBasis(HyperbolicBasis):
@@ -274,15 +281,6 @@ def hyperbolic_basis_through(e: cc.VectorInV, h: cc.VectorInV | None = None) -> 
     basis = HyperbolicBasis(n=n, new_e=tuple(new_e), new_f=tuple(fprime))
     basis.verify()
     return basis
-
-
-def multiply_vectors(n: int, vectors) -> cc.CliffordElement:
-    out = cc.CliffordElement.unit(n)
-    for v in vectors:
-        out = cc.mul(out, v.as_clifford())
-        if out.is_zero():
-            break
-    return out
 
 
 def _is_own_rref(rows) -> bool:

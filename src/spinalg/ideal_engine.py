@@ -687,22 +687,23 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
     return MembershipVerdict(False, idx, tuple(member.g.serialize()), witness)
 
 
-def off_cone_sample(n: int, seed) -> sr.SpinVector:
-    """Rejection-sample a non-pure even vector with coordinates in -3..3.
+OFF_CONE_DRAWS = 100
 
-    Every nonzero even vector is pure at levels n <= 3, so the levels start
-    at 4, as for the pullback families."""
+
+def off_cone_sample(n: int, seed) -> sr.SpinVector:
+    """Rejection-sample a non-pure even vector with coordinates in -3..3;
+    StructureError after OFF_CONE_DRAWS draws.  Every nonzero even vector
+    is pure at levels n <= 3, so the levels start at 4, as for the pullback
+    families."""
     if n < 4:
         raise IndexRangeError("off-cone even vectors need level >= 4")
     rng = random.Random(f"offcone:{n}:{seed}")
     masks = component_variables(n)
-    while True:
-        terms = {m: Fraction(rng.randint(-3, 3)) for m in masks}
-        x = sr.SpinVector(n, terms)
-        if x.is_zero():
-            continue
-        if gc.is_pure(x).kind == "not_pure":
+    for _ in range(OFF_CONE_DRAWS):
+        x = sr.SpinVector(n, {m: Fraction(rng.randint(-3, 3)) for m in masks})
+        if not x.is_zero() and gc.is_pure(x).kind == "not_pure":
             return x
+    raise StructureError(f"no non-pure even vector at level {n} in {OFF_CONE_DRAWS} draws")
 
 
 # -- derivations on limit-level polynomials -----------------------------------

@@ -22,7 +22,7 @@ from . import ideal_engine as ie
 from . import linalg
 from . import spin_rep as sr
 from . import transfer_maps as tm
-from .errors import GenericityError, IndexRangeError
+from .errors import GenericityError, IndexRangeError, StructureError
 
 
 @dataclass(frozen=True)
@@ -404,12 +404,15 @@ def _check_map_stability(n, seed, samples):
                 return f"image annihilator differs from H_e at sample {t}"
 
 
+ISOTROPIC_DRAWS = 100
+
+
 def _random_isotropic_not_in_f(n, rng) -> cc.VectorInV:
-    while True:
-        h = gc.random_maximal_isotropic(n, f"iso:{rng.random()}")
-        v = h.vectors()[0]
+    for _ in range(ISOTROPIC_DRAWS):
+        v = gc.random_maximal_isotropic(n, f"iso:{rng.random()}").vectors()[0]
         if any(c != 0 for c in v.e):
             return v
+    raise StructureError(f"no isotropic vector off F at level {n} in {ISOTROPIC_DRAWS} draws")
 
 
 def _check_pluecker_scalar(n, seed, samples):

@@ -7,17 +7,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
 from . import linalg
 from . import spin_rep as sr
-from .errors import (
-    IndexRangeError,
-    LevelMismatchError,
-    ResourceBoundError,
-    StructureError,
-)
+from .errors import IndexRangeError, LevelMismatchError, ResourceBoundError
 
 DENSE_LEVEL_BOUND = 6
 
@@ -65,57 +61,38 @@ def tau_tower(x: sr.SpinVector, target: int) -> sr.SpinVector:
 
 @lru_cache(maxsize=64)
 def _primed_contraction_solver(n: int, e_coords: tuple):
-    """For an isotropic e with nonzero E-part, precompute the expansion of
-    the primed ideal basis e'_I f'_1..f'_{n-1} and a solver expressing a
-    Clifford element exactly in that basis: the basis is checked independent
-    once, rank 2^n, so solve(y) is one exact solve, unique, or StructureError.
-    It stays an lru_cache: perfbench/tracer.py reads its cache_info()."""
-    e = cc.VectorInV.from_coords(n, list(e_coords))
-    basis = gc.hyperbolic_basis_through(e)
-    f_block = gc.multiply_vectors(n, basis.new_f[: n - 1])
-    elements: list[cc.CliffordElement] = []
-    for mask in range(1 << n):
-        letters = [basis.new_e[i] for i in range(n) if mask >> i & 1]
-        elements.append(cc.mul(gc.multiply_vectors(n, letters), f_block))
-    span = set().union(*[set(el.terms) for el in elements])
-    monos = sorted(span)
-    a = [[el.coefficient(m) for el in elements] for m in monos]
-    if linalg.rank(a) != 1 << n:
-        raise StructureError("primed ideal basis is not independent")
-
-    def solve(y: cc.CliffordElement) -> list[Fraction]:
-        z = None if y.terms.keys() - span else linalg.solve(a, [y.coefficient(m) for m in monos])
-        if z is None:
-            raise StructureError("contraction image left the primed ideal")
-        return z
-
-    return basis, solve
+    """(basis, (letters, det Phi)) for an isotropic e with nonzero E-part:
+    the hyperbolic basis through e, each e_i as an int letter of the primed
+    wedge model with its scale (_action_letter of its symbol_coords), and
+    det Phi, f'_1..f'_n = det Phi f.  It keeps its name and stays an
+    lru_cache because perfbench/tracer.py wraps it and reads cache_info()."""
+    basis = gc.hyperbolic_basis_through(cc.VectorInV.from_coords(n, list(e_coords)))
+    letters = tuple(sr._action_letter(row, n) for row in basis.symbol_coords()[:n])
+    return basis, (letters, linalg.det([list(v.f) for v in basis.new_f]))
 
 
 def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
-    """Contraction at an arbitrary isotropic e with nonzero E-part.
-
-    Computed by the defining Clifford formula (ex + (-1)^(n-1) xe halved on
-    the even part, sign (-1)^n on the odd part), then re-expressed in the
-    deterministic adapted basis and reduced modulo e.
+    """Contraction at an arbitrary isotropic e with nonzero E-part: x in the
+    primed wedge model of the hyperbolic basis through e, then pi_last.
+    This is the defining formula, ex + (-1)^(n-1) xe halved on the even part
+    and with sign (-1)^n on the odd part, in closed form (Chevalley, The
+    Algebraic Theory of Spinors, 1954, Ch. III).  Put e'_n = e, f' =
+    f'_1..f'_n = det Phi f and x f = sum_I z_I e'_I f'.  Then e (e'_I f') =
+    (-1)^|I| e'_I e'_n f' for n not in I, 0 for n in I, and (e'_I f') e =
+    2 e'_I f'_1..f'_(n-1) - (-1)^(n-1) e'_I e'_n f'; with either sign the
+    e'_I e'_n f' terms cancel, so the formula is sum_I z_I e'_I
+    f'_1..f'_(n-1): the contraction is z without the masks holding n.  z is
+    one kernel pass, linear in x: x_S / det Phi times the word of the
+    primed letters of e_S on the vacuum, as in omega_of.
     """
     n = x.n
     x._check_level(e)
-    basis, solve = _primed_contraction_solver(n, tuple(e.coords()))
-    ev, od = x.parity_split()
-    ec = e.as_clifford()
-    sign_even = Fraction((-1) ** (n - 1), 2)
-    sign_odd = Fraction((-1) ** n, 2)
-    y = cc.CliffordElement.zero(n)
-    for part, sg in ((ev, sign_even), (od, sign_odd)):
-        if part.is_zero():
-            continue
-        xc = sr.to_left_ideal(part)
-        y = y + (cc.mul(ec, xc).scale(sg) + cc.mul(xc, ec).scale(Fraction(1, 2)))
-    if y.is_zero():
-        return sr.SpinVector.zero(n - 1)
-    z = solve(y)
-    return pi_last(sr.SpinVector(n, {mask: c for mask, c in enumerate(z) if c}))
+    _, (letters, det_phi) = _primed_contraction_solver(n, tuple(e.coords()))
+    words = []
+    for mask, c in x.terms.items():
+        word = [letters[i] for i in range(n) if mask >> i & 1]
+        words.append((c / (det_phi * prod(scale for _, scale in word)), [letter for letter, _ in word]))
+    return pi_last(sr._act(words, sr.SpinVector.basis(n, 0)))
 
 
 def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:

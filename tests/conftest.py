@@ -683,6 +683,16 @@ def oracle_contract_top(omega):
     return cc.ExteriorVector(n - 1, out)
 
 
+def oracle_contract_ce(omega, e, h=None):
+    """contract_ce away from the coordinate pair as first written: the
+    kernel's contraction by e (inner_vector), moved to the hyperbolic basis
+    through (e, h) by change_basis, the inverse of its rows, then reduced by
+    _quotient_top."""
+    n = omega.n
+    moved = omega.inner_vector(e).change_basis(gc.hyperbolic_basis_through(e, h).rows())
+    return cc.ExteriorVector(n - 1, ca._quotient_top(moved.terms, n))
+
+
 def oracle_mult_top(omega):
     """mult_mh by f_n as first written: the masks of level n-1 remasked to
     level n, then f_n wedged on the left by the kernel (_wedge_front)."""
@@ -939,12 +949,22 @@ def oracle_adapted_basis(h):
     return basis
 
 
+def multiply_vectors(n, vectors):
+    """The Clifford product of the vectors, left to right."""
+    out = cc.CliffordElement.unit(n)
+    for v in vectors:
+        out = cc.mul(out, v.as_clifford())
+        if out.is_zero():
+            break
+    return out
+
+
 def oracle_omega_of(h, basis=None):
     """grassmann_cone.omega_of as first written: the Clifford product
     e'_{k+1}..e'_n f'_1..f'_n of the oracle's adapted basis (or of `basis`,
     when given), read in the wedge model."""
     basis = basis or oracle_adapted_basis(h)
-    prod = gc.multiply_vectors(h.n, list(basis.new_e[basis.k :]) + list(basis.new_f))
+    prod = multiply_vectors(h.n, list(basis.new_e[basis.k :]) + list(basis.new_f))
     omega = sr.from_left_ideal(prod)
     if omega.is_zero():
         raise StructureError("omega_H vanished; adapted basis is broken")
@@ -1003,7 +1023,7 @@ def oracle_primed_solver(n, e_coords):
     that square, and a solve by linalg.matvec audited by reconstructing y on
     every monomial.  Returns (basis, solve, elements)."""
     basis = oracle_hyperbolic_basis_through(cc.VectorInV.from_coords(n, list(e_coords)))
-    f_block = gc.multiply_vectors(n, basis.new_f[: n - 1])
+    f_block = multiply_vectors(n, basis.new_f[: n - 1])
     elements = []
     for mask in range(1 << n):
         prod = cc.CliffordElement.unit(n)
@@ -1109,6 +1129,22 @@ def random_isotropic(n, rng):
     f = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
     f[0] = -sum((a * b for a, b in zip(e[1:], f[1:])), Fraction(0))
     return cc.VectorInV(n, e, f)
+
+
+def random_permuted_isotropic(n, rng):
+    """random_isotropic with its coordinates permuted, so the first index of
+    its E-part varies."""
+    perm = rng.sample(range(n), n)
+    base = random_isotropic(n, rng)
+    return cc.VectorInV(n, [base.e[p] for p in perm], [base.f[p] for p in perm])
+
+
+def random_partner(e, rng):
+    """A seeded h in F with (e|h) = 1, of random support."""
+    while True:
+        h = cc.VectorInV(e.n, [0] * e.n, [Fraction(rng.randint(-2, 2)) for _ in range(e.n)])
+        if cc.pairing(e, h):
+            return h.scale(1 / cc.pairing(e, h))
 
 
 @pytest.fixture

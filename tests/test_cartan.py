@@ -17,6 +17,7 @@ from conftest import (
     make_rng,
     oracle_second_factor_matrix,
     oracle_verify_intertwining,
+    oracle_contract_ce,
     oracle_contract_top,
     oracle_diagram_pi_residual,
     oracle_diagram_tau_residual,
@@ -28,6 +29,8 @@ from conftest import (
     oracle_nu2,
     random_exterior,
     random_isotropic,
+    random_partner,
+    random_permuted_isotropic,
     random_spin,
     random_vector,
 )
@@ -170,6 +173,18 @@ class TestContraction:
             if omega.is_zero():
                 continue
             assert ca.contract_ce(ca.mult_mh(omega, h, e), e, h) == omega
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_general_vector_matches_the_change_of_basis_route(self, n):
+        # any omega, not only one in mult_mh's image; e's coordinates
+        # permuted, and the partner None, the default f'_n or a random h
+        rng = make_rng(f"contract-general:{n}")
+        for _ in range(3):
+            e = random_permuted_isotropic(n, rng)
+            for h in (None, gc.hyperbolic_basis_through(e).new_f[-1], random_partner(e, rng)):
+                for den in (1, 2):
+                    omega = random_exterior(n, rng, nterms=8, den=den)
+                    assert ca.contract_ce(omega, e, h) == oracle_contract_ce(omega, e, h)
 
     def test_rejects_anisotropic(self):
         with pytest.raises(Exception):

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from spinalg import cartan
 from spinalg import cli
+from spinalg import grassmann_cone as gc
 from spinalg import suites
-from spinalg.errors import IndexRangeError
+from spinalg.errors import IndexRangeError, StructureError
 from spinalg.suites import KNOWN_ANCHORS, run_checks
 from spinalg.transfer_maps import DENSE_LEVEL_BOUND
 
@@ -301,3 +303,12 @@ COST_LIMITED_CELLS = [
 @pytest.mark.parametrize("check, n", COST_LIMITED_CELLS)
 def test_cost_limited_cell_passes(check, n):
     assert check.fn(n, 7, 25) is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isotropic_draws_are_bounded(n, monkeypatch):
+    # subspaces that are all F have no row off F: the draws end after a
+    # fixed number instead of hanging the run
+    monkeypatch.setattr(gc, "random_maximal_isotropic", lambda n, seed, length=6: gc.coordinate_subspace(n, 0))
+    with pytest.raises(StructureError, match=f"^no isotropic vector off F at level {n} in {suites.ISOTROPIC_DRAWS} draws$"):
+        suites._random_isotropic_not_in_f(n, random.Random(0))

@@ -30,6 +30,8 @@ from conftest import (
     oracle_residual_purity,
     pfaffian,
     random_isotropic,
+    random_partner,
+    random_permuted_isotropic,
     random_spin,
 )
 
@@ -249,6 +251,24 @@ class TestHyperbolicBasis:
             assert gc.hyperbolic_basis_through(e, partner) == oracle_hyperbolic_basis_through(e, partner)
         if n > 1:
             assert len(j0s) > 1 and len(left_out) > 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symbol_coords_invert_the_rows(self, n):
+        # through e, through (e, h) and adapted to a random H (to E and F
+        # at level 1, which has no group words)
+        rng = make_rng(f"symbol-coords:{n}")
+        eye = linalg.identity(2 * n)
+        for t in range(3):
+            e = random_permuted_isotropic(n, rng)
+            h = gc.random_maximal_isotropic(n, f"symbol-coords:{t}") if n > 1 else gc.coordinate_subspace(1, t & 1)
+            for basis in (
+                gc.hyperbolic_basis_through(e),
+                gc.hyperbolic_basis_through(e, random_partner(e, rng)),
+                gc.adapted_basis(h),
+            ):
+                rows, coords = [v.coords() for v in basis.rows()], basis.symbol_coords()
+                assert linalg.matmul(rows, coords) == eye
+                assert linalg.matmul(coords, rows) == eye
 
     def test_dual_rows_need_no_inverse(self, monkeypatch):
         # the dual E-rows are in closed form: no matrix is inverted or reduced

@@ -1004,6 +1004,14 @@ class TestOffConeSampler:
         with pytest.raises(IndexRangeError, match="level >= 4"):
             ie.off_cone_sample(n, 0)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_draws_are_bounded(self, n, monkeypatch):
+        # an oracle that calls every vector pure ends the rejection after a
+        # fixed number of draws instead of hanging the run
+        monkeypatch.setattr(gc, "is_pure", lambda x: gc.PurityResult("pure"))
+        with pytest.raises(StructureError, match=f"^no non-pure even vector at level {n} in {ie.OFF_CONE_DRAWS} draws$"):
+            ie.off_cone_sample(n, 0)
+
 
 class TestGoldenOutputs:
     """Printed forms recorded from the tuple-of-SpinVariable monomial format;
