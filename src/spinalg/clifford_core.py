@@ -440,10 +440,17 @@ def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return _unpacked(a.n, _apply_words(_clifford_words(a, _clifford_letter), _packed(b)))
 
 
-def star(a: CliffordElement) -> CliffordElement:
-    """The anti-automorphism reversing each monomial word."""
+def star_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    """star(a) * b by associativity: b multiplied on the left by the letters
+    of each monomial of a in reverse order, with no normal-ordered star(a)."""
+    a._check_level(b)
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
-    return _unpacked(a.n, _apply_words(words, {0: 1}))
+    return _unpacked(a.n, _apply_words(words, _packed(b)))
+
+
+def star(a: CliffordElement) -> CliffordElement:
+    """The anti-automorphism reversing each monomial word: star_mul(a, 1)."""
+    return star_mul(a, CliffordElement.unit(a.n))
 
 
 def _coord(x) -> Fraction:

@@ -278,22 +278,26 @@ def _check_gram(n, seed, samples):
     size = 1 << n
     if linalg.rank([list(r) for r in g]) != size:
         return "gram matrix is singular"
+    # Each test fails at (a, b) exactly when it fails at (b, a), so the pairs
+    # a <= b give the first witness in row order; a zero pair passes both.
     sym = n % 4 in (0, 1)
+    parity = [bin(m).count("1") % 2 for m in range(size)]
+    cross = None
     for a in range(size):
-        for b in range(size):
-            if sym and g[a][b] != g[b][a]:
-                return f"not symmetric at ({a},{b})"
-            if not sym and g[a][b] != -g[b][a]:
-                return f"not skew at ({a},{b})"
-    for a in range(size):
-        for b in range(size):
-            pa, pb = bin(a).count("1") % 2, bin(b).count("1") % 2
-            cross_zero = (pa == pb) if n % 2 == 1 else (pa != pb)
-            if cross_zero and g[a][b] != 0:
-                return f"parity block structure violated at ({a},{b})"
+        row, pa = g[a], parity[a]
+        for b in range(a, size):
+            u, v = row[b], g[b][a]
+            if not u and not v:
+                continue
+            if u != (v if sym else -v):
+                return f"not {'symmetric' if sym else 'skew'} at ({a},{b})"
+            if cross is None and u and (pa != parity[b]) == (n % 2 == 0):
+                cross = f"parity block structure violated at ({a},{b})"
+    if cross:
+        return cross
     # block nondegeneracy
-    ev = [m for m in range(size) if bin(m).count("1") % 2 == 0]
-    od = [m for m in range(size) if bin(m).count("1") % 2 == 1]
+    ev = [m for m in range(size) if not parity[m]]
+    od = [m for m in range(size) if parity[m]]
     if n % 2 == 0:
         blocks = [[[g[a][b] for b in ev] for a in ev], [[g[a][b] for b in od] for a in od]]
     else:

@@ -98,10 +98,10 @@ def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
 def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
     """Express v in e-perp as a level-(n-1) vector of the quotient model.
 
-    In the hyperbolic basis through e (the basis of pi_general's primed solver),
+    In the hyperbolic basis through e (read from pi_general's primed solver),
     v = sum a_i e'_i + b_i f'_i with a_i = (v|f'_i) and b_i = (v|e'_i);
     b_n = (v|e) must be 0, and a_n, the coefficient of e'_n = e, is dropped."""
-    basis = gc.hyperbolic_basis_through(e)
+    basis = _primed_contraction_solver(e.n, tuple(e.coords()))[0]
     if cc.pairing(v, e) != 0:
         raise IndexRangeError("vector is not orthogonal to e")
     coords = [cc.pairing(v, f) for f in basis.new_f[:-1]] + [cc.pairing(v, w) for w in basis.new_e[:-1]]
@@ -112,11 +112,11 @@ def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
 
 
 def beta_direct(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
-    """Pairing via one full Clifford product: the f-coefficient of x* y."""
-    x._check_level(y)
-    n = x.n
-    prod = cc.mul(cc.star(sr.to_left_ideal(x)), sr.to_left_ideal(y))
-    return prod.coefficient((0, (1 << n) - 1))
+    """Pairing via one full Clifford product, independent of beta's formula:
+    the f-coefficient of (x f)* (y f), made by associativity (cc.star_mul)
+    with no normal-ordered (x f)*."""
+    prod = cc.star_mul(sr.to_left_ideal(x), sr.to_left_ideal(y))
+    return prod.coefficient((0, (1 << x.n) - 1))
 
 
 def _complement_sign(s: int) -> int:

@@ -550,6 +550,45 @@ def oracle_gram_rows(n):
     return tuple(rows)
 
 
+def oracle_beta_direct(x, y):
+    """transfer_maps.beta_direct as first written: (x f)* made in normal
+    order, then one Clifford product with y f, read at f."""
+    x._check_level(y)
+    prod = cc.mul(cc.star(sr.to_left_ideal(x)), sr.to_left_ideal(y))
+    return prod.coefficient((0, (1 << x.n) - 1))
+
+
+def oracle_check_gram(n, seed, samples):
+    """suites._check_gram as first written: the symmetry or skewness test and
+    then the parity test on every entry of the Gram matrix, in row order."""
+    g = tm.beta_gram(n)
+    size = 1 << n
+    if linalg.rank([list(r) for r in g]) != size:
+        return "gram matrix is singular"
+    sym = n % 4 in (0, 1)
+    for a in range(size):
+        for b in range(size):
+            if sym and g[a][b] != g[b][a]:
+                return f"not symmetric at ({a},{b})"
+            if not sym and g[a][b] != -g[b][a]:
+                return f"not skew at ({a},{b})"
+    for a in range(size):
+        for b in range(size):
+            pa, pb = bin(a).count("1") % 2, bin(b).count("1") % 2
+            cross_zero = (pa == pb) if n % 2 == 1 else (pa != pb)
+            if cross_zero and g[a][b] != 0:
+                return f"parity block structure violated at ({a},{b})"
+    ev = [m for m in range(size) if bin(m).count("1") % 2 == 0]
+    od = [m for m in range(size) if bin(m).count("1") % 2 == 1]
+    if n % 2 == 0:
+        blocks = [[[g[a][b] for b in ev] for a in ev], [[g[a][b] for b in od] for a in od]]
+    else:
+        blocks = [[[g[a][b] for b in od] for a in ev]]
+    for blk in blocks:
+        if linalg.rank(blk) != len(blk):
+            return "a parity block pairing is degenerate"
+
+
 def oracle_nu2(x):
     """nu2 as first written: star(a) and then x f act on the exterior unit
     (two act_on_exterior calls), a the wedge part of x; the degree-n

@@ -215,6 +215,49 @@ class TestStar:
         assert cc.star(cc.CliffordElement.unit(3)) == cc.CliffordElement.unit(3)
 
 
+class TestStarMul:
+    """star_mul(a, b) is star(a) * b, made without the normal-ordered star(a)."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_star_then_mul(self, n):
+        rng = make_rng(f"star-mul:{n}")
+        for t in range(8):
+            a = random_clifford(n, rng, nterms=2 + t)
+            b = random_clifford(n, rng, nterms=2 + t)
+            if t % 2:
+                a = cc.CliffordElement(n, {m: c / rng.randint(1, 6) for m, c in a.terms.items()})
+                b = cc.CliffordElement(n, {m: c / rng.randint(1, 6) for m, c in b.terms.items()})
+            assert cc.star_mul(a, b) == cc.mul(cc.star(a), b)
+
+    def test_against_rewrite_oracle(self):
+        rng = make_rng("star-mul-oracle")
+        for n in range(1, 5):
+            for _ in range(8):
+                a = random_clifford(n, rng, nterms=3)
+                b = random_clifford(n, rng, nterms=3)
+                expect = cc.CliffordElement.zero(n)
+                for m1, c1 in a.terms.items():
+                    for m2, c2 in b.terms.items():
+                        word = cc.monomial_word(m1)[::-1] + cc.monomial_word(m2)
+                        expect = expect + oracle_normal_form(word, n).scale(c1 * c2)
+                assert cc.star_mul(a, b) == expect
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_and_unit(self, n):
+        rng = make_rng(f"star-mul-unit:{n}")
+        a = random_clifford(n, rng, nterms=5)
+        zero, unit = cc.CliffordElement.zero(n), cc.CliffordElement.unit(n)
+        assert cc.star_mul(a, unit) == cc.star(a)
+        assert cc.star_mul(unit, a) == a
+        assert cc.star_mul(zero, a) == zero
+        assert cc.star_mul(a, zero) == zero
+        assert cc.star_mul(unit, unit) == unit
+
+    def test_level_mismatch(self):
+        with pytest.raises(LevelMismatchError):
+            cc.star_mul(cc.CliffordElement.unit(2), cc.CliffordElement.unit(3))
+
+
 class TestTwoFormEmbedding:
     def test_ff_pair(self):
         from spinalg import spin_rep as sr

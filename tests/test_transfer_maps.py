@@ -8,11 +8,14 @@ from spinalg import clifford_core as cc
 from spinalg import grassmann_cone as gc
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import suites
 from spinalg import transfer_maps as tm
-from spinalg.errors import IndexRangeError, NotIsotropicError, ResourceBoundError
+from spinalg.errors import IndexRangeError, LevelMismatchError, NotIsotropicError, ResourceBoundError
 
 from conftest import (
     make_rng,
+    oracle_beta_direct,
+    oracle_check_gram,
     oracle_gram_rows,
     oracle_pi_general,
     oracle_vector_in_quotient,
@@ -170,8 +173,8 @@ class TestVectorInQuotient:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_pairings_match_the_solve_route(self, n):
         # v = u - (u|e) f'_n is orthogonal to e; u itself mostly is not.  The
-        # pairings need only the hyperbolic basis: the primed solver's cache
-        # is not consulted
+        # basis is the primed solver's, so a second call at the same e is a
+        # hit of its cache
         rng = make_rng(f"quotient:{n}")
         for t in range(4):
             perm = rng.sample(range(n), n)
@@ -181,14 +184,27 @@ class TestVectorInQuotient:
             for _ in range(4):
                 u = cc.VectorInV.from_coords(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n)])
                 v = u - h.scale(cc.pairing(u, e))
-                info = tm._primed_contraction_solver.cache_info()
                 got = tm.vector_in_quotient(v, e)
-                assert tm._primed_contraction_solver.cache_info() == info
+                info = tm._primed_contraction_solver.cache_info()
+                assert tm.vector_in_quotient(v, e) == got
+                after = tm._primed_contraction_solver.cache_info()
+                assert (after.hits, after.misses) == (info.hits + 1, info.misses)
                 assert got == oracle_vector_in_quotient(v, e)
                 if cc.pairing(u, e):
                     for route in (tm.vector_in_quotient, oracle_vector_in_quotient):
                         with pytest.raises(IndexRangeError, match="vector is not orthogonal to e"):
                             route(u, e)
+
+
+    def test_rejected_vectors_fail_at_the_basis(self):
+        # the basis through e is built before v is looked at: v = e_1 is not
+        # orthogonal to f_1
+        n = 3
+        v = cc.VectorInV.basis(n, 1)
+        with pytest.raises(NotIsotropicError):
+            tm.vector_in_quotient(v, cc.VectorInV(n, [1], [1]))
+        with pytest.raises(IndexRangeError, match="vector lies in F"):
+            tm.vector_in_quotient(v, cc.VectorInV.basis(n, -1))
 
 
 class TestBeta:
@@ -259,6 +275,125 @@ class TestBeta:
                 y = y + sr.SpinVector.basis(n, rng.randrange(1 << n))
                 assert tm.beta(x, y) == tm.beta_direct(x, y)
                 assert tm.beta(y, x) == tm.beta_direct(y, x)
+
+
+class TestBetaDirect:
+    """beta_direct, read off star_mul, against the normal-ordered x* route."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_normal_ordered_route(self, n):
+        rng = make_rng(f"beta-direct:{n}")
+        dense = [(random_spin(n, rng), random_spin(n, rng)) for _ in range(2 if n <= 6 else 1)]
+        dense.append((random_spin(n, rng, "even"), random_spin(n, rng, "odd" if n % 2 else "even")))
+        sparse = []
+        for _ in range(3):
+            masks = rng.sample(range(1 << n), min(4, 1 << n))
+            x = sr.SpinVector(n, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in masks})
+            y = sr.SpinVector(
+                n, {m ^ ((1 << n) - 1): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in masks[1:]}
+            )
+            sparse.append((x, y))
+        zero = sr.SpinVector(n, {})
+        for x, y in dense + sparse + [(zero, dense[0][1])]:
+            assert tm.beta_direct(x, y) == oracle_beta_direct(x, y)
+            assert tm.beta_direct(y, x) == oracle_beta_direct(y, x)
+
+    def test_level_mismatch(self):
+        with pytest.raises(LevelMismatchError):
+            tm.beta_direct(sr.SpinVector.basis(4, 0), sr.SpinVector.basis(5, 0))
+
+
+def _gram_witness(n, g):
+    """suites._check_gram with beta_gram patched to give g, asserted equal to
+    the oracle's witness."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tm, "beta_gram", lambda level: [list(row) for row in g])
+        got = suites._check_gram(n, 7, 1)
+        assert got == oracle_check_gram(n, 7, 1)
+    return got
+
+
+class TestGramWitness:
+    """Each fault of the Gram matrix gets the witness of the row-order scan
+    over every entry.  A sign flipped on a nonzero entry, or one entry put at
+    a zero place, leaves the signed permutation matrix nonsingular."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flipped_sign(self, n):
+        # symmetric levels read it as an asymmetric pair, skew levels as a
+        # broken sign
+        rng = make_rng(f"gram-sign:{n}")
+        word = "symmetric" if n % 4 in (0, 1) else "skew"
+        full = (1 << n) - 1
+        for a in rng.sample(range(1 << n), min(4, 1 << n)):
+            g = tm.beta_gram(n)
+            g[a][a ^ full] = -g[a][a ^ full]
+            b, c = sorted((a, a ^ full))
+            assert _gram_witness(n, g) == f"not {word} at ({b},{c})"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_sided_entry(self, n):
+        # one entry at a zero place, above or below the diagonal: its mirror
+        # stays zero
+        rng = make_rng(f"gram-one-sided:{n}")
+        word = "symmetric" if n % 4 in (0, 1) else "skew"
+        size, full = 1 << n, (1 << n) - 1
+        places = [(a, b) for a in range(size) for b in range(size) if a != b and a ^ b != full]
+        for a, b in rng.sample(places, min(4, len(places))):
+            g = tm.beta_gram(n)
+            g[a][b] = Fraction(-1, 2)
+            assert _gram_witness(n, g) == f"not {word} at ({min(a, b)},{max(a, b)})"
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_nonzero_diagonal_at_a_skew_level(self, n):
+        rng = make_rng(f"gram-diagonal:{n}")
+        for a in rng.sample(range(1 << n), 3):
+            g = tm.beta_gram(n)
+            g[a][a] = Fraction(1, 3)
+            assert _gram_witness(n, g) == f"not skew at ({a},{a})"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cross_parity_entry(self, n):
+        # a pair of entries that keeps the symmetry (or skewness) but sits in
+        # a block the parity structure makes zero; a second such pair later
+        # in row order does not change the witness
+        rng = make_rng(f"gram-parity:{n}")
+        sym = n % 4 in (0, 1)
+        size = 1 << n
+        places = [
+            (a, b)
+            for a in range(size)
+            for b in range(a if sym else a + 1, size)
+            if (bin(a).count("1") + bin(b).count("1") + n) % 2
+        ]
+        for t in range(4):
+            g = tm.beta_gram(n)
+            picked = sorted(rng.sample(places, min(1 + t % 2, len(places))))
+            for a, b in picked:
+                g[a][b] = Fraction(2, 5)
+                g[b][a] = Fraction(2, 5) if sym else Fraction(-2, 5)
+            a, b = picked[0]
+            assert _gram_witness(n, g) == f"parity block structure violated at ({a},{b})"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetry_fault_after_a_parity_fault(self, n):
+        # the symmetry test runs over every pair before the parity test
+        sym = n % 4 in (0, 1)
+        full = (1 << n) - 1
+        g = tm.beta_gram(n)
+        b = 1 if n % 2 == 0 else (3 if n > 1 else 0)  # (0, b) lies in a zero block
+        g[0][b] = Fraction(7)
+        g[b][0] = Fraction(7) if sym else Fraction(-7)
+        g[full][0] = -g[full][0]
+        assert _gram_witness(n, g) == f"not {'symmetric' if sym else 'skew'} at (0,{full})"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_row(self, n):
+        rng = make_rng(f"gram-zero-row:{n}")
+        for a in rng.sample(range(1 << n), min(3, 1 << n)):
+            g = tm.beta_gram(n)
+            g[a] = [Fraction(0)] * (1 << n)
+            assert _gram_witness(n, g) == "gram matrix is singular"
 
 
 class TestDualityResidual:

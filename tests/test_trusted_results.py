@@ -118,6 +118,9 @@ def test_clifford_products_match_the_oracle_kernel(n):
             cc.star(a),
             unpack(n, oracle_apply_words(words(a, cc._clifford_letter, True), {0: Fraction(1)})),
         )
+        assert_same(
+            cc.star_mul(a, b), unpack(n, oracle_apply_words(words(a, cc._clifford_letter, True), packed))
+        )
         word = random_word(n, rng, rng.randint(0, 5))
         letters = [cc._clifford_letter(s, n) for s in word]
         assert_same(cc.normal_form(word, n), unpack(n, oracle_apply_words([(1, letters)], {0: 1})))
