@@ -115,8 +115,7 @@ def beta_direct(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
     """Pairing via one full Clifford product, independent of beta's formula:
     the f-coefficient of (x f)* (y f), made by associativity (cc.star_mul)
     with no normal-ordered (x f)*."""
-    prod = cc.star_mul(sr.to_left_ideal(x), sr.to_left_ideal(y))
-    return prod.coefficient((0, (1 << x.n) - 1))
+    return cc.star_mul(sr.to_left_ideal(x), sr.to_left_ideal(y)).coefficient((0, (1 << x.n) - 1))
 
 
 def _complement_sign(s: int) -> int:
