@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
+from typing import Iterator
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -554,38 +555,43 @@ class PullbackFamily:
 
     def _pairs(self, top: int, support: set[int]) -> tuple[int, list[list[int]]]:
         """The pair table covering support at the smallest width w, a multiple of
-        64, with top^2 * bound < 2^(w-1), bound the largest sum_(s<=t) |S_j[s, t]|
-        over the covered pairs; S_j is pulled back again for a new width, not kept."""
+        64, with top^2 * bound < 2^(w-1).  bound is the largest sum_(a,b,c) |c|
+        |R_a|_1 |R_b|_1 over the members after the screen, R_a row a of the
+        member on the covered positions: never below sum_(s<=t) |S_j[s, t]|, and
+        read off the rows, so each S_j is folded into the table as it is made and
+        pulled back again for a new width, not kept."""
         cover, bound, packed = self._tables.get("pairs", (None, 0, {}))
-        quads = None
         if cover is None or not support.issubset(cover):
             cover = support if cover is None else range((1 << self.n) >> 1)
-            quads = self._pair_quadrics(cover)
-            bound, packed = max(sum(map(abs, q.values())) for q in quads), {}
+            norms = [[sum(abs(row[k]) for k in cover) for row in m.rows] for m in self.members[_BLOCK:]]
+            bound, packed = max(sum(abs(c) * r[a] * r[b] for a, b, c in _i4_slot_terms()) for r in norms), {}
             self._tables["pairs"] = cover, bound, packed
         width = 64 * ((top * top * bound).bit_length() // 64 + 1)
         if width not in packed:
             table = packed[width] = [[0] * ((1 << self.n) >> 1) for _ in range((1 << self.n) >> 1)]
-            for j, q in enumerate(quads or self._pair_quadrics(cover)):
+            for j, q in enumerate(self._pair_quadrics(cover)):
                 for (s, t), c in q.items():
                     table[s][t] += c << width * j
         return width, packed[width]
 
-    def _pair_quadrics(self, cover) -> list[dict[Monomial, int]]:
-        """S_j on the pairs of positions in cover, for each member after the screen."""
+    def _pair_quadrics(self, cover) -> Iterator[dict[Monomial, int]]:
+        """S_j on the pairs of positions in cover, for each member after the
+        screen in turn, each made when the one before has been read."""
         quad = {(a, b): c for a, b, c in _i4_slot_terms()}
-        return [_pullback_ints(quad, {a: {k: row[k] for k in cover if row[k]} for a, row in enumerate(m.rows)})
-                for m in self.members[_BLOCK:]]
+        for m in self.members[_BLOCK:]:
+            yield _pullback_ints(quad, {a: {k: row[k] for k in cover if row[k]} for a, row in enumerate(m.rows)})
 
 
 def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> PullbackFamily:
     """count pullbacks of the level-4 quadric along contraction-after-group
     maps with seeded random group elements; deterministic in the seed.
 
-    Each map x -> pi_4(g x) is built from its rows, the unit covectors of
-    the even level-4 masks moved through g's steps on integers: the quadric
-    reads only even level-4 coordinates, and the spin group and the
-    contraction keep parity, so the rows are supported on even masks."""
+    Each map x -> pi_4(g x) is built from its rows, the unit covectors of the
+    even level-4 masks moved through g's transposed steps on integers in one
+    dict, row k's keys tagged k << n: the quadric reads only even level-4
+    coordinates, and the spin group and the contraction keep parity, so the
+    rows are supported on even masks.  Each entry, over the gcd of den and all
+    entries, goes straight to its row and position in the dense rows."""
     if n < 4:
         raise IndexRangeError("pullback families need level >= 4")
     if count < 1:
@@ -593,16 +599,17 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
     if length < 1:
         raise IndexRangeError(f"word length must be >= 1, got {length}")
     i4_quadric()  # the members' base quadric: a failed discovery raises at build, not at a query
-    targets = component_variables(4)
+    covectors = {k << n | t: 1 for k, t in enumerate(component_variables(4))}
+    low = (1 << n) - 1
     members = []
     for i in range(count):
         g = sr.random_group_element(n, f"family:{seed}:{i}", length) if i else sr.GroupElement.identity(n)
-        rows, den = sr._word_rows(g, targets)
-        dense = [[0] * ((1 << n) >> 1) for _ in rows]
-        for row, r in zip(dense, rows):
-            for s, c in r.items():
-                row[s >> 1] = c  # the even mask s is the (s >> 1)-th even mask
-        members.append(FamilyMember(g, tuple(map(tuple, dense)), den))
+        v, den = sr._word_steps(g, covectors, True, low)
+        common = reduce(gcd, v.values(), den)
+        dense = [[0] * ((1 << n) >> 1) for _ in covectors]
+        for key, c in v.items():
+            dense[key >> n][(key & low) >> 1] = c // common  # the even mask s is the (s >> 1)-th even mask
+        members.append(FamilyMember(g, tuple(map(tuple, dense)), den // common))
     return PullbackFamily(n, str(seed), tuple(members))
 
 

@@ -538,76 +538,68 @@ def _tagged_operator(n: int, v: dict, den: int = 1) -> "LinearOperator":
 
 @functools.lru_cache(maxsize=None)
 def _root_table(n: int, kind: str, i: int, j: int) -> tuple[dict, dict]:
-    """rho(X) of a root X, compiled once on integers: basis mask -> (image
-    mask, 2c), with c the coefficient of the image, and the inverse, image ->
-    (basis mask, 2c).  X's words are scaled to integers by the lcm L of their
-    denominators, so an image reads L c.
+    """rho(X) of a root X in closed form on integers: basis mask -> (image
+    mask, 2c), with c the coefficient of the image and the masks increasing,
+    and the inverse, image -> (basis mask, 2c).
 
-    Every permitted root sends each basis vector to a multiple c of at most
-    one basis vector, with c in {+-1/2, +-1, +-2}, and no two basis vectors to
-    the same one; the build checks all three, the last one for the inverse."""
-    words = _so_words(root_so_element(n, kind, i, j))
-    scale = math.lcm(*(c.denominator for c, _ in words))
-    words = [(c.numerator * (scale // c.denominator), letters) for c, letters in words]
+    A root moves two bits with a sign.  With a = 2^(i-1), b = 2^(j-1) and
+    below(m, x) the number of bits of m under x, each letter o(e_k) or
+    iota(f_k) on e_S signs by the bits of S under k, so (see the module
+    docstring) e_i^e_j sends the masks with neither bit to m | a | b with
+    2c = (-1)^(below(m, b) + below(m, a)); f_i^f_j sends those with both to
+    m ^ a ^ b with 2c = -4 (-1)^(below(m, a) + below(m ^ a, b)); e_i^f_j, whose
+    two words agree when j is in S and i is not, sends those masks to
+    m ^ b ^ a with 2c = 2 (-1)^(below(m, b) + below(m ^ b, a)).  So c is in
+    {+-1/2, +-1, +-2}, and no two masks share an image."""
+    _validate_root(kind, i, j, n)
+    a, b = 1 << i - 1, 1 << j - 1
+    first, then = (a, b) if kind == "ff" else (b, a)  # the bit moved first, then the other
+    need, c2 = {"ee": (0, 1), "ff": (a | b, -4), "ef": (b, 2)}[kind]
     table = {}
-    for m, image in _columns(n, cc._apply_words(words, _tagged_basis(n))).items():
-        if len(image) > 1:
-            raise StructureError(f"root {kind}({i},{j}) sends mask {m} to {len(image)} masks")
-        ((img, c),) = image.items()
-        c2, rest = divmod(2 * c, scale)
-        if rest or abs(c2) not in (1, 2, 4):
-            raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {Fraction(c, scale)}")
-        table[m] = (img, c2)
-    inverse = {img: (m, c2) for m, (img, c2) in table.items()}
-    if len(inverse) != len(table):
-        raise StructureError(f"root {kind}({i},{j}) sends two masks to one")
-    return table, inverse
+    for m in range(1 << n):
+        if m & (a | b) == need:
+            odd = ((m & first - 1).bit_count() + ((m ^ first) & then - 1).bit_count()) & 1
+            table[m] = (m ^ a ^ b, -c2 if odd else c2)
+    return table, {img: (m, c) for m, (img, c) in table.items()}
 
 
-def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transpose: bool, low: int = -1) -> dict[int, int]:
+def _root_step(tables: tuple[dict, dict], t: Fraction, v: dict[int, int], transpose: bool, low: int = -1) -> tuple[dict[int, int], int]:
     """exp(t X) = I + t rho(X) on integers, given the tables of X: every
-    permitted root X has rho(X)^2 = 0.  With t = p/q the step returns
-    2q v + p (2c) v[src] at each image, so the caller multiplies its
-    denominator by 2q.  transpose=True moves a covector instead, through the
-    inverse table; either way the step costs v's nonzero entries.  The bits
-    of a key outside `low` are a tag that the step carries along unread."""
+    permitted root X has rho(X)^2 = 0.  With t = p/q, G the gcd of the 2c of
+    the table read and g = gcd(2q, p G), the step returns (2q/g) v + (p 2c/g)
+    v[src] at each image, and the factor 2q/g, which the caller multiplies
+    into its denominator; a factor of 1 copies v unscaled.  g comes from the
+    entries, not from the root's kind, so any table steps exactly.
+    transpose=True moves a covector instead, through the inverse table;
+    either way the step costs v's nonzero entries.  The bits of a key outside
+    `low` are a tag that the step carries along unread."""
     p, s = t.numerator, 2 * t.denominator
     table = tables[transpose]
-    out = {m: s * c for m, c in v.items()}
+    g = math.gcd(s, p * math.gcd(*[c2 for _, c2 in table.values()]))
+    k = s // g
+    out = dict(v) if k == 1 else {m: k * c for m, c in v.items()}
     for src, c in v.items():
         if hit := table.get(src & low):
             m, c2 = hit
             m |= src & ~low
-            c = p * c2 * c + out.get(m, 0)
+            c = p * c2 // g * c + out.get(m, 0)
             if c:
                 out[m] = c
             else:
                 del out[m]
-    return out
-
-
-def _word_rows(g: "GroupElement", targets: list[int]) -> tuple[list[dict[int, int]], int]:
-    """The rows of g for the target masks on integers: rows[k][s] / den is the
-    coefficient of targets[k] in g e_s, zeros left out and s increasing, with
-    den the common denominator of all the rows (the gcd of den and every
-    entry is 1).  The unit covectors move through the transposed steps, first
-    letter first, in one dict, row k's keys tagged k << n (see _tagged_basis)."""
-    n = g.n
-    v, den = _word_steps(g, {k << n | t: 1 for k, t in enumerate(targets)}, True, (1 << n) - 1)
-    common = functools.reduce(math.gcd, v.values(), den)
-    cols = _columns(n, {key: c // common for key, c in v.items()})
-    return [cols.get(k, {}) for k in range(len(targets))], den // common
+    return out, k
 
 
 def _word_steps(g: "GroupElement", v: dict[int, int], transpose: bool, low: int = -1) -> tuple[dict[int, int], int]:
     """v moved through the root steps of g's word on integers (_root_step),
     last letter first, or first letter first through the transposed steps,
-    and the denominator the steps add."""
+    and the denominator: the product of the steps' factors, 1 for a word of
+    ff and ef letters with integer parameters."""
     den = 1
     for kind, i, j, t in g.word if transpose else reversed(g.word):
         if t:
-            v = _root_step(_root_table(g.n, kind, i, j), t, v, transpose, low)
-            den *= 2 * t.denominator
+            v, k = _root_step(_root_table(g.n, kind, i, j), t, v, transpose, low)
+            den *= k
     return v, den
 
 

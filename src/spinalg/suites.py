@@ -253,8 +253,8 @@ def _check_pi_tau(n, seed, samples):
 def _check_equivariance(n, seed, samples):
     """pi(g x) = g pi(x) on each level-n basis x, then tau(g x) = g tau(x) on each
     level-(n - 1) one, g = exp(tX) for the roots X of level n - 1: one step per
-    level over the tagged basis (keys image | m << level, both scaled by 2q for
-    t = p/q), pi (drop masks with bit n) and tau (keep all) filters on the keys.
+    level over the tagged basis (keys image | m << level, each times the other
+    step's factor), pi (drop masks with bit n) and tau (keep all) key filters.
     The tau half can never fail first: roots of level n - 1 never move bit n, so
     pi drops no image of a mask without bit n and tau compares the same entries.
     What the row checks is the level-n step against the level-(n - 1) one on
@@ -264,8 +264,9 @@ def _check_equivariance(n, seed, samples):
     high_basis, low_basis = sr._tagged_basis(n), sr._tagged_basis(n - 1)
     for kind, i, j in sr.all_root_vectors(n - 1):
         t = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 2]))
-        high = sr._root_step(sr._root_table(n, kind, i, j), t, high_basis, False, 2 * top - 1)
-        low = sr._root_step(sr._root_table(n - 1, kind, i, j), t, low_basis, False, top - 1)
+        high, k_high = sr._root_step(sr._root_table(n, kind, i, j), t, high_basis, False, 2 * top - 1)
+        low, k_low = sr._root_step(sr._root_table(n - 1, kind, i, j), t, low_basis, False, top - 1)
+        high, low = {key: c * k_low for key, c in high.items()}, {key: c * k_high for key, c in low.items()}
         if {key >> n << (n - 1) | key & (top - 1): c for key, c in high.items() if not key & top} != low:
             return f"pi equivariance failed for {kind}({i},{j})"
         up = {key >> (n - 1) << n | key & (top - 1): c for key, c in low.items()}

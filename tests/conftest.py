@@ -419,7 +419,9 @@ def oracle_equivariance(n, seed, samples):
 @functools.lru_cache(maxsize=None)
 def oracle_root_table(n, kind, i, j):
     """The root table built on Fractions, as first written: rho(X) applied
-    to each {m: 1}, read as basis mask -> (image mask, 2c)."""
+    to each {m: 1}, read as basis mask -> (image mask, 2c).  StructureError
+    unless every image is one mask, every 2c is in {+-1, +-2, +-4} and no two
+    masks share an image, the shape spin_rep._root_table writes in closed form."""
     words = sr._so_words(sr.root_so_element(n, kind, i, j))
     table = {}
     for m in range(1 << n):
@@ -431,11 +433,27 @@ def oracle_root_table(n, kind, i, j):
             if (2 * c).denominator != 1 or abs(2 * c) not in (1, 2, 4):
                 raise StructureError(f"root {kind}({i},{j}) scales mask {m} by {c}")
             table[m] = (img, int(2 * c))
+    if len({img for img, _ in table.values()}) != len(table):
+        raise StructureError(f"root {kind}({i},{j}) sends two masks to one")
     return table
 
 
+def word_rows(g, targets):
+    """The rows of g for the target masks on integers, sparse: rows[k][s] / den
+    is the coefficient of targets[k] in g e_s, zeros left out and s
+    increasing, with den the common denominator of all the rows (the gcd of
+    den and every entry is 1).  The unit covectors move through the transposed
+    steps, first letter first, in one dict, row k's keys tagged k << n, as
+    orbit_pullback_family moves them into its dense rows."""
+    n = g.n
+    v, den = sr._word_steps(g, {k << n | t: 1 for k, t in enumerate(targets)}, True, (1 << n) - 1)
+    common = functools.reduce(math.gcd, v.values(), den)
+    cols = sr._columns(n, {key: c // common for key, c in v.items()})
+    return [cols.get(k, {}) for k in range(len(targets))], den // common
+
+
 def oracle_word_rows(g, targets):
-    """_word_rows as first written: each transposed step scans the whole
+    """word_rows as first written: each transposed step scans the whole
     Fraction-built table for the images the covector holds."""
     rows = [{t: 1} for t in targets]
     den = 1

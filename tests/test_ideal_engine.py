@@ -34,6 +34,7 @@ from conftest import (
     oracle_pullback_rows,
     oracle_vanishing_forms,
     random_spin,
+    word_rows,
 )
 
 
@@ -366,7 +367,7 @@ class TestPullbackRows:
         targets = ie.component_variables(4)
         fam = ie.orbit_pullback_family(n, f"pb-oracle:{n}", 12)
         for member in fam.members:
-            rows, den = sr._word_rows(member.g, targets)
+            rows, den = word_rows(member.g, targets)
             expected = oracle_pullback_rows(ie.i4_quadric(), dict(zip(targets, rows)), den, n)
             assert member.quadric == expected
 
@@ -644,7 +645,7 @@ class TestPackedCertification:
         fam, maps = family_with_maps(5)
         lead, lead_maps = reordered(fam, maps, [0] * 9 + list(range(1, 17)))
         signs, widths = set(), set()
-        for bits in (8, 12, 20):
+        for bits in (6, 12, 20):
             x = orbit_point(5, "wide", bits)
             for y, sign in ((x, 0), (x + sr.SpinVector.basis(5, 24), -1), (x - sr.SpinVector.basis(5, 24), 1)):
                 fresh = ie.PullbackFamily(5, lead.seed, lead.members)
@@ -656,6 +657,23 @@ class TestPackedCertification:
                     signs.add(sign)
                 widths |= pair_widths(fresh)
         assert signs == {-1, 1} and widths == {64, 128, 192}
+
+    def test_row_norm_bound_widens_a_pair_slot_exactly(self):
+        # the pair table's width follows sum |c| |R_a|_1 |R_b|_1, which runs
+        # ahead of the largest sum_(s<=t) |S_j[s, t]|: these points take 128-bit
+        # pair slots where that exact sum keeps 64, and still read the oracle's
+        # verdict and witness
+        fam, maps = family_with_maps(5)
+        lead, lead_maps = reordered(fam, maps, [0] * 9 + list(range(1, 17)))
+        x = orbit_point(5, "wide", 8)
+        for y in (x, x + sr.SpinVector.basis(5, 24), x - sr.SpinVector.basis(5, 24)):
+            fresh = ie.PullbackFamily(5, lead.seed, lead.members)
+            assert ie.certify_membership(y, fresh) == oracle_certify(y, fresh, lead_maps)
+            cover, bound, _packed = fresh._tables["pairs"]
+            exact = max(sum(map(abs, q.values())) for q in fresh._pair_quadrics(cover))
+            top = max(map(abs, y.integer_form()[0].values()))
+            assert bound >= exact and (top * top * exact).bit_length() < 64 <= (top * top * bound).bit_length()
+            assert pair_widths(fresh) == {128}
 
     def test_rows_that_are_not_a_group_word(self):
         # a group word's rows send every basis point onto the cone, so its
@@ -1040,6 +1058,23 @@ class TestGoldenOutputs:
             ],
         }
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "n,seed,count,expected",
+        [
+            (5, "7:fam", 64, "a19c1f9a1173b8479fe25aee010d418bd7d7fc934ed7c031e6276ddfbd0a10b4"),
+            (5, "11:fam", 64, "c22aaf5fccee37f8e1ee5808c58f5524d16ae24151751907a48b448bf662c631"),
+            (6, "7:fam", 120, "7fd864e1319ec50b7e6d06b0c6821123f40515c53a6725c23eb9e7f2b7e747ca"),
+            (6, "11:fam", 120, "6efa5e1217f0f363df9c99360cc6bccd0c9d060aaefcb9bee019ccebf3c61ab9"),
+        ],
+    )
+    def test_family_rows(self, n, seed, count, expected):
+        # every member's (rows, den) of the benchmark's families, as built by
+        # the row-by-row word steps with one 2q rescale per letter
+        digest = hashlib.sha256()
+        for m in ie.orbit_pullback_family(n, seed, count).members:
+            digest.update(repr((m.rows, m.den)).encode())
+        assert digest.hexdigest() == expected
 
     def test_lowering_trace_and_localized_certificate(self):
         tr = ie.degree_lowering_trace(ie.i4_quadric().to_limit(), 6)

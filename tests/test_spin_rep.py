@@ -24,6 +24,7 @@ from conftest import (
     make_rng,
     oracle_group_apply,
     oracle_integer_row,
+    oracle_operator,
     oracle_random_group_element,
     oracle_root_table,
     oracle_so_matrix,
@@ -32,6 +33,7 @@ from conftest import (
     random_spin,
     random_vector,
     split_form,
+    word_rows,
 )
 
 
@@ -278,17 +280,31 @@ class TestGroupElements:
                     assert image == sr.SpinVector(n, {img: Fraction(c2, 2)})
 
     def test_root_tables_match_fraction_build(self):
-        # the integer build against the Fraction one, entries and order, and
-        # the stored inverse against the forward table read backwards
-        for n in range(2, 7):
+        # the closed form against the Fraction build, entries and order, and
+        # the stored inverse, in order, against the forward table read backwards
+        for n in range(1, 8):
             for kind, i, j in sr.all_root_vectors(n):
                 table, inverse = sr._root_table(n, kind, i, j)
                 assert list(table.items()) == list(oracle_root_table(n, kind, i, j).items())
-                assert len(inverse) == len(table)
-                for img, (src, c2) in inverse.items():
-                    assert table[src] == (img, c2)
-                for src, (img, c2) in table.items():
-                    assert inverse[img] == (src, c2)
+                assert list(inverse.items()) == [(img, (src, c2)) for src, (img, c2) in table.items()]
+
+    @pytest.mark.parametrize(
+        "kind,i,j,error",
+        [
+            ("ee", 2, 1, InvalidRootVectorError),
+            ("ff", 2, 2, InvalidRootVectorError),
+            ("ef", 3, 3, InvalidRootVectorError),
+            ("eg", 1, 2, InvalidRootVectorError),
+            ("ee", 0, 2, IndexRangeError),
+            ("ef", 1, 5, IndexRangeError),
+            ("ff", 3, 5, IndexRangeError),
+        ],
+    )
+    def test_root_table_rejects_invalid_roots(self, kind, i, j, error):
+        with pytest.raises(error):
+            sr._root_table(4, kind, i, j)
+        with pytest.raises(error):
+            sr.GroupElement(4, [(kind, i, j, Fraction(1))])
 
     def test_word_rows_match_full_table_scan(self, rng):
         params = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2)]
@@ -301,12 +317,13 @@ class TestGroupElements:
             for word in words:
                 g = sr.GroupElement(n, word)
                 for targets in (ie.component_variables(min(n, 4)), list(range(1 << n))):
-                    rows, den = sr._word_rows(g, targets)
+                    rows, den = word_rows(g, targets)
                     assert (rows, den) == oracle_word_rows(g, targets), (n, g)
                     assert all(list(row) == sorted(row) for row in rows)
 
     def test_root_table_build_rejects_other_shapes(self, monkeypatch):
-        build = sr._root_table.__wrapped__  # uncached, so no bad table is kept
+        # the words-to-table route of the oracle that the closed form is checked against
+        build = oracle_root_table.__wrapped__  # uncached, so no bad table is kept
         monkeypatch.setattr(sr, "_so_words", lambda x: [(Fraction(3, 4), [sr._o(1), sr._o(2)])])
         with pytest.raises(StructureError, match="scales mask"):
             build(2, "ee", 1, 2)
@@ -411,6 +428,64 @@ class TestGroupElements:
                 assert m == oracle_so_matrix_replay(g), (n, word)
                 assert all(type(x) is Fraction for row in m for x in row)
                 assert g.so_matrix() is m
+
+
+def mixed_word(n, rng, length):
+    """A word cycling through ee letters with odd and even t, and ff and ef
+    letters with t in {1/3, -7/5, 3/2}; every fourth letter is a zero step."""
+    roots = sr.all_root_vectors(n)
+    params = {"ee": (1, -3, 2, -4), "ff": (Fraction(1, 3), Fraction(-7, 5), Fraction(3, 2))}
+    word = []
+    for k in range(length):
+        kind = ("ee", "ff", "ef")[k % 3]
+        t = 0 if k % 4 == 3 else rng.choice(params.get(kind, params["ff"]))
+        word.append((*rng.choice([r for r in roots if r[0] == kind]), Fraction(t)))
+    return word
+
+
+class TestRootSteps:
+    """The steps scale v by 2q/g only, g = gcd(2q, p gcd(2c)), and the words
+    they make must still equal the Fraction oracles."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_apply_and_operator_match_the_oracle(self, n, rng):
+        points = [sr.SpinVector.omega0(n), random_spin(n, rng)]
+        points.append(sr.SpinVector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(1 << n)}))
+        for length in (1, 3, 4, 8, 12):
+            g = sr.GroupElement(n, mixed_word(n, rng, length))
+            for x in points:
+                assert g.apply(x) == oracle_group_apply(g, x), (g, x)
+            if n < 6:
+                assert sr.LinearOperator.of_group_element(g) == oracle_operator(n, lambda x: oracle_group_apply(g, x))
+            targets = ie.component_variables(min(n, 4))
+            assert word_rows(g, targets) == oracle_word_rows(g, targets), g
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_family_rows_match_the_oracle(self, n, rng, monkeypatch):
+        words = {f"family:mixed:{k}": mixed_word(n, rng, 3 + k) for k in range(1, 6)}
+        real = sr.random_group_element
+        monkeypatch.setattr(sr, "random_group_element",
+                            lambda n, seed, length: sr.GroupElement(n, words[seed]) if seed in words else real(n, seed, length))
+        targets = ie.component_variables(4)
+        members = ie.orbit_pullback_family(n, "mixed", 6).members
+        assert [list(m.g.word) for m in members[1:]] == list(words.values())
+        for member in members:
+            rows, den = oracle_word_rows(member.g, targets)
+            dense = tuple(tuple(row.get(s, 0) for s in ie.component_variables(n)) for row in rows)
+            assert (member.rows, member.den) == (dense, den), member.g
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ff_and_ef_letters_with_integer_t_add_no_denominator(self, n, rng):
+        # their 2c are multiples of 4 and 2, so g = 2q and the steps never
+        # rescale; an ee letter with odd t still doubles the denominator
+        roots = [r for r in sr.all_root_vectors(n) if r[0] != "ee"]
+        g = sr.GroupElement(n, [(*rng.choice(roots), Fraction(rng.choice((-3, -2, -1, 1, 2, 5)))) for _ in range(10)])
+        odd = sr.GroupElement(n, [("ee", 1, 2, Fraction(3))] + list(g.word) + [("ee", 1, n, Fraction(-1))])
+        for transpose in (False, True):
+            assert sr._word_steps(g, sr._tagged_basis(n), transpose, (1 << n) - 1)[1] == 1
+            assert sr._word_steps(odd, sr._tagged_basis(n), transpose, (1 << n) - 1)[1] == 4
+        x = random_spin(n, rng)
+        assert g.apply(x) == oracle_group_apply(g, x) and odd.apply(x) == oracle_group_apply(odd, x)
 
 
 class TestLinearOperator:

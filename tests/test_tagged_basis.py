@@ -148,6 +148,31 @@ class TestEquivariance:
                     assert got == oracle_equivariance(n, 7, 1)
                 assert got is not None
 
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_step_factors_neither_hide_nor_invent_a_fault(self, n, monkeypatch):
+        # every draw gives t = -1/2.  Halving the 2c of an ff or ef root at one
+        # level halves the gcd its step divides by, so that step alone is
+        # scaled by twice the factor: on a mask with bit n (unseen, as for
+        # the flips) both bodies pass, and on a mask without it both fail
+        class Last:
+            def choice(self, seq):
+                return seq[-1]
+
+        monkeypatch.setattr(suites, "_rng", lambda *args: Last())
+        top = 1 << (n - 1)
+        for level in (n - 1, n):
+            for root in [r for r in sr.all_root_vectors(n - 1) if r[0] != "ee"]:
+                table, inverse = sr._root_table(level, *root)
+                for m in {min(table), max(table)}:
+                    img, c2 = table[m]
+                    factor = sr._root_step((table, inverse), Fraction(-1, 2), {m: 1}, False)[1]
+                    with monkeypatch.context() as mp:
+                        patch_root_table(mp, level, root, lambda t: t.update({m: (img, c2 // 2)}))
+                        assert sr._root_step(sr._root_table(level, *root), Fraction(-1, 2), {m: 1}, False)[1] == 2 * factor
+                        got = suites._check_equivariance(n, 7, 1)
+                        assert got == oracle_equivariance(n, 7, 1)
+                    assert (got is None) == bool(m & top), (level, root, m)
+
 
 class TestGroupUnipotentFaults:
     @pytest.mark.parametrize("n", range(2, 5))

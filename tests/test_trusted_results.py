@@ -44,6 +44,7 @@ from conftest import (
     random_isotropic,
     random_spin,
     random_word,
+    word_rows,
 )
 
 LEVELS = range(1, 7)
@@ -292,7 +293,7 @@ def test_pullbacks_match_the_validating_constructor(n):
     rng = make_rng(f"trusted-pullback:{n}")
     targets = ie.component_variables(4)
     for member in ie.orbit_pullback_family(n, f"trusted:{n}", 6).members:
-        rows, den = sr._word_rows(member.g, targets)
+        rows, den = word_rows(member.g, targets)
         rows = dict(zip(targets, rows))
         assert_same_polynomial(member.quadric, oracle_pullback_rows(ie.i4_quadric(), rows, den, n))
     for degree in range(4):
@@ -454,9 +455,4 @@ def test_every_letter_has_int_factors(n, monkeypatch):
     sr.vector_action(v, x)
     gc.omega_of(gc.annihilator(gc.sample_cone_point(n, "int-letters")) if n > 1 else gc.coordinate_subspace(1, 1))
     assert suites._check_quarter_embedding(n, 7, 4) is None
-    sites = kernel_call_sites()
-    if n > 1:
-        sr._root_table.__wrapped__(n, "ef", 1, n)
-    else:
-        sites.discard("_root_table")  # no root vectors at level 1
-    assert callers == sites
+    assert callers == kernel_call_sites()
