@@ -608,7 +608,7 @@ def orbit_pullback_family(n: int, seed, count: int, length: int = 10) -> Pullbac
         common = reduce(gcd, v.values(), den)
         dense = [[0] * ((1 << n) >> 1) for _ in covectors]
         for key, c in v.items():
-            dense[key >> n][(key & low) >> 1] = c // common  # the even mask s is the (s >> 1)-th even mask
+            dense[key >> n][(key & low) >> 1] = c // common  # an even mask s is the (s >> 1)-th even mask
         members.append(FamilyMember(g, tuple(map(tuple, dense)), den // common))
     return PullbackFamily(n, str(seed), tuple(members))
 
