@@ -257,8 +257,11 @@ class SparseElement:
     IndexRangeError, an operand of another level raises LevelMismatchError,
     and two elements are equal when they have the same type, level and
     terms.  A subclass sets _width, so that its keys are the masks below
-    2^(_width * n), and names a key in _key_str; CliffordElement, keyed by
-    mask pairs, checks its keys in a constructor of its own instead.
+    2^(_width * n), and names a key in _key_str.  The types with other keys
+    check them in a constructor of their own instead: CliffordElement's are
+    mask pairs, spin_rep.SoElement's two-bit masks given by index pairs, and
+    ideal_engine.Polynomial's sorted tuples of variable masks, at the level
+    n or, with n = -1, at the limit level.
 
     The public constructors check every key and coefficient.  Results of the
     arithmetic and of the letter kernel are built by _trusted instead."""
@@ -288,7 +291,7 @@ class SparseElement:
 
     @classmethod
     def zero(cls, n: int):
-        return cls(n)
+        return cls._trusted(n, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -691,19 +694,21 @@ def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector
     return ExteriorVector._trusted(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
 
 
-def so_to_clifford(x) -> CliffordElement:
-    """Image of a two-form under the quarter-commutator embedding.
+def _two_bits(key: int) -> tuple[int, int]:
+    """The positions p < p2 of the two bits of a two-form's key."""
+    return (key & -key).bit_length() - 1, key.bit_length() - 1
 
-    Accepts any object with fields n, ee, ff, ef (sparse two-form blocks);
-    each basis two-form u^v maps to (uv - vu)/4.
-    """
+
+def so_to_clifford(x) -> CliffordElement:
+    """Image of a two-form under the quarter-commutator embedding: the basis
+    two-form u^v, keyed by the mask of the bits p < p2 of u and v (see
+    spin_rep.SoElement), maps to (uv - vu)/4, with u and v the Clifford
+    letters at those bits."""
     n = x.n
-    pairs = [(i, j, c) for (i, j), c in x.ee.items()]
-    pairs += [(-i, -j, c) for (i, j), c in x.ff.items()]
-    pairs += [(i, -j, c) for (i, j), c in x.ef.items()]
     table = _letter_table(_clifford_letter, n)
     words = []
-    for u, v, c in pairs:
-        lu, lv = table[_bit(u, n)], table[_bit(v, n)]
-        words += [(Fraction(c, 4), [lu, lv]), (Fraction(-c, 4), [lv, lu])]
+    for m, c in x.terms.items():
+        p, p2 = _two_bits(m)
+        lu, lv = table[p], table[p2]
+        words += [(c / 4, [lu, lv]), (-c / 4, [lv, lu])]
     return _unpacked(n, _apply_words(words, {0: 1}))

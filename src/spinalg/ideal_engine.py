@@ -88,18 +88,17 @@ class SpinVariable:
 Monomial = tuple[int, ...]
 
 
-class Polynomial:
+class Polynomial(cc.SparseElement):
     """Sparse polynomial over spin variables, all at one finite level or all
     at the limit level; a monomial is the sorted tuple of its variables'
-    masks (subset masks, or complement masks at the limit level)."""
+    masks (subset masks, or complement masks at the limit level).  On the
+    shared element base, n is the level, or -1 at the limit level."""
 
-    __slots__ = ("is_limit", "level", "terms", "_parities")
+    __slots__ = ("_parities",)
 
     def __init__(self, is_limit: bool, level: int, terms: dict[Monomial, Fraction] | None = None):
-        self.is_limit = is_limit
-        self.level = level
-        self.terms: dict[Monomial, Fraction] = {}
-        self._parities: frozenset[int] | None = None
+        self.n = -1 if is_limit else level
+        self.terms = out = {}
         if terms:
             for mono, c in terms.items():
                 c = c if isinstance(c, Fraction) else Fraction(c)
@@ -108,23 +107,16 @@ class Polynomial:
                 mono = tuple(sorted(mono))
                 if mono:
                     _check_masks(is_limit, level, mono[0], mono[-1])
-                cc._accumulate(self.terms, mono, c)
+                cc._accumulate(out, mono, c)
 
-    @classmethod
-    def _trusted(cls, is_limit: bool, level: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """The polynomial on terms as given, unchecked: sorted in-range monomials, nonzero Fractions."""
-        self = object.__new__(cls)
-        self.is_limit = is_limit
-        self.level = level
-        self.terms = terms
-        self._parities = None
-        return self
+    is_limit = property(lambda self: self.n < 0)
+    level = property(lambda self: self.n)  # -1 at the limit level
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero_limit() -> "Polynomial":
-        return Polynomial(True, -1)
+        return Polynomial.zero(-1)
 
     @staticmethod
     def variable(v: SpinVariable) -> "Polynomial":
@@ -137,57 +129,21 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------------
 
-    def _like(self, terms) -> "Polynomial":
-        """Unchecked: the ring operations keep sorted in-range monomials, and _accumulate drops zeros."""
-        return Polynomial._trusted(self.is_limit, self.level, terms)
-
-    def _check(self, other) -> None:
+    def _check_level(self, other) -> None:
         """LevelMismatchError unless other (a polynomial or a variable) is at
         self's level, finite or the limit."""
         if (self.is_limit, self.level) != (other.is_limit, other.level):
             raise LevelMismatchError(f"levels differ: {_level_name(self)} vs {_level_name(other)}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cc._accumulate(out, m, c)
-        return self._like(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Polynomial":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return self._like({})
-        return self._like({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        self._check(other)
+        self._check_level(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 cc._accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
-        return self._like(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and (self.is_limit, self.level) == (other.is_limit, other.level)
-            and self.terms == other.terms
-        )
+        return self._trusted(self.n, out)
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -205,35 +161,30 @@ class Polynomial:
         return {self._view(m) for m in self._masks()}
 
     def _variable_parities(self) -> frozenset[int]:
-        """The parities |S| mod 2 of the variables x_S that occur, found on
+        """The parities |S| mod 2 of the variables x_S that occur, kept from
         the first call: a polynomial's terms do not change after it is built."""
-        if self._parities is None:
+        try:
+            return self._parities
+        except AttributeError:
             self._parities = frozenset(m.bit_count() % 2 for m in self._masks())
-        return self._parities
+            return self._parities
 
     def partial(self, v: SpinVariable) -> "Polynomial":
-        self._check(v)
+        self._check_level(v)
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             k = mono.count(v.mask)
             if k:
                 i = mono.index(v.mask)
                 cc._accumulate(out, mono[:i] + mono[i + 1 :], k * c)
-        return self._like(out)
+        return self._trusted(self.n, out)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            factors = []
-            for m in dict.fromkeys(mono):
-                k = mono.count(m)
-                factors.append(str(self._view(m)) + (f"^{k}" if k > 1 else ""))
-            parts.append(f"{self.terms[mono]}*{'*'.join(factors) or '1'}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def _key_str(self, mono: Monomial) -> str:
+        factors = []
+        for m in dict.fromkeys(mono):
+            k = mono.count(m)
+            factors.append(str(self._view(m)) + (f"^{k}" if k > 1 else ""))
+        return "*".join(factors) or "1"
 
     # -- level conversion ----------------------------------------------------
 
@@ -438,7 +389,7 @@ def _pullback_rows(
             if (c := made.get(v)) is None:
                 c = made[v] = Fraction(v * content, scale)
             terms[mono] = c
-    return Polynomial._trusted(False, source_n, terms)
+    return Polynomial._trusted(source_n, terms)
 
 
 def _pullback_ints(coefs: dict[Monomial, int], rows: dict[int, dict[int, int]]) -> dict[Monomial, int]:

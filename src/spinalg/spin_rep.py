@@ -140,31 +140,39 @@ def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
 # -- two-forms ---------------------------------------------------------------
 
 
-class SoElement:
-    """Sparse two-form: blocks of e_i^e_j (i<j), f_i^f_j (i<j), e_i^f_j.
+class SoElement(cc.SparseElement):
+    """Sparse two-form, keyed like the degree-2 part of ExteriorVector: u^v is
+    the 2n-bit mask holding the bits of u and v, e_i at bit i-1 and f_j at bit
+    n+j-1, the lower bit first.  So e_i^e_j (i<j) has both bits low, f_i^f_j
+    (i<j) both high and e_i^f_j one of each; the keyword constructor takes
+    the three blocks as {(i, j): coefficient}.
 
     rho_so keeps the two-form's letter words in _words once it has built
     them, so a two-form applied to many vectors builds them once."""
 
-    __slots__ = ("n", "ee", "ff", "ef", "_words")
+    __slots__ = ("_words",)
+    _width = 2
+    _key_str = cc.ExteriorVector._key_str
 
     def __init__(self, n: int, ee=None, ff=None, ef=None):
-        self.n = n
-        self._words = None
-        self.ee: dict[tuple[int, int], Fraction] = {}
-        self.ff: dict[tuple[int, int], Fraction] = {}
-        self.ef: dict[tuple[int, int], Fraction] = {}
-        for src, dst, ordered in ((ee, self.ee, True), (ff, self.ff, True), (ef, self.ef, False)):
-            if not src:
-                continue
-            for (i, j), c in src.items():
+        terms = {}
+        # each block with the offsets of the bits of its i and j
+        for block, off_i, off_j in ((ee, 0, 0), (ff, n, n), (ef, 0, n)):
+            for (i, j), c in (block or {}).items():
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise IndexRangeError(f"index pair ({i},{j}) out of range 1..{n}")
-                if ordered and not i < j:
+                if off_i == off_j and not i < j:
                     raise IndexRangeError(f"pair ({i},{j}) must satisfy i < j")
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
-                    dst[(i, j)] = c
+                    terms[1 << (i - 1 + off_i) | 1 << (j - 1 + off_j)] = c
+        self.n, self.terms, self._words = n, terms, None
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "SoElement":
+        self = super()._trusted(n, terms)
+        self._words = None
+        return self
 
     @staticmethod
     def basis_ee(n: int, i: int, j: int) -> "SoElement":
@@ -189,111 +197,54 @@ class SoElement:
             return SoElement(n, ef={(i, i): 1, (i + 1, i + 1): -1})
         return SoElement(n, ef={(n - 1, n - 1): 1, (n, n): 1})
 
-    def is_zero(self) -> bool:
-        return not (self.ee or self.ff or self.ef)
-
-    def __add__(self, other: "SoElement") -> "SoElement":
-        cc._check_levels(self, other)
-
-        def merge(a, b):
-            out = dict(a)
-            for k, c in b.items():
-                cc._accumulate(out, k, c)
-            return out
-
-        return SoElement(
-            self.n, merge(self.ee, other.ee), merge(self.ff, other.ff), merge(self.ef, other.ef)
-        )
-
-    def __sub__(self, other: "SoElement") -> "SoElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SoElement":
-        c = Fraction(c)
-        return SoElement(
-            self.n,
-            {k: c * v for k, v in self.ee.items()},
-            {k: c * v for k, v in self.ff.items()},
-            {k: c * v for k, v in self.ef.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SoElement)
-            and (self.n, self.ee, self.ff, self.ef)
-            == (other.n, other.ee, other.ff, other.ef)
-        )
+    def _is_gl(self) -> bool:
+        """Whether every term is in the e_i^f_j block, gl(E)."""
+        low = (1 << self.n) - 1
+        return all(m & low and m >> self.n for m in self.terms)
 
     def trace_gl(self) -> Fraction:
         """Trace of the gl(E) block (sum of diagonal e_i^f_i coefficients)."""
-        return sum((c for (i, j), c in self.ef.items() if i == j), Fraction(0))
+        low = (1 << self.n) - 1
+        return sum((c for m, c in self.terms.items() if m & low == m >> self.n), Fraction(0))
 
     def matrix(self):
-        """Matrix on V (coords e_1..e_n,f_1..f_n): u^v maps w to (v|w)u - (u|w)v."""
-        from . import linalg
-
+        """Matrix on V (coords e_1..e_n,f_1..f_n): u^v maps w to (v|w)u - (u|w)v,
+        and (v|w) is w's coordinate at the partner p* of v's coordinate p."""
         n = self.n
         m = linalg.zeros(2 * n, 2 * n)
-
-        def add_pair(u: int, v: int, c: Fraction) -> None:
-            # u, v are signed symbols; (v|w) pulls the partner coordinate of w
-            for w_col in range(2 * n):
-                w_sym = w_col + 1 if w_col < n else -(w_col - n + 1)
-                pv = cc.symbol_pairing(v, w_sym)
-                pu = cc.symbol_pairing(u, w_sym)
-                if pv:
-                    row = u - 1 if u > 0 else n + (-u) - 1
-                    m[row][w_col] += c * pv
-                if pu:
-                    row = v - 1 if v > 0 else n + (-v) - 1
-                    m[row][w_col] -= c * pu
-
-        for (i, j), c in self.ee.items():
-            add_pair(i, j, c)
-        for (i, j), c in self.ff.items():
-            add_pair(-i, -j, c)
-        for (i, j), c in self.ef.items():
-            add_pair(i, -j, c)
+        for key, c in self.terms.items():
+            p, p2 = cc._two_bits(key)
+            m[p][(p2 + n) % (2 * n)] += c
+            m[p2][(p + n) % (2 * n)] -= c
         return m
 
     @staticmethod
     def from_matrix(n: int, m) -> "SoElement":
-        """Inverse of matrix(); validates the block shape of the split form."""
-        ee = {}
-        ff = {}
-        ef = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                a = m[i - 1][j - 1]
-                if a:
-                    ef[(i, j)] = a
-                if i < j:
-                    b = m[i - 1][n + j - 1]
-                    if b:
-                        ee[(i, j)] = b
-                    c = m[n + i - 1][j - 1]
-                    if c:
-                        ff[(i, j)] = c
-        x = SoElement(n, ee=ee, ff=ff, ef=ef)
+        """Inverse of matrix(), reading u^v at coordinates p < p2 off M[p][p2*];
+        validates the 2n x 2n shape and skewness for the split form."""
+        size = 2 * n
+        if len(m) != size or any(len(row) != size for row in m):
+            raise IndexRangeError(f"expected a {size} x {size} matrix at level {n}")
+        terms = {1 << p | 1 << p2: Fraction(m[p][(p2 + n) % size])
+                 for p in range(size) for p2 in range(p + 1, size) if m[p][(p2 + n) % size]}
+        x = SoElement._trusted(n, terms)
         if x.matrix() != [list(row) for row in m]:
             raise StructureError("matrix is not skew with respect to the split form")
         return x
 
-    def __str__(self) -> str:
-        parts = [f"{c}*e{i}^e{j}" for (i, j), c in sorted(self.ee.items())]
-        parts += [f"{c}*f{i}^f{j}" for (i, j), c in sorted(self.ff.items())]
-        parts += [f"{c}*e{i}^f{j}" for (i, j), c in sorted(self.ef.items())]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
 
 def _so_words(x: SoElement) -> list:
     """rho(x) as a sum of letter words (see the module docstring)."""
-    words = [(c / 2, [_o(i), _o(j)]) for (i, j), c in x.ee.items()]
-    words += [(2 * c, [_iota(i), _iota(j)]) for (i, j), c in x.ff.items()]
-    for (i, j), c in x.ef.items():
-        words += [(c / 2, [_o(i), _iota(j)]), (-c / 2, [_iota(j), _o(i)])]
+    n = x.n
+    words = []
+    for key, c in x.terms.items():
+        p, p2 = cc._two_bits(key)
+        if p2 < n:
+            words.append((c / 2, [_o(p + 1), _o(p2 + 1)]))
+        elif p >= n:
+            words.append((2 * c, [_iota(p - n + 1), _iota(p2 - n + 1)]))
+        else:
+            words += [(c / 2, [_o(p + 1), _iota(p2 - n + 1)]), (-c / 2, [_iota(p2 - n + 1), _o(p + 1)])]
     return words
 
 
@@ -306,8 +257,9 @@ def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
 
 
 def _standard_words(a: SoElement) -> list:
-    """rho_standard's words: e_i^f_j acts as o(e_i) iota(f_j)."""
-    return [(c, [_o(i), _iota(j)]) for (i, j), c in a.ef.items()]
+    """rho_standard's words on a two-form of gl(E): e_i^f_j acts as o(e_i) iota(f_j)."""
+    low = (1 << a.n) - 1
+    return [(c, [_o((m & low).bit_length()), _iota((m >> a.n).bit_length())]) for m, c in a.terms.items()]
 
 
 def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
@@ -317,7 +269,7 @@ def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
     Written apart from rho_so so the twist identity is a real cross-check.
     Rejects two-forms with ee or ff blocks.
     """
-    if a.ee or a.ff:
+    if not a._is_gl():
         raise InvalidRootVectorError("standard action is defined on gl(E) only")
     omega._check_level(a)
     return _act(_standard_words(a), omega)
@@ -354,28 +306,19 @@ def clifford_action_on_spin(a: cc.CliffordElement, x: SpinVector) -> SpinVector:
 
 
 def so_from_clifford(z: cc.CliffordElement) -> SoElement:
-    """Invert the quarter-commutator embedding; errors if z is not in its image."""
+    """Invert the quarter-commutator embedding; errors if z is not in its image.
+    The monomial e_S f_T of degree 2 is the two-form key S | T << n, with
+    twice its coefficient."""
     n = z.n
-    ee = {}
-    ff = {}
-    ef = {}
+    terms = {}
     for (em, fm), c in z.terms.items():
-        ke, kf = bin(em).count("1"), bin(fm).count("1")
-        if (ke, kf) == (2, 0):
-            i, j = cc._mask_indices(em)
-            ee[(i, j)] = 2 * c
-        elif (ke, kf) == (0, 2):
-            i, j = cc._mask_indices(fm)
-            ff[(i, j)] = 2 * c
-        elif (ke, kf) == (1, 1):
-            (i,) = cc._mask_indices(em)
-            (j,) = cc._mask_indices(fm)
-            ef[(i, j)] = 2 * c
-        elif (ke, kf) == (0, 0):
-            pass  # validated by the round trip below
-        else:
-            raise StructureError(f"monomial {cc.monomial_str((em, fm))} has degree > 2")
-    x = SoElement(n, ee=ee, ff=ff, ef=ef)
+        key = em | fm << n
+        degree = key.bit_count()
+        if degree == 2:
+            terms[key] = 2 * c
+        elif degree:  # a scalar is validated by the round trip below
+            raise StructureError(f"monomial {cc.monomial_str((em, fm))} has degree {degree}, not 2")
+    x = SoElement._trusted(n, terms)
     if cc.so_to_clifford(x) != z:
         raise StructureError("element is not in the image of the two-form embedding")
     return x
@@ -757,7 +700,7 @@ def gl_twist_residual(a: SoElement) -> LinearOperator:
     """rho(A) - rho~(A) + tr(A)/2 * Id for A in gl(E); zero when the twist
     holds.  One kernel pass over the tagged basis, with the words of rho(A),
     the negated _standard_words of rho~(A) and the scalar word tr(A)/2."""
-    if a.ee or a.ff:
+    if not a._is_gl():
         raise InvalidRootVectorError("twist residual is defined on gl(E) only")
     words = _so_words(a) + [(-c, letters) for c, letters in _standard_words(a)] + [(a.trace_gl() / 2, [])]
     return _tagged_operator(a.n, cc._apply_words(words, _tagged_basis(a.n)))

@@ -416,6 +416,74 @@ def oracle_equivariance(n, seed, samples):
                 return f"tau equivariance failed for {kind}({i},{j})"
 
 
+def random_two_form_blocks(n, rng, nterms=4):
+    """Seeded two-form blocks {"ee": ..., "ff": ..., "ef": ...}, each a map
+    (i, j) -> nonzero Fraction, as SoElement's keyword constructor takes them:
+    up to nterms pairs per block, i < j in ee and ff, the diagonal of ef
+    always filled."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def coef():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    blocks = {kind: {p: coef() for p in rng.sample(pairs, min(nterms, len(pairs)))} for kind in ("ee", "ff")}
+    blocks["ef"] = {(i, i): coef() for i in range(1, n + 1)}
+    blocks["ef"].update({(rng.randint(1, n), rng.randint(1, n)): coef() for _ in range(nterms)})
+    return blocks
+
+
+def _block_pairs(blocks):
+    """The basis two-forms u^v of the blocks as (u, v, c), u and v signed symbols."""
+    out = [(i, j, c) for (i, j), c in blocks.get("ee", {}).items()]
+    out += [(-i, -j, c) for (i, j), c in blocks.get("ff", {}).items()]
+    return out + [(i, -j, c) for (i, j), c in blocks.get("ef", {}).items()]
+
+
+def oracle_two_form_matrix(n, blocks):
+    """SoElement.matrix as first written, on the blocks: for each u^v and each
+    basis column w, (v|w) u - (u|w) v by the symbol pairing."""
+    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+
+    def row(sym):
+        return sym - 1 if sym > 0 else n - sym - 1
+
+    for u, v, c in _block_pairs(blocks):
+        for col in range(2 * n):
+            w = col + 1 if col < n else -(col - n + 1)
+            m[row(u)][col] += c * cc.symbol_pairing(v, w)
+            m[row(v)][col] -= c * cc.symbol_pairing(u, w)
+    return m
+
+
+def oracle_so_words(blocks):
+    """spin_rep._so_words as first written, block by block: e_i^e_j acts as
+    (1/2) o(e_i) o(e_j), f_i^f_j as 2 iota(f_i) iota(f_j) and e_i^f_j as
+    (1/2) (o(e_i) iota(f_j) - iota(f_j) o(e_i))."""
+    words = [(c / 2, [sr._o(i), sr._o(j)]) for (i, j), c in blocks.get("ee", {}).items()]
+    words += [(2 * c, [sr._iota(i), sr._iota(j)]) for (i, j), c in blocks.get("ff", {}).items()]
+    for (i, j), c in blocks.get("ef", {}).items():
+        words += [(c / 2, [sr._o(i), sr._iota(j)]), (-c / 2, [sr._iota(j), sr._o(i)])]
+    return words
+
+
+def oracle_so_from_clifford(z):
+    """so_from_clifford as first written, without its round-trip check: the
+    blocks read off the degree-2 monomials of z by their e- and f-degrees,
+    twice their coefficients; StructureError for any other nonzero degree."""
+    blocks = {"ee": {}, "ff": {}, "ef": {}}
+    for (em, fm), c in z.terms.items():
+        ke, kf = em.bit_count(), fm.bit_count()
+        if (ke, kf) == (2, 0):
+            blocks["ee"][tuple(cc._mask_indices(em))] = 2 * c
+        elif (ke, kf) == (0, 2):
+            blocks["ff"][tuple(cc._mask_indices(fm))] = 2 * c
+        elif (ke, kf) == (1, 1):
+            blocks["ef"][cc._mask_indices(em)[0], cc._mask_indices(fm)[0]] = 2 * c
+        elif (ke, kf) != (0, 0):
+            raise StructureError(f"monomial {cc.monomial_str((em, fm))} has degree > 2")
+    return blocks
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_root_table(n, kind, i, j):
     """The root table built on Fractions, as first written: rho(X) applied

@@ -403,20 +403,29 @@ def test_out_of_level_mask_rejected(build):
         build()
 
 
-# each element type at level 2: a key inside the level and one just outside it
+def plain(cls, n, terms):
+    return cls(n, terms)
+
+
+# each element type at level 2: its constructor on (type, level, terms), a
+# key inside the level as the constructor takes it and as the terms hold it,
+# and a key just outside the level
 ELEMENT_TYPES = {
-    "clifford": (cc.CliffordElement, (0b11, 0b01), (0, 0b100)),
-    "exterior": (cc.ExteriorVector, 0b1010, 1 << 4),
-    "spin": (sr.SpinVector, 0b11, 1 << 2),
+    "clifford": (cc.CliffordElement, plain, (0b11, 0b01), (0b11, 0b01), (0, 0b100)),
+    "exterior": (cc.ExteriorVector, plain, 0b1010, 0b1010, 1 << 4),
+    "spin": (sr.SpinVector, plain, 0b11, 0b11, 1 << 2),
+    "two-form": (sr.SoElement, lambda cls, n, terms: cls(n, ef=terms), (1, 2), 0b1001, (1, 3)),
+    "polynomial": (ie.Polynomial, lambda cls, n, terms: cls(False, n, terms), (0b01, 0b11), (0b01, 0b11), (0b100,)),
 }
 
 
-@pytest.mark.parametrize("cls, key, outside", ELEMENT_TYPES.values(), ids=ELEMENT_TYPES.keys())
-def test_element_contract(cls, key, outside):
+@pytest.mark.parametrize("cls, make, arg, key, outside", ELEMENT_TYPES.values(), ids=ELEMENT_TYPES.keys())
+def test_element_contract(cls, make, arg, key, outside):
     with pytest.raises(IndexRangeError):
-        cls(2, {outside: 1})
-    x = cls(2, {key: Fraction(3, 2)})
-    other_level = cls(3, {key: 1})
+        make(cls, 2, {outside: 1})
+    x = make(cls, 2, {arg: Fraction(3, 2)})
+    assert x.terms == {key: Fraction(3, 2)}
+    other_level = make(cls, 3, {arg: 1})
     with pytest.raises(LevelMismatchError):
         x + other_level
     with pytest.raises(LevelMismatchError):
@@ -425,14 +434,25 @@ def test_element_contract(cls, key, outside):
     class Twin(cls):
         __slots__ = ()
 
-    assert x != Twin(2, x.terms) and Twin(2, x.terms) != x
+    twin = make(Twin, 2, {arg: Fraction(3, 2)})
+    assert x != twin and twin != x
     with pytest.raises(TypeError):
-        x + Twin(2, x.terms)
-    y = cls(2, {key: 3}).scale(Fraction(1, 2))
+        x + twin
+    y = make(cls, 2, {arg: 3}).scale(Fraction(1, 2))
     assert y == x and hash(y) == hash(x)
     zero = cls.zero(2)
+    assert zero == make(cls, 2, {}) and zero.n == 2 and hash(zero) == hash(make(cls, 2, {}))
     assert x - x == zero and x.scale(0) == zero and -x + x == zero
     assert (-x).coefficient(key) == Fraction(-3, 2) and zero.coefficient(key) == 0
+
+
+def test_polynomial_zero_at_the_limit_and_other_operands():
+    assert ie.Polynomial.zero(-1) == ie.Polynomial.zero_limit() == ie.Polynomial(True, -1)
+    assert ie.Polynomial.zero(-1).is_limit and not ie.Polynomial.zero(4).is_limit
+    with pytest.raises(TypeError):
+        ie.Polynomial.constant_finite(4, 1) + 1
+    with pytest.raises(TypeError):
+        sr.SoElement.basis_ee(4, 1, 2) - cc.ExteriorVector(4)
 
 
 # operations on an operand of level 4 or 5 given one of level 5 or 4: each
@@ -443,6 +463,7 @@ LEVEL_ERRORS = {
     "pairing": lambda: cc.pairing(cc.VectorInV(4), cc.VectorInV(5)),
     "wedge-of-vectors": lambda: cc.wedge_of_vectors(4, [cc.VectorInV(4), cc.VectorInV(5)]),
     "so-add": lambda: sr.SoElement(4) + sr.SoElement(5),
+    "so-sub": lambda: sr.SoElement(4) - sr.SoElement(5),
     "operator-apply": lambda: sr.LinearOperator.identity(4).apply(sr.SpinVector.basis(5, 0)),
     "group-mul": lambda: sr.GroupElement.identity(4) * sr.GroupElement.identity(5),
     "certify": lambda: ie.certify_membership(
@@ -455,6 +476,8 @@ LEVEL_ERRORS = {
     "injectivity": lambda: ca.injectivity_witness(sr.SpinVector.basis(4, 0), sr.SpinVector.basis(5, 0)),
     "lower-factorization": lambda: ca.lower_factorization(4, 4, 4, sr.GroupElement.identity(5)),
     "polynomial-add": lambda: ie.Polynomial.constant_finite(4, 1) + ie.Polynomial.constant_finite(5, 1),
+    "polynomial-sub": lambda: ie.Polynomial.constant_finite(4, 1) - ie.Polynomial.constant_finite(5, 1),
+    "polynomial-mul": lambda: ie.Polynomial.constant_finite(4, 1) * ie.Polynomial.constant_finite(5, 1),
     "variable-partial": lambda: ie.Polynomial.constant_finite(4, 1).partial(ie.SpinVariable.finite(5, 3)),
     "to-finite": lambda: ie.Polynomial.constant_finite(4, 1).to_finite(5),
     "pullback": lambda: ie.pullback(ie.Polynomial.constant_finite(4, 1), sr.LinearOperator.identity(5)),

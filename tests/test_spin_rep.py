@@ -28,9 +28,13 @@ from conftest import (
     oracle_random_group_element,
     oracle_root_table,
     oracle_so_matrix,
+    oracle_so_from_clifford,
     oracle_so_matrix_replay,
+    oracle_so_words,
+    oracle_two_form_matrix,
     oracle_word_rows,
     random_spin,
+    random_two_form_blocks,
     random_vector,
     split_form,
     word_rows,
@@ -211,6 +215,70 @@ class TestSoElement:
         lhs = linalg.matmul(linalg.transpose(m), j)
         rhs = linalg.matmul(j, m)
         assert lhs == [[-x for x in row] for row in rhs]
+
+    def test_from_matrix_rejects_other_shapes(self):
+        # a 4 x 4 matrix at level 3 and a 6 x 6 one at level 2, and a ragged one
+        with pytest.raises(IndexRangeError, match=r"^expected a 6 x 6 matrix at level 3$"):
+            sr.SoElement.from_matrix(3, sr.SoElement.basis_ef(2, 1, 2).matrix())
+        with pytest.raises(IndexRangeError, match=r"^expected a 4 x 4 matrix at level 2$"):
+            sr.SoElement.from_matrix(2, sr.SoElement.basis_ef(3, 1, 2).matrix())
+        with pytest.raises(IndexRangeError, match=r"^expected a 4 x 4 matrix at level 2$"):
+            sr.SoElement.from_matrix(2, [[0] * 4, [0] * 4, [0] * 3, [0] * 4])
+
+    @pytest.mark.parametrize("degree, word", [(1, ["e1"]), (1, ["f3"]), (3, ["e1", "e2", "f3"]), (3, ["f1", "f2", "f3"])])
+    def test_so_from_clifford_names_the_degree(self, degree, word):
+        z = cc.normal_form(word, 3) + cc.so_to_clifford(sr.SoElement.basis_ee(3, 1, 2))
+        with pytest.raises(StructureError, match=rf"has degree {degree}, not 2$"):
+            sr.so_from_clifford(z)
+
+    @pytest.mark.parametrize("blocks, message", [
+        ({"ee": {(2, 2): 1}}, r"^pair \(2,2\) must satisfy i < j$"),
+        ({"ff": {(3, 1): 1}}, r"^pair \(3,1\) must satisfy i < j$"),
+        ({"ee": {(1, 4): 1}}, r"^index pair \(1,4\) out of range 1..3$"),
+        ({"ef": {(0, 1): 1}}, r"^index pair \(0,1\) out of range 1..3$"),
+    ])
+    def test_constructor_rejects_pairs_outside_the_blocks(self, blocks, message):
+        with pytest.raises(IndexRangeError, match=message):
+            sr.SoElement(3, **blocks)
+
+    def test_keys_are_the_masks_of_the_two_bits(self):
+        x = sr.SoElement(3, ee={(1, 3): 1}, ff={(2, 3): 2}, ef={(2, 2): 3, (3, 1): 4})
+        assert x.terms == {0b000101: 1, 0b110000: 2, 0b010010: 3, 0b001100: 4}
+        assert str(x) == "1*e1^e3 + 4*e3^f1 + 3*e2^f2 + 2*f2^f3"  # in mask order
+        assert x.trace_gl() == 3
+
+
+class TestTwoFormsAgainstBlocks:
+    """The mask-keyed two-form against the block-by-block routes it replaced
+    (the conftest oracles), on random two-forms with every block, diagonal
+    e_i^f_i terms and Fraction coefficients."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matrix_words_and_embedding_match_the_blocks(self, n):
+        rng = make_rng(f"two-form-blocks:{n}")
+        basis = sr._tagged_basis(n)
+        for _ in range(4):
+            blocks = random_two_form_blocks(n, rng)
+            x = sr.SoElement(n, **blocks)
+            assert x.matrix() == oracle_two_form_matrix(n, blocks)
+            assert sr._so_words(x) == oracle_so_words(blocks)
+            assert cc._apply_words(sr._so_words(x), basis) == cc._apply_words(oracle_so_words(blocks), basis)
+            gl = sr.SoElement(n, ef=blocks["ef"])
+            standard = [(c, [sr._o(i), sr._iota(j)]) for (i, j), c in blocks["ef"].items()]
+            assert cc._apply_words(sr._standard_words(gl), basis) == cc._apply_words(standard, basis)
+            assert gl.trace_gl() == x.trace_gl() == sum(c for (i, j), c in blocks["ef"].items() if i == j)
+            assert sr.SoElement.from_matrix(n, x.matrix()) == x
+            z = cc.so_to_clifford(x)
+            assert sr.so_from_clifford(z) == x == sr.SoElement(n, **oracle_so_from_clifford(z))
+            y = sr.SoElement(n, **random_two_form_blocks(n, rng))
+            for got in (x + y, x - y.scale(Fraction(2, 3)), -x):
+                z = cc.so_to_clifford(got)
+                assert sr.so_from_clifford(z) == got == sr.SoElement(n, **oracle_so_from_clifford(z))
+                assert sr.SoElement.from_matrix(n, got.matrix()) == got
+                assert got.matrix() == oracle_two_form_matrix(n, oracle_so_from_clifford(z))
+                assert cc._apply_words(sr._so_words(got), basis) == cc._apply_words(
+                    oracle_so_words(oracle_so_from_clifford(z)), basis
+                )
 
 
 class TestGroupElements:

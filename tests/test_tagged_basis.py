@@ -194,6 +194,13 @@ class TestGroupUnipotentFaults:
         assert oracle_group_unipotent(n, 7, 1) is None
 
 
+def in_block(x, block):
+    """Whether the two-form x has a term in block "ee", "ff" or "ef", read off
+    its keys: an ee mask has both bits low, an ff mask both high."""
+    low = (1 << x.n) - 1
+    return block in {"ff" if not m & low else "ee" if not m >> x.n else "ef" for m in x.terms}
+
+
 def perturbed_brackets(kind, n):
     """so_bracket with the bracket of some pairs changed."""
     real = sr.so_bracket
@@ -202,9 +209,9 @@ def perturbed_brackets(kind, n):
         z = real(x, y)
         if kind == "scaled":  # every nonzero bracket doubled
             return z.scale(2)
-        if kind == "shifted" and x.ef:  # a two-form added when x is in the ef block
+        if kind == "shifted" and in_block(x, "ef"):  # a two-form added when x is in the ef block
             return z + sr.SoElement.basis_ef(n, 1, n)
-        if kind == "dropped" and y.ee:  # the bracket lost when y is in the ee block
+        if kind == "dropped" and in_block(y, "ee"):  # the bracket lost when y is in the ee block
             return sr.SoElement(n)
         return z
 

@@ -355,7 +355,7 @@ def test_polynomial_arithmetic_matches_the_validating_constructor(level):
 
 
 def test_polynomial_arithmetic_still_checks_levels():
-    """The unchecked results keep _check in front of them: operands and
+    """The unchecked results keep _check_level in front of them: operands and
     variables of another level raise LevelMismatchError."""
     p = ie.Polynomial(False, 5, {(3, 5): 1})
     for other in (ie.Polynomial(False, 4, {(3, 5): 1}), ie.Polynomial(True, -1, {(3, 5): 1})):
