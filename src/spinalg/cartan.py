@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from . import clifford_core as cc
 from . import grassmann_cone as gc
@@ -121,22 +120,18 @@ def _nu2_pair(n: int, s: int, t: int) -> tuple:
     return tuple((m, scale * c) for m, c in _half_pair(n, s, t).items())
 
 
-def _nu2_ints(n: int, terms: dict) -> tuple[dict[int, int], int]:
-    """nu2 of the level-n spin vector with these terms on integers, as
-    (map, den): nu2 = map / den, den the square of the terms' common
-    denominator, zero entries dropped.  See nu2."""
-    items = sorted(terms.items())
-    den = reduce(lcm, (c.denominator for _, c in items), 1)
-    ints = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+def _nu2_ints(x: sr.SpinVector) -> cc.ExteriorVector:
+    """nu2(x) on x's numerators, over the square of x's denominator; see nu2."""
+    ints = sorted(x.num.items())
     acc: dict[int, int] = {}
     for i, (s, a) in enumerate(ints):
         for t, b in ints[i:]:
             if (s ^ t).bit_count() & 1:
                 continue
             ab = a * b
-            for m, c in _nu2_pair(n, s, t):
+            for m, c in _nu2_pair(x.n, s, t):
                 acc[m] = acc.get(m, 0) + ab * c
-    return {m: c for m, c in acc.items() if c}, den * den
+    return cc.ExteriorVector._ints(x.n, {m: c for m, c in acc.items() if c}, x.den * x.den)
 
 
 def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -149,15 +144,14 @@ def nu2(x: sr.SpinVector) -> cc.ExteriorVector:
     The Algebraic Theory of Spinors, 1954, Ch. III).  B_n(S, T) is symmetric
     in S and T (see _half_pair), so P_n(S, T) = 2 B_n(S, T) off the diagonal;
     it is zero when |S ^ T| is odd (the degree-n part of an element of parity
-    |S| + |T| + n), so those pairs are skipped.  The sum runs on integers over
-    the common denominator of x (_nu2_ints), and only the result is made of
-    Fractions.  Homogeneous of degree 2: nu2(t x) = t^2 nu2(x)."""
-    acc, den = _nu2_ints(x.n, x.terms)
-    return cc.ExteriorVector._trusted(x.n, {m: Fraction(c, den) for m, c in acc.items()})
+    |S| + |T| + n), so those pairs are skipped.  The sum runs on x's integer
+    numerators, over the square of x's denominator (_nu2_ints).  Homogeneous
+    of degree 2: nu2(t x) = t^2 nu2(x)."""
+    return _nu2_ints(x)
 
 
 def _contract_top(terms: dict, n: int) -> dict:
-    """c_(e_n) modulo e_n on level-n masks, on coefficients of any type:
+    """c_(e_n) modulo e_n on level-n masks, on int numerators:
     e_n removes f_n, the top bit, with the kernel's sign (-1)^(set bits
     below it), then _quotient_top."""
     top_f = 1 << (2 * n - 1)
@@ -183,7 +177,7 @@ def _quotient_top(terms: dict, n: int) -> dict:
 
 
 def _wedge_top(terms: dict, n: int) -> dict:
-    """m_(f_n) on level-(n-1) masks, on coefficients of any type: each mask
+    """m_(f_n) on level-(n-1) masks, on int numerators: each mask
     is remasked to level n and f_n, the top bit, is wedged on the left with
     the kernel's sign (-1)^(set bits below it)."""
     low = (1 << (n - 1)) - 1
@@ -210,9 +204,9 @@ def contract_ce(
     n = omega.n
     cc.require_isotropic(e)
     if e == cc.VectorInV.basis(n, n) and (h is None or h == cc.VectorInV.basis(n, -n)):
-        return cc.ExteriorVector._trusted(n - 1, _contract_top(omega.terms, n))
+        return cc.ExteriorVector._ints(n - 1, _contract_top(omega.num, n), omega.den)
     contracted = cc.induced_map(omega.inner_vector(e), gc.hyperbolic_basis_through(e, h).symbol_coords())
-    return cc.ExteriorVector._trusted(n - 1, _quotient_top(contracted.terms, n))
+    return cc.ExteriorVector._ints(n - 1, _quotient_top(contracted.num, n), contracted.den)
 
 
 def mult_mh(
@@ -234,50 +228,30 @@ def mult_mh(
     if e is None:
         if h != cc.VectorInV.basis(n, -n):
             raise SpinalgError("non-coordinate partner needs its isotropic e")
-        return cc.ExteriorVector._trusted(n, _wedge_top(omega.terms, n))
+        return cc.ExteriorVector._ints(n, _wedge_top(omega.num, n), omega.den)
     if cc.pairing(e, h) != 1:
         raise NotIsotropicError("(e|h) must equal 1")
     low = (1 << omega.n) - 1
-    lifted = cc.ExteriorVector._trusted(
-        n, {m & low | (m >> omega.n) << n: c for m, c in omega.terms.items()}
-    )
+    lifted = cc.ExteriorVector._ints(n, {m & low | (m >> omega.n) << n: c for m, c in omega.num.items()}, omega.den)
     rows = gc.hyperbolic_basis_through(e, h).rows()
     lifted = cc.induced_map(lifted, [row.coords() for row in rows])
     return cc._wedge_front(lifted, h.coords())
-
-
-def _residual(n: int, lhs: tuple, rhs: tuple, sign: int) -> cc.ExteriorVector:
-    """lhs - sign * rhs at level n for two (int map, den) pairs, compared by
-    cross-multiplying the denominators: a Fraction is made only for a
-    nonzero entry, so a zero residual makes none."""
-    (a, da), (b, db) = lhs, rhs
-    den = da * db
-    sb = sign * da
-    out = {}
-    for m, c in a.items():
-        if v := c * db - sb * b.get(m, 0):
-            out[m] = Fraction(v, den)
-    for m, c in b.items():
-        if m not in a and (v := -sb * c):
-            out[m] = Fraction(v, den)
-    return cc.ExteriorVector._trusted(n, out)
 
 
 def diagram_pi_residual(x: sr.SpinVector) -> cc.ExteriorVector:
     """nu2(pi(x)) - sign * c_e(nu2(x)) at the top coordinate pair; zero for
     parity-pure x, with sign (-1)^(n-1) even and (-1)^n odd.
 
-    Runs on integers: both sides are _nu2_ints maps over their own
-    denominators, c_e the one-bit move _contract_top, and _residual
-    compares them."""
+    Runs on integers: both sides are _nu2_ints, c_e the one-bit move
+    _contract_top on the numerators, and the residual one subtraction."""
     parity = x.parity()
     if parity == "mixed":
         raise SpinalgError("diagram residuals need parity-pure input")
     n = x.n
     sign = _parity_sign(n, parity)
-    lhs = _nu2_ints(n - 1, tm.pi_last(x).terms)
-    acc, den = _nu2_ints(n, x.terms)
-    return _residual(n - 1, lhs, (_contract_top(acc, n), den), sign)
+    rhs = _nu2_ints(x)
+    rhs = cc.ExteriorVector._ints(n - 1, _contract_top(rhs.num, n), sign * rhs.den)
+    return _nu2_ints(tm.pi_last(x)) - rhs
 
 
 def diagram_tau_residual(x: sr.SpinVector) -> cc.ExteriorVector:
@@ -294,9 +268,9 @@ def diagram_tau_residual(x: sr.SpinVector) -> cc.ExteriorVector:
         raise SpinalgError("diagram residuals need parity-pure input")
     n = x.n + 1
     sign = _parity_sign(n, parity)
-    lhs = _nu2_ints(n, tm.tau_last(x).terms)
-    acc, den = _nu2_ints(x.n, x.terms)
-    return _residual(n, lhs, (_wedge_top(acc, n), den), sign)
+    rhs = _nu2_ints(x)
+    rhs = cc.ExteriorVector._ints(n, _wedge_top(rhs.num, n), sign * rhs.den)
+    return _nu2_ints(tm.tau_last(x)) - rhs
 
 
 def wedge_annihilator(omega: cc.ExteriorVector) -> list[list[Fraction]]:
@@ -338,7 +312,7 @@ def injectivity_witness(x: sr.SpinVector, y: sr.SpinVector) -> InjectivityVerdic
     iy = nu2(y)
     if ix.is_zero() or iy.is_zero():
         return InjectivityVerdict(False, "image vanished on a nonzero vector")
-    if cc._proportional(ix.terms, iy.terms) and not cc._proportional(x.terms, y.terms):
+    if cc._proportional(ix.num, iy.num) and not cc._proportional(x.num, y.num):
         return InjectivityVerdict(
             False, "non-proportional vectors with proportional images"
         )
@@ -604,25 +578,26 @@ def _exterior_audit(q, n, n0, mg, g_prime, m_second, seed=0) -> Fraction:
     for omega in samples:
         # lhs = c_(e_(n0+1)) ... c_(e_q) g m_(f_q) ... m_(f_(n+1)) omega and
         # rhs = g'' c_(e_(n0+1)) ... c_(e_n) g' omega, each c and m a one-bit
-        # move on the masks (_contract_top, _wedge_top)
-        lhs = omega.terms
+        # move on the numerators (_contract_top, _wedge_top)
+        lhs = omega.num
         for level in range(n + 1, q + 1):
             lhs = _wedge_top(lhs, level)
-        lhs = cc.induced_map(cc.ExteriorVector._trusted(q, lhs), linalg.transpose(mg)).terms
-        mid = cc.induced_map(omega, linalg.transpose(mgp)).terms
+        moved = cc.induced_map(cc.ExteriorVector._ints(q, lhs, omega.den), linalg.transpose(mg))
+        mid = cc.induced_map(omega, linalg.transpose(mgp))
+        lhs, mid_num = moved.num, mid.num
         for level in range(q, n0, -1):
             lhs = _contract_top(lhs, level)
         for level in range(n, n0, -1):
-            mid = _contract_top(mid, level)
-        rhs = cc.induced_map(cc.ExteriorVector._trusted(n0, mid), linalg.transpose(m_second)).terms
-        if not lhs and not rhs:
+            mid_num = _contract_top(mid_num, level)
+        rhs = cc.induced_map(cc.ExteriorVector._ints(n0, mid_num, mid.den), linalg.transpose(m_second))
+        if not lhs and rhs.is_zero():
             continue
-        if not lhs or not rhs:
+        if not lhs or rhs.is_zero():
             raise StructureError("exterior audit: one side vanished")
-        if not cc._proportional(lhs, rhs):
+        if not cc._proportional(lhs, rhs.num):
             raise StructureError("exterior audit: sides are not proportional")
         k = next(iter(lhs))
-        r = lhs[k] / rhs[k]
+        r = Fraction(lhs[k] * rhs.den, rhs.num[k] * moved.den)
         if ratio is None:
             ratio = r
         elif ratio != r:

@@ -9,7 +9,8 @@ Basis-vector symbols are signed integers: +i is e_i, -i is f_i.  Strings
 Monomials are normal-ordered words: all e-factors before all f-factors,
 each block ascending.  A monomial is stored as a bitmask pair
 (emask, fmask) with bit i-1 encoding index i.  Elements are sparse maps
-from monomials to Fractions; zero coefficients are never stored.
+from monomials to integer numerators over one denominator; zero
+coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def parse_symbol(sym) -> Symbol:
         kind, idx = sym[0], int(sym[1:])
     else:
         kind, idx = sym
-    if kind == "e":
-        return idx
-    if kind == "f":
-        return -idx
-    raise IndexRangeError(f"unknown symbol kind {kind!r}")
+    if kind not in ("e", "f"):
+        raise IndexRangeError(f"unknown symbol kind {kind!r}")
+    if idx < 1:
+        raise IndexRangeError(f"symbol {sym!r} has index {idx}; indices start at 1")
+    return idx if kind == "e" else -idx
 
 
 def symbol_name(sym: Symbol) -> str:
@@ -111,8 +112,8 @@ def _proportional(a: dict, b: dict) -> bool:
     if set(a) != set(b):
         return False
     k = next(iter(a))
-    ratio = a[k] / b[k]
-    return all(a[m] == ratio * b[m] for m in a)
+    ak, bk = a[k], b[k]
+    return all(a[m] * bk == ak * b[m] for m in a)
 
 
 def _int_letter(letter: tuple) -> tuple[tuple, int]:
@@ -122,32 +123,21 @@ def _int_letter(letter: tuple) -> tuple[tuple, int]:
     return tuple((b, need, f.numerator * (scale // f.denominator)) for b, need, f in letter), scale
 
 
-def _apply_words(words, terms: dict) -> dict:
+def _apply_words(words, terms: dict[int, int]) -> tuple[dict[int, int], int]:
     """Sum over (coef, letters) in words of coef * (letters applied right to
-    left to the sparse map terms: mask -> coefficient), zeros left out.
+    left to the sparse map terms: mask -> int), zeros left out, as (out,
+    scale): the sum is out / scale.
 
-    The one letter kernel.  Every letter factor is an int: a letter made with
-    Fraction factors is scaled to ints where it is built (_int_letter) and its
-    scale divided into the word's coefficient.  Coefficients and term values
-    are ints or Fractions.  Runs on integers: terms are scaled over their
-    common denominator, and the words are merged over the lcm of their
-    coefficients' denominators, so one Fraction is made per output mask.
-    Int-only input gives ints; any Fraction input gives Fractions."""
-    exact = True
-    den = 1
-    for c in terms.values():
-        if type(c) is not int:
-            exact = False
-            den = lcm(*[c.denominator for c in terms.values()])
-            break
-    if not exact:
-        terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    The one letter kernel, on integers.  Every letter factor is an int: a
+    letter made with Fraction factors is scaled to ints where it is built
+    (_int_letter) and its scale divided into the word's coefficient.
+    Coefficients are ints or Fractions; the words are merged over the lcm
+    of their denominators, the scale, which is 1 for int coefficients."""
     out: dict[int, int] = {}
     scale = 1  # out holds scale times the sum so far
     for coef, letters in words:
         q = 1
         if type(coef) is not int:
-            exact = False
             coef, q = coef.numerator, coef.denominator
         if not coef:
             continue
@@ -188,12 +178,7 @@ def _apply_words(words, terms: dict) -> dict:
                 out[m] = v
             else:
                 del out[m]
-    if exact:
-        return out
-    den *= scale
-    if den == 1:
-        return {m: Fraction(c) for m, c in out.items()}
-    return {m: Fraction(c, den) for m, c in out.items()}
+    return out, scale
 
 
 def _bit(sym: Symbol, n: int) -> int:
@@ -250,61 +235,86 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _num_den(terms: dict) -> tuple[dict, int]:
+    """The nonzero values of terms (ints, Fractions, or anything Fraction takes)
+    as int numerators over the lcm of their denominators, which is in lowest
+    terms: every prime power in it divides some value's denominator."""
+    pairs = {}
+    for key, c in terms.items():
+        p, q = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+        if p:
+            pairs[key] = p, q
+    den = lcm(*[q for _, q in pairs.values()])
+    return {key: p * (den // q) for key, (p, q) in pairs.items()}, den
+
+
 class SparseElement:
-    """A sparse exact element at level n: a map from keys to nonzero Fractions.
+    """A sparse exact element at level n: a map from keys to nonzero
+    rationals, stored as int numerators num over one denominator den > 0 in
+    lowest terms, so that equal elements have equal num and den.  terms, the
+    Fraction view key -> num / den, is built the first time it is read.
 
     The element types share one contract: a key outside the level raises
     IndexRangeError, an operand of another level raises LevelMismatchError,
     and two elements are equal when they have the same type, level and
     terms.  A subclass sets _width, so that its keys are the masks below
-    2^(_width * n), and names a key in _key_str.  The types with other keys
-    check them in a constructor of their own instead: CliffordElement's are
-    mask pairs, spin_rep.SoElement's two-bit masks given by index pairs, and
-    ideal_engine.Polynomial's sorted tuples of variable masks, at the level
-    n or, with n = -1, at the limit level.
+    2^(_width * n), and names a key in _key_str.  CliffordElement checks its
+    mask pairs in _in_range instead; spin_rep.SoElement takes index pairs,
+    and ideal_engine.Polynomial sorted tuples of variable masks, at the level
+    n or, with n = -1, at the limit level, in constructors of their own.
 
     The public constructors check every key and coefficient.  Results of the
-    arithmetic and of the letter kernel are built by _trusted instead."""
+    arithmetic and of the letter kernel are built by _ints instead.  num,
+    den and terms never change, so elements may share them."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den", "_terms")
 
     def __init__(self, n: int, terms: dict | None = None):
+        terms = terms or {}
+        for key in terms:
+            if not self._in_range(key, n):
+                raise IndexRangeError(f"{type(self).__name__} key {key} out of range at level {n}")
         self.n = n
-        self.terms = out = {}
-        if terms:
-            bound = 1 << (self._width * n)
-            for m, c in terms.items():
-                if not 0 <= m < bound:
-                    raise IndexRangeError(f"{type(self).__name__} key {m} out of range at level {n}")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    out[m] = c
+        self.num, self.den = _num_den(terms)
+
+    def _in_range(self, key, n: int) -> bool:
+        return 0 <= key < 1 << (self._width * n)
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict):
-        """The element on terms as given, unchecked: every key must be in range
-        at level n and every value a nonzero Fraction."""
+    def _ints(cls, n: int, num: dict, den: int = 1):
+        """The element num / den, unchecked: every key must be in range at
+        level n and every value a nonzero int; den is any nonzero int, and
+        the element is reduced to lowest terms with den > 0."""
+        if den != 1:
+            g = gcd(den, *num.values()) if den > 0 else -gcd(den, *num.values())
+            if g != 1:
+                num, den = {key: c // g for key, c in num.items()}, den // g
         self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
+        self.n, self.num, self.den = n, num, den
         return self
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, key -> num / den; read only."""
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = {key: Fraction(c, self.den) for key, c in self.num.items()}
+            return self._terms
 
     @classmethod
     def zero(cls, n: int):
-        return cls._trusted(n, {})
+        return cls._ints(n, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, _ZERO)
+        c = self.num.get(key)
+        return _ZERO if c is None else Fraction(c, self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and (self.n, self.den, self.num) == (other.n, other.den, other.num)
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
@@ -319,40 +329,39 @@ class SparseElement:
         return self._combine(other, True)
 
     def _combine(self, other, subtract: bool):
-        """self + other, or self - other, in one pass over other's terms."""
+        """self + other, or self - other, over the lcm of the denominators, in
+        one pass over other's terms."""
         if type(other) is not type(self):
             return NotImplemented
         self._check_level(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, -den // other.den if subtract else den // other.den
+        out = dict(self.num) if fa == 1 else {key: fa * c for key, c in self.num.items()}
+        for key, c in other.num.items():
             old = out.get(key)
             if old is None:
-                out[key] = -c if subtract else c
-            elif c := old - c if subtract else old + c:
+                out[key] = fb * c
+            elif c := old + fb * c:
                 out[key] = c
             else:
                 del out[key]
-        return self._trusted(self.n, out)
+        return self._ints(self.n, out, den)
 
     def __neg__(self):
-        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
+        return self._ints(self.n, {key: -c for key, c in self.num.items()}, self.den)
 
     def scale(self, c):
         c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return self._trusted(self.n, {})
-        return self._trusted(self.n, {key: c * v for key, v in self.terms.items()})
+        p = c.numerator
+        return self._ints(self.n, {key: p * v for key, v in self.num.items()} if p else {}, self.den * c.denominator)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
-        parts = []
-        for key in sorted(self.terms):
-            parts.append(f"{self.terms[key]}*{self._key_str(key)}")
-        return " + ".join(parts)
+        return " + ".join(f"{self.terms[key]}*{self._key_str(key)}" for key in sorted(self.num))
 
     __repr__ = __str__
 
@@ -363,30 +372,20 @@ class CliffordElement(SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
-        self.n = n
-        self.terms = out = {}
-        if terms:
-            bound = 1 << n
-            for mono, c in terms.items():
-                if not (0 <= mono[0] < bound and 0 <= mono[1] < bound):
-                    raise IndexRangeError(f"CliffordElement key {mono} out of range at level {n}")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    out[mono] = c
+    @staticmethod
+    def _in_range(key, n: int) -> bool:
+        return 0 <= key[0] < 1 << n and 0 <= key[1] < 1 << n
 
     @staticmethod
     def unit(n: int) -> "CliffordElement":
-        return CliffordElement(n, {(0, 0): Fraction(1)})
+        return CliffordElement._ints(n, {(0, 0): 1})
 
     @staticmethod
     def from_symbol(n: int, sym) -> "CliffordElement":
         """The generator e_i or f_i named by sym ("e3", ("f", 2), -2); public to write words by name."""
         s = parse_symbol(sym)
         _check_index(s, n)
-        if s > 0:
-            return CliffordElement(n, {(1 << (s - 1), 0): Fraction(1)})
-        return CliffordElement(n, {(0, 1 << (-s - 1)): Fraction(1)})
+        return CliffordElement._ints(n, {(1 << (s - 1), 0) if s > 0 else (0, 1 << (-s - 1)): 1})
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
@@ -396,23 +395,21 @@ class CliffordElement(SparseElement):
     _key_str = staticmethod(monomial_str)
 
 
-def _packed(a: CliffordElement) -> dict[int, Fraction]:
-    return {em | fm << a.n: c for (em, fm), c in a.terms.items()}
-
-
-def _unpacked(n: int, terms: dict[int, Fraction]) -> CliffordElement:
-    """The kernel's Fraction output on packed masks as a CliffordElement."""
-    low = (1 << n) - 1
-    return CliffordElement._trusted(n, {(m & low, m >> n): c for m, c in terms.items()})
+def _clifford_image(words, b: CliffordElement, den: int) -> CliffordElement:
+    """The int words applied by the kernel to b's numerators, on packed masks
+    em | fm << n, over den."""
+    n, low = b.n, (1 << b.n) - 1
+    out, _ = _apply_words(words, {em | fm << n: c for (em, fm), c in b.num.items()})
+    return CliffordElement._ints(n, {(m & low, m >> n): c for m, c in out.items()}, den)
 
 
 def _clifford_words(a: CliffordElement, letter) -> list:
-    """a as a sum of (coefficient, letters) words over its monomials: the
-    word of e_S f_T reads letter's table in mask-bit order."""
+    """a's numerators as a sum of (int coefficient, letters) words over its
+    monomials: the word of e_S f_T reads letter's table in mask-bit order."""
     n = a.n
     table = _letter_table(letter, n)
     words = []
-    for (em, fm), c in a.terms.items():
+    for (em, fm), c in a.num.items():
         m = em | fm << n
         letters = []
         while m:
@@ -425,22 +422,19 @@ def _clifford_words(a: CliffordElement, letter) -> list:
 
 def normal_form(word: Iterable, n: int) -> CliffordElement:
     """Normal-ordered expansion of a word of basis-vector symbols: the unit
-    multiplied on the left by each symbol, last symbol first.  The kernel
-    starts from the int 1, so its int output is made Fractions here."""
+    multiplied on the left by each symbol, last symbol first."""
     syms = [parse_symbol(s) for s in word]
     for s in syms:
         _check_index(s, n)
     table = _letter_table(_clifford_letter, n)
-    low = (1 << n) - 1
-    out = _apply_words([(1, [table[_bit(s, n)] for s in syms])], {0: 1})
-    return CliffordElement._trusted(n, {(m & low, m >> n): Fraction(c) for m, c in out.items()})
+    return _clifford_image([(1, [table[_bit(s, n)] for s in syms])], CliffordElement.unit(n), 1)
 
 
 def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Clifford product: b multiplied on the left by the letters of each
-    monomial of a."""
+    monomial of a, on the numerators, over a.den * b.den."""
     a._check_level(b)
-    return _unpacked(a.n, _apply_words(_clifford_words(a, _clifford_letter), _packed(b)))
+    return _clifford_image(_clifford_words(a, _clifford_letter), b, a.den * b.den)
 
 
 def star_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -448,7 +442,7 @@ def star_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     of each monomial of a in reverse order, with no normal-ordered star(a)."""
     a._check_level(b)
     words = [(c, letters[::-1]) for c, letters in _clifford_words(a, _clifford_letter)]
-    return _unpacked(a.n, _apply_words(words, _packed(b)))
+    return _clifford_image(words, b, a.den * b.den)
 
 
 def star(a: CliffordElement) -> CliffordElement:
@@ -573,7 +567,7 @@ class VectorInV:
         for j, c in enumerate(self.f):
             if c is not _ZERO:
                 terms[(0, 1 << j)] = c
-        return CliffordElement._trusted(self.n, terms)
+        return CliffordElement._ints(self.n, *_num_den(terms))
 
     def __str__(self) -> str:
         parts = [f"{c}*e{i+1}" for i, c in enumerate(self.e) if c]
@@ -615,21 +609,19 @@ class ExteriorVector(SparseElement):
 
     @staticmethod
     def unit(n: int) -> "ExteriorVector":
-        return ExteriorVector(n, {0: Fraction(1)})
+        return ExteriorVector._ints(n, {0: 1})
 
     def _apply(self, letter: tuple, scale: int) -> "ExteriorVector":
-        """The int letter applied, divided by its scale: a Fraction coefficient,
-        so the kernel gives Fractions."""
-        return ExteriorVector._trusted(self.n, _apply_words([(Fraction(1, scale), [letter])], self.terms))
+        """The int letter applied to the numerators, over den times its scale."""
+        out, _ = _apply_words([(1, [letter])], self.num)
+        return ExteriorVector._ints(self.n, out, self.den * scale)
 
     def degrees(self) -> set[int]:
-        return {bin(m).count("1") for m in self.terms}
+        return {m.bit_count() for m in self.num}
 
     def degree_component(self, d: int) -> "ExteriorVector":
         """The degree-d part; public as the projection onto one graded piece."""
-        return ExteriorVector(
-            self.n, {m: c for m, c in self.terms.items() if bin(m).count("1") == d}
-        )
+        return ExteriorVector._ints(self.n, {m: c for m, c in self.num.items() if m.bit_count() == d}, self.den)
 
     def outer_symbol(self, sym: Symbol) -> "ExteriorVector":
         _check_index(sym, self.n)
@@ -669,29 +661,32 @@ def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
         if v.n != n:
             raise LevelMismatchError(f"levels differ: {n} vs {v.n}")
     word = [_vector_letter(v.coords()) for v in vectors]
-    q = prod(scale for _, scale in word)
-    return ExteriorVector._trusted(n, _apply_words([(Fraction(1, q), [l for l, _ in word])], {0: 1}))
+    out, _ = _apply_words([(1, [l for l, _ in word])], {0: 1})
+    return ExteriorVector._ints(n, out, prod(scale for _, scale in word))
 
 
 def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
     """The map of the exterior algebra induced by a linear map of V, given by
     cols[b], the coordinates of the image of symbol bit b: each monomial goes
-    to the wedge of the images of its symbols, in one pass of the kernel."""
+    to the wedge of the images of its symbols, in one pass of the kernel:
+    the word of a monomial carries its numerator over its letters' scales."""
     n = omega.n
     if len(cols) != 2 * n:
         raise IndexRangeError("need 2n basis vectors")
     letters = [_vector_letter(col) for col in cols]
     words = []
-    for m, c in omega.terms.items():
+    for m, c in omega.num.items():
         word = [letters[b] for b in range(2 * n) if m >> b & 1]
-        words.append((c / prod(scale for _, scale in word), [l for l, _ in word]))
-    return ExteriorVector._trusted(n, _apply_words(words, {0: 1}))
+        words.append((Fraction(c, prod(scale for _, scale in word)), [l for l, _ in word]))
+    out, scale = _apply_words(words, {0: 1})
+    return ExteriorVector._ints(n, out, omega.den * scale)
 
 
 def act_on_exterior(a: CliffordElement, omega: ExteriorVector) -> ExteriorVector:
     """The Clifford module action on the exterior algebra of the whole space."""
     omega._check_level(a)
-    return ExteriorVector._trusted(a.n, _apply_words(_clifford_words(a, _exterior_letter), omega.terms))
+    out, _ = _apply_words(_clifford_words(a, _exterior_letter), omega.num)
+    return ExteriorVector._ints(a.n, out, a.den * omega.den)
 
 
 def _two_bits(key: int) -> tuple[int, int]:
@@ -707,8 +702,8 @@ def so_to_clifford(x) -> CliffordElement:
     n = x.n
     table = _letter_table(_clifford_letter, n)
     words = []
-    for m, c in x.terms.items():
+    for m, c in x.num.items():
         p, p2 = _two_bits(m)
         lu, lv = table[p], table[p2]
-        words += [(c / 4, [lu, lv]), (-c / 4, [lv, lu])]
-    return _unpacked(n, _apply_words(words, {0: 1}))
+        words += [(c, [lu, lv]), (-c, [lv, lu])]
+    return _clifford_image(words, CliffordElement.unit(n), 4 * x.den)

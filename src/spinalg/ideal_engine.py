@@ -97,17 +97,17 @@ class Polynomial(cc.SparseElement):
     __slots__ = ("_parities",)
 
     def __init__(self, is_limit: bool, level: int, terms: dict[Monomial, Fraction] | None = None):
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in (terms or {}).items():
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            if not c:
+                continue
+            mono = tuple(sorted(mono))
+            if mono:
+                _check_masks(is_limit, level, mono[0], mono[-1])
+            cc._accumulate(out, mono, c)
         self.n = -1 if is_limit else level
-        self.terms = out = {}
-        if terms:
-            for mono, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if not c:
-                    continue
-                mono = tuple(sorted(mono))
-                if mono:
-                    _check_masks(is_limit, level, mono[0], mono[-1])
-                cc._accumulate(out, mono, c)
+        self.num, self.den = cc._num_den(out)
 
     is_limit = property(lambda self: self.n < 0)
     level = property(lambda self: self.n)  # -1 at the limit level
@@ -139,20 +139,20 @@ class Polynomial(cc.SparseElement):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_level(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
                 cc._accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
-        return self._trusted(self.n, out)
+        return self._ints(self.n, out, self.den * other.den)
 
     def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max((len(m) for m in self.num), default=0)
 
     def is_homogeneous(self) -> bool:
-        return len({len(m) for m in self.terms}) <= 1
+        return len({len(m) for m in self.num}) <= 1
 
     def _masks(self) -> set[int]:
-        return set().union(*self.terms)
+        return set().union(*self.num)
 
     def _view(self, mask: int) -> SpinVariable:
         return SpinVariable(self.is_limit, self.level, mask)
@@ -171,13 +171,13 @@ class Polynomial(cc.SparseElement):
 
     def partial(self, v: SpinVariable) -> "Polynomial":
         self._check_level(v)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, c in self.num.items():
             k = mono.count(v.mask)
             if k:
                 i = mono.index(v.mask)
                 cc._accumulate(out, mono[:i] + mono[i + 1 :], k * c)
-        return self._trusted(self.n, out)
+        return self._ints(self.n, out, self.den)
 
     def _key_str(self, mono: Monomial) -> str:
         factors = []
@@ -196,7 +196,7 @@ class Polynomial(cc.SparseElement):
         contraction tower, so the correspondence is mask-for-mask."""
         if self.is_limit:
             return self
-        return Polynomial(True, -1, self.terms)
+        return Polynomial._ints(-1, self.num, self.den)
 
     def to_finite(self, level: int) -> "Polynomial":
         """Truncate to a finite level; IndexRangeError when a variable's
@@ -224,7 +224,7 @@ def eval_poly(p: Polynomial, x: sr.SpinVector) -> Fraction:
         raise LevelMismatchError("evaluate limit polynomials through to_finite")
     if p.level != x.n:
         raise LevelMismatchError(f"levels differ: {p.level} vs {x.n}")
-    x_pars = {m.bit_count() % 2 for m in x.terms}
+    x_pars = {m.bit_count() % 2 for m in x.num}
     if len(p._variable_parities() | x_pars) > 1:
         raise LevelMismatchError("parity mismatch between polynomial and point")
     return sum((_monomial_value(mono, x.terms, c) for mono, c in p.terms.items()), Fraction(0))
@@ -257,7 +257,7 @@ def vanishing_forms(points: list[sr.SpinVector], degree: int) -> list[Polynomial
     n = points[0].n
     for x in points:
         points[0]._check_level(x)
-    if any(m.bit_count() & 1 for x in points for m in x.terms):
+    if any(m.bit_count() & 1 for x in points for m in x.num):
         raise LevelMismatchError("the forms read even coordinates; a point has odd ones")
     monos = monomials_of_degree(component_variables(n), degree)
     if len(points) < len(monos):
@@ -302,8 +302,8 @@ def stable_vanishing_forms(n: int, degree: int, seed) -> tuple[list[Polynomial],
 
 def _vanish(forms: list[Polynomial], points: list[sr.SpinVector]) -> bool:
     """Whether every form vanishes at every point, on integers: a form is zero
-    at a point iff its integer coefficients are zero at the point's integer row."""
-    coefs = [linalg._integer_row(f.terms.items())[0] for f in forms]
+    at a point iff its numerators are zero at the point's integer row."""
+    coefs = [f.num for f in forms]
     rows = [x.integer_form()[0] for x in points]
     return not any(sum(_monomial_value(mono, xs, c) for mono, c in cf.items()) for cf in coefs for xs in rows)
 
@@ -312,9 +312,9 @@ def _primitive_normal(p: Polynomial) -> Polynomial:
     """Scale to integer coefficients with content 1 and positive leading term."""
     if p.is_zero():
         return p
-    _row, den, content = linalg._integer_row(p.terms.items())
-    sign = -1 if p.terms[min(p.terms)] < 0 else 1
-    return p.scale(Fraction(sign * den, content))
+    num = p.num
+    content = gcd(*num.values()) if num[min(num)] > 0 else -gcd(*num.values())
+    return Polynomial._ints(p.n, {mono: c // content for mono, c in num.items()})
 
 
 def beta_norm_quadric(n: int) -> Polynomial:
@@ -339,7 +339,7 @@ def i4_quadric() -> Polynomial:
             f"level-4 degree-2 slice has dimension {len(forms)}, expected 1"
         )
     quad = _primitive_normal(forms[0])
-    if not cc._proportional(quad.terms, beta_norm_quadric(4).terms):
+    if not cc._proportional(quad.num, beta_norm_quadric(4).num):
         raise DiscoveryError("discovered quadric is not the pairing norm")
     return quad
 
@@ -349,12 +349,13 @@ def i4_quadric() -> Polynomial:
 
 def _integer_rows(lm: sr.LinearOperator) -> tuple[dict[int, dict[int, int]], int]:
     """The linear form of each target variable on integers, target mask ->
-    {source mask: coef}, over the map's common denominator den."""
-    den = reduce(lcm, (c.denominator for col in lm.cols.values() for c in col.terms.values()), 1)
+    {source mask: coef}, over den, the lcm of the columns' denominators."""
+    den = lcm(*[col.den for col in lm.cols.values()])
     rows: dict[int, dict[int, int]] = {}
     for src_mask, col in lm.cols.items():
-        for tgt_mask, c in col.terms.items():
-            rows.setdefault(tgt_mask, {})[src_mask] = c.numerator * (den // c.denominator)
+        k = den // col.den
+        for tgt_mask, c in col.num.items():
+            rows.setdefault(tgt_mask, {})[src_mask] = k * c
     return rows, den
 
 
@@ -377,19 +378,10 @@ def _pullback_rows(
 ) -> Polynomial:
     """pullback of the homogeneous p along L = rows / den, rows as _integer_rows
     gives them (target mask -> {source mask: coef}, no zero entries; the caller
-    checks the source masks): _pullback_ints on p's integer coefficients."""
-    # on integers: p = P content / den_p
-    coefs, den_p, content = linalg._integer_row(p.terms.items())
-    # p is homogeneous, so every term shares one denominator; many share a value
-    scale = den_p * den ** p.degree()
-    made: dict[int, Fraction] = {}
-    terms: dict[Monomial, Fraction] = {}
-    for mono, v in _pullback_ints(coefs, rows).items():
-        if v:
-            if (c := made.get(v)) is None:
-                c = made[v] = Fraction(v * content, scale)
-            terms[mono] = c
-    return Polynomial._trusted(source_n, terms)
+    checks the source masks): _pullback_ints on p's numerators, over p.den
+    den^degree, as p is homogeneous."""
+    out = _pullback_ints(p.num, rows)
+    return Polynomial._ints(source_n, {mono: v for mono, v in out.items() if v}, p.den * den ** p.degree())
 
 
 def _pullback_ints(coefs: dict[Monomial, int], rows: dict[int, dict[int, int]]) -> dict[Monomial, int]:
@@ -577,7 +569,7 @@ def _i4_slot_terms() -> tuple[tuple[int, int, int], ...]:
     """The primitive level-4 quadric as (a, b, c) terms c y_a y_b, a and b
     positions among the even level-4 masks; its coefficients are integers."""
     at = {t: k for k, t in enumerate(component_variables(4))}
-    return tuple((at[a], at[b], c.numerator) for (a, b), c in i4_quadric().terms.items())
+    return tuple((at[a], at[b], c) for (a, b), c in i4_quadric().num.items())
 
 
 def _slot_values(packed: int, width: int) -> memoryview | list[int]:
@@ -612,7 +604,7 @@ def certify_membership(x: sr.SpinVector, family: PullbackFamily) -> MembershipVe
         raise SpinalgError("empty family cannot certify")
     if x.n != family.n:
         raise LevelMismatchError(f"levels differ: {family.n} vs {x.n}")
-    if any(m.bit_count() & 1 for m in x.terms):
+    if any(m.bit_count() & 1 for m in x.num):
         raise LevelMismatchError("the family's forms read even coordinates; the point has odd ones")
     if x.is_zero():
         return MembershipVerdict(True, None, None, None)
@@ -677,10 +669,10 @@ def _limit_variable_action(x: sr.SoElement, cmask: int, window: int) -> tuple[Fr
     img = sr.rho_so(x, sr.SpinVector.basis(window, full & ~cmask))
     if img.is_zero():
         return None
-    if len(img.terms) != 1:
+    if len(img.num) != 1:
         raise StructureError("two-form action is not monomial on a variable")
-    ((m2, c),) = img.terms.items()
-    return c, full & ~m2
+    ((m2, c),) = img.num.items()
+    return Fraction(c, img.den), full & ~m2
 
 
 def _derive(x: sr.SoElement, p: Polynomial, window: int) -> Polynomial:
@@ -970,7 +962,7 @@ def assemble_localized(trace: LoweringTrace, target_cmask: int, window: int) -> 
         inner = assemble_localized(trace, v, window)
         inner_map = [gen_index(g) for g in inner.generators]
         r_v = Polynomial(True, -1, {(v,): 1}) * q_power(trace.q, inner.power) - inner.s
-        a_max = max(m.count(v) for m in s.terms)
+        a_max = max(m.count(v) for m in s.num)
         clear = q_power(trace.q, a_max * inner.power)
         new_rep: dict[int, Polynomial] = {}
         for idx, mult in rep.items():
@@ -1031,10 +1023,10 @@ def ideal_membership(target: Polynomial, generators: list[Polynomial]) -> list[P
             continue
         for d in range(room + 1):
             for mult in monomials_of_degree(universe, d):
-                prod = Polynomial(True, -1, {mult: Fraction(1)}) * g
+                prod = Polynomial._ints(-1, {mult: 1}) * g
                 columns.append(prod)
                 owners.append((gi, mult))
-    monos = sorted(set().union(set(target.terms), *[set(c.terms) for c in columns]))
+    monos = sorted(set().union(target.num, *[c.num for c in columns]))
     a = [[col.terms.get(mn, Fraction(0)) for col in columns] for mn in monos]
     b = [target.terms.get(mn, Fraction(0)) for mn in monos]
     sol = linalg.solve(a, b)
@@ -1084,6 +1076,8 @@ def standard_gl_exp(a: int, b: int, t: Fraction, terms: dict[int, Fraction], win
 def limit_standard_gl_exp(a: int, b: int, t: Fraction, limit_terms: dict[int, Fraction], window: int) -> dict[int, Fraction]:
     """The same unipotent acting on limit vectors via complements (the
     positions of indices <= window agree with the finite picture)."""
+    if limit_terms:
+        _check_masks(False, window, min(limit_terms), max(limit_terms))
     full = (1 << window) - 1
     finite = {full & ~cm: c for cm, c in limit_terms.items()}
     moved = standard_gl_exp(a, b, t, finite, window)

@@ -32,16 +32,19 @@ from .errors import (
 class SpinVector(cc.SparseElement):
     """Sparse exact vector in the level-n spin space; its terms never change."""
 
-    __slots__ = ("_int_form",)
+    __slots__ = ()
     _width = 1
 
     def integer_form(self) -> tuple[linalg.IntRow, int, int]:
-        """linalg._integer_row of the terms, kept from the first call; read only."""
-        try:
-            return self._int_form
-        except AttributeError:
-            self._int_form = linalg._integer_row(self.terms.items())
-            return self._int_form
+        """linalg._integer_row of the terms, read off num: (num / content, den,
+        content), content the gcd of num, or for one term its value; read only."""
+        num = self.num
+        if not num:
+            return {}, 1, 1
+        content = math.gcd(*num.values()) if len(num) > 1 else next(iter(num.values()))
+        if content == 1:
+            return num, self.den, 1
+        return {m: c // content for m, c in num.items()}, self.den, content
 
     # -- constructors ------------------------------------------------------
 
@@ -49,29 +52,31 @@ class SpinVector(cc.SparseElement):
     def basis(n: int, indices: Iterable[int] | int) -> "SpinVector":
         if isinstance(indices, int):
             mask = indices
+            if not 0 <= mask < 1 << n:
+                raise IndexRangeError(f"SpinVector key {mask} out of range at level {n}")
         else:
             mask = 0
             for i in indices:
                 if not 1 <= i <= n:
                     raise IndexRangeError(f"index {i} out of range 1..{n}")
                 mask |= 1 << (i - 1)
-        return SpinVector(n, {mask: Fraction(1)})
+        return SpinVector._ints(n, {mask: 1})
 
     @staticmethod
     def omega0(n: int) -> "SpinVector":
         """Highest weight vector: the full wedge e_1^...^e_n."""
-        return SpinVector(n, {(1 << n) - 1: Fraction(1)})
+        return SpinVector._ints(n, {(1 << n) - 1: 1})
 
     @staticmethod
     def omega1(n: int) -> "SpinVector":
         """The other highest weight vector: e_1^...^e_{n-1}."""
-        return SpinVector(n, {(1 << (n - 1)) - 1: Fraction(1)})
+        return SpinVector._ints(n, {(1 << (n - 1)) - 1: 1})
 
     # -- structure ---------------------------------------------------------
 
     def parity(self) -> str:
         """Parity tag: 'even', 'odd' (all subsets of that size mod 2), else 'mixed'."""
-        pars = {bin(m).count("1") % 2 for m in self.terms}
+        pars = {m.bit_count() % 2 for m in self.num}
         if len(pars) == 2:
             return "mixed"
         if not pars or pars == {0}:
@@ -79,9 +84,9 @@ class SpinVector(cc.SparseElement):
         return "odd"
 
     def parity_split(self) -> tuple["SpinVector", "SpinVector"]:
-        ev = {m: c for m, c in self.terms.items() if bin(m).count("1") % 2 == 0}
-        od = {m: c for m, c in self.terms.items() if bin(m).count("1") % 2 == 1}
-        return SpinVector(self.n, ev), SpinVector(self.n, od)
+        ev = {m: c for m, c in self.num.items() if m.bit_count() % 2 == 0}
+        od = {m: c for m, c in self.num.items() if m.bit_count() % 2 == 1}
+        return SpinVector._ints(self.n, ev, self.den), SpinVector._ints(self.n, od, self.den)
 
     def _key_str(self, m: int) -> str:
         if m == 0:
@@ -103,8 +108,10 @@ def _iota(j: int) -> tuple:
 
 
 def _act(words, x: SpinVector) -> SpinVector:
-    """The words (letters with int factors) applied to x by the kernel."""
-    return SpinVector._trusted(x.n, cc._apply_words(words, x.terms))
+    """The words (letters with int factors) applied to x's numerators by the
+    kernel, over x.den times the kernel's scale."""
+    out, scale = cc._apply_words(words, x.num)
+    return SpinVector._ints(x.n, out, x.den * scale)
 
 
 def outer(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
@@ -163,16 +170,8 @@ class SoElement(cc.SparseElement):
                     raise IndexRangeError(f"index pair ({i},{j}) out of range 1..{n}")
                 if off_i == off_j and not i < j:
                     raise IndexRangeError(f"pair ({i},{j}) must satisfy i < j")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    terms[1 << (i - 1 + off_i) | 1 << (j - 1 + off_j)] = c
-        self.n, self.terms, self._words = n, terms, None
-
-    @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "SoElement":
-        self = super()._trusted(n, terms)
-        self._words = None
-        return self
+                terms[1 << (i - 1 + off_i) | 1 << (j - 1 + off_j)] = c
+        super().__init__(n, terms)
 
     @staticmethod
     def basis_ee(n: int, i: int, j: int) -> "SoElement":
@@ -200,7 +199,7 @@ class SoElement(cc.SparseElement):
     def _is_gl(self) -> bool:
         """Whether every term is in the e_i^f_j block, gl(E)."""
         low = (1 << self.n) - 1
-        return all(m & low and m >> self.n for m in self.terms)
+        return all(m & low and m >> self.n for m in self.num)
 
     def trace_gl(self) -> Fraction:
         """Trace of the gl(E) block (sum of diagonal e_i^f_i coefficients)."""
@@ -225,9 +224,8 @@ class SoElement(cc.SparseElement):
         size = 2 * n
         if len(m) != size or any(len(row) != size for row in m):
             raise IndexRangeError(f"expected a {size} x {size} matrix at level {n}")
-        terms = {1 << p | 1 << p2: Fraction(m[p][(p2 + n) % size])
-                 for p in range(size) for p2 in range(p + 1, size) if m[p][(p2 + n) % size]}
-        x = SoElement._trusted(n, terms)
+        terms = {1 << p | 1 << p2: m[p][(p2 + n) % size] for p in range(size) for p2 in range(p + 1, size)}
+        x = SoElement._ints(n, *cc._num_den(terms))
         if x.matrix() != [list(row) for row in m]:
             raise StructureError("matrix is not skew with respect to the split form")
         return x
@@ -251,9 +249,11 @@ def _so_words(x: SoElement) -> list:
 def rho_so(x: SoElement, omega: SpinVector) -> SpinVector:
     """Spin action of a two-form on the wedge model."""
     omega._check_level(x)
-    if x._words is None:
-        x._words = _so_words(x)
-    return _act(x._words, omega)
+    try:
+        words = x._words
+    except AttributeError:
+        words = x._words = _so_words(x)
+    return _act(words, omega)
 
 
 def _standard_words(a: SoElement) -> list:
@@ -281,19 +281,19 @@ def rho_standard(a: SoElement, omega: SpinVector) -> SpinVector:
 def to_left_ideal(omega: SpinVector) -> cc.CliffordElement:
     """omega maps to omega * f: subset S becomes the monomial e_S f_1..f_n."""
     full = (1 << omega.n) - 1
-    return cc.CliffordElement(omega.n, {(m, full): c for m, c in omega.terms.items()})
+    return cc.CliffordElement._ints(omega.n, {(m, full): c for m, c in omega.num.items()}, omega.den)
 
 
 def from_left_ideal(x: cc.CliffordElement) -> SpinVector:
     full = (1 << x.n) - 1
-    terms: dict[int, Fraction] = {}
-    for (em, fm), c in x.terms.items():
+    num: dict[int, int] = {}
+    for (em, fm), c in x.num.items():
         if fm != full:
             raise NotInLeftIdealError(
                 f"monomial {cc.monomial_str((em, fm))} misses f-factors"
             )
-        terms[em] = c
-    return SpinVector(x.n, terms)
+        num[em] = c
+    return SpinVector._ints(x.n, num, x.den)
 
 
 def clifford_action_on_spin(a: cc.CliffordElement, x: SpinVector) -> SpinVector:
@@ -310,15 +310,15 @@ def so_from_clifford(z: cc.CliffordElement) -> SoElement:
     The monomial e_S f_T of degree 2 is the two-form key S | T << n, with
     twice its coefficient."""
     n = z.n
-    terms = {}
-    for (em, fm), c in z.terms.items():
+    num = {}
+    for (em, fm), c in z.num.items():
         key = em | fm << n
         degree = key.bit_count()
         if degree == 2:
-            terms[key] = 2 * c
+            num[key] = 2 * c
         elif degree:  # a scalar is validated by the round trip below
             raise StructureError(f"monomial {cc.monomial_str((em, fm))} has degree {degree}, not 2")
-    x = SoElement._trusted(n, terms)
+    x = SoElement._ints(n, num, z.den)
     if cc.so_to_clifford(x) != z:
         raise StructureError("element is not in the image of the two-form embedding")
     return x
@@ -473,10 +473,9 @@ def _columns(n: int, v: dict) -> dict[int, dict]:
     return cols
 
 
-def _tagged_operator(n: int, v: dict, den: int = 1) -> "LinearOperator":
-    """The operator whose column m is v's entries tagged m, over den."""
-    return LinearOperator(n, n, {m: SpinVector._trusted(n, {k: Fraction(c, den) for k, c in col.items()})
-                                 for m, col in _columns(n, v).items()})
+def _tagged_operator(n: int, v: dict, den: int) -> "LinearOperator":
+    """The operator whose column m is v's int entries tagged m, over den."""
+    return LinearOperator(n, n, {m: SpinVector._ints(n, col, den) for m, col in _columns(n, v).items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,9 +604,8 @@ class GroupElement:
 
     def apply(self, x: SpinVector) -> SpinVector:
         x._check_level(self)
-        den = math.lcm(*(c.denominator for c in x.terms.values()))
-        out, steps = _word_steps(self, {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}, False)
-        return SpinVector._trusted(self.n, {m: Fraction(c, den * steps) for m, c in out.items()})
+        out, steps = _word_steps(self, x.num, False)
+        return SpinVector._ints(self.n, out, x.den * steps)
 
     def operator(self) -> LinearOperator:
         return LinearOperator.of_group_element(self)
@@ -703,4 +701,4 @@ def gl_twist_residual(a: SoElement) -> LinearOperator:
     if not a._is_gl():
         raise InvalidRootVectorError("twist residual is defined on gl(E) only")
     words = _so_words(a) + [(-c, letters) for c, letters in _standard_words(a)] + [(a.trace_gl() / 2, [])]
-    return _tagged_operator(a.n, cc._apply_words(words, _tagged_basis(a.n)))
+    return _tagged_operator(a.n, *cc._apply_words(words, _tagged_basis(a.n)))

@@ -107,7 +107,7 @@ def _check_module_iso(n, seed, samples):
     for em in range(1 << n):
         for fm in range(1 << n):
             a = cc.CliffordElement(n, {(em, fm): Fraction(1)})
-            images.append(cc.act_on_exterior(a, cc.ExteriorVector.unit(n)).terms)
+            images.append(cc.act_on_exterior(a, cc.ExteriorVector.unit(n)).num)
     rank = linalg.sparse_rank(images)
     if rank != 4**n:
         return f"rank {rank} != {4 ** n}"
@@ -152,12 +152,12 @@ def _check_quarter_embedding(n, seed, samples):
                 continue
             bv = cc._bit(v, n)
             lu, lv = table[bu], table[bv]
-            x4 = cc._apply_words([(1, [lu, lv]), (-1, [lv, lu])], {0: 1})
+            x4, _ = cc._apply_words([(1, [lu, lv]), (-1, [lv, lu])], {0: 1})
             words = [(c, [table[b] for b in range(2 * n) if m >> b & 1]) for m, c in x4.items()]
             for w in syms:
                 bw = cc._bit(w, n)
-                bracket = cc._apply_words(words, {1 << bw: 1})
-                for m, c in cc._apply_words([(-1, [table[bw]])], x4).items():
+                bracket, _ = cc._apply_words(words, {1 << bw: 1})
+                for m, c in cc._apply_words([(-1, [table[bw]])], x4)[0].items():
                     cc._accumulate(bracket, m, c)
                 if bracket != ({1 << bu: 4} if v == -w else {1 << bv: -4} if u == -w else {}):
                     return f"bracket failed at ({u},{v},{w})"
@@ -203,7 +203,8 @@ def _all_two_forms(n):
 
 def _check_bracket_compat(n, seed, samples):
     """rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on every basis vector for
-    sampled pairs of basis two-forms, five kernel calls a pair on the tagged basis."""
+    sampled pairs of basis two-forms, five kernel calls a pair on the tagged
+    basis; both products are over s_x s_y, as a scale depends on the words alone."""
     forms = _all_two_forms(n)
     rng = _rng(seed, "bracket", n)
     pairs = [(x, y) for x in forms for y in forms]
@@ -212,11 +213,12 @@ def _check_bracket_compat(n, seed, samples):
     basis = sr._tagged_basis(n)
     for x, y in pairs:
         wx, wy = sr._so_words(x), sr._so_words(y)
-        lhs = cc._apply_words(sr._so_words(sr.so_bracket(x, y)), basis)
-        rhs = cc._apply_words(wx, cc._apply_words(wy, basis))
-        for key, c in cc._apply_words(wy, cc._apply_words(wx, basis)).items():
+        lhs, s = cc._apply_words(sr._so_words(sr.so_bracket(x, y)), basis)
+        rhs, sx = cc._apply_words(wx, cc._apply_words(wy, basis)[0])
+        yx, sy = cc._apply_words(wy, cc._apply_words(wx, basis)[0])
+        for key, c in yx.items():
             cc._accumulate(rhs, key, -c)
-        if lhs != rhs:
+        if {key: sx * sy * c for key, c in lhs.items()} != {key: s * c for key, c in rhs.items()}:
             return f"bracket mismatch for {x} , {y}"
 
 
@@ -476,7 +478,7 @@ def _check_cone_to_pluecker(n, seed, samples):
 
 def _check_i4(n, seed, samples):
     quad = ie.i4_quadric()
-    if not cc._proportional(quad.terms, ie.beta_norm_quadric(4).terms):
+    if not cc._proportional(quad.num, ie.beta_norm_quadric(4).num):
         return "discovered quadric is not pairing-norm proportional"
 
 
@@ -503,19 +505,13 @@ def _check_membership(n, seed, samples):
 def _check_degree2_span(n, seed, samples):
     variables = ie.component_variables(n)
     monos = ie.monomials_of_degree(variables, 2)
-    idx = {m: i for i, m in enumerate(monos)}
     pts = ie.cone_points(n, f"{seed}:span", 3 * len(monos))
     forms = ie.vanishing_forms(pts, 2)
     fam = ie.orbit_pullback_family(n, f"{seed}:fam", _family_size(n))
 
-    def rowof(p):
-        row = [Fraction(0)] * len(monos)
-        for mn, c in p.terms.items():
-            row[idx[mn]] = c
-        return row
-
-    fam_rows = [rowof(m.quadric) for m in fam.members]
-    van_rows = [rowof(f) for f in forms]
+    # rows of numerators: scaling a row leaves every rank as it is
+    fam_rows = [[m.quadric.num.get(mn, 0) for mn in monos] for m in fam.members]
+    van_rows = [[f.num.get(mn, 0) for mn in monos] for f in forms]
     r1 = linalg.rank(fam_rows)
     r2 = linalg.rank(van_rows)
     r3 = linalg.rank(fam_rows + van_rows)

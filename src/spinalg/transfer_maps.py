@@ -24,18 +24,18 @@ def pi_last(x: sr.SpinVector) -> sr.SpinVector:
     if n < 1:
         raise IndexRangeError("no level below 0")
     top = 1 << (n - 1)
-    return sr.SpinVector(n - 1, {m: c for m, c in x.terms.items() if not m & top})
+    return sr.SpinVector._ints(n - 1, {m: c for m, c in x.num.items() if not m & top}, x.den)
 
 
 def tau_last(x: sr.SpinVector) -> sr.SpinVector:
     """Multiplication to level n+1: subsets unchanged, reinterpreted."""
-    return sr.SpinVector(x.n + 1, dict(x.terms))
+    return sr.SpinVector._ints(x.n + 1, x.num, x.den)
 
 
 def psi_last(x: sr.SpinVector) -> sr.SpinVector:
     """Dual of contraction to level n+1: append the new top index (sign +1)."""
     top = 1 << x.n
-    return sr.SpinVector(x.n + 1, {m | top: c for m, c in x.terms.items()})
+    return sr.SpinVector._ints(x.n + 1, {m | top: c for m, c in x.num.items()}, x.den)
 
 
 def pi_tower(x: sr.SpinVector, target: int) -> sr.SpinVector:
@@ -83,16 +83,16 @@ def pi_general(x: sr.SpinVector, e: cc.VectorInV) -> sr.SpinVector:
     e'_I e'_n f' terms cancel, so the formula is sum_I z_I e'_I
     f'_1..f'_(n-1): the contraction is z without the masks holding n.  z is
     one kernel pass, linear in x: x_S / det Phi times the word of the
-    primed letters of e_S on the vacuum, as in omega_of.
+    primed letters of e_S on the vacuum (over x's denominator), as in omega_of.
     """
     n = x.n
     x._check_level(e)
     _, (letters, det_phi) = _primed_contraction_solver(n, tuple(e.coords()))
     words = []
-    for mask, c in x.terms.items():
+    for mask, c in x.num.items():
         word = [letters[i] for i in range(n) if mask >> i & 1]
         words.append((c / (det_phi * prod(scale for _, scale in word)), [letter for letter, _ in word]))
-    return pi_last(sr._act(words, sr.SpinVector.basis(n, 0)))
+    return pi_last(sr._act(words, sr.SpinVector._ints(n, {0: 1}, x.den)))
 
 
 def vector_in_quotient(v: cc.VectorInV, e: cc.VectorInV) -> cc.VectorInV:
@@ -156,13 +156,13 @@ def beta(x: sr.SpinVector, y: sr.SpinVector) -> Fraction:
     equals beta_direct, the f-coefficient of x* y, at every level."""
     x._check_level(y)
     full = (1 << x.n) - 1
-    ys = y.terms
-    total = Fraction(0)
-    for s, a in x.terms.items():
+    ys = y.num
+    total = 0
+    for s, a in x.num.items():
         b = ys.get(s ^ full)
         if b is not None:
             total += _complement_sign(s) * a * b
-    return total * (1 << x.n)
+    return Fraction(total << x.n, x.den * y.den)
 
 
 def beta_gram(n: int) -> list[list[Fraction]]:

@@ -1275,3 +1275,46 @@ def random_partner(e, rng):
 @pytest.fixture
 def rng(request):
     return make_rng(request.node.name)
+
+
+def oracle_sparse_sum(a, b, sign=1):
+    """a + sign * b on key -> Fraction maps, a zero sum dropped: the element
+    arithmetic as first written, on Fraction terms."""
+    out = dict(a)
+    for key, c in b.items():
+        v = out.get(key, Fraction(0)) + sign * c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return out
+
+
+def oracle_sparse_scale(a, c):
+    """c * a on a key -> Fraction map, the empty map for c = 0."""
+    c = Fraction(c)
+    return {key: c * v for key, v in a.items()} if c else {}
+
+
+def element_of_terms(kind, n, terms):
+    """The element of the given kind ("clifford", "spin", "exterior", "so" or
+    "polynomial") with these Fraction terms, through its public constructor;
+    a two-form's mask keys go to its blocks, a polynomial is at level n."""
+    if kind == "clifford":
+        return cc.CliffordElement(n, terms)
+    if kind == "spin":
+        return sr.SpinVector(n, terms)
+    if kind == "exterior":
+        return cc.ExteriorVector(n, terms)
+    if kind == "polynomial":
+        return ie.Polynomial(False, n, terms)
+    blocks = {"ee": {}, "ff": {}, "ef": {}}
+    for key, c in terms.items():
+        p, p2 = (key & -key).bit_length() - 1, key.bit_length() - 1
+        if p2 < n:
+            blocks["ee"][(p + 1, p2 + 1)] = c
+        elif p >= n:
+            blocks["ff"][(p - n + 1, p2 - n + 1)] = c
+        else:
+            blocks["ef"][(p + 1, p2 - n + 1)] = c
+    return sr.SoElement(n, **blocks)

@@ -1,7 +1,9 @@
 """Clifford algebra kernel: normal forms, products, the anti-automorphism,
 the two-form embedding, and the module action on the exterior algebra."""
 
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -49,6 +51,21 @@ class TestNormalForm:
         with pytest.raises(IndexRangeError):
             nf(["e3"], 2)
 
+    @pytest.mark.parametrize("sym", ["e0", "f0", "e-1", "f-2", ("e", 0), ("e", -2), ("f", 0), ("f", -1)])
+    def test_index_below_one_rejected_by_name(self, sym):
+        # "e-1" read as -1, which is f1; ("e", -2) made the vector f2; and
+        # from_symbol named f0 for an "e0" the caller never wrote
+        message = f"^symbol {re.escape(repr(sym))} has index -?\\d+; indices start at 1$"
+        with pytest.raises(IndexRangeError, match=message):
+            cc.parse_symbol(sym)
+        with pytest.raises(IndexRangeError, match=message):
+            cc.VectorInV.basis(3, sym)
+        with pytest.raises(IndexRangeError, match=message):
+            cc.CliffordElement.from_symbol(3, sym)
+        with pytest.raises(IndexRangeError, match=message):
+            nf(["e1", sym], 3)
+        assert cc.parse_symbol(sym[:1] + "2" if isinstance(sym, str) else (sym[0], 2)) == (2 if sym[0] == "e" else -2)
+
     def test_confluence_against_rewrite_oracle(self):
         rng = make_rng("confluence")
         for n in range(2, 7):
@@ -95,19 +112,30 @@ def random_terms(n, rng, frac, count=5):
     return terms
 
 
+def kernel_values(words, terms):
+    """cc._apply_words on terms with int or Fraction values: run on their
+    numerators over the lcm of their denominators, the output divided by
+    that lcm and the kernel's scale, as Fractions."""
+    den = lcm(*[Fraction(c).denominator for c in terms.values()])
+    out, scale = cc._apply_words(words, {m: int(c * den) for m, c in terms.items()})
+    assert all(out.values())
+    return {m: Fraction(c) / (den * scale) for m, c in out.items()}
+
+
 class TestLetterKernel:
-    """_apply_words runs on integers over common denominators; the kernel as
-    first written (oracle_apply_words) computes on the coefficients as given.
-    src passes only letters with int factors, but the kernel also computes
-    letters with Fraction factors exactly (oracle_letter)."""
+    """_apply_words runs on int terms and merges the words over the lcm of
+    their coefficients' denominators, its scale; the kernel as first written
+    (oracle_apply_words) computes on the coefficients as given.  src passes
+    only letters with int factors, but the kernel also computes letters with
+    Fraction factors exactly (oracle_letter)."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_int_input_gives_ints(self, n):
         rng = make_rng(f"kernel-int:{n}")
         for _ in range(25):
             words, terms = random_words(n, rng, False), random_terms(n, rng, False)
-            out = cc._apply_words(words, terms)
-            assert out == oracle_apply_words(words, terms)
+            out, scale = cc._apply_words(words, terms)
+            assert scale == 1 and out == oracle_apply_words(words, terms)
             assert all(type(c) is int and c for c in out.values())
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -119,9 +147,7 @@ class TestLetterKernel:
             terms = random_terms(n, rng, k % 3 != 2)
             if k % 3 == 2:
                 terms = {m: Fraction(c) for m, c in terms.items()}
-            out = cc._apply_words(words, terms)
-            assert out == oracle_apply_words(words, terms)
-            assert all(type(c) is Fraction and c for c in out.values())
+            assert kernel_values(words, terms) == oracle_apply_words(words, terms)
 
     def test_vector_letters_with_fraction_factors(self):
         rng = make_rng("kernel-vector")
@@ -131,9 +157,7 @@ class TestLetterKernel:
                 letters = [oracle_letter(coords), cc._exterior_letter(-1, n), oracle_letter(coords[::-1])]
                 words = [(Fraction(2, 3), letters), (-1, letters[1:])]
                 for terms in (random_terms(n, rng, True), random_terms(n, rng, False)):
-                    out = cc._apply_words(words, terms)
-                    assert out == oracle_apply_words(words, terms)
-                    assert all(type(c) is Fraction and c for c in out.values())
+                    assert kernel_values(words, terms) == oracle_apply_words(words, terms)
 
     @pytest.mark.parametrize("frac", [False, True], ids=["int", "fraction"])
     def test_cancellation_and_the_empty_word(self, frac):
@@ -143,17 +167,17 @@ class TestLetterKernel:
             letters = [random_letter(n, rng, frac) for _ in range(3)]
             one = Fraction(1) if frac else 1
             # a word minus itself, and a Clifford letter squared (e_i e_i = 0)
-            assert cc._apply_words([(one, letters), (-one, letters)], terms) == {}
+            assert kernel_values([(one, letters), (-one, letters)], terms) == {}
             square = [cc._clifford_letter(n, n)] * 2
-            assert cc._apply_words([(3 * one, square)], terms) == {}
+            assert kernel_values([(3 * one, square)], terms) == {}
             # the empty word scales the terms; a second word cancels some of them
-            assert cc._apply_words([(2 * one, [])], terms) == {m: 2 * c for m, c in terms.items()}
+            assert kernel_values([(2 * one, [])], terms) == {m: 2 * c for m, c in terms.items()}
             words = [(one, []), (one, [cc._exterior_letter(1, n)]), (-one, [])]
-            out = cc._apply_words(words, terms)
-            assert out == oracle_apply_words(words, terms)
-            assert all(out.values())
-            assert all(type(c) is (Fraction if frac else int) for c in out.values())
-        assert cc._apply_words([], {1: 1}) == {} and cc._apply_words([(1, [])], {}) == {}
+            assert kernel_values(words, terms) == oracle_apply_words(words, terms)
+            if not frac:
+                out, scale = cc._apply_words(words, terms)
+                assert scale == 1 and all(type(c) is int for c in out.values())
+        assert cc._apply_words([], {1: 1}) == ({}, 1) and cc._apply_words([(1, [])], {}) == ({}, 1)
 
 
 class TestMul:

@@ -1007,6 +1007,15 @@ class TestGamma:
         with pytest.raises(IndexRangeError, match="^variable mask out of range at level 2$"):
             ie.gamma_windowed(fin, lim, 2)
 
+    @pytest.mark.parametrize("lim", [{0b10000: Fraction(1)}, {0: Fraction(1), 0b1000: Fraction(2)}, {-1: Fraction(1)}])
+    def test_limit_exp_rejects_masks_outside_the_window(self, lim):
+        # a limit mask above the window was dropped: {0b10000: 1} at window 3
+        # gave {0: 1}, the answer for {0: 1}, while standard_gl_exp and
+        # gamma_windowed reject such masks
+        with pytest.raises(IndexRangeError, match="^variable mask out of range at level 3$"):
+            ie.limit_standard_gl_exp(1, 2, Fraction(1), lim, 3)
+        assert ie.limit_standard_gl_exp(1, 2, Fraction(1), {0: Fraction(1)}, 3) == {0: Fraction(1)}
+
 
 class TestOffConeSampler:
     def test_deterministic_and_not_pure(self):

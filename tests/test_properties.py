@@ -7,11 +7,16 @@ Gram symmetry pattern on parity-pure vectors, and the vector pairing equals
 its summed formula.  Exact elimination: rref agrees with the dense Fraction
 oracle and the nullspace is the kernel.
 Cone membership: the witness of certify_membership is the stored pulled-back
-quadric's value at the point.  Derandomized, so every run draws the same
-cases."""
+quadric's value at the point.  The sparse element base: every element type's
+arithmetic, equality, hash, coefficients and terms agree with Fraction-map
+oracles, every result is in lowest terms, and copies and pickles are equal.
+Derandomized, so every run draws the same cases."""
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -26,7 +31,15 @@ from spinalg import linalg  # noqa: E402
 from spinalg import spin_rep as sr  # noqa: E402
 from spinalg import transfer_maps as tm  # noqa: E402
 
-from conftest import make_rng, oracle_rref, random_spin, split_form  # noqa: E402
+from conftest import (  # noqa: E402
+    element_of_terms,
+    make_rng,
+    oracle_rref,
+    oracle_sparse_scale,
+    oracle_sparse_sum,
+    random_spin,
+    split_form,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -218,3 +231,110 @@ def test_witness_value_is_the_stored_quadric_at_x(query):
     else:
         assert verdict.witness_value == values[verdict.witness_index] != 0
         assert not any(values[: verdict.witness_index])
+
+
+ELEMENT_KINDS = ("clifford", "spin", "exterior", "so", "polynomial")
+
+
+def element_keys(kind, n):
+    """The keys of an element of this kind at level n (a polynomial's are the
+    monomials of degree 1 and 2 in the level-n variables)."""
+    if kind == "clifford":
+        masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+        return st.tuples(masks, masks)
+    if kind == "spin":
+        return st.integers(min_value=0, max_value=(1 << n) - 1)
+    if kind == "exterior":
+        return st.integers(min_value=0, max_value=(1 << 2 * n) - 1)
+    if kind == "so":
+        return st.sampled_from([1 << p | 1 << q for p in range(2 * n) for q in range(p + 1, 2 * n)])
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return st.lists(masks, min_size=1, max_size=2).map(lambda ms: tuple(sorted(ms)))
+
+
+wide_fractions = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=12)
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """(kind, n, a, b): two Fraction maps on the keys of one element kind at a
+    level n = 1..4, zeros included; b reuses some of a's keys, so that sums
+    and differences cancel in part or in full."""
+    kind = draw(st.sampled_from(ELEMENT_KINDS))
+    n = draw(st.integers(min_value=2 if kind == "so" else 1, max_value=4))
+    a = draw(st.dictionaries(element_keys(kind, n), wide_fractions, max_size=6))
+    b = draw(st.dictionaries(element_keys(kind, n), wide_fractions, max_size=4))
+    for key in draw(st.lists(st.sampled_from(sorted(a)), max_size=3)) if a else ():
+        b[key] = draw(st.sampled_from([-a[key], a[key], 2 * a[key]]))
+    return kind, n, a, b
+
+
+def assert_lowest_terms(x):
+    """x stores nonzero int numerators over a positive denominator in lowest
+    terms, and its terms are num / den."""
+    assert type(x.den) is int and x.den > 0 and gcd(x.den, *x.num.values()) == 1
+    assert all(type(c) is int and c for c in x.num.values())
+    assert x.terms == {key: Fraction(c, x.den) for key, c in x.num.items()}
+
+
+def assert_matches(kind, n, x, terms):
+    """x is the element of the Fraction map terms (zeros dropped): equal and
+    hash-equal to the public constructor's element, with the same terms and
+    coefficients, and in lowest terms."""
+    assert_lowest_terms(x)
+    expect = element_of_terms(kind, n, terms)
+    assert x == expect and hash(x) == hash(expect)
+    assert x.terms == {key: c for key, c in terms.items() if c}
+    for key, c in terms.items():
+        assert x.coefficient(key) == c
+        if not c:
+            assert x.coefficient(key) is cc._ZERO
+    assert x.is_zero() == (not any(terms.values()))
+
+
+@PROPERTY_SETTINGS
+@given(element_pairs(), wide_fractions)
+def test_element_arithmetic_matches_fraction_oracles(case, c):
+    kind, n, a, b = case
+    x, y = element_of_terms(kind, n, a), element_of_terms(kind, n, b)
+    assert_matches(kind, n, x, a)  # zero values included: a missing key reads the shared zero
+    a = {key: v for key, v in a.items() if v}
+    b = {key: v for key, v in b.items() if v}
+    for sign, z in ((1, x + y), (-1, x - y)):
+        terms = oracle_sparse_sum(a, b, sign)
+        assert_matches(kind, n, z, {key: terms.get(key, Fraction(0)) for key in {*a, *b}})
+    assert_matches(kind, n, -x, oracle_sparse_scale(a, -1))
+    for k in (c, -c, 0, Fraction(0), -3):
+        assert_matches(kind, n, x.scale(k), oracle_sparse_scale(a, k))
+    assert (x == y) == (a == b) and (x - x) == type(x).zero(n) == element_of_terms(kind, n, {})
+    assert (x - x).is_zero() and (x - x).den == 1
+
+
+@PROPERTY_SETTINGS
+@given(element_pairs(), st.integers(min_value=2, max_value=30))
+def test_ints_reduces_a_negative_denominator_and_a_common_factor(case, k):
+    kind, n, a, _ = case
+    x = element_of_terms(kind, n, a)
+    y = type(x)._ints(x.n, {key: -k * c for key, c in x.num.items()}, -k * x.den)
+    assert_lowest_terms(y)
+    assert y == x and hash(y) == hash(x) and y.num == x.num and y.den == x.den
+
+
+@PROPERTY_SETTINGS
+@given(element_pairs())
+def test_copies_and_pickles_equal_the_element(case):
+    kind, n, a, _ = case
+    x = element_of_terms(kind, n, a)
+    for read_terms in (False, True):
+        if read_terms:  # the caches, once built, travel with the copies
+            x.terms
+            if kind == "so":
+                sr.rho_so(x, sr.SpinVector.basis(n, 0))
+            if kind == "polynomial":
+                x._variable_parities()
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            assert y.terms == x.terms and str(y) == str(x)
+            assert_lowest_terms(y)

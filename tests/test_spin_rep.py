@@ -403,7 +403,7 @@ class TestGroupElements:
         # sends both {1} and {2} to the empty wedge, and {1, 2} to 0
         words = [(Fraction(1), [sr._iota(1)]), (Fraction(1), [sr._iota(2)])]
         words += [(Fraction(-1), [sr._iota(a), sr._o(b), sr._iota(b)]) for a, b in ((1, 2), (2, 1))]
-        assert [cc._apply_words(words, {m: Fraction(1)}) for m in range(4)] == [{}, {0: 1}, {0: 1}, {}]
+        assert [cc._apply_words(words, {m: 1}) for m in range(4)] == [({}, 1), ({0: 1}, 1), ({0: 1}, 1), ({}, 1)]
         monkeypatch.setattr(sr, "_so_words", lambda x: words)
         with pytest.raises(StructureError, match="two masks to one"):
             build(2, "ee", 1, 2)
@@ -639,7 +639,7 @@ class TestIntegerForm:
             form = x.integer_form()
             assert form == oracle_integer_row(x.terms.items())
             assert list(form[0]) == [m for m, c in x.terms.items() if c]
-            assert x.integer_form() is form
+            assert x.integer_form() == form
 
     def test_one_form_for_both_oracles_and_the_annihilator(self, monkeypatch):
         fam = ie.orbit_pullback_family(5, "one-form", 20)
@@ -662,7 +662,7 @@ class TestIntegerForm:
             verdict, member = gc.is_pure(x), ie.certify_membership(x, fam)
             gc.annihilator(x)
             assert verdict.on_cone == member.passes == (x is points[0])
-            assert len(calls) == 1
+            assert not calls  # the integer form is read off the element's numerators
             assert x.integer_form() == oracle_integer_row(x.terms.items())
 
     def test_equality_hash_repr_copy_and_pickle_read_the_terms(self):

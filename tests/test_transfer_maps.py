@@ -168,6 +168,17 @@ class TestPrimedSolver:
                 x = random_spin(n, rng, parity)
                 assert tm.pi_general(x, e) == oracle_pi_general(x, e)
 
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_pi_general_of_fractional_vectors_matches_the_inverse_route(self, n):
+        # x over a denominator, which pi_general puts on the vacuum of its
+        # kernel pass, not on the words
+        rng = make_rng(f"primed-oracle-frac:{n}")
+        for t in range(3):
+            e = random_isotropic(n, rng)
+            x = random_spin(n, rng).scale(Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 9)))
+            x = x + sr.SpinVector(n, {rng.randrange(1 << n): Fraction(1, rng.randint(2, 7))})
+            assert tm.pi_general(x, e) == oracle_pi_general(x, e)
+
 
 class TestVectorInQuotient:
     @pytest.mark.parametrize("n", range(2, 7))

@@ -1,9 +1,9 @@
 """Results built without re-validation against the validating constructors.
 
 The arithmetic of the element types and the letter kernel's products build
-their results through SparseElement._trusted and VectorInV._trusted, which
+their results through SparseElement._ints and VectorInV._trusted, which
 check nothing; pulled-back polynomials and the results of polynomial
-arithmetic are built by Polynomial._trusted, and random, inverted and
+arithmetic are built by Polynomial._ints, and random, inverted and
 multiplied group words by GroupElement._trusted.  Each such result is compared at levels 1..6 with a reference
 computed coefficient by coefficient and passed through the public
 constructor, which checks every key and coefficient: equal, with equal hashes,
