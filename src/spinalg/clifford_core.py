@@ -260,8 +260,9 @@ class SparseElement:
     terms.  A subclass sets _width, so that its keys are the masks below
     2^(_width * n), and names a key in _key_str.  CliffordElement checks its
     mask pairs in _in_range instead; spin_rep.SoElement takes index pairs,
-    and ideal_engine.Polynomial sorted tuples of variable masks, at the level
-    n or, with n = -1, at the limit level, in constructors of their own.
+    ideal_engine.Polynomial sorted tuples of variable masks, at the level n
+    or, with n = -1, at the limit level, and spin_rep.LinearOperator columns
+    at the level pair (source_n, target_n), in constructors of their own.
 
     The public constructors check every key and coefficient.  Results of the
     arithmetic and of the letter kernel are built by _ints instead.  num,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add, mul
 from typing import Iterator
 
@@ -347,18 +347,6 @@ def i4_quadric() -> Polynomial:
 # -- linear maps and pullback --------------------------------------------------
 
 
-def _integer_rows(lm: sr.LinearOperator) -> tuple[dict[int, dict[int, int]], int]:
-    """The linear form of each target variable on integers, target mask ->
-    {source mask: coef}, over den, the lcm of the columns' denominators."""
-    den = lcm(*[col.den for col in lm.cols.values()])
-    rows: dict[int, dict[int, int]] = {}
-    for src_mask, col in lm.cols.items():
-        k = den // col.den
-        for tgt_mask, c in col.num.items():
-            rows.setdefault(tgt_mask, {})[src_mask] = k * c
-    return rows, den
-
-
 def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
     """(pullback p)(x) = p(L x); degree is preserved."""
     if p.is_limit:
@@ -367,7 +355,11 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
         raise LevelMismatchError(f"levels differ: {p.level} vs {lm.target_n}")
     if not p.is_homogeneous():
         raise SpinalgError("pullback expects a homogeneous polynomial")
-    q = _pullback_rows(p, *_integer_rows(lm), lm.source_n)
+    rows: dict[int, dict[int, int]] = {}
+    low = (1 << lm.target_n) - 1
+    for key in sorted(lm.num):  # each row's sources increasing
+        rows.setdefault(key & low, {})[key >> lm.target_n] = lm.num[key]
+    q = _pullback_rows(p, rows, lm.den, lm.source_n)
     if masks := q._masks():
         _check_masks(False, q.level, min(masks), max(masks))
     return q
@@ -376,7 +368,7 @@ def pullback(p: Polynomial, lm: sr.LinearOperator) -> Polynomial:
 def _pullback_rows(
     p: Polynomial, rows: dict[int, dict[int, int]], den: int, source_n: int
 ) -> Polynomial:
-    """pullback of the homogeneous p along L = rows / den, rows as _integer_rows
+    """pullback of the homogeneous p along L = rows / den, rows as pullback
     gives them (target mask -> {source mask: coef}, no zero entries; the caller
     checks the source masks): _pullback_ints on p's numerators, over p.den
     den^degree, as p is homogeneous."""

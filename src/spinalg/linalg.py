@@ -242,9 +242,10 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant of a square matrix, by the same elimination: the product
-    of the pivots, signed by the pivot permutation, over the row scales;
-    ValueError for a matrix that is not square."""
+    """Determinant of a square matrix of Fractions or ints, by the same
+    elimination: the product of the pivots, signed by the pivot permutation,
+    over the row scales, as a Fraction; ValueError for a matrix that is not
+    square."""
     _check_square(a)
     rows, scales = [], []
     for row in a:

@@ -59,6 +59,8 @@ class SpinVector(cc.SparseElement):
             for i in indices:
                 if not 1 <= i <= n:
                     raise IndexRangeError(f"index {i} out of range 1..{n}")
+                if mask >> (i - 1) & 1:
+                    raise IndexRangeError(f"index {i} repeated: e{i}^e{i} is zero")
                 mask |= 1 << (i - 1)
         return SpinVector._ints(n, {mask: 1})
 
@@ -334,34 +336,46 @@ def so_bracket(x: SoElement, y: SoElement) -> SoElement:
 # -- linear operators --------------------------------------------------------
 
 
-class LinearOperator:
-    """Column-sparse linear map from the level-source_n spin space to the
-    level-target_n one (source basis mask -> image vector)."""
+class LinearOperator(cc.SparseElement):
+    """Linear map from the level-source_n spin space to the level-target_n
+    one, as one sparse element: the entry at row r of column m (the
+    coefficient of e_r in the image of e_m) is keyed r | m << target_n, and
+    the level n is the pair (source_n, target_n).  The constructor takes the
+    columns, source mask -> SpinVector at the target level."""
 
-    __slots__ = ("source_n", "target_n", "cols")
+    __slots__ = ()
 
     def __init__(self, source_n: int, target_n: int, cols: dict[int, SpinVector] | None = None):
-        self.source_n = source_n
-        self.target_n = target_n
-        self.cols: dict[int, SpinVector] = {}
-        if cols:
-            for m, v in cols.items():
-                if not 0 <= m < 1 << source_n:
-                    raise IndexRangeError(f"LinearOperator key {m} out of range at level {source_n}")
-                if v.n != target_n:
-                    raise LevelMismatchError(f"levels differ: {target_n} vs {v.n}")
-                if not v.is_zero():
-                    self.cols[m] = v
+        cols = cols or {}
+        for m, v in cols.items():
+            if not 0 <= m < 1 << source_n:
+                raise IndexRangeError(f"LinearOperator key {m} out of range at level {source_n}")
+            if v.n != target_n:
+                raise LevelMismatchError(f"levels differ: {target_n} vs {v.n}")
+        # over the lcm of lowest-terms columns the entries are in lowest terms
+        self.n, self.den = (source_n, target_n), math.lcm(*[v.den for v in cols.values()])
+        self.num = {r | m << target_n: self.den // v.den * c for m, v in cols.items() for r, c in v.num.items()}
+
+    source_n = property(lambda self: self.n[0])
+    target_n = property(lambda self: self.n[1])
+
+    def _check_level(self, other) -> None:
+        """LevelMismatchError naming the first of the two levels that differs."""
+        for a, b in zip(self.n, other.n):
+            if a != b:
+                raise LevelMismatchError(f"levels differ: {a} vs {b}")
+
+    def _key_str(self, key: int) -> str:
+        return f"[{key & (1 << self.target_n) - 1},{key >> self.target_n}]"
 
     @staticmethod
     def identity(n: int) -> "LinearOperator":
-        return LinearOperator(n, n, {m: SpinVector.basis(n, m) for m in range(1 << n)})
+        return LinearOperator._ints((n, n), _tagged_basis(n))
 
     @staticmethod
     def of_group_element(g: "GroupElement") -> "LinearOperator":
-        """g's columns from one pass of its steps over _tagged_basis; caches nothing on g."""
-        v, den = _word_steps(g, _tagged_basis(g.n), False, (1 << g.n) - 1)
-        return _tagged_operator(g.n, v, den)
+        """g's entries from one pass of its steps over _tagged_basis; caches nothing on g."""
+        return LinearOperator._ints((g.n, g.n), *_word_steps(g, _tagged_basis(g.n), False, (1 << g.n) - 1))
 
     @staticmethod
     def of_contraction(n: int, target: int) -> "LinearOperator":
@@ -375,66 +389,37 @@ class LinearOperator:
     def apply(self, x: SpinVector) -> SpinVector:
         if x.n != self.source_n:
             raise LevelMismatchError(f"levels differ: {self.source_n} vs {x.n}")
-        out: dict[int, Fraction] = {}
-        for m, c in x.terms.items():
-            col = self.cols.get(m)
-            if col is not None:
-                for r, v in col.terms.items():
-                    cc._accumulate(out, r, c * v)
-        return SpinVector(self.target_n, out)
+        return SpinVector._ints(self.target_n, _mat_vec(_columns(self.target_n, self.num), x.num), self.den * x.den)
 
     def compose(self, inner_op: "LinearOperator") -> "LinearOperator":
         """self o inner_op; public as the composition law of the level maps,
         so a tower and a group word make one operator."""
-        if inner_op.target_n != self.source_n:
-            raise LevelMismatchError(f"levels differ: {self.source_n} vs {inner_op.target_n}")
-        return LinearOperator(
-            inner_op.source_n,
-            self.target_n,
-            {m: self.apply(v) for m, v in inner_op.cols.items()},
-        )
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        for a, b in ((self.source_n, other.source_n), (self.target_n, other.target_n)):
-            if a != b:
-                raise LevelMismatchError(f"levels differ: {a} vs {b}")
-        zero = SpinVector.zero(self.target_n)
-        keys = set(self.cols) | set(other.cols)
-        return LinearOperator(
-            self.source_n,
-            self.target_n,
-            {m: self.cols.get(m, zero) + other.cols.get(m, zero) for m in keys},
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LinearOperator":
-        return LinearOperator(
-            self.source_n, self.target_n, {m: v.scale(c) for m, v in self.cols.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.cols
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearOperator)
-            and (self.source_n, self.target_n) == (other.source_n, other.target_n)
-            and self.cols == other.cols
-        )
+        (source_n, mid), target_n = inner_op.n, self.target_n
+        if mid != self.source_n:
+            raise LevelMismatchError(f"levels differ: {self.source_n} vs {mid}")
+        cols = _columns(target_n, self.num)
+        num = {r | m << target_n: c for m, col in _columns(mid, inner_op.num).items() for r, c in _mat_vec(cols, col).items()}
+        return LinearOperator._ints((source_n, target_n), num, self.den * inner_op.den)
 
     def determinant(self) -> Fraction:
-        from . import linalg
+        """det on the integer matrix of num, divided by den^(2^n) once."""
+        n, target_n = self.n
+        if n != target_n:
+            raise LevelMismatchError(f"levels differ: {n} vs {target_n}")
+        size = 1 << n
+        m = [[0] * size for _ in range(size)]
+        for key, c in self.num.items():
+            m[key & size - 1][key >> n] = c
+        return linalg.det(m) / self.den**size
 
-        if self.source_n != self.target_n:
-            raise LevelMismatchError(f"levels differ: {self.source_n} vs {self.target_n}")
-        size = 1 << self.source_n
-        m = linalg.zeros(size, size)
-        for col, v in self.cols.items():
-            for row, c in v.terms.items():
-                m[row][col] = c
-        return linalg.det(m)
+
+def _mat_vec(cols: dict[int, dict], v: dict[int, int]) -> dict[int, int]:
+    """sum over m of v[m] * cols[m] on ints, zeros left out."""
+    out: dict[int, int] = {}
+    for m, c in v.items():
+        for r, a in cols.get(m, {}).items():
+            out[r] = out.get(r, 0) + c * a
+    return {r: c for r, c in out.items() if c}
 
 
 # -- group elements ----------------------------------------------------------
@@ -471,11 +456,6 @@ def _columns(n: int, v: dict) -> dict[int, dict]:
     for key in sorted(v):
         cols.setdefault(key >> n, {})[key & low] = v[key]
     return cols
-
-
-def _tagged_operator(n: int, v: dict, den: int) -> "LinearOperator":
-    """The operator whose column m is v's int entries tagged m, over den."""
-    return LinearOperator(n, n, {m: SpinVector._ints(n, col, den) for m, col in _columns(n, v).items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -701,4 +681,4 @@ def gl_twist_residual(a: SoElement) -> LinearOperator:
     if not a._is_gl():
         raise InvalidRootVectorError("twist residual is defined on gl(E) only")
     words = _so_words(a) + [(-c, letters) for c, letters in _standard_words(a)] + [(a.trace_gl() / 2, [])]
-    return _tagged_operator(a.n, *cc._apply_words(words, _tagged_basis(a.n)))
+    return LinearOperator._ints((a.n, a.n), *cc._apply_words(words, _tagged_basis(a.n)))

@@ -342,10 +342,64 @@ def oracle_group_apply(g, x):
     return x
 
 
+class OracleOperator:
+    """LinearOperator as first written, on Fraction column dicts: cols maps a
+    source mask to its image, {target mask: Fraction}, zero entries and zero
+    columns left out.  It equals another OracleOperator of the same levels
+    and columns; read_operator gives a LinearOperator's columns through its
+    apply, so the two are compared without the new constructor."""
+
+    def __init__(self, source_n, target_n, cols):
+        self.source_n, self.target_n = source_n, target_n
+        cols = {m: {r: Fraction(c) for r, c in col.items() if c} for m, col in cols.items()}
+        self.cols = {m: col for m, col in cols.items() if col}
+
+    def apply(self, x):
+        assert x.n == self.source_n
+        out = {}
+        for m, c in x.terms.items():
+            for r, v in self.cols.get(m, {}).items():
+                out[r] = out.get(r, Fraction(0)) + c * v
+        return sr.SpinVector(self.target_n, out)
+
+    def compose(self, inner):
+        assert inner.target_n == self.source_n
+        cols = {m: self.apply(sr.SpinVector(self.source_n, col)).terms for m, col in inner.cols.items()}
+        return OracleOperator(inner.source_n, self.target_n, cols)
+
+    def combine(self, other, sign=1):
+        """self + sign * other, column by column."""
+        assert (self.source_n, self.target_n) == (other.source_n, other.target_n)
+        keys = set(self.cols) | set(other.cols)
+        cols = {m: oracle_sparse_sum(self.cols.get(m, {}), other.cols.get(m, {}), sign) for m in keys}
+        return OracleOperator(self.source_n, self.target_n, cols)
+
+    def scale(self, c):
+        return OracleOperator(self.source_n, self.target_n, {m: oracle_sparse_scale(col, c) for m, col in self.cols.items()})
+
+    def is_zero(self):
+        return not self.cols
+
+    def determinant(self):
+        assert self.source_n == self.target_n
+        size = 1 << self.source_n
+        return oracle_det([[self.cols.get(m, {}).get(r, 0) for m in range(size)] for r in range(size)])
+
+    def __eq__(self, other):
+        return isinstance(other, OracleOperator) and vars(self) == vars(other)
+
+
 def oracle_operator(n, fn):
     """The operator with column m fn(e_m), one call of fn per basis vector:
-    how GroupElement.operator and gl_twist_residual first built theirs."""
-    return sr.LinearOperator(n, n, {m: fn(sr.SpinVector.basis(n, m)) for m in range(1 << n)})
+    how GroupElement.operator and gl_twist_residual first built theirs; the
+    target level is that of the images."""
+    images = {m: fn(sr.SpinVector.basis(n, m)) for m in range(1 << n)}
+    return OracleOperator(n, images[0].n, {m: v.terms for m, v in images.items()})
+
+
+def read_operator(op):
+    """The OracleOperator of a LinearOperator's columns, read through apply."""
+    return oracle_operator(op.source_n, op.apply)
 
 
 def oracle_twist_residual(a):
@@ -380,7 +434,7 @@ def oracle_group_unipotent(n, seed, samples):
     for kind, i, j in sr.all_root_vectors(n):
         t = Fraction(rng.randint(1, 3))
         g = sr.exp_nilpotent(n, kind, i, j, t)
-        if not oracle_operator(n, (g * g.inverse()).apply) == sr.LinearOperator.identity(n):
+        if not oracle_operator(n, (g * g.inverse()).apply) == oracle_operator(n, lambda x: x):
             return f"inverse failed for {kind}({i},{j})"
         if oracle_operator(n, g.apply).determinant() != 1:
             return f"determinant != 1 for {kind}({i},{j})"
@@ -603,7 +657,7 @@ def oracle_level_maps(family):
     """Each member's full Fraction map: the contraction to level 4 after the
     member's group word (by oracle_group_apply), on all 2^n basis columns."""
     n = family.n
-    pi_map = sr.LinearOperator.of_contraction(n, 4)
+    pi_map = oracle_operator(n, lambda x: tm.pi_tower(x, 4))
     words = [oracle_operator(n, lambda x, g=m.g: oracle_group_apply(g, x)) for m in family.members]
     return [pi_map.compose(w) for w in words]
 

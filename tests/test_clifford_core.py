@@ -431,15 +431,24 @@ def plain(cls, n, terms):
     return cls(n, terms)
 
 
-# each element type at level 2: its constructor on (type, level, terms), a
-# key inside the level as the constructor takes it and as the terms hold it,
-# and a key just outside the level
+def operator_of(cls, n, terms):
+    """The level (n, n) operator of the terms keyed (column, row)."""
+    cols = {}
+    for (m, r), c in terms.items():
+        cols.setdefault(m, {})[r] = c
+    return cls(n, n, {m: sr.SpinVector(n, col) for m, col in cols.items()})
+
+
+# each element type at level 2 (an operator at (2, 2)): its constructor on
+# (type, level, terms), a key inside the level as the constructor takes it
+# and as the terms hold it, and a key just outside the level
 ELEMENT_TYPES = {
     "clifford": (cc.CliffordElement, plain, (0b11, 0b01), (0b11, 0b01), (0, 0b100)),
     "exterior": (cc.ExteriorVector, plain, 0b1010, 0b1010, 1 << 4),
     "spin": (sr.SpinVector, plain, 0b11, 0b11, 1 << 2),
     "two-form": (sr.SoElement, lambda cls, n, terms: cls(n, ef=terms), (1, 2), 0b1001, (1, 3)),
     "polynomial": (ie.Polynomial, lambda cls, n, terms: cls(False, n, terms), (0b01, 0b11), (0b01, 0b11), (0b100,)),
+    "operator": (sr.LinearOperator, operator_of, (0b01, 0b11), 0b11 | 0b01 << 2, (0b100, 0)),
 }
 
 
@@ -464,8 +473,8 @@ def test_element_contract(cls, make, arg, key, outside):
         x + twin
     y = make(cls, 2, {arg: 3}).scale(Fraction(1, 2))
     assert y == x and hash(y) == hash(x)
-    zero = cls.zero(2)
-    assert zero == make(cls, 2, {}) and zero.n == 2 and hash(zero) == hash(make(cls, 2, {}))
+    zero = cls.zero(x.n)
+    assert zero == make(cls, 2, {}) and zero.n == x.n and hash(zero) == hash(make(cls, 2, {}))
     assert x - x == zero and x.scale(0) == zero and -x + x == zero
     assert (-x).coefficient(key) == Fraction(-3, 2) and zero.coefficient(key) == 0
 

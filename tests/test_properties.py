@@ -10,6 +10,9 @@ Cone membership: the witness of certify_membership is the stored pulled-back
 quadric's value at the point.  The sparse element base: every element type's
 arithmetic, equality, hash, coefficients and terms agree with Fraction-map
 oracles, every result is in lowest terms, and copies and pickles are equal.
+Linear operators of Fraction columns, contraction towers and group words
+at levels 1..5 agree with the column oracle conftest.OracleOperator in
+apply, compose, sums, scaling, equality, hash, determinant and pullback.
 Derandomized, so every run draws the same cases."""
 
 import copy
@@ -32,12 +35,17 @@ from spinalg import spin_rep as sr  # noqa: E402
 from spinalg import transfer_maps as tm  # noqa: E402
 
 from conftest import (  # noqa: E402
+    OracleOperator,
     element_of_terms,
     make_rng,
+    oracle_group_apply,
+    oracle_operator,
+    oracle_pullback_rows,
     oracle_rref,
     oracle_sparse_scale,
     oracle_sparse_sum,
     random_spin,
+    read_operator,
     split_form,
 )
 
@@ -53,9 +61,10 @@ def seeded_words(draw):
 
 
 @st.composite
-def fractional_words(draw):
-    """Words with fractional (and zero) parameters, beyond the seeded +-1, +-2."""
-    n = draw(st.integers(min_value=2, max_value=5))
+def fractional_words(draw, n=None):
+    """Words with fractional (and zero) parameters, beyond the seeded +-1, +-2,
+    at level n or at a level 2..5."""
+    n = n or draw(st.integers(min_value=2, max_value=5))
     roots = sr.all_root_vectors(n)
     steps = draw(
         st.lists(
@@ -337,4 +346,136 @@ def test_copies_and_pickles_equal_the_element(case):
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
             assert y.terms == x.terms and str(y) == str(x)
+            assert_lowest_terms(y)
+
+
+def column_maps(s, t):
+    """Fraction columns of a level (s, t) operator: source mask -> {target
+    mask: Fraction}, zeros included, up to four columns of up to four rows."""
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=(1 << s) - 1),
+        st.dictionaries(st.integers(min_value=0, max_value=(1 << t) - 1), wide_fractions, max_size=4),
+        max_size=4,
+    )
+
+
+def operator_of_columns(s, t, cols):
+    """(L, O): the LinearOperator of the columns and its OracleOperator."""
+    return sr.LinearOperator(s, t, {m: sr.SpinVector(t, col) for m, col in cols.items()}), OracleOperator(s, t, cols)
+
+
+@st.composite
+def operators(draw, levels=None):
+    """(L, O) at levels (s, t), drawn from 1..5 unless given: Fraction columns,
+    a contraction tower (s >= t; the drawn levels are ordered for it) or a
+    group word (s = t > 1; at a drawn level of its own)."""
+    s, t = levels or (draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=5)))
+    kinds = ["columns"]
+    if levels is None or s >= t:
+        kinds.append("contraction")
+    if levels is None or s == t > 1:
+        kinds.append("word")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "contraction":
+        s, t = max(s, t), min(s, t)
+        return sr.LinearOperator.of_contraction(s, t), oracle_operator(s, lambda x: tm.pi_tower(x, t))
+    if kind == "word":
+        g = draw(fractional_words(levels and s))
+        return sr.LinearOperator.of_group_element(g), oracle_operator(g.n, lambda x: oracle_group_apply(g, x))
+    return operator_of_columns(s, t, draw(column_maps(s, t)))
+
+
+# more draws than PROPERTY_SETTINGS, so that square operators at level 5
+# (determinants of 32 x 32 matrices) are among them
+OPERATOR_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=100)
+
+
+def assert_operator(lm, oracle):
+    """lm is in lowest terms, its columns read through apply are the
+    oracle's, and it equals (with its hash) the column constructor's operator
+    of those columns."""
+    assert_lowest_terms(lm)
+    assert read_operator(lm) == oracle
+    built = sr.LinearOperator(oracle.source_n, oracle.target_n, {m: sr.SpinVector(oracle.target_n, col) for m, col in oracle.cols.items()})
+    assert lm == built and hash(lm) == hash(built)
+
+
+@OPERATOR_SETTINGS
+@given(operators(), st.integers(min_value=0, max_value=10**6), wide_fractions)
+def test_operator_matches_the_column_oracle(case, seed, c):
+    lm, oracle = case
+    s, t = lm.n
+    assert (lm.source_n, lm.target_n) == (oracle.source_n, oracle.target_n)
+    assert_operator(lm, oracle)
+    x = random_spin(s, make_rng(f"op:{seed}")).scale(Fraction(1, 3))
+    assert lm.apply(x) == oracle.apply(x)
+    assert_lowest_terms(lm.apply(x))
+    assert_operator(-lm, oracle.scale(-1))
+    for k in (c, -c, 0, Fraction(-3, 2)):
+        assert_operator(lm.scale(k), oracle.scale(k))
+    assert_operator(lm - lm, oracle.scale(0))
+    assert lm - lm == sr.LinearOperator.zero(lm.n) and (lm - lm).den == 1
+    if s == t:  # a scaled word's determinant is c^(2^s), over den^(2^s)
+        assert lm.determinant() == oracle.determinant()
+        assert lm.scale(c).determinant() == oracle.scale(c).determinant()
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one pair of levels, the second sharing some of the
+    first's columns, negated or doubled, so that sums cancel in part or in
+    full, and a third whose target is the first's source, for compose."""
+    a, oa = draw(operators())
+    s, t = a.n
+    cols = draw(column_maps(s, t))
+    for m in draw(st.lists(st.sampled_from(sorted(oa.cols)), max_size=2)) if oa.cols else ():
+        k = draw(st.sampled_from([-1, 1, 2]))
+        cols[m] = {r: k * v for r, v in oa.cols[m].items()}
+    return (a, oa), operator_of_columns(s, t, cols), draw(operators((draw(st.integers(min_value=1, max_value=5)), s)))
+
+
+@OPERATOR_SETTINGS
+@given(operator_pairs())
+def test_operator_sums_and_products_match_the_column_oracle(case):
+    (a, oa), (b, ob), (inner, o_inner) = case
+    assert_operator(a + b, oa.combine(ob))
+    assert_operator(a - b, oa.combine(ob, -1))
+    assert (a == b) == (oa == ob) and (a + b == b + a)
+    assert_operator(a.compose(inner), oa.compose(o_inner))
+
+
+def random_homogeneous(rng, level, degree):
+    """A homogeneous polynomial at the level with up to four terms."""
+    masks = range(1 << level)
+    return ie.Polynomial(
+        False,
+        level,
+        {tuple(sorted(rng.choice(masks) for _ in range(degree))): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)},
+    )
+
+
+@OPERATOR_SETTINGS
+@given(operators(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6))
+def test_pullback_matches_the_rows_read_through_apply(case, degree, seed):
+    lm, oracle = case
+    p = random_homogeneous(make_rng(f"op-pullback:{seed}"), lm.target_n, degree)
+    rows = {}
+    for m, col in oracle.cols.items():
+        for r, c in col.items():
+            rows.setdefault(r, {})[m] = c
+    q = ie.pullback(p, lm)
+    assert_lowest_terms(q)
+    assert q == oracle_pullback_rows(p, rows, 1, lm.source_n)
+
+
+@OPERATOR_SETTINGS
+@given(operators())
+def test_operator_copies_and_pickles_equal_the_operator(case):
+    lm, _ = case
+    for read_terms in (False, True):
+        if read_terms:
+            lm.terms
+        for y in (copy.copy(lm), copy.deepcopy(lm), pickle.loads(pickle.dumps(lm))):
+            assert type(y) is sr.LinearOperator and y == lm and hash(y) == hash(lm)
+            assert y.n == lm.n and y.terms == lm.terms and str(y) == str(lm)
             assert_lowest_terms(y)

@@ -36,6 +36,7 @@ from conftest import (
     random_spin,
     random_two_form_blocks,
     random_vector,
+    read_operator,
     split_form,
     word_rows,
 )
@@ -54,6 +55,13 @@ class TestLetterOperators:
             n, [1, 2]
         ).scale(-1)
         assert cc.normal_form(["e2", "e1"], n) == cc.normal_form(["e1", "e2"], n).scale(-1)
+
+    def test_basis_rejects_a_repeated_index(self):
+        # e1^e1 is zero, not e1: a repeated index names no basis vector
+        for n, indices, i in ((2, [1, 1], 1), (3, [2, 1, 2], 2), (3, (3, 3), 3)):
+            with pytest.raises(IndexRangeError, match=f"^index {i} repeated"):
+                sr.SpinVector.basis(n, indices)
+        assert sr.SpinVector.basis(3, [2, 1]) == sr.SpinVector.basis(3, 0b11)
 
     def test_outer_rejects_f_part(self):
         with pytest.raises(IndexRangeError):
@@ -524,7 +532,7 @@ class TestRootSteps:
             for x in points:
                 assert g.apply(x) == oracle_group_apply(g, x), (g, x)
             if n < 6:
-                assert sr.LinearOperator.of_group_element(g) == oracle_operator(n, lambda x: oracle_group_apply(g, x))
+                assert read_operator(sr.LinearOperator.of_group_element(g)) == oracle_operator(n, lambda x: oracle_group_apply(g, x))
             targets = ie.component_variables(min(n, 4))
             assert word_rows(g, targets) == oracle_word_rows(g, targets), g
 
@@ -583,6 +591,17 @@ class TestLinearOperator:
         for col in (sr.SpinVector.basis(5, 0b10011), sr.SpinVector.zero(5)):
             with pytest.raises(LevelMismatchError, match=r"^levels differ: 4 vs 5$"):
                 sr.LinearOperator(4, 4, {3: col})
+
+    def test_entries_are_keyed_by_tagged_masks(self):
+        # the level is the pair (source, target); row r of column m is keyed
+        # r | m << target_n, over one denominator
+        op = sr.LinearOperator(3, 2, {0b101: sr.SpinVector(2, {0b10: Fraction(1, 2), 0: 3}), 1: sr.SpinVector.zero(2)})
+        assert op.n == (3, 2) and (op.source_n, op.target_n) == (3, 2)
+        assert op.num == {0b10 | 0b101 << 2: 1, 0b101 << 2: 6} and op.den == 2
+        assert str(op) == "3*[0,5] + 1/2*[2,5]"
+        assert -op == op.scale(-1) and hash(op) == hash(op + sr.LinearOperator.zero((3, 2)))
+        with pytest.raises(TypeError):
+            op + sr.SpinVector.basis(2, 0)
 
 
 class TestTwist:

@@ -26,6 +26,7 @@ from conftest import (
     oracle_operator,
     oracle_twist,
     oracle_twist_residual,
+    read_operator,
 )
 
 LEVELS = range(2, 6)
@@ -60,11 +61,11 @@ class TestGroupOperator:
             elements += [fractional_word(n, rng, rng.randint(1, 6)) for _ in range(3)]
         for g in elements:
             op = g.operator()
-            assert op == oracle_operator(n, g.apply)
-            assert op == oracle_operator(n, lambda x: oracle_group_apply(g, x))
+            assert read_operator(op) == oracle_operator(n, g.apply)
+            assert read_operator(op) == oracle_operator(n, lambda x: oracle_group_apply(g, x))
             assert sr.LinearOperator.of_group_element(g) == op
-            assert set(op.cols) == set(range(1 << n))
-            assert all(type(c) is Fraction for col in op.cols.values() for c in col.terms.values())
+            assert set(sr._columns(n, op.num)) == set(range(1 << n))
+            assert all(type(c) is Fraction for c in op.terms.values())
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_equality_is_operator_equality(self, n):
@@ -261,8 +262,8 @@ class TestTwist:
             a = random_gl(n, rng)
             residual = sr.gl_twist_residual(a)
             assert residual.is_zero()
-            assert residual == oracle_twist_residual(a)
-        assert sr.gl_twist_residual(sr.SoElement(n)) == oracle_twist_residual(sr.SoElement(n))
+            assert read_operator(residual) == oracle_twist_residual(a)
+        assert read_operator(sr.gl_twist_residual(sr.SoElement(n))) == oracle_twist_residual(sr.SoElement(n))
 
     @pytest.mark.parametrize("n", LEVELS)
     @pytest.mark.parametrize("kind", ["flipped", "dropped", "reordered"])
@@ -271,7 +272,7 @@ class TestTwist:
         rng = make_rng(f"tagged-twist-fault:{n}:{kind}")
         a = random_gl(n, rng)
         residual = sr.gl_twist_residual(a)
-        assert residual == oracle_twist_residual(a)
+        assert read_operator(residual) == oracle_twist_residual(a)
         got = suites._check_twist(n, 7, 3)
         assert got == oracle_twist(n, 7, 3)
         assert got is not None

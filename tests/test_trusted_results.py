@@ -303,7 +303,11 @@ def test_pullbacks_match_the_validating_constructor(n):
         assert_same_polynomial(ie._pullback_rows(p, rows, 5, n), oracle_pullback_rows(p, rows, 5, n))
     g = sr.random_group_element(n, "trusted", 5)
     lm = sr.LinearOperator.of_contraction(n, 4).compose(sr.LinearOperator.of_group_element(g))
-    assert_same_polynomial(ie.pullback(ie.i4_quadric(), lm), oracle_pullback_rows(ie.i4_quadric(), *ie._integer_rows(lm), n))
+    rows = {}  # target mask -> {source mask: Fraction}, read through apply
+    for s in range(1 << n):
+        for t, c in lm.apply(sr.SpinVector.basis(n, s)).terms.items():
+            rows.setdefault(t, {})[s] = c
+    assert_same_polynomial(ie.pullback(ie.i4_quadric(), lm), oracle_pullback_rows(ie.i4_quadric(), rows, 1, n))
 
 
 def random_polynomial(rng, is_limit, level, masks):
