@@ -232,7 +232,6 @@ def monomial_str(mono: Monomial) -> str:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _num_den(terms: dict) -> tuple[dict, int]:
@@ -259,7 +258,8 @@ class SparseElement:
     and two elements are equal when they have the same type, level and
     terms.  A subclass sets _width, so that its keys are the masks below
     2^(_width * n), and names a key in _key_str.  CliffordElement checks its
-    mask pairs in _in_range instead; spin_rep.SoElement takes index pairs,
+    mask pairs and VectorInV its 2n coordinate bits in _in_range instead.
+    VectorInV takes E- and F-coordinates, spin_rep.SoElement index pairs,
     ideal_engine.Polynomial sorted tuples of variable masks, at the level n
     or, with n = -1, at the limit level, and spin_rep.LinearOperator columns
     at the level pair (source_n, target_n), in constructors of their own.
@@ -318,7 +318,7 @@ class SparseElement:
         return type(other) is type(self) and (self.n, self.den, self.num) == (other.n, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, self.den, frozenset(self.num.items())))
 
     # LevelMismatchError unless other (anything with a level n) is at self's level
     _check_level = _check_levels
@@ -451,68 +451,32 @@ def star(a: CliffordElement) -> CliffordElement:
     return star_mul(a, CliffordElement.unit(a.n))
 
 
-def _coord(x) -> Fraction:
-    """x as a Fraction coordinate; a zero is the shared _ZERO."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return x if x else _ZERO
+class VectorInV(SparseElement):
+    """A vector of the level-n space, keyed by coordinate bit: e_i is bit i-1
+    and f_j bit n+j-1, the bits of the degree-1 ExteriorVector keys.  The
+    constructor takes the E- and F-coordinates, each padded with zeros to n;
+    e and f read them back as tuples of Fractions."""
 
-
-def _sum_coords(xs: tuple, ys: tuple, subtract: bool) -> tuple:
-    """xs + ys, or xs - ys, coordinatewise; shared zeros are skipped by
-    identity and a sum that cancels is the shared zero."""
-    out = []
-    for x, y in zip(xs, ys):
-        if y is _ZERO:
-            out.append(x)
-        elif x is _ZERO:
-            out.append(-y if subtract else y)
-        else:
-            x = x - y if subtract else x + y
-            out.append(x if x else _ZERO)
-    return tuple(out)
-
-
-class VectorInV:
-    """A vector of the level-n space, split into E- and F-coordinates.
-
-    Coordinates are Fractions, and every zero coordinate is the shared
-    _ZERO: the constructor makes it so, and the arithmetic keeps it, so
-    that it can skip zeros by identity."""
-
-    __slots__ = ("n", "e", "f")
+    __slots__ = ()
 
     def __init__(self, n: int, e: Iterable = (), f: Iterable = ()):
-        self.n = n
-        ee = [_coord(x) for x in e]
-        ff = [_coord(x) for x in f]
-        ee += [_ZERO] * (n - len(ee))
-        ff += [_ZERO] * (n - len(ff))
-        if len(ee) != n or len(ff) != n:
+        e, f = list(e), list(f)
+        if len(e) > n or len(f) > n:
             raise IndexRangeError("coordinate sequence longer than level")
-        self.e = tuple(ee)
-        self.f = tuple(ff)
+        super().__init__(n, {**dict(enumerate(e)), **{n + j: c for j, c in enumerate(f)}})
 
-    @classmethod
-    def _trusted(cls, n: int, e: tuple, f: tuple) -> "VectorInV":
-        """The vector on the coordinate tuples as given, unchecked: each must
-        hold n Fractions, with the shared _ZERO for every zero."""
-        self = object.__new__(cls)
-        self.n = n
-        self.e = e
-        self.f = f
-        return self
+    @staticmethod
+    def _in_range(key, n: int) -> bool:
+        return 0 <= key < 2 * n
+
+    def _key_str(self, key: int) -> str:
+        return symbol_name(key + 1 if key < self.n else self.n - key - 1)
 
     @staticmethod
     def basis(n: int, sym) -> "VectorInV":
         s = parse_symbol(sym)
         _check_index(s, n)
-        e = [_ZERO] * n
-        f = [_ZERO] * n
-        if s > 0:
-            e[s - 1] = _ONE
-        else:
-            f[-s - 1] = _ONE
-        return VectorInV(n, e, f)
+        return VectorInV._ints(n, {_bit(s, n): 1})
 
     @staticmethod
     def from_coords(n: int, coords) -> "VectorInV":
@@ -522,70 +486,31 @@ class VectorInV:
         return VectorInV(n, coords[:n], coords[n:])
 
     def coords(self) -> list[Fraction]:
-        return list(self.e) + list(self.f)
+        return [self.coefficient(b) for b in range(2 * self.n)]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.e) and all(x == 0 for x in self.f)
-
-    def __add__(self, other: "VectorInV") -> "VectorInV":
-        _check_levels(self, other)
-        return VectorInV._trusted(
-            self.n, _sum_coords(self.e, other.e, False), _sum_coords(self.f, other.f, False)
-        )
-
-    def __sub__(self, other: "VectorInV") -> "VectorInV":
-        _check_levels(self, other)
-        return VectorInV._trusted(
-            self.n, _sum_coords(self.e, other.e, True), _sum_coords(self.f, other.f, True)
-        )
-
-    def scale(self, c) -> "VectorInV":
-        """c times the vector; zero coordinates stay the shared zero."""
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            zeros = (_ZERO,) * self.n
-            return VectorInV._trusted(self.n, zeros, zeros)
-        return VectorInV._trusted(
-            self.n,
-            tuple([x if x is _ZERO else c * x for x in self.e]),
-            tuple([x if x is _ZERO else c * x for x in self.f]),
-        )
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorInV)
-            and (self.n, self.e, self.f) == (other.n, other.e, other.f)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.e, self.f))
+    e = property(lambda self: tuple(self.coefficient(b) for b in range(self.n)))
+    f = property(lambda self: tuple(self.coefficient(b) for b in range(self.n, 2 * self.n)))
 
     def as_clifford(self) -> CliffordElement:
-        terms = {(1 << i, 0): c for i, c in enumerate(self.e) if c is not _ZERO}
-        for j, c in enumerate(self.f):
-            if c is not _ZERO:
-                terms[(0, 1 << j)] = c
-        return CliffordElement._ints(self.n, *_num_den(terms))
+        n = self.n
+        return CliffordElement._ints(n, {(1 << b, 0) if b < n else (0, 1 << b - n): c for b, c in self.num.items()}, self.den)
 
-    def __str__(self) -> str:
-        parts = [f"{c}*e{i+1}" for i, c in enumerate(self.e) if c]
-        parts += [f"{c}*f{j+1}" for j, c in enumerate(self.f) if c]
-        return " + ".join(parts) if parts else "0"
 
-    __repr__ = __str__
+def _int_pairing(a: dict, b: dict, n: int) -> int:
+    """(a|b) on integer coordinate maps keyed by bit, e_i at bit i-1 and f_i
+    at bit n+i-1."""
+    total = 0
+    for k, x in a.items():
+        y = b.get(k + n if k < n else k - n)
+        if y:
+            total += x * y
+    return total
 
 
 def pairing(v: VectorInV, w: VectorInV) -> Fraction:
     """The bilinear form (v|w) of the split quadratic space."""
     _check_levels(v, w)
-    total = _ZERO
-    for a, b in zip(v.e + v.f, w.f + w.e):
-        if a is not _ZERO and b is not _ZERO:
-            total += a * b
-    return total
+    return Fraction(_int_pairing(v.num, w.num, v.n), v.den * w.den)
 
 
 def quadratic_value(v: VectorInV) -> Fraction:
@@ -630,8 +555,8 @@ class ExteriorVector(SparseElement):
 
     def inner_vector(self, v: VectorInV) -> "ExteriorVector":
         self._check_level(v)
-        partner = v.f + v.e  # iota(e_i) removes f_i and iota(f_i) removes e_i
-        return self._apply(*_int_letter(tuple(_contract(bit, c) for bit, c in enumerate(partner) if c)))
+        n = v.n  # iota(e_i) removes f_i and iota(f_i) removes e_i
+        return self._apply(tuple(sorted(_contract(b + n if b < n else b - n, c) for b, c in v.num.items())), v.den)
 
     def change_basis(self, new_rows: list[VectorInV]) -> "ExteriorVector":
         """Coordinates of self over the wedge basis of the given 2n vectors."""
@@ -661,9 +586,9 @@ def wedge_of_vectors(n: int, vectors: list[VectorInV]) -> ExteriorVector:
     for v in vectors:
         if v.n != n:
             raise LevelMismatchError(f"levels differ: {n} vs {v.n}")
-    word = [_vector_letter(v.coords()) for v in vectors]
-    out, _ = _apply_words([(1, [l for l, _ in word])], {0: 1})
-    return ExteriorVector._ints(n, out, prod(scale for _, scale in word))
+    word = [tuple(_wedge(b, c) for b, c in sorted(v.num.items())) for v in vectors]
+    out, _ = _apply_words([(1, word)], {0: 1})
+    return ExteriorVector._ints(n, out, prod(v.den for v in vectors))
 
 
 def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
@@ -674,6 +599,9 @@ def induced_map(omega: ExteriorVector, cols) -> ExteriorVector:
     n = omega.n
     if len(cols) != 2 * n:
         raise IndexRangeError("need 2n basis vectors")
+    for b, col in enumerate(cols):
+        if len(col) != 2 * n:
+            raise IndexRangeError(f"column {b} has {len(col)} coordinates; expected 2n = {2 * n}")
     letters = [_vector_letter(col) for col in cols]
     words = []
     for m, c in omega.num.items():

@@ -87,22 +87,12 @@ def _as_coord_rows(rows, n: int) -> list[list[Fraction]]:
     return out
 
 
-def _row_pairing(a: linalg.IntRow, b: linalg.IntRow, n: int) -> int:
-    """(a|b) for sparse coordinate rows over (e-block, f-block)."""
-    total = 0
-    for k, x in a.items():
-        y = b.get(k + n if k < n else k - n)
-        if y:
-            total += x * y
-    return total
-
-
 def _gram_audit(rows: list[linalg.IntRow], scales: list, n: int) -> None:
     """NotIsotropicError unless the vectors rows[i] / scales[i], given as
     integer rows, pair to zero two by two."""
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
-            g = _row_pairing(a, rows[j], n)
+            g = cc._int_pairing(a, rows[j], n)
             if g:
                 raise NotIsotropicError(
                     f"Gram entry (row {i + 1}, row {j + 1}) = "
@@ -349,7 +339,7 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
     n = h.n
     rows, _, _, _, det_p = _rref_split(h)
     ints = [linalg._integer_row(enumerate(r))[0] for r in rows]
-    if any(_row_pairing(a, b, n) for i, a in enumerate(ints) for b in ints[i:]):
+    if any(cc._int_pairing(a, b, n) for i, a in enumerate(ints) for b in ints[i:]):
         raise StructureError("H is not isotropic: the Gram matrix of its rows is not zero")
     return cc.wedge_of_vectors(n, [cc.VectorInV.from_coords(n, r) for r in rows]).scale(1 / det_p)
 

@@ -118,14 +118,14 @@ def _act(words, x: SpinVector) -> SpinVector:
 
 def outer(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Wedge by a vector of E; rejects vectors with an F-component."""
-    if any(c != 0 for c in v.f):
+    if any(b >= v.n for b in v.num):
         raise IndexRangeError("outer product expects a vector with zero f-part")
     return vector_action(v, omega)
 
 
 def inner(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
     """Plain contraction iota by a vector of F (callers supply the factor 2)."""
-    if any(c != 0 for c in v.e):
+    if any(b < v.n for b in v.num):
         raise IndexRangeError("inner product expects a vector with zero e-part")
     return vector_action(v, omega).scale(Fraction(1, 2))
 
@@ -140,10 +140,12 @@ def _action_letter(coords, n: int) -> tuple[tuple, int]:
 
 
 def vector_action(v: cc.VectorInV, omega: SpinVector) -> SpinVector:
-    """Module action of a general vector: o(e-part) + 2 iota(f-part)."""
+    """Module action of a general vector: o(e-part) + 2 iota(f-part), its
+    letter read off v's numerators, over v.den."""
     omega._check_level(v)
-    letter, scale = _action_letter(v.e + v.f, v.n)
-    return _act([(Fraction(1, scale), [letter])], omega)
+    n = v.n
+    letter = tuple(cc._wedge(b, c) if b < n else cc._contract(b - n, 2 * c) for b, c in sorted(v.num.items()))
+    return _act([(Fraction(1, v.den), [letter])], omega)
 
 
 # -- two-forms ---------------------------------------------------------------
@@ -379,12 +381,14 @@ class LinearOperator(cc.SparseElement):
 
     @staticmethod
     def of_contraction(n: int, target: int) -> "LinearOperator":
-        """The contraction tower from level n down to level target; public as
-        the operator form of transfer_maps.pi_tower, for compose."""
-        from .transfer_maps import pi_tower
-
-        cols = {m: pi_tower(SpinVector.basis(n, m), target) for m in range(1 << n)}
-        return LinearOperator(n, target, cols)
+        """The contraction tower from level n down to level target, which keeps
+        the masks below 2^target; public as the operator form of
+        transfer_maps.pi_tower, for compose."""
+        if target > n:
+            raise IndexRangeError("tower contraction cannot raise the level")
+        if target < 0:
+            raise IndexRangeError("no level below 0")
+        return LinearOperator._ints((n, target), _tagged_basis(target))
 
     def apply(self, x: SpinVector) -> SpinVector:
         if x.n != self.source_n:

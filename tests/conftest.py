@@ -297,7 +297,7 @@ def oracle_pure_subspace(x):
         scales.append(l * s)
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
-            g = gc._row_pairing(a, rows[j], n)
+            g = sum(x * rows[j].get(k + n if k < n else k - n, 0) for k, x in a.items())
             if g:
                 raise NotIsotropicError(
                     f"Gram entry (row {i + 1}, row {j + 1}) = {Fraction(g) / (scales[i] * scales[j])} != 0"
@@ -1348,6 +1348,40 @@ def oracle_sparse_scale(a, c):
     """c * a on a key -> Fraction map, the empty map for c = 0."""
     c = Fraction(c)
     return {key: c * v for key, v in a.items()} if c else {}
+
+
+def oracle_vector_sum(a, b, sign=1):
+    """a + sign * b on lists of 2n Fraction coordinates (e-block, then
+    f-block): the vector arithmetic as first written, coordinatewise."""
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def oracle_vector_scale(a, c):
+    return [Fraction(c) * x for x in a]
+
+
+def oracle_vector_pairing(a, b):
+    """(a|b) on coordinate lists: the e-block of each against the f-block of
+    the other."""
+    n = len(a) // 2
+    return sum((x * y for x, y in zip(a, b[n:] + b[:n])), Fraction(0))
+
+
+def oracle_vector_clifford(a):
+    """The vector as a CliffordElement, through the public constructor: e_i
+    is the monomial (1 << (i-1), 0) and f_j the monomial (0, 1 << (j-1))."""
+    n = len(a) // 2
+    keys = [(1 << i, 0) for i in range(n)] + [(0, 1 << j) for j in range(n)]
+    return cc.CliffordElement(n, dict(zip(keys, a)))
+
+
+def oracle_vector_str(a):
+    """str of the vector as first written: c*e_i for each nonzero
+    E-coordinate, then c*f_j, or 0."""
+    n = len(a) // 2
+    parts = [f"{c}*e{i + 1}" for i, c in enumerate(a[:n]) if c]
+    parts += [f"{c}*f{j + 1}" for j, c in enumerate(a[n:]) if c]
+    return " + ".join(parts) if parts else "0"
 
 
 def element_of_terms(kind, n, terms):

@@ -439,6 +439,13 @@ def operator_of(cls, n, terms):
     return cls(n, n, {m: sr.SpinVector(n, col) for m, col in cols.items()})
 
 
+def vector_of(cls, n, terms):
+    """The vector of the coordinates keyed by bit, through the (n, e, f)
+    constructor; a key past 2n lengthens the f-block past n."""
+    coords = [terms.get(b, 0) for b in range(max([2 * n] + [b + 1 for b in terms]))]
+    return cls(n, coords[:n], coords[n:])
+
+
 # each element type at level 2 (an operator at (2, 2)): its constructor on
 # (type, level, terms), a key inside the level as the constructor takes it
 # and as the terms hold it, and a key just outside the level
@@ -449,6 +456,7 @@ ELEMENT_TYPES = {
     "two-form": (sr.SoElement, lambda cls, n, terms: cls(n, ef=terms), (1, 2), 0b1001, (1, 3)),
     "polynomial": (ie.Polynomial, lambda cls, n, terms: cls(False, n, terms), (0b01, 0b11), (0b01, 0b11), (0b100,)),
     "operator": (sr.LinearOperator, operator_of, (0b01, 0b11), 0b11 | 0b01 << 2, (0b100, 0)),
+    "vector": (cc.VectorInV, vector_of, 2, 2, 4),
 }
 
 
@@ -477,6 +485,16 @@ def test_element_contract(cls, make, arg, key, outside):
     assert zero == make(cls, 2, {}) and zero.n == x.n and hash(zero) == hash(make(cls, 2, {}))
     assert x - x == zero and x.scale(0) == zero and -x + x == zero
     assert (-x).coefficient(key) == Fraction(-3, 2) and zero.coefficient(key) == 0
+
+
+@pytest.mark.parametrize("cls, make, arg, key, outside", ELEMENT_TYPES.values(), ids=ELEMENT_TYPES.keys())
+def test_hash_reads_the_numerators_only(cls, make, arg, key, outside):
+    # hashing builds no Fraction view; equal elements still hash equal
+    x = make(cls, 2, {arg: Fraction(-3, 2)})
+    y = make(cls, 2, {arg: 3}).scale(Fraction(-1, 2))
+    assert hash(x) == hash(y)
+    assert not hasattr(x, "_terms") and not hasattr(y, "_terms")
+    assert x.terms == y.terms
 
 
 def test_polynomial_zero_at_the_limit_and_other_operands():
@@ -558,9 +576,43 @@ class TestVectors:
         v = cc.VectorInV(4, [1, "2/3", kept], ["-7", 0])
         assert all(type(c) is Fraction for c in v.coords())
         assert v.coords() == [1, Fraction(2, 3), kept, 0, -7, 0, 0, 0]
-        assert v.e[2] is kept
+        assert v.e[2] == kept
         assert type(cc.pairing(v, v)) is Fraction
         assert type(cc.pairing(v, cc.VectorInV(4))) is Fraction
+
+    def test_str_names_each_nonzero_coordinate(self):
+        assert str(cc.VectorInV(2, [1], [0, Fraction(-1, 3)])) == "1*e1 + -1/3*f2"
+        assert repr(cc.VectorInV(3, [0, 2, 0], [5])) == "2*e2 + 5*f1"
+        assert str(cc.VectorInV(2)) == "0"
+
+    def test_keys_are_coordinate_bits(self):
+        # e_i at bit i-1 and f_j at bit n+j-1, as in the degree-1 exterior keys
+        n = 3
+        for s in (1, 3, -1, -3):
+            v = cc.VectorInV.basis(n, s)
+            assert v.num == {cc._bit(s, n): 1} and v.den == 1
+            assert cc.wedge_of_vectors(n, [v]) == cc.ExteriorVector(n, {1 << cc._bit(s, n): 1})
+        v = cc.VectorInV(n, [Fraction(1, 2)], [0, 0, Fraction(-2, 3)])
+        assert (v.num, v.den) == ({0: 3, 5: -4}, 6)
+        assert v.e == (Fraction(1, 2), 0, 0) and v.f == (0, 0, Fraction(-2, 3))
+        with pytest.raises(AttributeError):
+            v.e = (1, 2, 3)
+
+    def test_blocks_longer_than_the_level_are_refused(self):
+        # unchecked, a third e-coordinate at level 2 would be read as f_1
+        for e, f in (([1, 2, 3], []), ([], [0, 0, 1])):
+            with pytest.raises(IndexRangeError, match="^coordinate sequence longer than level$"):
+                cc.VectorInV(2, e, f)
+        with pytest.raises(IndexRangeError, match="^expected 2n coordinates$"):
+            cc.VectorInV.from_coords(2, [1, 2, 3])
+
+    def test_sum_with_another_type_is_a_type_error(self):
+        v = cc.VectorInV.basis(2, 1)
+        for other in (1, cc.ExteriorVector(2, {1: 1}), [1, 0, 0, 0]):
+            with pytest.raises(TypeError):
+                v + other
+            with pytest.raises(TypeError):
+                v - other
 
     def test_arithmetic_matches_coordinates(self, rng):
         # sparse vectors, so the zero-skipping paths of scale, + and - are hit
@@ -654,6 +706,15 @@ class TestInducedMap:
         omega = cc.ExteriorVector.unit(2)
         with pytest.raises(IndexRangeError, match="need 2n basis vectors"):
             cc.induced_map(omega, linalg.identity(3))
+
+    def test_columns_must_have_2n_coordinates(self):
+        # a long column once reached key 4 at level 1 (1*e1 + 5*1); a short
+        # one was padded with zeros
+        omega = cc.ExteriorVector(1, {1: 1})
+        for cols, bad in (([[1, 0, 5], [0, 1]], 0), ([[1, 0], [1]], 1)):
+            with pytest.raises(IndexRangeError, match=f"column {bad} has {len(cols[bad])} coordinates; expected 2n = 2"):
+                cc.induced_map(omega, cols)
+        assert cc.induced_map(omega, [[1, 0], [0, 1]]) == omega
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_change_basis_hyperbolic(self, n):

@@ -350,7 +350,7 @@ class TestAnnihilator:
 
     def test_kernel_goes_through_the_isotropy_audit(self, monkeypatch):
         x = gc.sample_cone_point(4, "audit")
-        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        monkeypatch.setattr(cc, "_int_pairing", lambda a, b, n: 1)
         with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
             gc.annihilator(x)
 
@@ -359,7 +359,7 @@ class TestAnnihilator:
         # kernel; annihilator still audits its one-dimensional kernel
         x = ie.off_cone_sample(5, "audit")
         assert gc.annihilator(x).dim == 1
-        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        monkeypatch.setattr(cc, "_int_pairing", lambda a, b, n: 1)
         assert gc.is_pure(x).kind == "not_pure"
         with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
             gc.annihilator(x)
@@ -520,7 +520,7 @@ class TestPurity:
     def test_pure_verdict_goes_through_the_isotropy_audit(self, monkeypatch):
         x = gc.sample_cone_point(5, "pure-audit")
         assert gc.is_pure(x).kind == "pure"
-        monkeypatch.setattr(gc, "_row_pairing", lambda a, b, n: 1)
+        monkeypatch.setattr(cc, "_int_pairing", lambda a, b, n: 1)
         with pytest.raises(NotIsotropicError, match=r"Gram entry \(row 1, row 1\)"):
             gc.is_pure(x)
 

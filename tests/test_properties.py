@@ -1,4 +1,4 @@
-"""Property tests at levels n <= 5.  Group words: the inverse word undoes
+"""Property tests at levels n <= 6.  Group words: the inverse word undoes
 the spin action and the orthogonal image, the image preserves the split form,
 and the operator built from a word's columns agrees with the word.  Kernel
 identities: the Clifford product is associative, star is an
@@ -10,6 +10,10 @@ Cone membership: the witness of certify_membership is the stored pulled-back
 quadric's value at the point.  The sparse element base: every element type's
 arithmetic, equality, hash, coefficients and terms agree with Fraction-map
 oracles, every result is in lowest terms, and copies and pickles are equal.
+Vectors of V at levels 1..6 agree with the coordinate oracles of conftest
+in sums, differences, negation, scaling, pairing, as_clifford, coords, e,
+f, str, equality and hash, stay in lowest terms, and survive copies and
+pickles.
 Linear operators of Fraction columns, contraction towers and group words
 at levels 1..5 agree with the column oracle conftest.OracleOperator in
 apply, compose, sums, scaling, equality, hash, determinant and pullback.
@@ -44,6 +48,11 @@ from conftest import (  # noqa: E402
     oracle_rref,
     oracle_sparse_scale,
     oracle_sparse_sum,
+    oracle_vector_clifford,
+    oracle_vector_pairing,
+    oracle_vector_scale,
+    oracle_vector_str,
+    oracle_vector_sum,
     random_spin,
     read_operator,
     split_form,
@@ -347,6 +356,67 @@ def test_copies_and_pickles_equal_the_element(case):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
             assert y.terms == x.terms and str(y) == str(x)
             assert_lowest_terms(y)
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """(n, a, b): two lists of 2n Fraction coordinates at a level n = 1..6,
+    zeros included; b repeats, negates or doubles some of a's coordinates,
+    so that sums and differences cancel in part or in full."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    coords = st.lists(st.one_of(st.just(Fraction(0)), wide_fractions), min_size=2 * n, max_size=2 * n)
+    a, b = draw(coords), draw(coords)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1), max_size=3)):
+        b[i] = draw(st.sampled_from([-a[i], a[i], 2 * a[i]]))
+    return n, a, b
+
+
+def assert_vector(v, coords):
+    """v is the vector of the coordinates: in lowest terms, keyed by
+    coordinate bit, read back by coords, e and f as Fractions, printed as
+    first written, and equal (with its hash) to the constructor's vector."""
+    n = v.n
+    assert_lowest_terms(v)
+    assert v.terms == {b: c for b, c in enumerate(coords) if c}
+    assert v.coords() == coords and all(type(c) is Fraction for c in v.coords())
+    assert v.e == tuple(coords[:n]) and v.f == tuple(coords[n:])
+    assert str(v) == oracle_vector_str(coords)
+    expect = cc.VectorInV(n, coords[:n], coords[n:])
+    assert v == expect and hash(v) == hash(expect)
+    assert v.is_zero() == (not any(coords))
+
+
+@PROPERTY_SETTINGS
+@given(coordinate_pairs(), wide_fractions)
+def test_vector_arithmetic_matches_the_coordinate_oracle(case, c):
+    n, a, b = case
+    v, w = cc.VectorInV.from_coords(n, a), cc.VectorInV.from_coords(n, b)
+    assert_vector(v, a)
+    assert_vector(v + w, oracle_vector_sum(a, b))
+    assert_vector(v - w, oracle_vector_sum(a, b, -1))
+    assert_vector(-v, oracle_vector_scale(a, -1))
+    for k in (c, -c, 0, Fraction(0), Fraction(-3, 2)):
+        assert_vector(v.scale(k), oracle_vector_scale(a, k))
+        assert_vector(k * v, oracle_vector_scale(a, k))
+    for x, y, p, q in ((v, w, a, b), (w, v, b, a), (v, v, a, a)):
+        value = cc.pairing(x, y)
+        assert value == oracle_vector_pairing(p, q) and type(value) is Fraction
+    assert (v == w) == (a == b)
+    assert v.as_clifford() == oracle_vector_clifford(a)
+    assert v - v == cc.VectorInV.zero(n) == cc.VectorInV(n) and (v - v).den == 1
+
+
+@PROPERTY_SETTINGS
+@given(coordinate_pairs())
+def test_vector_copies_and_pickles_equal_the_vector(case):
+    n, a, _ = case
+    v = cc.VectorInV.from_coords(n, a)
+    for read_terms in (False, True):
+        if read_terms:
+            v.terms
+        for y in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(y) is cc.VectorInV and y == v and hash(y) == hash(v)
+            assert_vector(y, a)
 
 
 def column_maps(s, t):

@@ -12,6 +12,7 @@ from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
 from spinalg import spin_rep as sr
+from spinalg import transfer_maps as tm
 from spinalg.errors import (
     IndexRangeError,
     InvalidRootVectorError,
@@ -575,6 +576,20 @@ class TestLinearOperator:
                 combine(b)
         assert (a + a).apply(sr.SpinVector.basis(4, 3)) == a.apply(sr.SpinVector.basis(4, 3)).scale(2)
         assert (a - a).is_zero()
+
+    def test_contraction_cannot_raise_or_leave_the_levels(self):
+        with pytest.raises(IndexRangeError, match="^tower contraction cannot raise the level$"):
+            sr.LinearOperator.of_contraction(3, 4)
+        with pytest.raises(IndexRangeError, match="^no level below 0$"):
+            sr.LinearOperator.of_contraction(3, -1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_contraction_keeps_the_masks_below_the_target(self, n):
+        for target in range(n + 1):
+            op = sr.LinearOperator.of_contraction(n, target)
+            assert op.n == (n, target) and op.den == 1
+            for m in range(1 << n):
+                assert op.apply(sr.SpinVector.basis(n, m)) == tm.pi_tower(sr.SpinVector.basis(n, m), target)
 
     def test_sum_checks_the_target_level(self):
         with pytest.raises(LevelMismatchError, match=r"^levels differ: 3 vs 2$"):

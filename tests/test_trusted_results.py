@@ -1,14 +1,14 @@
 """Results built without re-validation against the validating constructors.
 
-The arithmetic of the element types and the letter kernel's products build
-their results through SparseElement._ints and VectorInV._trusted, which
-check nothing; pulled-back polynomials and the results of polynomial
+The arithmetic of the element types, vectors of V among them, and the
+letter kernel's products build their results through SparseElement._ints,
+which checks nothing; pulled-back polynomials and the results of polynomial
 arithmetic are built by Polynomial._ints, and random, inverted and
 multiplied group words by GroupElement._trusted.  Each such result is compared at levels 1..6 with a reference
 computed coefficient by coefficient and passed through the public
 constructor, which checks every key and coefficient: equal, with equal hashes,
 every coefficient a nonzero Fraction, and (for vectors) every zero coordinate
-the shared zero.  The kernel's results are also compared with
+read back as the shared zero.  The kernel's results are also compared with
 oracle_apply_words, the kernel as first written.
 
 Every letter that reaches the kernel has int factors: a letter made with
