@@ -338,10 +338,12 @@ def pluecker(h: IsotropicSubspace) -> cc.ExteriorVector:
     rref and the Gram matrix of their integer multiples is zero."""
     n = h.n
     rows, _, _, _, det_p = _rref_split(h)
-    ints = [linalg._integer_row(enumerate(r))[0] for r in rows]
-    if any(cc._int_pairing(a, b, n) for i, a in enumerate(ints) for b in ints[i:]):
+    # a row with an entry 1 has content 1, so it is its integer row over den
+    ints = [linalg._integer_row(enumerate(r)) for r in rows]
+    vectors = [cc.VectorInV._ints(n, row, den) for row, den, _ in ints]
+    if any(cc._int_pairing(a.num, b.num, n) for i, a in enumerate(vectors) for b in vectors[i:]):
         raise StructureError("H is not isotropic: the Gram matrix of its rows is not zero")
-    return cc.wedge_of_vectors(n, [cc.VectorInV.from_coords(n, r) for r in rows]).scale(1 / det_p)
+    return cc.wedge_of_vectors(n, vectors).scale(1 / det_p)
 
 
 def _action_row(ints: linalg.IntRow, t: int, n: int) -> linalg.IntRow:

@@ -5,19 +5,19 @@ routine raises ValueError for rows of different lengths.  Everything is
 exact: no tolerances anywhere.  Row spaces are canonicalized through reduced row
 echelon form so subspaces compare by equality of their rref rows.
 
-Every elimination runs through one fraction-free sparse core, `_eliminate`.
+Every elimination runs through one fraction-free sparse step, `_update`.
 Each row is scaled by the lcm of its denominators to a primitive integer row
-``{col: int}``, and Gauss–Jordan runs on those rows with integer row
-operations that take out the row gcd after each step (the fraction-free
-method of Bareiss, Math. Comp. 22, 1968).  Nothing is divided until the
-canonical rref is written, one ``Fraction(v, pivot)`` per entry.  rank,
-row_space, nullspace, solve, solve_matrix, inverse, det, sparse_rank and
-intersect_row_spaces are all built on it.
+``{col: int}``, and integer row operations take out the row gcd after each
+step (the fraction-free method of Bareiss, Math. Comp. 22, 1968).  Nothing is
+divided until a canonical row is written, one ``Fraction(v, pivot)`` per
+entry.  Gauss–Jordan, `_eliminate`, runs it on a's rows: rank, row_space,
+solve, solve_matrix, inverse, det and sparse_rank are built on it.  nullspace
+runs it on kernel vectors instead, one update per row of a, and reads the
+kernel back through `_eliminate`; intersect_row_spaces is built on both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -126,6 +126,34 @@ def _integer_row(items) -> tuple[IntRow, int, int]:
     return row, den, content
 
 
+def _update(rows, i: int, pivot_row: IntRow, pv: int, x: int, holding, scales) -> None:
+    """The fraction-free step of both eliminations: rows[i] becomes
+    (a rows[i] - b pivot_row) / g, with a / b = pv / x in lowest terms and g
+    the gcd of the result, so the row stays primitive; scales[i] (if scales
+    is not None) is multiplied by a / g.  holding[k], the set of indices
+    whose rows have an entry in column k, gains or loses i as fill-in
+    appears and cancels."""
+    g = gcd(pv, x)
+    a, b = pv // g, x // g
+    row = rows[i]
+    new = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in pivot_row.items():
+        y = new.get(k, 0) - b * v
+        if y:
+            if k not in new:
+                holding[k].add(i)
+            new[k] = y
+        else:
+            del new[k]
+            holding[k].discard(i)
+    content = reduce(gcd, new.values()) if new else 1
+    if content != 1:
+        new = {k: v // content for k, v in new.items()}
+    rows[i] = new
+    if scales is not None:
+        scales[i] *= Fraction(a, content)
+
+
 def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list[tuple[int, int]]:
     """Gauss–Jordan on primitive integer rows, in place; no division leaves
     the integers.
@@ -133,15 +161,14 @@ def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list
     Column by column, the shortest row that is not yet a pivot row and has an
     entry in column c becomes the pivot row r_p, with pivot pv = r_p[c]; ties
     go to the lowest row index.  Every other row r_i with an entry there
-    becomes (pv r_i - r_i[c] r_p) / g, with the common factor of pv and r_i[c]
-    taken out first and g the gcd of the result, so every row stays
-    primitive.  A column index (the set of rows with an entry in each column,
-    kept as fill-in appears and cancels) finds the rows with an entry in c
-    without visiting the others.  Returns (column, row index) of each pivot
-    in column order; afterwards each pivot row is zero in every other pivot
-    column.  When `scales` is given, each step also multiplies scales[i] by
-    the factor a / g it multiplied row i by, so the determinant of the rows
-    over the product of the scales stays the same.
+    becomes (pv r_i - r_i[c] r_p) / g by `_update`.  A column index (the set
+    of rows with an entry in each column, kept as fill-in appears and
+    cancels) finds the rows with an entry in c without visiting the others.
+    Returns (column, row index) of each pivot in column order; afterwards
+    each pivot row is zero in every other pivot column.  When `scales` is
+    given, each step also multiplies scales[i] by the factor a / g it
+    multiplied row i by, so the determinant of the rows over the product of
+    the scales stays the same.
     """
     holding: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -161,25 +188,7 @@ def _eliminate(rows: list[IntRow], scales: list[Fraction] | None = None) -> list
         for i in list(holding[c]):
             if i == p:
                 continue
-            row = rows[i]
-            g = gcd(pv, row[c])
-            a, b = pv // g, row[c] // g
-            new = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
-            for k, v in pivot_row.items():
-                x = new.get(k, 0) - b * v
-                if x:
-                    if k not in new:
-                        holding[k].add(i)
-                    new[k] = x
-                else:
-                    del new[k]
-                    holding[k].discard(i)
-            content = reduce(gcd, new.values()) if new else 1
-            if content != 1:
-                new = {k: v // content for k, v in new.items()}
-            rows[i] = new
-            if scales is not None:
-                scales[i] *= Fraction(a, content)
+            _update(rows, i, pivot_row, pv, rows[i][c], holding, scales)
     return pivots
 
 
@@ -278,19 +287,37 @@ def row_space(a: Matrix) -> Matrix:
 
 def nullspace(a: Matrix) -> Matrix:
     """Canonical kernel basis: one vector per free column of a's rref, free
-    coordinate 1, the other free coordinates 0.  The columns are eliminated
-    densest first (a static order: the count of rows holding each column, ties
-    by index; Markowitz 1957), and the kernel vectors are read back by one
-    elimination with their columns reversed, whose pivots are a's free
-    columns: the last columns a kernel vector can end in."""
+    coordinate 1, the other free coordinates 0.
+
+    The kernel is found by column updates (after Cohen 1993, §2.3):
+    starting from the unit vectors, each nonzero primitive integer row r of
+    a, shortest first, pairs d_j = r.v_j with the kernel vectors holding one
+    of its columns.  If some d_j is nonzero, the shortest such v_p (ties to
+    the lowest index) leaves the kernel and every other hit v_j becomes
+    (d_p v_j - d_j v_p) / g by `_update`.  The vectors that are left span
+    ker(a); they are read back by one elimination with their columns
+    reversed, whose pivots are a's free columns: the last columns a kernel
+    vector can end in."""
     cols = _cols(a)
-    rows = [_integer_row(enumerate(row))[0] for row in a]
-    held = Counter(k for row in rows for k in row)
-    order = sorted(range(cols), key=lambda k: (-held[k], k))
-    label = {k: j for j, k in enumerate(order)}
-    rows = [{label[k]: v for k, v in row.items()} for row in rows]
-    kernel = _kernel(rows, _eliminate(rows), range(cols))
-    back = [{cols - 1 - order[j]: x for j, x in v.items()} for v, _ in kernel]
+    rows = sorted(filter(None, (_integer_row(enumerate(row))[0] for row in a)), key=len)
+    kernel = {j: {j: 1} for j in range(cols)}
+    holding = {j: {j} for j in range(cols)}
+    for row in rows:
+        d: dict[int, int] = {}
+        for k, x in row.items():
+            for j in holding[k]:
+                d[j] = d.get(j, 0) + x * kernel[j][k]
+        hits = [j for j, s in d.items() if s]
+        if not hits:
+            continue
+        p = min(hits, key=lambda j: (len(kernel[j]), j))
+        v_p = kernel.pop(p)
+        for k in v_p:
+            holding[k].discard(p)
+        for j in hits:
+            if j != p:
+                _update(kernel, j, v_p, d[p], d[j], holding, None)
+    back = [{cols - 1 - k: x for k, x in v.items()} for v in kernel.values()]
     basis: Matrix = []
     for c, i in reversed(_eliminate(back)):
         dense = [Fraction(0)] * cols

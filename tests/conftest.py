@@ -193,6 +193,38 @@ def _oracle_rref(a):
     return [[row.get(k, Fraction(0)) for k in range(cols)] for row in m], pivots
 
 
+def oracle_nullspace(a):
+    """The canonical kernel basis read off oracle_rref: for each free column
+    f, the vector with coordinate 1 at f, 0 at the other free columns and
+    minus row i's entry in column f at row i's pivot."""
+    cols = len(a[0]) if a else 0
+    r, pivots = oracle_rref(a)
+    basis = []
+    for free in range(cols):
+        if free not in pivots:
+            v = [Fraction(int(k == free)) for k in range(cols)]
+            for i, p in enumerate(pivots):
+                v[p] = -r[i][free]
+            basis.append(v)
+    return basis
+
+
+def oracle_intersect_row_spaces(a, b):
+    """rowspace(a) ∩ rowspace(b) as the nonzero rows of oracle_rref: the
+    combinations of a's rref rows that the kernel of [ra^T | -rb^T]
+    (oracle_nullspace) pairs with equal combinations of b's."""
+    ra = [row for row in oracle_rref(a)[0] if any(row)]
+    rb = [row for row in oracle_rref(b)[0] if any(row)]
+    if not ra or not rb:
+        return []
+    stacked = [list(x) + [-y for y in ys] for x, ys in zip(zip(*ra), zip(*rb))]
+    vecs = [
+        [sum((c[i] * row[j] for i, row in enumerate(ra)), Fraction(0)) for j in range(len(ra[0]))]
+        for c in oracle_nullspace(stacked)
+    ]
+    return [row for row in oracle_rref(vecs)[0] if any(row)]
+
+
 def oracle_det(a):
     """Determinant by dense Gaussian elimination over Fractions."""
     n = len(a)
@@ -985,8 +1017,9 @@ def oracle_verify_intertwining(n0, u, m_second, masks_n0):
 
 def oracle_second_factor_matrix(q, n, n0, mg, g_prime, etilde_n, constraints):
     """cartan._second_factor_matrix as first written: one linalg.solve per
-    column, the right-hand side g'^-1 applied to the basis vector."""
-    d_rows = linalg.nullspace(constraints) if constraints else linalg.identity(2 * q)
+    column, the right-hand side g'^-1 applied to the basis vector; D's basis
+    is oracle_nullspace's, not linalg.nullspace's."""
+    d_rows = oracle_nullspace(constraints) if constraints else linalg.identity(2 * q)
     mgp_inv = g_prime.inverse().so_matrix()
     cols = []
     for bit in range(2 * n0):
@@ -1080,14 +1113,14 @@ def _oracle_complete_e_rows(n, fprime, known):
 
 def oracle_adapted_basis(h):
     """grassmann_cone.adapted_basis as first written, on Fractions: H∩F by
-    linalg.intersect_row_spaces, f'-rows and the complement of H∩F in H
+    oracle_intersect_row_spaces, f'-rows and the complement of H∩F in H
     chosen greedily by linalg.rank, the pairing fixed by linalg.inverse,
     then verify() and both adaptation invariants."""
     n = h.n
     if h.dim != n:
         raise SpinalgError(f"subspace is not maximal: dim {h.dim} != {n}")
     f_rows = [cc.VectorInV.basis(n, -j).coords() for j in range(1, n + 1)]
-    hf = linalg.intersect_row_spaces([list(r) for r in h.rows], f_rows)
+    hf = oracle_intersect_row_spaces([list(r) for r in h.rows], f_rows)
     k = len(hf)
     fprime_coords = [list(r) for r in hf]
     for j in range(1, n + 1):

@@ -11,10 +11,20 @@ from math import gcd
 import pytest
 
 from spinalg import clifford_core as cc
+from spinalg import grassmann_cone as gc
 from spinalg import ideal_engine as ie
 from spinalg import linalg
+from spinalg import spin_rep as sr
 
-from conftest import dense_matmul, make_rng, oracle_det, oracle_integer_row, oracle_rref
+from conftest import (
+    dense_matmul,
+    make_rng,
+    oracle_det,
+    oracle_integer_row,
+    oracle_intersect_row_spaces,
+    oracle_nullspace,
+    oracle_rref,
+)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -127,18 +137,6 @@ SQUARE = {k: v for k, v in CASES.items() if all(len(row) == len(v) for row in v)
 
 def width(a):
     return len(a[0]) if a else 0
-
-
-def oracle_nullspace(a):
-    r, pivots = oracle_rref(a)
-    basis = []
-    for free in range(width(a)):
-        if free not in pivots:
-            v = [Fraction(int(k == free)) for k in range(width(a))]
-            for i, p in enumerate(pivots):
-                v[p] = -r[i][free]
-            basis.append(v)
-    return basis
 
 
 def oracle_solve_matrix(a, b):
@@ -333,6 +331,21 @@ def test_module_iso_elimination_matches_the_index_free_core(n):
     assert linalg.sparse_rank(sparse) == 4**n
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_elimination_matches_the_index_free_core(name):
+    # the same pivots, primitive integer rows and scales on every shape
+    runs = []
+    for eliminate in (linalg._eliminate, index_free_eliminate):
+        rows, scales = [], []
+        for row in CASES[name]:
+            ints, den, content = linalg._integer_row(enumerate(row))
+            rows.append(ints)
+            scales.append(Fraction(den, content))
+        runs.append((eliminate(rows, scales), rows, scales))
+    assert runs[0] == runs[1]
+    assert all(reduce(gcd, row.values()) == 1 for row in runs[0][1] if row)
+
+
 def test_det_of_each_sign_under_permuted_rows():
     # permuted rows change which row is the shortest candidate of a column,
     # so the pivot rows and the sign of the pivot permutation change
@@ -365,8 +378,9 @@ def evaluation_matrix(points, degree):
     return out
 
 
-def densest_first(a):
-    """The columns of a, most nonzero entries first, ties by index."""
+def columns_by_count(a):
+    """The columns of a, those held by the most rows first, ties by index:
+    a column order that an elimination may take in place of index order."""
     return sorted(range(width(a)), key=lambda k: (-sum(1 for row in a if row[k]), k))
 
 
@@ -393,11 +407,12 @@ def test_nullspace_of_the_level_five_degree_two_matrix_matches_oracle():
     assert kernel == oracle_nullspace(a[:150])
 
 
-def test_nullspace_reads_back_when_densest_first_takes_other_pivots():
-    # column 2 = column 0 + column 1 is the densest, so densest first takes
-    # columns 2 and 1 as pivots where index order takes 0 and 1
+def test_nullspace_is_canonical_where_another_column_order_takes_other_pivots():
+    # column 2 = column 0 + column 1 is held by the most rows, so eliminating
+    # the columns in that order takes columns 2 and 1 as pivots where index
+    # order takes 0 and 1; the basis is a's canonical one either way
     a = [[1, 0, 1], [0, 1, 1], [0, 1, 1]]
-    order = densest_first(a)
+    order = columns_by_count(a)
     assert order == [2, 1, 0]
     _, permuted = oracle_rref([[row[k] for k in order] for row in a])
     assert {order[j] for j in permuted} != set(oracle_rref(a)[1])
@@ -409,11 +424,45 @@ def test_nullspace_reads_back_when_densest_first_takes_other_pivots():
 
 
 def test_nullspace_with_an_all_zero_column():
+    # column 1 is held by no row: its unit vector is never updated and stays
+    # in the kernel, and it comes last in the column order by count
     a = [[1, 0, 2, 3], [2, 0, 4, 5], [Fraction(1, 2), 0, 1, 0]]
-    assert densest_first(a)[-1] == 1
+    assert columns_by_count(a)[-1] == 1
     kernel = linalg.nullspace(a)
     assert kernel == oracle_nullspace(a) == [[0, 1, 0, 0], [-2, 0, 1, 0]]
     assert_all_fractions(kernel)
+
+
+def stabilizer_line_matrix(n, sample):
+    """The matrix of suites._check_sh_dimension at seed 7: for each vector v
+    of a random maximal isotropic H, the 2^n rows of v's action on S."""
+    h = gc.random_maximal_isotropic(n, f"7:sh:{sample}")
+    rows = []
+    for v in h.vectors():
+        cols = [sr.vector_action(v, sr.SpinVector.basis(n, m)) for m in range(1 << n)]
+        rows += [[col.coefficient(mask) for col in cols] for mask in range(1 << n)]
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_nullspace_of_the_stabilizer_line_matrices_matches_oracle(n):
+    # S_H is one line: the pure spinor of H spans the common kernel
+    a = stabilizer_line_matrix(n, 0)
+    assert (len(a), width(a)) == (n << n, 1 << n)
+    kernel = linalg.nullspace(a)
+    assert kernel == oracle_nullspace(a) and len(kernel) == 1
+    assert_all_fractions(kernel)
+
+
+def test_intersect_row_spaces_matches_oracle():
+    rng = make_rng("intersect")
+    for _ in range(30):
+        c = rng.randint(1, 7)
+        a = rank_deficient(rng, rng.randint(1, 6), c, rng.randint(1, c))
+        b = rank_deficient(rng, rng.randint(1, 6), c, rng.randint(1, c))
+        if rng.random() < 0.5:
+            b = b + a[: rng.randint(1, len(a))]
+        assert linalg.intersect_row_spaces(a, b) == oracle_intersect_row_spaces(a, b)
 
 
 NON_SQUARE =([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])

@@ -5,7 +5,8 @@ identities: the Clifford product is associative, star is an
 antihomomorphism, and pi_last undoes tau_last.  The pairing beta has the
 Gram symmetry pattern on parity-pure vectors, and the vector pairing equals
 its summed formula.  Exact elimination: rref agrees with the dense Fraction
-oracle and the nullspace is the kernel.
+oracle and the nullspace is the kernel, the oracle's canonical basis, which
+permuting or repeating rows or putting in zero rows leaves unchanged.
 Cone membership: the witness of certify_membership is the stored pulled-back
 quadric's value at the point.  The sparse element base: every element type's
 arithmetic, equality, hash, coefficients and terms agree with Fraction-map
@@ -28,7 +29,7 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spinalg import clifford_core as cc  # noqa: E402
@@ -43,6 +44,7 @@ from conftest import (  # noqa: E402
     element_of_terms,
     make_rng,
     oracle_group_apply,
+    oracle_nullspace,
     oracle_operator,
     oracle_pullback_rows,
     oracle_rref,
@@ -213,6 +215,45 @@ def test_rref_matches_oracle_and_nullspace_is_kernel(a):
     assert linalg.rref(a) == oracle_rref(a)
     for v in linalg.nullspace(a):
         assert linalg.matvec(a, v) == [0] * len(a)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(a, b): a tall, wide or rank-deficient matrix of int and Fraction
+    entries (rank-deficient rows are integer combinations of fewer rows),
+    and b, a's rows with some repeated and some zero rows put in, permuted:
+    b has a's row space."""
+    cols = draw(st.integers(min_value=0, max_value=7))
+    shape = draw(st.sampled_from(["tall", "wide", "deficient"]))
+    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), small_fractions)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    if shape == "tall":
+        a = draw(st.lists(row, min_size=cols + 1, max_size=9))
+    elif shape == "wide":
+        a = draw(st.lists(row, max_size=max(0, cols - 1)))
+    else:
+        basis = draw(st.lists(row, max_size=max(0, cols - 1)))
+        coefs = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+        a = [
+            [sum((c * r[k] for c, r in zip(cs, basis)), 0) for k in range(cols)]
+            for cs in draw(st.lists(coefs, max_size=8))
+        ]
+    repeats = draw(st.lists(st.integers(0, len(a) - 1), max_size=3)) if a else []
+    zero_rows = [[0] * (cols if a else 0) for _ in range(draw(st.integers(0, 2)))]
+    return a, draw(st.permutations(a + [a[i] for i in repeats] + zero_rows))
+
+
+# cheap enough for more cases than PROPERTY_SETTINGS: each is a few small eliminations
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kernel_matrices())
+@example(([], [[]]))
+@example(([[]], [[], [], []]))
+def test_nullspace_is_the_oracle_basis_of_the_row_space(pair):
+    a, b = pair
+    kernel = linalg.nullspace(a)
+    assert kernel == oracle_nullspace(a)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    assert linalg.nullspace(b) == kernel
 
 
 @lru_cache(maxsize=None)
